@@ -10,7 +10,6 @@ invocation or an input file was unusable.
 import argparse
 import itertools
 import math
-import os
 import sys
 
 import networkx as nx
@@ -50,22 +49,6 @@ def _load_model(path):
     if path.endswith(".cplx"):
         return cubes.index_set_from_hyperclosure(cubes.load_complex(text))
     raise UsageError("expected a .model or .cplx file, got %s" % path)
-
-
-def _jobs():
-    raw = os.environ.get("HHSFORGE_JOBS")
-    if raw is None:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise UsageError("HHSFORGE_JOBS must be a positive integer,"
-                         " got %r" % raw)
-    if jobs < 1:
-        raise UsageError("HHSFORGE_JOBS must be a positive integer,"
-                         " got %r" % raw)
-    # scans are sequential; any cap of at least one worker is honoured
-    return jobs
 
 
 def _verdict_lines(reports, out):
@@ -321,7 +304,6 @@ def main(argv=None):
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        _jobs()
         code, lines = args.func(args)
     except (UsageError, IndexSetError, LatticeError, ModelError,
             cubes.CubeError, chhs.ChhsError) as err:

@@ -299,7 +299,10 @@ def parallel_class(g, f):
             if all(v in h.partner for v in cur):
                 moved = frozenset(h.partner[v] for v in cur)
                 if moved not in seen:
-                    assert _crossing(ctx, g, moved) == key
+                    if _crossing(ctx, g, moved) != key:
+                        raise CubeError("parallel copy changes the crossing"
+                                        " set, witness %s"
+                                        % ",".join(sorted(moved)))
                     seen.add(moved)
                     queue.append(moved)
     members = sorted(seen, key=sorted)
@@ -383,7 +386,9 @@ def hyperclosure(g, depth_cap=None):
             key = k1 & k2
             if key and key not in reps:
                 image = _gate_image(ctx, reps[k1], reps[k2])
-                assert _crossing(ctx, g, image) == key
+                if _crossing(ctx, g, image) != key:
+                    raise CubeError("gate image changes the crossing set,"
+                                    " witness %s" % ",".join(sorted(image)))
                 added.append((key, image))
         if not added:
             break

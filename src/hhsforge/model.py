@@ -7,9 +7,9 @@ and every axiom constant is measured from the data instead of assumed.
 """
 
 import itertools
-import math
 
 import networkx as nx
+import numpy as np
 
 from .indexset import (
     CONTAINS,
@@ -95,6 +95,7 @@ class HHSModel:
         self._dist_cache = {}
         self._zdist = None
         self._image_cache = {}
+        self._metric_cache = None
         self._validate()
         if E is None:
             E = measure_model(self)["E"]
@@ -196,115 +197,199 @@ class HHSModel:
 # -- measurement -----------------------------------------------------
 
 
+class _Metric:
+    """One coordinate graph and the vertex sets the model uses in it.
+
+    Vertices are numbered in sorted order and each set is interned once:
+    the point projections, the relative projections landing here, and
+    the cells of the downward tables leaving here.  `near` holds every
+    set's least distance to each vertex; `gap` and `span` hold the least
+    and the greatest distance between two sets, so the diagonal of
+    `span` is each set's diameter.  `projections` gives the ids of the
+    point and relative projections, `point` the id of every point's
+    projection and `point_vertices` its vertices, padded by repeats to
+    one width; `cells[v]` gives the id of the cell over every vertex of
+    C(v).
+    """
+
+    def __init__(self, m, u, projections, cells):
+        table = m._pairs(u)
+        names = sorted(table)
+        self.index = dict((w, i) for i, w in enumerate(names))
+        dist = np.empty((len(names), len(names)), dtype=np.int32)
+        for i, a in enumerate(names):
+            dist[i] = [table[a][b] for b in names]
+        self.edges = np.array([(self.index[a], self.index[b])
+                               for a, b in m.coord_graphs[u].edges()],
+                              dtype=np.intp).reshape(-1, 2).T
+        self.ids = {}
+        members = []
+        for s in itertools.chain(projections, cells):
+            if s not in self.ids:
+                self.ids[s] = len(members)
+                members.append([self.index[w] for w in s])
+        self.near = np.array([dist[mem].min(0) for mem in members])
+        far = np.array([dist[mem].max(0) for mem in members])
+        self.gap = np.array([self.near[:, mem].min(1) for mem in members])
+        self.span = np.array([far[:, mem].max(1) for mem in members])
+        self.projections = self.lookup(projections)
+        self.point = self.lookup(m.pi[(u, x)] for x in m.points)
+        width = max(len(members[i]) for i in self.point)
+        self.point_vertices = np.array(
+            [members[i] + members[i][:1] * (width - len(members[i]))
+             for i in self.point], dtype=np.intp)
+        self.cells = {}
+
+    def lookup(self, sets):
+        return np.array([self.ids[s] for s in sets], dtype=np.intp)
+
+    def diam(self, ids):
+        return self.span[ids, ids]
+
+    def union_diam(self, ids):
+        """Diameter of the union of the sets in each row of ids."""
+        return self.span[ids[:, :, None], ids[:, None, :]].max(axis=(1, 2))
+
+    def to_set(self, s):
+        """Distance from every point's projection to the set s."""
+        return self.gap[self.point, self.ids[s]]
+
+
+def _metrics(m):
+    """The model's per-domain metrics, built on the first measurement."""
+    if m._metric_cache is None:
+        projections = dict((u, []) for u in m.index.domains)
+        cells = dict((u, []) for u in m.index.domains)
+        for (u, x), img in m.pi.items():
+            projections[u].append(img)
+        for (u, v), img in m.rho_up.items():
+            projections[v].append(img)
+        for (v, u), table in m.rho_down.items():
+            cells[v].extend(table.values())
+        metrics = dict((u, _Metric(m, u, projections[u], cells[u]))
+                       for u in m.index.domains)
+        for (v, u), table in m.rho_down.items():
+            # the index of C(u) is in vertex order
+            metrics[v].cells[u] = metrics[v].lookup(
+                table[w] for w in metrics[u].index)
+        m._metric_cache = metrics
+    return m._metric_cache
+
+
 def _scan_diameters(m):
-    best = 0
-    for (u, x), img in sorted(m.pi.items()):
-        best = max(best, m.diam(u, img))
-    for (u, v), img in sorted(m.rho_up.items()):
-        best = max(best, m.diam(v, img))
-    for (v, u), table in sorted(m.rho_down.items()):
+    ks = _metrics(m)
+    best = max(int(k.diam(k.projections).max()) for k in ks.values())
+    for (v, u) in m.rho_down:
         # a vertex close to the upward spot may map to a large set;
         # only far vertices need small images
-        spot = m.rho_up[(v, u)]
-        for w in sorted(table):
-            gap = m.dist(u, frozenset([w]), spot)
-            best = max(best, min(gap, m.diam(v, table[w])))
+        big, small = ks[u], ks[v]
+        gap = big.near[big.ids[m.rho_up[(v, u)]]]
+        spread = small.diam(small.cells[u])
+        best = max(best, int(np.minimum(gap, spread).max()))
     return best
 
 
 def _scan_lipschitz(m):
-    best = 0
-    for x, y in m.space.edges():
-        for u in m.index.domains:
-            d = m.dist(u, m.pi[(u, x)], m.pi[(u, y)])
-            # (E, E)-coarse Lipschitz over an edge needs d <= 2E
-            best = max(best, int(math.ceil(d / 2.0)))
-    return best
-
-
-def _consistency_value(m, coords, u, v):
-    """Defn-style consistency gap of a coordinate pair, E-free."""
-    rel = relation(m.index, u, v)
-    if rel == TRANSVERSE:
-        return min(m.dist(u, coords[u], m.rho_up[(v, u)]),
-                   m.dist(v, coords[v], m.rho_up[(u, v)]))
-    if rel == NESTED_IN:
-        down = m.down_image(u, v, coords[v])
-        return min(m.dist(v, coords[v], m.rho_up[(u, v)]),
-                   m.diam(u, coords[u] | down))
-    if rel == CONTAINS:
-        return _consistency_value(m, coords, v, u)
-    return 0
+    pos = dict((x, i) for i, x in enumerate(m.points))
+    a, b = np.array([(pos[x], pos[y]) for x, y in m.space.edges()],
+                    dtype=np.intp).reshape(-1, 2).T
+    if not a.size:
+        return 0
+    d = max(int(k.gap[k.point[a], k.point[b]].max())
+            for k in _metrics(m).values())
+    # (E, E)-coarse Lipschitz over an edge needs d <= 2E
+    return (d + 1) // 2
 
 
 def _scan_consistency(m):
+    ks = _metrics(m)
     best = 0
-    for x in m.points:
-        coords = dict((u, m.pi[(u, x)]) for u in m.index.domains)
-        for u, v in itertools.combinations(m.index.domains, 2):
-            if relation(m.index, u, v) in (TRANSVERSE, NESTED_IN, CONTAINS):
-                best = max(best, _consistency_value(m, coords, u, v))
+    for u, v in itertools.combinations(m.index.domains, 2):
+        rel = relation(m.index, u, v)
+        if rel == CONTAINS:
+            u, v, rel = v, u, NESTED_IN
+        if rel == TRANSVERSE:
+            value = np.minimum(ks[u].to_set(m.rho_up[(v, u)]),
+                               ks[v].to_set(m.rho_up[(u, v)]))
+        elif rel == NESTED_IN:
+            # each point's projection to C(u) with the downward image of
+            # its projection to C(v)
+            small, big = ks[u], ks[v]
+            down = small.cells[v][big.point_vertices]
+            value = np.minimum(big.to_set(m.rho_up[(u, v)]),
+                               small.union_diam(np.column_stack(
+                                   [small.point, down])))
+        else:
+            continue
+        best = max(best, int(value.max()))
     return best
 
 
 def _scan_rho_consistency(m):
+    ks = _metrics(m)
     best = 0
     for u in m.index.domains:
         for v in sorted(m.index.up[u] - frozenset([u])):
             for w in m.index.domains:
                 if (u, w) in m.rho_up and (v, w) in m.rho_up:
-                    best = max(best, m.dist(w, m.rho_up[(u, w)],
-                                            m.rho_up[(v, w)]))
+                    k = ks[w]
+                    best = max(best, int(k.gap[k.ids[m.rho_up[(u, w)]],
+                                               k.ids[m.rho_up[(v, w)]]]))
     return best
 
 
 def _scan_bgi(m):
     """Least e with the edgewise bounded geodesic image condition."""
+    ks = _metrics(m)
     worst = 0
-    for (u, v), table in sorted(m.rho_down.items()):
-        anchor = m.rho_up[(u, v)]
-        for a, b in m.coord_graphs[v].edges():
-            gap = min(m.dist(v, a, anchor), m.dist(v, b, anchor))
-            spread = m.diam(u, table[a] | table[b])
-            if spread > 0:
-                # condition must hold once e >= gap, or e >= spread
-                worst = max(worst, min(gap, spread))
+    for (u, v) in m.rho_down:
+        small, big = ks[u], ks[v]
+        a, b = big.edges
+        if not a.size:
+            continue
+        anchor = big.near[big.ids[m.rho_up[(u, v)]]]
+        gap = np.minimum(anchor[a], anchor[b])
+        cells = small.cells[v]
+        spread = small.union_diam(np.column_stack([cells[a], cells[b]]))
+        # condition must hold once e >= gap, or e >= spread
+        worst = max(worst, int(np.minimum(gap, spread).max()))
     return worst
 
 
-def _interval(m, v, sa, sb):
-    cache = getattr(m, "_interval_cache", None)
-    if cache is None:
-        cache = m._interval_cache = {}
-    key = (v, sa, sb) if sorted(sa) <= sorted(sb) else (v, sb, sa)
-    if key not in cache:
-        table = m._pairs(v)
-        da = dict((w, min(table[x][w] for x in sa)) for w in table)
-        db = dict((w, min(table[x][w] for x in sb)) for w in table)
-        span = min(da[x] for x in sb)
-        cache[key] = frozenset(w for w in table
-                               if da[w] + db[w] == span)
-    return cache[key]
+def _reach(k, sets, anchor):
+    """reach[i, j]: the least anchor row value on a geodesic from set i
+    to set j, so the distance from the anchor set to their interval.
+
+    The (set x set x vertex) interval mask is made and reduced one
+    source row at a time, so only (set x vertex) cells are ever held;
+    the whole mask of the depth-6 glued complex would outweigh every
+    other array of its measurement together.
+    """
+    rows = k.near[sets]
+    span = k.gap[np.ix_(sets, sets)]
+    far = np.iinfo(np.int32).max
+    return np.array([np.where(row + rows == span[i][:, None], anchor, far)
+                     .min(1) for i, row in enumerate(rows)])
 
 
 def _scan_large_links(m):
     """Least e for the interval form of the large links condition."""
+    ks = _metrics(m)
     worst = 0
-    for u in m.index.domains:
-        for v in sorted(m.index.up[u] - frozenset([u])):
-            anchor = m.rho_up[(u, v)]
-            reach_cache = {}
-            for x, y in itertools.combinations(m.points, 2):
-                gap = m.dist(u, m.pi[(u, x)], m.pi[(u, y)])
-                if gap <= worst:
-                    continue
-                ends = (m.pi[(v, x)], m.pi[(v, y)])
-                if ends not in reach_cache:
-                    reach_cache[ends] = m.dist(v, anchor,
-                                               _interval(m, v, *ends))
-                reach = reach_cache[ends]
-                if reach > 0:
-                    worst = max(worst, min(gap, reach))
+    for v in m.index.domains:
+        big = ks[v]
+        sets, inv = np.unique(big.point, return_inverse=True)
+        for u in m.index.domains:
+            if u == v or v not in m.index.up[u]:
+                continue
+            small = ks[u]
+            gap = small.gap[np.ix_(small.point, small.point)]
+            # a pair only counts up to its gap in C(u)
+            if gap.max() <= worst:
+                continue
+            reach = _reach(big, sets, big.near[big.ids[m.rho_up[(u, v)]]])
+            worst = max(worst,
+                        int(np.minimum(gap, reach[np.ix_(inv, inv)]).max()))
     return worst
 
 
@@ -337,37 +422,32 @@ def _realisation_defect(m, pairs, z):
 
 
 def _scan_partial_realisation(m):
-    worst = 0
-    points = m.points
+    ks = _metrics(m)
     # the nested and transverse bullets depend only on the family member
     # and the candidate point, never on the chosen image vertex
     base = {}
-    for v in m.index.domains:
-        terms = []
-        for w in m.index.domains:
-            rel = relation(m.index, v, w)
-            if rel in (NESTED_IN, TRANSVERSE):
-                spot = m.rho_up[(v, w)]
-                terms.append(tuple(m.dist(w, m.pi[(w, z)], spot)
-                                   for z in points))
-        if terms:
-            base[v] = tuple(max(col) for col in zip(*terms))
-        else:
-            base[v] = (0,) * len(points)
     coord = {}
     for v in m.index.domains:
-        for p in sorted(m.images(v)):
-            coord[(v, p)] = tuple(m.dist(v, m.pi[(v, z)], p)
-                                  for z in points)
+        terms = [ks[w].to_set(m.rho_up[(v, w)]) for w in m.index.domains
+                 if relation(m.index, v, w) in (NESTED_IN, TRANSVERSE)]
+        base[v] = (np.max(terms, axis=0) if terms
+                   else np.zeros(len(m.points), dtype=np.int32))
+        k = ks[v]
+        images = [k.index[p] for p in sorted(m.images(v))]
+        # coord[v][z, j]: distance from z's projection to image vertex j
+        coord[v] = k.near[np.ix_(k.point, images)]
+    worst = 0
     for family in _orth_cliques(m.index):
-        fam_base = tuple(max(base[v][i] for v in family)
-                         for i in range(len(points)))
-        pools = [sorted(m.images(v)) for v in family]
-        for choice in itertools.product(*pools):
-            rows = [coord[pair] for pair in zip(family, choice)]
-            best = min(max(fam_base[i], *(r[i] for r in rows))
-                       for i in range(len(points)))
-            worst = max(worst, best)
+        fam_base = np.max([base[v] for v in family], axis=0)
+        head, last = family[:-1], family[-1]
+        # every choice for the last member at once, the others in turn
+        for choice in itertools.product(*(range(coord[v].shape[1])
+                                          for v in head)):
+            acc = fam_base
+            for v, j in zip(head, choice):
+                acc = np.maximum(acc, coord[v][:, j])
+            acc = np.maximum(acc[:, None], coord[last])
+            worst = max(worst, int(acc.min(0).max()))
     return worst
 
 
@@ -387,6 +467,21 @@ def measure_model(m):
 
 
 # -- consistency and realisation -------------------------------------
+
+
+def _consistency_value(m, coords, u, v):
+    """Defn-style consistency gap of a coordinate pair, E-free."""
+    rel = relation(m.index, u, v)
+    if rel == TRANSVERSE:
+        return min(m.dist(u, coords[u], m.rho_up[(v, u)]),
+                   m.dist(v, coords[v], m.rho_up[(u, v)]))
+    if rel == NESTED_IN:
+        down = m.down_image(u, v, coords[v])
+        return min(m.dist(v, coords[v], m.rho_up[(u, v)]),
+                   m.diam(u, coords[u] | down))
+    if rel == CONTAINS:
+        return _consistency_value(m, coords, v, u)
+    return 0
 
 
 def check_consistency(m, t, kappa=None):
@@ -746,10 +841,18 @@ def load_model(text, resolve=None):
                 table[args[2]] = frozenset(args[3].split(","))
             else:
                 raise ModelError("line %d: cannot parse %r" % (lineno, raw))
-        elif key == "E":
-            e_value = int(args[0])
-        elif key == "kappa":
-            kappa_value = int(args[0])
+        elif key in ("E", "kappa"):
+            try:
+                value = int(args[0]) if len(args) == 1 else 0
+            except ValueError:
+                value = 0
+            if value < 1:
+                raise ModelError("line %d: %s needs one positive integer,"
+                                 " got %r" % (lineno, key, raw))
+            if key == "E":
+                e_value = value
+            else:
+                kappa_value = value
         else:
             raise ModelError("line %d: cannot parse %r" % (lineno, raw))
     index = load_index_set("\n".join(index_lines))

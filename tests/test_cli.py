@@ -1,8 +1,8 @@
 """End-to-end checks of the command line driver.
 
 Most cases call main() in process and capture the streams; a few go
-through a real subprocess to pin down argparse exit codes, environment
-handling, and byte-level determinism.
+through a real subprocess to pin down argparse exit codes and
+byte-level determinism.
 """
 
 import contextlib
@@ -32,13 +32,9 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_proc(args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("HHSFORGE_JOBS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_proc(args):
     return subprocess.run([sys.executable, "-m", "hhsforge.cli"] + args,
-                          capture_output=True, text=True, env=env, cwd=ROOT)
+                          capture_output=True, text=True, cwd=ROOT)
 
 
 class TestIndexSetCommand(unittest.TestCase):
@@ -261,6 +257,22 @@ class TestUsageErrors(unittest.TestCase):
         self.assertEqual(code, 2)
         self.assertIn("cannot read", err)
 
+    def test_malformed_e_and_kappa_lines(self):
+        with open(fix("chain.model"), encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        for bad in ("E abc", "E", "E 1 2", "E 0", "kappa x", "kappa -3"):
+            key = bad.split()[0]
+            text = "\n".join(bad if line.split()[:1] == [key] else line
+                             for line in lines) + "\n"
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "bad.model")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                code, out, err = run_cli("blowup", path)
+            self.assertEqual(code, 2, bad)
+            self.assertIn("error: line", err)
+            self.assertEqual(out, "")
+
     def test_unknown_subcommand(self):
         code, out, err = run_cli("frobnicate")
         self.assertEqual(code, 2)
@@ -274,16 +286,6 @@ class TestUsageErrors(unittest.TestCase):
         self.assertEqual(result.returncode, 0)
         self.assertTrue(result.stdout.startswith("usage:"))
         result = run_proc(["verify-chhs", "--help"])
-        self.assertEqual(result.returncode, 0)
-
-    def test_jobs_env_must_be_a_positive_integer(self):
-        for bad in ("abc", "0", "-2"):
-            result = run_proc(["check-indexset", fix("b3.idx")],
-                              {"HHSFORGE_JOBS": bad})
-            self.assertEqual(result.returncode, 2, bad)
-            self.assertIn("HHSFORGE_JOBS", result.stderr)
-        result = run_proc(["check-indexset", fix("b3.idx")],
-                          {"HHSFORGE_JOBS": "4"})
         self.assertEqual(result.returncode, 0)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import unittest
+from unittest import mock
 
 import networkx as nx
 
@@ -160,6 +161,21 @@ class TestParallelism(unittest.TestCase):
         with self.assertRaises(CubeError):
             cubes.parallel_class(square(), ["a", "c"])
 
+    def test_crossing_drift_is_a_cube_error(self):
+        # a real check, not an assert, so it also runs under python -O
+        real = cubes._crossing
+        calls = []
+
+        def drifting(ctx, g, s):
+            calls.append(s)
+            return real(ctx, g, s) if len(calls) == 1 else frozenset()
+
+        with mock.patch.object(cubes, "_crossing", side_effect=drifting):
+            with self.assertRaises(CubeError) as err:
+                cubes.parallel_class(cubes.grid_complex(3, 3), ["0_0", "0_1"])
+        self.assertIn("parallel copy changes the crossing set, witness",
+                      str(err.exception))
+
 
 class TestComplement(unittest.TestCase):
 
@@ -238,6 +254,15 @@ class TestHyperclosure(unittest.TestCase):
                              pairing[b] in b3.orth[pairing[a]])
             self.assertEqual(b in m.index.up[a],
                              pairing[b] in b3.up[pairing[a]])
+
+    def test_gate_image_drift_is_a_cube_error(self):
+        # a real check, not an assert, so it also runs under python -O
+        with mock.patch.object(cubes, "_gate_image",
+                               side_effect=lambda ctx, y, f: y):
+            with self.assertRaises(CubeError) as err:
+                cubes.hyperclosure(cubes.b3_cube())
+        self.assertIn("gate image changes the crossing set, witness",
+                      str(err.exception))
 
     def test_depth_cap(self):
         g = cubes.build_counterexample(2)
