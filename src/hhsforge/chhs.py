@@ -1292,8 +1292,7 @@ def _is_join(x, vs):
 
 def check_containment_reversal(x):
     """Bigger simplices land in smaller classes."""
-    classes = simplex_classes(x)
-    del classes
+    simplex_classes(x)
     for s in simplices(x):
         for t in simplices(x):
             if s < t:

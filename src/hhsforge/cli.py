@@ -3,8 +3,9 @@
 Each subcommand drives one pipeline end to end and prints structured
 key-value lines.  Identical arguments and inputs give byte-identical
 output.  Exit status 0 means every verdict came back true, 1 means at
-least one verdict failed (a witness line says which), and 2 means the
-invocation or an input file was unusable.
+least one verdict failed (a witness line says which), 2 means the
+invocation or an input file was unusable, and 3 means an internal error
+(a bug, never a verdict).
 """
 
 import argparse
@@ -30,6 +31,9 @@ def _read(path):
             return handle.read()
     except OSError as err:
         raise UsageError("cannot read %s: %s" % (path, err.strerror))
+    except UnicodeDecodeError as err:
+        raise UsageError("cannot read %s: not UTF-8 (byte %d)"
+                         % (path, err.start))
 
 
 def _write(path, text):
@@ -38,6 +42,24 @@ def _write(path, text):
             handle.write(text)
     except OSError as err:
         raise UsageError("cannot write %s: %s" % (path, err.strerror))
+
+
+def _lambda(text):
+    """--lambda: a finite float above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            "lambda must be positive and finite, got %s" % text)
+    return value
+
+
+def _threshold(text):
+    """--threshold: a finite float, 0 or above; 0 is a usable cutoff."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            "threshold must be finite and at least 0, got %s" % text)
+    return value
 
 
 def _load_model(path):
@@ -274,7 +296,7 @@ def _parser():
     p = add("build-w", cmd_build_w,
             help="build the maximal-simplex graph at a threshold")
     p.add_argument("input")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--lambda", dest="lam", type=_lambda, default=None,
                    help="edge threshold unit (default: computed)")
     p.add_argument("--emit-w", metavar="PATH",
                    help="write the built graph as DOT")
@@ -283,20 +305,20 @@ def _parser():
     p = add("verify-chhs", cmd_verify_chhs,
             help="run the full combinatorial verification report")
     p.add_argument("input")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_lambda, default=None)
 
     p = add("qi-report", cmd_qi_report,
             help="measure the realisation map against the point graph")
     p.add_argument("input")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--lambda", dest="lam", type=_lambda, default=None)
+    p.add_argument("--threshold", type=_threshold, default=None,
                    help="distance-formula cutoff (default: kappa)")
 
     p = add("equivariance", cmd_equivariance,
             help="check an automorphism file against a model")
     p.add_argument("input")
     p.add_argument("map", help="automorphism file")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_lambda, default=None)
     return top
 
 
@@ -309,6 +331,11 @@ def main(argv=None):
             cubes.CubeError, chhs.ChhsError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    except Exception as err:
+        # exit 1 is reserved for a failed verdict with a witness
+        print("internal error: %s: %s" % (type(err).__name__, err),
+              file=sys.stderr)
+        return 3
     for line in lines:
         print(line)
     return code

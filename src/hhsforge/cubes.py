@@ -42,9 +42,6 @@ class Hyperplane(object):
         self.sides = sides
         self.partner = partner
 
-    def separates(self, x, y):
-        return (x in self.halfspaces[0]) != (y in self.halfspaces[0])
-
     def __repr__(self):
         return "Hyperplane(%s, %d edges)" % (self.hid, len(self.edges))
 
@@ -101,10 +98,6 @@ def _ctx(g):
         ctx["D"] = d
         g.graph["_cube_ctx"] = ctx
     return ctx
-
-
-def _dist(ctx, a, b):
-    return int(ctx["D"][ctx["index"][a], ctx["index"][b]])
 
 
 def _is_convex(ctx, s):

@@ -52,11 +52,6 @@ class ConsistentTuple:
                 raise ModelError("empty coordinate, witness %s" % u)
             self.coords[u] = vs
 
-    def restrict(self, domains):
-        keep = set(domains)
-        coords = dict((u, v) for u, v in self.coords.items() if u in keep)
-        return ConsistentTuple(sorted(keep & set(self.scope)), coords)
-
     def __eq__(self, other):
         if not isinstance(other, ConsistentTuple):
             return NotImplemented

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import unittest
+from unittest import mock
 
 from hhsforge import cli
 
@@ -272,6 +273,46 @@ class TestUsageErrors(unittest.TestCase):
             self.assertEqual(code, 2, bad)
             self.assertIn("error: line", err)
             self.assertEqual(out, "")
+
+    def test_non_utf8_input_is_a_usage_error(self):
+        with open(fix("chain.model"), "rb") as handle:
+            model = handle.read()
+        cases = (("check-indexset", "bad.idx", b"domain S\ndomain \xff\n"),
+                 ("blowup", "bad.model", model.replace(b"\n", b"\n\xfe", 1)))
+        for command, name, data in cases:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, name)
+                with open(path, "wb") as handle:
+                    handle.write(data)
+                code, out, err = run_cli(command, path)
+            self.assertEqual(code, 2, name)
+            self.assertIn("error: cannot read %s" % path, err)
+            self.assertNotIn("Traceback", err)
+            self.assertEqual(out, "")
+
+    def test_numeric_flags_must_be_finite(self):
+        for value in ("nan", "inf", "-1"):
+            for command, flag in (("build-w", "--lambda"),
+                                  ("qi-report", "--threshold")):
+                code, out, err = run_cli(command, fix("square.cplx"),
+                                         flag + "=" + value)
+                self.assertEqual(code, 2, (flag, value))
+                self.assertIn("error:", err)
+                self.assertEqual(out, "")
+
+    def test_zero_threshold_is_accepted(self):
+        code, out, err = run_cli("qi-report", fix("square.cplx"),
+                                 "--threshold", "0")
+        self.assertEqual(code, 0)
+        self.assertIn("estimate_threshold=0", out.splitlines())
+
+    def test_crash_exits_3_not_1(self):
+        with mock.patch.object(cli, "cmd_check_indexset",
+                               side_effect=RuntimeError("boom")):
+            code, out, err = run_cli("check-indexset", fix("b3.idx"))
+        self.assertEqual(code, 3)
+        self.assertIn("internal error: RuntimeError: boom", err)
+        self.assertEqual(out, "")
 
     def test_unknown_subcommand(self):
         code, out, err = run_cli("frobnicate")
