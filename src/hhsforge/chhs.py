@@ -18,7 +18,7 @@ import math
 
 import networkx as nx
 
-from .cubes import four_point_delta
+from .cubes import four_point_delta, graph_dot
 from .indexset import (
     CONTAINS,
     EQUAL,
@@ -73,6 +73,10 @@ class BlowupGraph(object):
         self.p = dict(p)
         self.minimal = tuple(sorted(base.nodes()))
         self.adj = dict((v, frozenset(blown[v])) for v in blown.nodes())
+        cones = {}
+        for v in sorted(blown.nodes()):
+            cones.setdefault(self.p[v], []).append(v)
+        self._cones = dict((u, tuple(vs)) for u, vs in cones.items())
         self._simplices = None
         self._links = None
         self._classes = None
@@ -83,7 +87,7 @@ class BlowupGraph(object):
         return (u, APEX)
 
     def cone(self, u):
-        return tuple(v for v in sorted(self.blown.nodes()) if self.p[v] == u)
+        return self._cones.get(u, ())
 
 
 def blow_up(m):
@@ -92,26 +96,20 @@ def blow_up(m):
     minimal = m.index.minimal_domains()
     if not minimal:
         raise ChhsError("model has no minimal domains")
-    base = nx.Graph()
-    base.add_nodes_from(minimal)
-    for u, v in itertools.combinations(minimal, 2):
-        if v in m.index.orth[u]:
-            base.add_edge(u, v)
+    base = m.index.orth_graph(minimal)
     blown = nx.Graph()
     p = {}
+    cones = {}
     for u in minimal:
         nodes = sorted(m.coord_graphs[u].nodes())
         if APEX in nodes:
             raise ChhsError("apex marker collides, witness %s" % u)
-        p[(u, APEX)] = u
+        cones[u] = [(u, APEX)] + [(u, c) for c in nodes]
+        p.update((v, u) for v in cones[u])
         blown.add_node((u, APEX))
-        for c in nodes:
-            p[(u, c)] = u
-            blown.add_edge((u, APEX), (u, c))
+        blown.add_edges_from(((u, APEX), v) for v in cones[u][1:])
     for u, v in base.edges():
-        for a in [w for w in p if p[w] == u]:
-            for b in [w for w in p if p[w] == v]:
-                blown.add_edge(a, b)
+        blown.add_edges_from(itertools.product(cones[u], cones[v]))
     x = BlowupGraph(m, base, blown, p)
     _validate_blowup(x)
     return x
@@ -131,8 +129,9 @@ def _validate_blowup(x):
                 raise ChhsError("cone base not discrete, witness %s %s"
                                 % (vertex_name(a), vertex_name(b)))
     top = max(len(c) for c in nx.find_cliques(x.blown))
-    families = max(len(c) for c in nx.enumerate_all_cliques(x.base))
-    if top > 2 * families:
+    s = x.model.index
+    width = max(len(f) for f in s.families(s.top))
+    if top > 2 * width:
         raise ChhsError("dimension exceeds the orthogonal width, witness %d" % top)
 
 
@@ -264,13 +263,9 @@ def _cone_link(x, u, piece):
 
 
 def _decomposed_link(x, delta):
-    bar = support(x, delta)
     out = set()
-    for u in x.minimal:
-        if u in bar:
-            continue
-        if all(v in x.base[u] for v in bar):
-            out.update(x.cone(u))
+    for u in x.model.index.bar_link(support(x, delta)):
+        out.update(x.cone(u))
     for u, piece in pieces(x, delta).items():
         out.update(_cone_link(x, u, piece))
     return frozenset(out)
@@ -280,8 +275,7 @@ def _shape(x, delta):
     """Deterministic trichotomy tag, following the join-term count."""
     bar = support(x, delta)
     terms = []
-    bar_term = frozenset(v for u in x.minimal if u not in bar
-                         and all(w in x.base[u] for w in bar)
+    bar_term = frozenset(v for u in x.model.index.bar_link(bar)
                          for v in x.cone(u))
     if bar_term:
         terms.append(("bar", bar_term))
@@ -346,10 +340,9 @@ def maximal_simplices(x):
     """Support-first enumeration: a maximal orthogonal family of minimal
     domains, then one coordinate per member."""
     if x._maximal is None:
-        supports = sorted(tuple(sorted(c)) for c in nx.find_cliques(x.base))
-        out = []
         m = x.model
-        for bar in supports:
+        out = []
+        for bar in m.index.families(m.index.top):
             pools = [sorted(m.coord_graphs[u].nodes()) for u in bar]
             for choice in itertools.product(*pools):
                 s = set((u, APEX) for u in bar)
@@ -376,9 +369,9 @@ def b_sigma(m, sigma):
     for u, v in itertools.combinations(sorted(bar), 2):
         if relation(m.index, u, v) != ORTHOGONAL:
             raise ChhsError("support not orthogonal, witness %s %s" % (u, v))
-    for u in m.index.minimal_domains():
-        if u not in bar and all(v in m.index.orth[u] for v in bar):
-            raise ChhsError("simplex not maximal, witness %s" % u)
+    extra = m.index.bar_link(bar)
+    if extra:
+        raise ChhsError("simplex not maximal, witness %s" % min(extra))
     for v in m.index.domains:
         if v in coords:
             continue
@@ -417,20 +410,10 @@ def _modulus(m, t):
     return cache[t]
 
 
-def _minimal_families(s):
-    g = nx.Graph()
-    minimal = s.minimal_domains()
-    g.add_nodes_from(minimal)
-    for u, v in itertools.combinations(minimal, 2):
-        if v in s.orth[u]:
-            g.add_edge(u, v)
-    return sorted(tuple(sorted(c)) for c in nx.find_cliques(g))
-
-
 def coverage_constant(m):
     """How far a point can sit, in coordinates, from the best maximal
     orthogonal family projecting near it."""
-    families = _minimal_families(m.index)
+    families = m.index.families(m.index.top)
     worst = 0
     for z in m.points:
         best = None
@@ -949,11 +932,9 @@ def realisation_qi(m, w, max_k=10):
 def _weak_complement(s, parts):
     """Least domain orthogonal to the parts that swallows every minimal
     domain orthogonal to them; None when no minimal qualifies."""
-    mins = [u for u in s.minimal_domains()
-            if all(v in s.orth[u] for v in parts)]
-    if not mins:
+    need = s.bar_link(parts)
+    if not need:
         return None
-    need = frozenset(mins)
     cands = [t for t in s.domains
              if need <= s.down[t] and all(v in s.orth[t] for v in parts)]
     least = sorted(t for t in cands
@@ -961,21 +942,6 @@ def _weak_complement(s, parts):
     if len(least) != 1:
         raise ChhsError("weak complement not unique, witness %s"
                         % " ".join(least))
-    return least[0]
-
-
-def _weak_wedge_pair(s, a, b):
-    """Least domain under both that contains all their common minimal
-    domains; None when they share nothing."""
-    lows = s.lower_bounds(a, b)
-    if not lows:
-        return None
-    mins = frozenset(w for w in lows if s.down[w] == frozenset([w]))
-    cands = [t for t in lows if mins <= s.down[t]]
-    least = sorted(t for t in cands
-                   if not any(r != t and r in s.down[t] for r in cands))
-    if len(least) != 1:
-        raise ChhsError("weak wedge not unique, witness %s" % " ".join(least))
     return least[0]
 
 
@@ -995,10 +961,12 @@ def _bar_split(m, bar_sigma, bar_delta):
     y = _oc(s, sorted(set(bar_sigma) | set(phi)), s.top)
     comp_sigma = _oc(s, sorted(bar_sigma), s.top)
     comp_delta = _oc(s, sorted(bar_delta), s.top)
-    if comp_sigma is None or comp_delta is None:
-        w = None
-    else:
-        w = _weak_wedge_pair(s, comp_sigma, comp_delta)
+    least = None
+    if comp_sigma is not None and comp_delta is not None:
+        least = s.weak_wedge_candidates(comp_sigma, comp_delta)
+    if least is not None and len(least) != 1:
+        raise ChhsError("weak wedge not unique, witness %s" % " ".join(least))
+    w = least[0] if least else None
     psi = []
     theta = []
     while True:
@@ -1026,15 +994,14 @@ def _bar_split(m, bar_sigma, bar_delta):
     return tuple(phi), tuple(psi), tuple(theta)
 
 
-def _cone_refine(m, x, bar, psi):
+def _cone_refine(m, bar, psi):
     """Grow the support while its free side is a cone, keeping the
     decomposition balanced."""
     s = m.index
     bar = list(bar)
     psi = list(psi)
     while True:
-        lk = [u for u in x.minimal if u not in bar
-              and all(v in s.orth[u] for v in bar)]
+        lk = s.bar_link(bar)
         point = None
         for v in sorted(lk):
             if all(t in s.orth[v] for t in lk if t != v):
@@ -1069,10 +1036,7 @@ def intersection_links_constructive(x, m, sigma, delta):
     bar_sigma = sorted(support(x, sigma))
     bar_delta = sorted(support(x, delta))
     phi, psi_bar, theta = _bar_split(m, bar_sigma, bar_delta)
-    star_delta = set(bar_delta)
-    star_delta.update(u for u in x.minimal
-                      if all(v in m.index.orth[u] for v in bar_delta)
-                      and u not in bar_delta)
+    star_delta = m.index.bar_link(bar_delta) | frozenset(bar_delta)
     sp = pieces(x, sigma)
     dp = pieces(x, delta)
     out = set()
@@ -1174,10 +1138,9 @@ def adjacent_extensions(w, delta, v, u, i, j):
     bar_sigma = sorted(support(x, sv) & support(x, su))
     bar_delta = sorted(support(x, delta))
     phi, psi_bar, theta = _bar_split(m, bar_sigma, bar_delta)
-    lam_bar, _ = _cone_refine(m, x, tuple(bar_delta) + phi + psi_bar + theta,
+    lam_bar, _ = _cone_refine(m, tuple(bar_delta) + phi + psi_bar + theta,
                               psi_bar)
-    lk_bar = [t for t in x.minimal if t not in lam_bar
-              and all(r in s.orth[t] for r in lam_bar)]
+    lk_bar = s.bar_link(lam_bar)
     if dv not in lk_bar or du not in lk_bar:
         raise ChhsError("support fell outside the common link, witness %s %s"
                         % (dv, du))
@@ -1209,17 +1172,8 @@ def adjacent_extensions(w, delta, v, u, i, j):
             if coords:
                 target = realise(
                     m, ConsistentTuple(sorted(coords), coords))["point"]
-                minimal = sorted(t for t in scope
-                                 if s.down[t] == frozenset([t]))
-                fam_graph = nx.Graph()
-                fam_graph.add_nodes_from(minimal)
-                for a, b in itertools.combinations(minimal, 2):
-                    if b in s.orth[a]:
-                        fam_graph.add_edge(a, b)
-                fams = sorted(tuple(sorted(c))
-                              for c in nx.find_cliques(fam_graph))
                 best = None
-                for fam in fams:
+                for fam in s.families(comp):
                     score = max(m.dist(t, m.pi[(t, target)],
                                        coords.get(t, m.pi[(t, target)]))
                                 for t in fam)
@@ -1274,8 +1228,7 @@ def check_shape_tags(x):
             bar = support(x, s)
             apexes = [u for u, piece in pieces(x, s).items()
                       if piece == frozenset([x.apex(u)])]
-            crowd = [u for u in x.minimal if u not in bar
-                     and all(v in x.base[u] for v in bar)]
+            crowd = x.model.index.bar_link(bar)
             if len(apexes) != 1 or crowd:
                 return PropertyReport("shape_tags", False, (_set_name(s),))
     return PropertyReport("shape_tags", True, None)
@@ -1312,11 +1265,6 @@ def _bar_simplices(x):
     return out
 
 
-def _bar_link(x, bar):
-    return frozenset(u for u in x.minimal if u not in bar
-                     and all(v in x.base[u] for v in bar))
-
-
 def check_link_complements(x):
     """Link containment between supports matches nesting of their weak
     complements."""
@@ -1327,7 +1275,7 @@ def check_link_complements(x):
         comps[bar] = _weak_complement(m.index, bar)
     for a in bars:
         for b in bars:
-            left = _bar_link(x, a) <= _bar_link(x, b)
+            left = m.index.bar_link(a) <= m.index.bar_link(b)
             ca, cb = comps[a], comps[b]
             if ca is None:
                 right = True
@@ -1357,7 +1305,7 @@ def check_complement_dichotomy(x):
         if weak is None or not split_info(s, weak)["split"]:
             return PropertyReport("complement_dichotomy", False,
                                   (",".join(bar),))
-        lk = _bar_link(x, bar)
+        lk = s.bar_link(bar)
         if not any(all(v in s.orth[u] for v in lk if v != u) for u in lk):
             return PropertyReport("complement_dichotomy", False,
                                   (",".join(bar),))
@@ -1623,33 +1571,23 @@ def collapse_unit_coordinates(m, bound=1):
 # -- exports -----------------------------------------------------------
 
 
-def _dot(name, nodes, edges):
-    out = ["graph %s {" % name]
-    for v in nodes:
-        out.append('  "%s";' % v)
-    for a, b in edges:
-        out.append('  "%s" -- "%s";' % (a, b))
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
 def base_dot(x):
-    return _dot("minorth", sorted(x.base.nodes()),
-                sorted(tuple(sorted(e)) for e in x.base.edges()))
+    return graph_dot("minorth", sorted(x.base.nodes()),
+                     sorted(tuple(sorted(e)) for e in x.base.edges()))
 
 
 def blown_dot(x):
     nodes = sorted(vertex_name(v) for v in x.blown.nodes())
     edges = sorted(tuple(sorted((vertex_name(a), vertex_name(b))))
                    for a, b in x.blown.edges())
-    return _dot("blowup", nodes, edges)
+    return graph_dot("blowup", nodes, edges)
 
 
 def w_dot(w):
     nodes = [w.simplex_name(i) for i in range(len(w.simplices))]
     edges = sorted((nodes[min(i, j)], nodes[max(i, j)])
                    for i, j in w.graph.edges())
-    return _dot("wgraph", sorted(nodes), edges)
+    return graph_dot("wgraph", sorted(nodes), edges)
 
 
 def class_dot(w, cid):
@@ -1657,4 +1595,4 @@ def class_dot(w, cid):
     nodes = sorted(vertex_name(v) for v in record["C"].nodes())
     edges = sorted(tuple(sorted((vertex_name(a), vertex_name(b))))
                    for a, b in record["C"].edges())
-    return _dot("classgraph", nodes, edges)
+    return graph_dot("classgraph", nodes, edges)

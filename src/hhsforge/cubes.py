@@ -699,29 +699,28 @@ def dump_hyperclosure(hc):
     return "\n".join(lines) + "\n"
 
 
+def graph_dot(name, nodes, edges):
+    """DOT text of an undirected graph, nodes and edges in the order
+    given; every DOT export goes through here."""
+    out = ["graph %s {" % name]
+    out.extend('  "%s";' % v for v in nodes)
+    out.extend('  "%s" -- "%s";' % (a, b) for a, b in edges)
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
 def minimal_orth_dot(hc, index):
     """DOT graph of the minimal non-boundary classes under orthogonality."""
-    keep = [cid for cid in hc.order
-            if hc.classes[cid].minimal and not hc.classes[cid].boundary]
-    lines = ["graph minorth {"]
-    for cid in sorted(keep):
-        lines.append('  "%s";' % cid)
-    for a, b in itertools.combinations(sorted(keep), 2):
-        if b in index.orth[a]:
-            lines.append('  "%s" -- "%s";' % (a, b))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    keep = sorted(cid for cid in hc.order
+                  if hc.classes[cid].minimal and not hc.classes[cid].boundary)
+    edges = index.orth_graph(keep).edges()
+    return graph_dot("minorth", keep, sorted(tuple(sorted(e)) for e in edges))
 
 
 def coordinate_dot(model, cid):
     g = model.coord_graphs[cid]
-    lines = ["graph coords {"]
-    for v in sorted(g.nodes()):
-        lines.append('  "%s";' % v)
-    for a, b in sorted(tuple(sorted(e)) for e in g.edges()):
-        lines.append('  "%s" -- "%s";' % (a, b))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return graph_dot("coords", sorted(g.nodes()),
+                     sorted(tuple(sorted(e)) for e in g.edges()))
 
 
 def four_point_delta(g):

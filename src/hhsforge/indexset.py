@@ -82,6 +82,7 @@ class IndexSet(object):
     """
 
     def __init__(self, domains, nesting, orthogonality):
+        self._derived = {}
         self.domains = tuple(sorted(domains))
         index = set(self.domains)
         if len(self.domains) != len(index):
@@ -175,6 +176,71 @@ class IndexSet(object):
     def lower_bounds(self, u, v):
         return self.down[u] & self.down[v]
 
+    # -- derived notions, each computed once per instance ------------------
+
+    def _memo(self, key, compute):
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
+
+    def orth_graph(self, domains):
+        """Orthogonality graph induced on the given domains, whose nodes
+        keep the given order."""
+        domains = tuple(domains)
+        g = nx.Graph()
+        g.add_nodes_from(domains)
+        g.add_edges_from((u, v) for u, v in itertools.combinations(domains, 2)
+                         if v in self.orth[u])
+        return g
+
+    def families(self, u):
+        """Maximal pairwise-orthogonal families of the minimal domains
+        nested in u: sorted tuples, in sorted order."""
+        def compute():
+            below = [w for w in self.minimal_domains() if w in self.down[u]]
+            cliques = nx.find_cliques(self.orth_graph(below))
+            return tuple(sorted(tuple(sorted(c)) for c in cliques))
+        return self._memo(("families", u), compute)
+
+    def bar_link(self, parts):
+        """The minimal domains orthogonal to every member of parts; all
+        minimal domains when parts is empty."""
+        parts = frozenset(parts)
+        return self._memo(("bar_link", parts), lambda: frozenset(
+            w for w in self.minimal_domains() if parts <= self.orth[w]))
+
+    def maximal_lower_bounds(self, u, v):
+        """Maximal domains nested in both u and v, sorted; empty exactly
+        when u and v share no lower bound."""
+        def compute():
+            lows = self.lower_bounds(u, v)
+            return tuple(sorted(w for w in lows
+                                if self.up[w] & lows == frozenset([w])))
+        return self._memo(("maximal_lower_bounds",) + tuple(sorted((u, v))),
+                          compute)
+
+    def weak_wedge_candidates(self, u, v):
+        """Least domains nested in both u and v that contain every minimal
+        domain nested in both, sorted; None when u and v share no lower
+        bound.  The weak wedge of u and v exists when exactly one does."""
+        def compute():
+            lows = self.lower_bounds(u, v)
+            if not lows:
+                return None
+            mins = frozenset(w for w in lows if self.down[w] == frozenset([w]))
+            cands = frozenset(t for t in lows if mins <= self.down[t])
+            return tuple(sorted(t for t in cands
+                                if self.down[t] & cands == frozenset([t])))
+        return self._memo(("weak_wedge_candidates",) + tuple(sorted((u, v))),
+                          compute)
+
+    def complement(self, u):
+        """The domain orthogonal to u that contains every domain
+        orthogonal to u, or None when there is none."""
+        b = self.orth[u]
+        return self._memo(("complement", u), lambda: next(
+            (w for w in sorted(b) if b <= self.down[w]), None))
+
     def __len__(self):
         return len(self.domains)
 
@@ -267,11 +333,10 @@ def wedge(s, u, v, weak=False):
     in both; it requires the weak wedge property to hold.
     """
     s.check_ids(u, v)
-    lows = s.lower_bounds(u, v)
-    if not lows:
+    maxs = s.maximal_lower_bounds(u, v)
+    if not maxs:
         return None
     if not weak:
-        maxs = sorted(w for w in lows if s.up[w] & lows == frozenset([w]))
         if len(maxs) == 1:
             return maxs[0]
         raise IndexSetError("wedge undefined, witness %s" % " ".join(maxs))
@@ -280,9 +345,7 @@ def wedge(s, u, v, weak=False):
         raise IndexSetError(
             "weak wedge needs the weak_wedges property, witness %s"
             % " ".join(rep.witness))
-    mins = frozenset(w for w in lows if s.down[w] == frozenset([w]))
-    cands = frozenset(t for t in lows if mins <= s.down[t])
-    least = sorted(t for t in cands if s.down[t] & cands == frozenset([t]))
+    least = s.weak_wedge_candidates(u, v)
     if len(least) != 1:
         raise IndexSetError("weak wedge undefined, witness %s" % " ".join(least))
     return least[0]
@@ -364,26 +427,15 @@ def _pairs(s):
 
 def _check_wedges(s):
     for u, v in _pairs(s):
-        lows = s.lower_bounds(u, v)
-        if not lows:
-            continue
-        maxs = [w for w in lows if s.up[w] & lows == frozenset([w])]
-        if len(maxs) != 1:
+        if len(s.maximal_lower_bounds(u, v)) > 1:
             return (u, v)
     return None
 
 
 def _check_weak_wedges(s):
     for u, v in _pairs(s):
-        lows = s.lower_bounds(u, v)
-        if not lows:
-            continue
-        mins = frozenset(w for w in lows if s.down[w] == frozenset([w]))
-        cands = frozenset(t for t in lows if mins <= s.down[t])
-        if not cands:
-            return (u, v)
-        least = [t for t in cands if s.down[t] & cands == frozenset([t])]
-        if len(least) != 1:
+        least = s.weak_wedge_candidates(u, v)
+        if least is not None and len(least) != 1:
             return (u, v)
     return None
 
@@ -420,23 +472,14 @@ def _check_strong_orth(s, skip_minimal=False):
     return None
 
 
-def _complement(s, u):
-    """Unique maximal domain orthogonal to u, or None."""
-    b = s.orth[u]
-    if not b:
-        return None
-    tops = sorted(w for w in b if b <= s.down[w])
-    return tops[0] if tops else None
-
-
 def _check_involution(s):
     for u in s.domains:
         if u == s.top:
             continue
-        c = _complement(s, u)
+        c = s.complement(u)
         if c is None:
             return (u,)
-        cc = _complement(s, c)
+        cc = s.complement(c)
         if cc != u:
             return (u, c) if cc is None else (u, c, cc)
     return None

@@ -149,12 +149,10 @@ def to_ortholattice(s):
     for u in s.domains:
         if u == s.top:
             continue
-        b = s.orth[u]
-        tops = sorted(w for w in b if b <= s.down[w])
-        if not tops:
+        comp[u] = s.complement(u)
+        if comp[u] is None:
             # unreachable under the precondition, kept as a guard
             raise LatticeError("no complement for %s" % u)
-        comp[u] = tops[0]
     return OrthoLattice(down, comp, s.top, BOTTOM)
 
 

@@ -389,12 +389,7 @@ def _scan_large_links(m):
 
 
 def _orth_cliques(s):
-    g = nx.Graph()
-    g.add_nodes_from(s.domains)
-    for u in s.domains:
-        for v in s.orth[u]:
-            g.add_edge(u, v)
-    for clique in nx.enumerate_all_cliques(g):
+    for clique in nx.enumerate_all_cliques(s.orth_graph(s.domains)):
         yield tuple(sorted(clique))
 
 
@@ -602,18 +597,8 @@ def _dpr_constant(m):
 
 def _edpr_constant(m):
     worst = 0
-    minimal = set(m.index.minimal_domains())
     for u in m.index.domains:
-        below = sorted(minimal & m.index.down[u])
-        if not below:
-            continue
-        g = nx.Graph()
-        g.add_nodes_from(below)
-        for a, b in itertools.combinations(below, 2):
-            if b in m.index.orth[a]:
-                g.add_edge(a, b)
-        families = [tuple(sorted(c)) for c in nx.find_cliques(g)]
-        families.sort()
+        families = m.index.families(u)
         inside = sorted(m.index.down[u])
         for x in m.points:
             best = None

@@ -151,6 +151,31 @@ class TestB3AgainstOracle(unittest.TestCase):
     def test_minimal_domains(self):
         self.assertEqual(self.s.minimal_domains(), ("1", "2", "3"))
 
+    def test_derived_notions_match_subsets(self):
+        def name(a):
+            return "".join(sorted(a))
+        s = self.s
+        disjoint = sorted((u, v) for u, v in itertools.combinations(B3_IDS, 2)
+                          if not b3_set(u) & b3_set(v))
+        self.assertEqual(sorted(tuple(sorted(e))
+                                for e in s.orth_graph(B3_IDS).edges()),
+                         sorted(tuple(sorted(e)) for e in disjoint))
+        for u in B3_IDS:
+            # singletons of u, pairwise disjoint: one family
+            self.assertEqual(s.families(u), (tuple(sorted(u)),))
+            rest = set("123") - b3_set(u)
+            self.assertEqual(s.complement(u), name(rest) if rest else None)
+        for r in range(3):
+            for parts in itertools.combinations(B3_IDS, r):
+                used = set().union(*(b3_set(p) for p in parts))
+                self.assertEqual(s.bar_link(parts), frozenset(set("123") - used))
+        for u, v in itertools.product(B3_IDS, repeat=2):
+            common = b3_set(u) & b3_set(v)
+            self.assertEqual(s.maximal_lower_bounds(u, v),
+                             (name(common),) if common else ())
+            self.assertEqual(s.weak_wedge_candidates(u, v),
+                             (name(common),) if common else None)
+
 
 class TestSingleDomain(unittest.TestCase):
 
