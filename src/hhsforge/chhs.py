@@ -17,6 +17,7 @@ import itertools
 import math
 
 import networkx as nx
+import numpy as np
 
 from .cubes import four_point_delta, graph_dot
 from .indexset import (
@@ -32,7 +33,17 @@ from .indexset import (
     relation,
     split_info,
 )
-from .model import ConsistentTuple, HHSModel, check_consistency, realise
+from .model import (
+    ConsistentTuple,
+    HHSModel,
+    _bullet_rows,
+    _coordinate_jump,
+    _dist_matrix,
+    _metrics,
+    _space_dist,
+    check_consistency,
+    realise,
+)
 
 APEX = "*"
 
@@ -203,15 +214,17 @@ def simplex_link(x, delta):
 
 
 class SimplexClass(object):
-    """All simplices sharing one link, with their saturation."""
+    """All simplices sharing one link, with their saturation and the
+    link of their link (the double link)."""
 
-    def __init__(self, cid, rep, members, lk, maximal):
+    def __init__(self, cid, rep, members, lk, maximal, double):
         self.id = cid
         self.rep = rep
         self.members = members
         self.link = lk
         self.maximal = maximal
         self.saturation = frozenset(v for s in members for v in s)
+        self.double = double
 
     def __repr__(self):
         return "SimplexClass(%s, rep=%s)" % (self.id, _set_name(self.rep))
@@ -230,7 +243,8 @@ def simplex_classes(x):
         classes = []
         class_of = {}
         for i, (rep, members, lk) in enumerate(records):
-            c = SimplexClass("q%d" % i, rep, tuple(members), lk, not lk)
+            c = SimplexClass("q%d" % i, rep, tuple(members), lk, not lk,
+                             link_of_set(x, lk))
             classes.append(c)
             for s in members:
                 class_of[s] = c
@@ -328,7 +342,7 @@ def class_relation(x, a, b):
         return NESTED_IN
     if b.link <= a.link:
         return CONTAINS
-    if b.link <= link_of_set(x, a.link):
+    if b.link <= a.double:
         return ORTHOGONAL
     return TRANSVERSE
 
@@ -372,62 +386,38 @@ def b_sigma(m, sigma):
     extra = m.index.bar_link(bar)
     if extra:
         raise ChhsError("simplex not maximal, witness %s" % min(extra))
+    ks = _metrics(m)
     for v in m.index.domains:
         if v in coords:
             continue
-        acc = set()
-        for u in sorted(bar):
-            if relation(m.index, u, v) in (NESTED_IN, TRANSVERSE):
-                acc |= m.rho_up[(u, v)]
-        if not acc:
+        spots = [m.rho_up[(u, v)] for u in sorted(bar)
+                 if relation(m.index, u, v) in (NESTED_IN, TRANSVERSE)]
+        if not spots:
             raise ChhsError("no projection target, witness %s" % v)
-        if m.diam(v, acc) > 10 * m.E:
+        ids = ks[v].lookup(spots)
+        if ks[v].span[np.ix_(ids, ids)].max() > 10 * m.E:
             raise ChhsError("coordinate too spread, witness %s" % v)
-        coords[v] = frozenset(acc)
+        coords[v] = frozenset().union(*spots)
     return ConsistentTuple(m.index.domains, coords)
 
 
 # -- thresholds --------------------------------------------------------
 
 
-def _modulus(m, t):
-    """Largest coordinate jump between points at space distance <= t."""
-    cache = getattr(m, "_modulus_cache", None)
-    if cache is None:
-        cache = m._modulus_cache = {}
-    if t not in cache:
-        best = 0
-        pts = m.points
-        for i, z in enumerate(pts):
-            for y in pts[i + 1:]:
-                if m.zdist(z, y) > t:
-                    continue
-                for u in m.index.domains:
-                    d = m.dist(u, m.pi[(u, z)], m.pi[(u, y)])
-                    if d > best:
-                        best = d
-        cache[t] = best
-    return cache[t]
+def _modulus(m):
+    """t -> the largest coordinate jump between points at space
+    distance <= t."""
+    jump, space = _coordinate_jump(m), _space_dist(m)
+    return lambda t: int(jump[space <= t].max())
 
 
 def coverage_constant(m):
     """How far a point can sit, in coordinates, from the best maximal
     orthogonal family projecting near it."""
-    families = m.index.families(m.index.top)
-    worst = 0
-    for z in m.points:
-        best = None
-        for fam in families:
-            gap = 0
-            for v in fam:
-                for w in m.index.domains:
-                    if relation(m.index, v, w) in (NESTED_IN, TRANSVERSE):
-                        gap = max(gap, m.dist(w, m.pi[(w, z)],
-                                              m.rho_up[(v, w)]))
-            if best is None or gap < best:
-                best = gap
-        worst = max(worst, best)
-    return worst
+    base = _bullet_rows(m)
+    fams = [np.max([base[v] for v in fam], axis=0)
+            for fam in m.index.families(m.index.top)]
+    return int(np.min(fams, axis=0).max())
 
 
 def thresholds(m):
@@ -439,14 +429,14 @@ def thresholds(m):
     realisation backtracking stay edge-compatible.  The default lambda
     is their maximum, floored at one.
     """
-    cache = getattr(m, "_threshold_cache", None)
-    if cache is None:
+    if m._threshold_cache is None:
         c0 = coverage_constant(m)
-        m0 = _modulus(m, 2 * c0 + 2)
-        lam0 = 2 * _modulus(m, c0)
-        lam1 = _modulus(m, 4 * c0 + 1)
+        modulus = _modulus(m)
+        m0 = modulus(2 * c0 + 2)
+        lam0 = 2 * modulus(c0)
+        lam1 = modulus(4 * c0 + 1)
         lam2 = m0 + 2 * m.E
-        cache = m._threshold_cache = {
+        m._threshold_cache = {
             "C0": c0,
             "M0": m0,
             "lambda0": lam0,
@@ -454,25 +444,56 @@ def thresholds(m):
             "lambda2": lam2,
             "default": max(lam0, lam1, lam2, 1),
         }
-    return cache
+    return m._threshold_cache
 
 
 # -- the W graph -------------------------------------------------------
 
 
-def _realise_support_first(m, bar, b):
-    """Point matching the support coordinates as well as possible, the
-    remaining coordinates breaking ties; deterministic on equal scores."""
-    bar = sorted(bar)
-    rest = [u for u in m.index.domains if u not in bar]
-    best = None
-    for z in m.points:
-        on = max(m.dist(u, m.pi[(u, z)], b.coords[u]) for u in bar)
-        off = max([m.dist(u, m.pi[(u, z)], b.coords[u]) for u in rest] + [0])
-        key = (on, off, z)
-        if best is None or key < best:
-            best = key
-    return best[2]
+def _tuple_distances(m, tuples):
+    """gap[i, j]: the largest coordinate distance between tuples i and j;
+    near[u][i, z]: the distance in C(u) from tuple i's coordinate to the
+    projection of the z-th point.
+
+    Coordinates repeat across tuples, so each domain measures its
+    distinct coordinates once and spreads them by id.
+    """
+    ks = _metrics(m)
+    gap = np.zeros((len(tuples), len(tuples)), dtype=np.int32)
+    near = {}
+    for u in m.index.domains:
+        k = ks[u]
+        sets = {}
+        ids = np.array([sets.setdefault(b.coords[u], len(sets))
+                        for b in tuples], dtype=np.intp)
+        members = [[k.index[w] for w in s] for s in sets]
+        dist = _dist_matrix(m, u)
+        rows = np.array([dist[mem].min(0) for mem in members])
+        between = np.array([rows[:, mem].min(1) for mem in members])
+        gap = np.maximum(gap, between[np.ix_(ids, ids)])
+        near[u] = rows[:, k.point_vertices].min(2)[ids]
+    return gap, near
+
+
+def _realise_support_first(m, supports, near):
+    """The point of each tuple, with the largest coordinate distance
+    between a tuple and its point.
+
+    The point matches the coordinates on the support as well as possible
+    (least `on`), the remaining coordinates break ties (least `off`),
+    and then the point order.
+    """
+    on = np.zeros((len(supports), len(m.points)), dtype=np.int32)
+    off = np.zeros_like(on)
+    for u in m.index.domains:
+        mine = np.array([u in s for s in supports])[:, None]
+        on = np.maximum(on, np.where(mine, near[u], 0))
+        off = np.maximum(off, np.where(mine, 0, near[u]))
+    tied = np.where(on == on.min(1, keepdims=True), off,
+                    np.iinfo(off.dtype).max)
+    best = (tied == tied.min(1, keepdims=True)).argmax(1)
+    defect = np.maximum(on, off)[np.arange(len(supports)), best].max()
+    return tuple(m.points[z] for z in best), int(defect)
 
 
 class WGraph(object):
@@ -482,10 +503,13 @@ class WGraph(object):
     The threshold for one pair is (k + 1) * lam, where k is the co-level
     of the orthogonal complement of the common support: disjoint
     supports get k = 0, a shared maximal family counts as deep as a
-    minimal domain.
+    minimal domain.  `points` realises each simplex and
+    `realisation_defect` is the largest coordinate distance between a
+    tuple and its point.
     """
 
-    def __init__(self, model, blowup, lam, simplices_, tuples, graph, consts):
+    def __init__(self, model, blowup, lam, simplices_, tuples, graph, consts,
+                 points, realisation_defect):
         self.model = model
         self.blowup = blowup
         self.lam = lam
@@ -498,12 +522,12 @@ class WGraph(object):
         self.lambda0 = consts["lambda0"]
         self.lambda1 = consts["lambda1"]
         self.lambda2 = consts["lambda2"]
-        self.points = tuple(
-            _realise_support_first(model,
-                                   [u for u, c in s if c != APEX], b)
-            for s, b in zip(simplices_, tuples))
+        self.points = points
+        self.realisation_defect = realisation_defect
         self._aug = None
+        self._classes = None
         self._coord = {}
+        self._link_dist = {}
         self._wdist = None
 
     def simplex_name(self, i):
@@ -537,68 +561,105 @@ def build_w(m, x, lam=None):
     sigmas = maximal_simplices(x)
     tuples = tuple(b_sigma(m, s) for s in sigmas)
     supports = [support(x, s) for s in sigmas]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(sigmas)))
     levels = {}
+    bound = np.zeros((len(sigmas), len(sigmas)))
     for i, j in itertools.combinations(range(len(sigmas)), 2):
         common = supports[i] & supports[j]
         if common not in levels:
             levels[common] = colevel_of_complement(m, common)
-        bound = (levels[common] + 1) * lam
-        if _tuple_gap(m, tuples[i], tuples[j], bound) <= bound:
-            graph.add_edge(i, j)
-    return WGraph(m, x, lam, sigmas, tuples, graph, thresholds(m))
+        bound[i, j] = (levels[common] + 1) * lam
+    gap, near = _tuple_distances(m, tuples)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(sigmas)))
+    # row-major order is the order of itertools.combinations
+    edges = np.nonzero(np.triu(gap <= bound, 1))
+    graph.add_edges_from(zip(*(e.tolist() for e in edges)))
+    points, defect = _realise_support_first(m, supports, near)
+    return WGraph(m, x, lam, sigmas, tuples, graph, thresholds(m),
+                  points, defect)
 
 
-def _tuple_gap(m, a, b, stop=None):
-    worst = 0
-    for u in m.index.domains:
-        d = m.dist(u, a.coords[u], b.coords[u])
-        if d > worst:
-            worst = d
-            if stop is not None and worst > stop:
-                return worst
-    return worst
+class _ClassTables(object):
+    """The augmented graph on vertices numbered in sorted order, with
+    every simplex class's link, double link and saturation and every
+    maximal simplex as boolean rows over those numbers."""
+
+    def __init__(self, w):
+        x = w.blowup
+        self.names = sorted(x.adj)
+        pos = dict((v, i) for i, v in enumerate(self.names))
+
+        def rows(sets):
+            out = np.zeros((len(sets), len(self.names)), dtype=bool)
+            for i, s in enumerate(sets):
+                out[i, [pos[v] for v in s]] = True
+            return out
+
+        classes = simplex_classes(x)
+        self.row = dict((c.id, i) for i, c in enumerate(classes))
+        self.link = rows([c.link for c in classes])
+        self.double = rows([c.double for c in classes])
+        self.saturation = rows([c.saturation for c in classes])
+        self.sigma = rows(w.simplices)
+        # a complete join over every W-edge, on top of the blown graph
+        wadj = np.zeros((len(w.simplices),) * 2, dtype=bool)
+        for i, j in w.graph.edges():
+            wadj[i, j] = wadj[j, i] = True
+        self.adj = (rows([x.adj[v] for v in self.names])
+                    | (self.sigma.T @ wadj @ self.sigma))
+        np.fill_diagonal(self.adj, False)
+
+
+def _class_tables(w):
+    if w._classes is None:
+        w._classes = _ClassTables(w)
+    return w._classes
 
 
 def augmented_graph(w):
     """The blown graph plus a complete join over every W-edge."""
     if w._aug is None:
+        t = _class_tables(w)
         g = nx.Graph()
         g.add_nodes_from(w.blowup.blown.nodes())
-        g.add_edges_from(w.blowup.blown.edges())
-        for i, j in w.graph.edges():
-            for a in w.simplices[i]:
-                for b in w.simplices[j]:
-                    if a != b:
-                        g.add_edge(a, b)
+        a, b = np.nonzero(np.triu(t.adj, 1))
+        g.add_edges_from((t.names[i], t.names[j])
+                         for i, j in zip(a.tolist(), b.tolist()))
         w._aug = g
     return w._aug
 
 
-def _closest_point_projection(dist, targets, sources):
-    """Vertices of the target set within one of the least distance from
-    the source set; empty when nothing is reachable."""
-    best = math.inf
-    for s in sources:
-        row = dist.get(s, {})
-        for t in targets:
-            d = row.get(t, math.inf)
-            if d < best:
-                best = d
-    if best is math.inf:
-        return frozenset()
-    out = set()
-    for t in targets:
-        d = min(dist.get(s, {}).get(t, math.inf) for s in sources)
-        if d <= best + 1:
-            out.add(t)
-    return frozenset(out)
+def _distances(adj, keep):
+    """All-pairs distances in the subgraph of adj induced on the keep
+    mask, by breadth-first search from every vertex at once; inf
+    between vertices it does not join."""
+    adj = adj & keep & keep[:, None]
+    reach = np.diag(keep)
+    dist = np.where(reach, 0.0, math.inf)
+    step = 0
+    while True:
+        step += 1
+        grown = reach | (reach @ adj)
+        fresh = grown & ~reach
+        if not fresh.any():
+            return dist
+        dist[fresh] = step
+        reach = grown
+
+
+def _finite(value):
+    return int(value) if math.isfinite(value) else math.inf
 
 
 def coordinate_graph(w, c):
     """Complement graph, class graph and projection tables of one
-    non-maximal simplex class."""
+    non-maximal simplex class.
+
+    Y is the augmented graph without the class's saturation and C is
+    its subgraph on the class's link.  A projection to C takes the link
+    vertices within one of the least Y-distance from a source set, and
+    nothing when no source reaches the link.
+    """
     x = w.blowup
     if isinstance(c, str):
         match = [d for d in simplex_classes(x) if d.id == c]
@@ -608,66 +669,70 @@ def coordinate_graph(w, c):
     if c.maximal:
         raise ChhsError("class is maximal, witness %s" % c.id)
     if c.id not in w._coord:
-        aug = augmented_graph(w)
-        keep = sorted(set(aug.nodes()) - c.saturation)
-        y = nx.Graph(aug.subgraph(keep))
-        dist = dict(nx.all_pairs_shortest_path_length(y))
-        cg = nx.Graph(y.subgraph(sorted(c.link)))
-        pi = {}
-        for i, sigma in enumerate(w.simplices):
-            meet = sorted(sigma - c.saturation)
-            if not meet:
+        t = _class_tables(w)
+        row = t.row[c.id]
+        keep = ~t.saturation[row]
+        dist = _distances(t.adj, keep)
+        link = np.flatnonzero(t.link[row])
+        members = [t.names[i] for i in link]
+
+        def project(sources):
+            """The projection of each row's sources."""
+            d = np.where(sources[:, :, None], dist[:, link], math.inf).min(1)
+            best = d.min(1, keepdims=True)
+            hit = (d <= best + 1) & np.isfinite(best)
+            return [frozenset(itertools.compress(members, h))
+                    for h in hit.tolist()]
+
+        meet = t.sigma & keep
+        spread = np.where(meet[:, :, None] & meet[:, None, :], dist,
+                          0).max((1, 2))
+        for i in np.flatnonzero(~meet.any(1) | (spread > 1))[:1]:
+            if not meet[i].any():
                 raise ChhsError("maximal simplex swallowed, witness %s %s"
                                 % (c.id, w.simplex_name(i)))
-            spread = max(dist[a].get(b, math.inf)
-                         for a in meet for b in meet)
-            if spread > 1:
-                raise ChhsError("maximal simplex split, witness %s %s"
-                                % (c.id, w.simplex_name(i)))
-            pi[i] = _closest_point_projection(dist, sorted(c.link), meet)
-        rho_spots = {}
+            raise ChhsError("maximal simplex split, witness %s %s"
+                            % (c.id, w.simplex_name(i)))
+        pi = dict(enumerate(project(meet)))
+
+        # how every class d relates to c, as class_relation(x, d, c)
+        inside = ~(t.link & ~t.link[row]).any(1)
+        around = ~(t.link[row] & ~t.link).any(1)
+        orth = ~(t.link[row] & ~t.double).any(1)
+        nonmax = t.link.any(1)
+        spot = nonmax & ~around & (inside | ~orth)
+        table = nonmax & around & ~inside
+        classes = simplex_classes(x)
+        picked = np.flatnonzero(spot)
+        rho_spots = dict(zip((classes[i].id for i in picked),
+                             project(t.saturation[picked] & keep)))
         rho_maps = {}
-        for d in simplex_classes(x):
-            if d.maximal or d.id == c.id:
-                continue
-            rel = class_relation(x, d, c)
-            if rel in (TRANSVERSE, NESTED_IN):
-                sat = sorted(d.saturation - c.saturation)
-                rho_spots[d.id] = _closest_point_projection(
-                    dist, sorted(c.link), sat) if sat else frozenset()
-            if rel == CONTAINS:
-                table = {}
-                for v in sorted(d.link):
-                    if v in c.saturation:
-                        table[v] = frozenset()
-                    else:
-                        table[v] = _closest_point_projection(
-                            dist, sorted(c.link), [v])
-                rho_maps[d.id] = table
-        members = sorted(c.link)
-        diam_in_y = 0
-        for a, b in itertools.combinations(members, 2):
-            diam_in_y = max(diam_in_y, dist[a].get(b, math.inf))
-        if len(members) < 2:
-            diam_in_y = 0
+        if table.any():
+            # a saturated vertex has no sources, so it maps to nothing
+            alone = project(np.diag(keep))
+            for i in np.flatnonzero(table):
+                rho_maps[classes[i].id] = dict(
+                    (t.names[j], alone[j]) for j in np.flatnonzero(t.link[i]))
+
+        cg = nx.Graph()
+        cg.add_nodes_from(members)
+        a, b = np.nonzero(np.triu(t.adj[np.ix_(link, link)], 1))
+        cg.add_edges_from((members[i], members[j])
+                          for i, j in zip(a.tolist(), b.tolist()))
+        in_c = _distances(t.adj, t.link[row])[np.ix_(link, link)]
+        in_y = dist[np.ix_(link, link)]
+        w._link_dist[c.id] = (in_c, in_y)
         w._coord[c.id] = {
-            "Y": y,
+            "Y": augmented_graph(w).subgraph(
+                t.names[i] for i in np.flatnonzero(keep)),
             "C": cg,
             "pi": pi,
             "rho_spots": rho_spots,
             "rho_maps": rho_maps,
-            "diam": _graph_diameter(cg),
-            "diam_in_y": diam_in_y,
+            "diam": _finite(in_c.max()),
+            "diam_in_y": _finite(in_y.max()),
         }
     return w._coord[c.id]
-
-
-def _graph_diameter(g):
-    if g.number_of_nodes() <= 1:
-        return 0
-    if not nx.is_connected(g):
-        return math.inf
-    return nx.diameter(g)
 
 
 def _component_delta(g):
@@ -718,26 +783,21 @@ class ChhsReport(object):
         return out
 
 
-def _embedding_constants(cg, dist_y, max_k=10):
-    """Least (K, C) with the class metric below K * ambient + C."""
-    rows = []
-    table = dict(nx.all_pairs_shortest_path_length(cg))
-    for a, b in itertools.combinations(sorted(cg.nodes()), 2):
-        dc = table[a].get(b, math.inf)
-        dy = dist_y[a].get(b, math.inf)
-        if dc is math.inf and dy is not math.inf:
-            return None
-        if dy is math.inf:
-            continue
-        rows.append((dc, dy))
+def _embedding_constants(in_c, in_y, max_k=10):
+    """Least (K, C) with the class metric below K * ambient + C, from the
+    distances between link vertices in C and in Y; None when C leaves
+    apart two vertices that Y joins."""
+    upper = np.triu_indices(len(in_c), 1)
+    dc, dy = in_c[upper], in_y[upper]
+    if (np.isinf(dc) & np.isfinite(dy)).any():
+        return None
+    dc, dy = dc[np.isfinite(dy)], dy[np.isfinite(dy)]
     best = None
     for k in range(1, max_k + 1):
-        c = 0
-        for dc, dy in rows:
-            c = max(c, dc - k * dy)
+        c = int((dc - k * dy).max(initial=0))
         if best is None or (c, k) < best:
             best = (c, k)
-    return (best[1], best[0]) if best else (1, 0)
+    return (best[1], best[0])
 
 
 def check_chhs(m, w):
@@ -767,8 +827,7 @@ def check_chhs(m, w):
     for c in nonmax:
         record = coordinate_graph(w, c)
         d = _component_delta(record["C"])
-        dist_y = dict(nx.all_pairs_shortest_path_length(record["Y"]))
-        qi = _embedding_constants(record["C"], dist_y)
+        qi = _embedding_constants(*w._link_dist[c.id])
         if qi is None and bad_embed is None:
             bad_embed = c.id
         per_class[c.id] = {
@@ -862,8 +921,7 @@ def check_chhs(m, w):
 
     containers = PropertyReport("simplicial_containers", True, None)
     for c in classes:
-        double = link_of_set(x, c.link)
-        if double not in links:
+        if c.double not in links:
             containers = PropertyReport("simplicial_containers", False,
                                         (c.id,))
             break
@@ -886,11 +944,6 @@ def realisation_qi(m, w, max_k=10):
     surj = 0
     for z in m.points:
         surj = max(surj, min(m.zdist(z, p) for p in w.points))
-    defect = 0
-    for i, b in enumerate(w.tuples):
-        z = w.points[i]
-        defect = max(defect, max(m.dist(u, m.pi[(u, z)], b.coords[u])
-                                 for u in m.index.domains))
     rows = []
     broken = False
     for i, j in itertools.combinations(range(len(w.simplices)), 2):
@@ -919,7 +972,7 @@ def realisation_qi(m, w, max_k=10):
     return {
         "lipschitz": lip,
         "surjectivity_defect": surj,
-        "realisation_defect": defect,
+        "realisation_defect": w.realisation_defect,
         "lower": lower,
         "upper": upper,
         "quasi_isometry": lower is not None,

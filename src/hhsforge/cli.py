@@ -62,6 +62,15 @@ def _threshold(text):
     return value
 
 
+def _max_size(text):
+    """--max-size: an integer, 0 or above."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            "max-size must be at least 0, got %s" % text)
+    return value
+
+
 def _load_model(path):
     """A .model file is taken as is; a .cplx file goes through the cube
     pipeline first."""
@@ -266,7 +275,7 @@ def _parser():
     p = add("lattice", cmd_lattice,
             help="ortholattice, orthomodularity, and extension search")
     p.add_argument("input")
-    p.add_argument("--max-size", type=int, default=12,
+    p.add_argument("--max-size", type=_max_size, default=12,
                    help="largest extension target to try (default 12)")
 
     p = add("cubes", cmd_cubes,

@@ -653,6 +653,8 @@ def load_complex(text):
         if not line:
             continue
         parts = line.split()
+        if parts[0] == "edge" and len(parts) in (3, 4) and parts[1] == parts[2]:
+            raise CubeError("line %d: edge from %s to itself" % (lineno, parts[1]))
         if parts[0] == "vertex" and len(parts) == 2:
             g.add_node(parts[1])
         elif parts[0] == "edge" and len(parts) == 3:

@@ -6,6 +6,7 @@ graphs, relative projections tie the coordinate graphs to each other,
 and every axiom constant is measured from the data instead of assumed.
 """
 
+import functools
 import itertools
 
 import networkx as nx
@@ -91,6 +92,7 @@ class HHSModel:
         self._zdist = None
         self._image_cache = {}
         self._metric_cache = None
+        self._threshold_cache = None
         self._validate()
         if E is None:
             E = measure_model(self)["E"]
@@ -100,6 +102,8 @@ class HHSModel:
         self.kappa = int(kappa) if kappa is not None else 20 * self.E
 
     def _validate(self):
+        if not nx.is_connected(self.space):
+            raise ModelError("point graph is disconnected")
         for u in self.index.domains:
             if u not in self.coord_graphs:
                 raise ModelError("no coordinate graph for %s" % u)
@@ -192,6 +196,16 @@ class HHSModel:
 # -- measurement -----------------------------------------------------
 
 
+def _dist_matrix(m, u):
+    """The distance matrix of C(u), vertices in sorted order."""
+    table = m._pairs(u)
+    names = sorted(table)
+    dist = np.empty((len(names), len(names)), dtype=np.int32)
+    for i, a in enumerate(names):
+        dist[i] = [table[a][b] for b in names]
+    return dist
+
+
 class _Metric:
     """One coordinate graph and the vertex sets the model uses in it.
 
@@ -208,12 +222,8 @@ class _Metric:
     """
 
     def __init__(self, m, u, projections, cells):
-        table = m._pairs(u)
-        names = sorted(table)
-        self.index = dict((w, i) for i, w in enumerate(names))
-        dist = np.empty((len(names), len(names)), dtype=np.int32)
-        for i, a in enumerate(names):
-            dist[i] = [table[a][b] for b in names]
+        self.index = dict((w, i) for i, w in enumerate(sorted(m._pairs(u))))
+        dist = _dist_matrix(m, u)
         self.edges = np.array([(self.index[a], self.index[b])
                                for a, b in m.coord_graphs[u].edges()],
                               dtype=np.intp).reshape(-1, 2).T
@@ -248,6 +258,10 @@ class _Metric:
     def to_set(self, s):
         """Distance from every point's projection to the set s."""
         return self.gap[self.point, self.ids[s]]
+
+    def point_gap(self):
+        """Distance between the projections of every two points."""
+        return self.gap[np.ix_(self.point, self.point)]
 
 
 def _metrics(m):
@@ -377,8 +391,7 @@ def _scan_large_links(m):
         for u in m.index.domains:
             if u == v or v not in m.index.up[u]:
                 continue
-            small = ks[u]
-            gap = small.gap[np.ix_(small.point, small.point)]
+            gap = ks[u].point_gap()
             # a pair only counts up to its gap in C(u)
             if gap.max() <= worst:
                 continue
@@ -411,17 +424,40 @@ def _realisation_defect(m, pairs, z):
             "transverse": transverse}
 
 
-def _scan_partial_realisation(m):
+def _bullet_rows(m):
+    """base[v][z]: the nested and transverse realisation bullets of a
+    family member v at the point z, the largest distance from z's
+    projection to a relative projection of v."""
     ks = _metrics(m)
-    # the nested and transverse bullets depend only on the family member
-    # and the candidate point, never on the chosen image vertex
     base = {}
-    coord = {}
     for v in m.index.domains:
         terms = [ks[w].to_set(m.rho_up[(v, w)]) for w in m.index.domains
                  if relation(m.index, v, w) in (NESTED_IN, TRANSVERSE)]
         base[v] = (np.max(terms, axis=0) if terms
                    else np.zeros(len(m.points), dtype=np.int32))
+    return base
+
+
+def _space_dist(m):
+    """Point-graph distance between every two points, in point order."""
+    return np.array([[m.zdist(x, y) for y in m.points] for x in m.points],
+                    dtype=np.int64)
+
+
+def _coordinate_jump(m):
+    """The largest coordinate distance between the projections of every
+    two points, in point order."""
+    return functools.reduce(np.maximum,
+                            (k.point_gap() for k in _metrics(m).values()))
+
+
+def _scan_partial_realisation(m):
+    ks = _metrics(m)
+    # the nested and transverse bullets depend only on the family member
+    # and the candidate point, never on the chosen image vertex
+    base = _bullet_rows(m)
+    coord = {}
+    for v in m.index.domains:
         k = ks[v]
         images = [k.index[p] for p in sorted(m.images(v))]
         # coord[v][z, j]: distance from z's projection to image vertex j
@@ -545,14 +581,13 @@ def distance_estimate(m, x, y, threshold):
 
 def distance_profile(m, threshold, max_k=10):
     """Best (K, C) comparing the estimate with the point-graph metric."""
-    rows = []
-    for x, y in itertools.combinations(m.points, 2):
-        rows.append((distance_estimate(m, x, y, threshold), m.zdist(x, y)))
+    gaps = (k.point_gap() for k in _metrics(m).values())
+    upper = np.triu_indices(len(m.points), 1)
+    est = sum(np.where(g > threshold, g, 0) for g in gaps)[upper]
+    dz = _space_dist(m)[upper]
     best = None
     for k in range(1, max_k + 1):
-        c = 0
-        for est, dz in rows:
-            c = max(c, est - k * dz, dz - k * est, 0)
+        c = int(np.max(np.concatenate([est - k * dz, dz - k * est, [0]])))
         if best is None or (c, k) < best:
             best = (c, k)
     return {"threshold": threshold, "K": best[1], "C": best[0]}
@@ -560,21 +595,10 @@ def distance_profile(m, threshold, max_k=10):
 
 def uniqueness_profile(m):
     """For each bound on coordinate distances, the largest point distance."""
-    pairs = []
-    top = 0
-    for x, y in itertools.combinations(m.points, 2):
-        mc = max(m.dist(u, m.pi[(u, x)], m.pi[(u, y)])
-                 for u in m.index.domains)
-        pairs.append((mc, m.zdist(x, y)))
-        top = max(top, mc)
-    profile = []
-    for kappa in range(1, top + 2):
-        theta = 0
-        for mc, dz in pairs:
-            if mc < kappa:
-                theta = max(theta, dz)
-        profile.append((kappa, theta))
-    return tuple(profile)
+    upper = np.triu_indices(len(m.points), 1)
+    jump, dz = _coordinate_jump(m)[upper], _space_dist(m)[upper]
+    return tuple((kappa, int(dz[jump < kappa].max(initial=0)))
+                 for kappa in range(1, int(jump.max(initial=0)) + 2))
 
 
 # -- metric properties ------------------------------------------------

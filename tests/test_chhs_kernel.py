@@ -1,0 +1,404 @@
+"""The array kernels of thresholds, build_w, coordinate_graph and the
+point-pair profiles against the loops they replaced.
+
+The loops below are the reference implementations: each asks
+HHSModel.dist for one pair of vertex sets at a time, or runs a
+breadth-first search per class on a copy of the augmented graph.  The
+thresholds dict, the W edge sets at three scales, the realisation
+points and every coordinate-graph record must come out equal on the
+fixtures, the collapsed glued complex, square grids and small generated
+median graphs.
+"""
+
+import itertools
+import math
+import os
+import unittest
+from unittest import mock
+
+import networkx as nx
+import pytest
+
+from hhsforge import chhs, cubes
+from hhsforge.chhs import (
+    APEX,
+    blow_up,
+    build_w,
+    check_chhs,
+    colevel_of_complement,
+    coordinate_graph,
+    link_of_set,
+    simplex_classes,
+    support,
+    thresholds,
+)
+from hhsforge.indexset import (
+    CONTAINS,
+    EQUAL,
+    NESTED_IN,
+    ORTHOGONAL,
+    TRANSVERSE,
+    relation,
+)
+from hhsforge.model import (
+    HHSModel,
+    distance_profile,
+    load_model,
+    uniqueness_profile,
+)
+
+from test_measure_kernel import glued, tree_times_path
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+# -- loop thresholds, the reference ----------------------------------
+
+
+def point_pairs(m):
+    """(space distance, coordinate distance in every domain) of every
+    pair of points."""
+    out = []
+    for i, z in enumerate(m.points):
+        for y in m.points[i + 1:]:
+            out.append((m.zdist(z, y),
+                        [m.dist(u, m.pi[(u, z)], m.pi[(u, y)])
+                         for u in m.index.domains]))
+    return out
+
+
+def _modulus(pairs, t):
+    """Largest coordinate jump between points at space distance <= t."""
+    return max([max(ds) for dz, ds in pairs if dz <= t] + [0])
+
+
+def coverage_constant(m):
+    families = m.index.families(m.index.top)
+    worst = 0
+    for z in m.points:
+        best = None
+        for fam in families:
+            gap = 0
+            for v in fam:
+                for w in m.index.domains:
+                    if relation(m.index, v, w) in (NESTED_IN, TRANSVERSE):
+                        gap = max(gap, m.dist(w, m.pi[(w, z)],
+                                              m.rho_up[(v, w)]))
+            if best is None or gap < best:
+                best = gap
+        worst = max(worst, best)
+    return worst
+
+
+def oracle_thresholds(m, pairs):
+    c0 = coverage_constant(m)
+    m0 = _modulus(pairs, 2 * c0 + 2)
+    lam0 = 2 * _modulus(pairs, c0)
+    lam1 = _modulus(pairs, 4 * c0 + 1)
+    lam2 = m0 + 2 * m.E
+    return {"C0": c0, "M0": m0, "lambda0": lam0, "lambda1": lam1,
+            "lambda2": lam2, "default": max(lam0, lam1, lam2, 1)}
+
+
+# -- loop W graph, the reference -------------------------------------
+
+
+def _tuple_gap(m, a, b, stop=None):
+    worst = 0
+    for u in m.index.domains:
+        d = m.dist(u, a.coords[u], b.coords[u])
+        if d > worst:
+            worst = d
+            if stop is not None and worst > stop:
+                return worst
+    return worst
+
+
+def oracle_edges(m, w, lam):
+    supports = [support(w.blowup, s) for s in w.simplices]
+    edges = set()
+    for i, j in itertools.combinations(range(len(w.simplices)), 2):
+        bound = (colevel_of_complement(m, supports[i] & supports[j]) + 1) * lam
+        if _tuple_gap(m, w.tuples[i], w.tuples[j], bound) <= bound:
+            edges.add((i, j))
+    return edges
+
+
+def _realise_support_first(m, bar, b):
+    bar = sorted(bar)
+    rest = [u for u in m.index.domains if u not in bar]
+    best = None
+    for z in m.points:
+        on = max(m.dist(u, m.pi[(u, z)], b.coords[u]) for u in bar)
+        off = max([m.dist(u, m.pi[(u, z)], b.coords[u]) for u in rest] + [0])
+        key = (on, off, z)
+        if best is None or key < best:
+            best = key
+    return best[2]
+
+
+def oracle_points(m, w):
+    return tuple(_realise_support_first(m, [u for u, c in s if c != APEX], b)
+                 for s, b in zip(w.simplices, w.tuples))
+
+
+def oracle_defect(m, w):
+    return max(m.dist(u, m.pi[(u, z)], b.coords[u])
+               for z, b in zip(w.points, w.tuples) for u in m.index.domains)
+
+
+def oracle_distance_profile(pairs, threshold, max_k=10):
+    rows = [(sum(d for d in ds if d > threshold), dz) for dz, ds in pairs]
+    best = None
+    for k in range(1, max_k + 1):
+        c = 0
+        for est, dz in rows:
+            c = max(c, est - k * dz, dz - k * est, 0)
+        if best is None or (c, k) < best:
+            best = (c, k)
+    return {"threshold": threshold, "K": best[1], "C": best[0]}
+
+
+def oracle_uniqueness_profile(pairs):
+    top = max([max(ds) for dz, ds in pairs] + [0])
+    return tuple((kappa, max([dz for dz, ds in pairs if max(ds) < kappa]
+                             + [0]))
+                 for kappa in range(1, top + 2))
+
+
+# -- loop coordinate graphs, the reference ---------------------------
+
+
+def _augmented_graph(w):
+    g = nx.Graph()
+    g.add_nodes_from(w.blowup.blown.nodes())
+    g.add_edges_from(w.blowup.blown.edges())
+    for i, j in w.graph.edges():
+        for a in w.simplices[i]:
+            for b in w.simplices[j]:
+                if a != b:
+                    g.add_edge(a, b)
+    return g
+
+
+def _class_relation(x, a, b):
+    if a.link == b.link:
+        return EQUAL
+    if a.link <= b.link:
+        return NESTED_IN
+    if b.link <= a.link:
+        return CONTAINS
+    if b.link <= link_of_set(x, a.link):
+        return ORTHOGONAL
+    return TRANSVERSE
+
+
+def _closest_point_projection(dist, targets, sources):
+    best = math.inf
+    for s in sources:
+        row = dist.get(s, {})
+        for t in targets:
+            best = min(best, row.get(t, math.inf))
+    if best is math.inf:
+        return frozenset()
+    return frozenset(t for t in targets
+                     if min(dist.get(s, {}).get(t, math.inf)
+                            for s in sources) <= best + 1)
+
+
+def _graph_diameter(g):
+    if g.number_of_nodes() <= 1:
+        return 0
+    if not nx.is_connected(g):
+        return math.inf
+    return nx.diameter(g)
+
+
+def _embedding_constants(cg, dist_y, max_k=10):
+    rows = []
+    table = dict(nx.all_pairs_shortest_path_length(cg))
+    for a, b in itertools.combinations(sorted(cg.nodes()), 2):
+        dc = table[a].get(b, math.inf)
+        dy = dist_y[a].get(b, math.inf)
+        if dc is math.inf and dy is not math.inf:
+            return None
+        if dy is math.inf:
+            continue
+        rows.append((dc, dy))
+    best = None
+    for k in range(1, max_k + 1):
+        c = 0
+        for dc, dy in rows:
+            c = max(c, dc - k * dy)
+        if best is None or (c, k) < best:
+            best = (c, k)
+    return (best[1], best[0])
+
+
+def oracle_record(w, aug, c):
+    """The coordinate-graph record of a class, plus its (K, C) fit."""
+    x = w.blowup
+    y = aug.subgraph(set(aug.nodes()) - c.saturation)
+    dist = dict(nx.all_pairs_shortest_path_length(y))
+    cg = nx.Graph(y.subgraph(sorted(c.link)))
+    pi = {}
+    for i, sigma in enumerate(w.simplices):
+        meet = sorted(sigma - c.saturation)
+        assert meet
+        assert max(dist[a].get(b, math.inf) for a in meet for b in meet) <= 1
+        pi[i] = _closest_point_projection(dist, sorted(c.link), meet)
+    rho_spots = {}
+    rho_maps = {}
+    for d in simplex_classes(x):
+        if d.maximal or d.id == c.id:
+            continue
+        rel = _class_relation(x, d, c)
+        if rel in (TRANSVERSE, NESTED_IN):
+            sat = sorted(d.saturation - c.saturation)
+            rho_spots[d.id] = _closest_point_projection(
+                dist, sorted(c.link), sat) if sat else frozenset()
+        if rel == CONTAINS:
+            rho_maps[d.id] = dict(
+                (v, frozenset() if v in c.saturation
+                 else _closest_point_projection(dist, sorted(c.link), [v]))
+                for v in sorted(d.link))
+    members = sorted(c.link)
+    diam_in_y = 0
+    for a, b in itertools.combinations(members, 2):
+        diam_in_y = max(diam_in_y, dist[a].get(b, math.inf))
+    return {
+        "C": set(map(frozenset, cg.edges())),
+        "nodes": set(cg.nodes()),
+        "pi": pi,
+        "rho_spots": rho_spots,
+        "rho_maps": rho_maps,
+        "diam": _graph_diameter(cg),
+        "diam_in_y": diam_in_y,
+        "qi": _embedding_constants(cg, dist),
+    }
+
+
+# -- models ------------------------------------------------------------
+
+
+def fixture_model(name):
+    path = os.path.join(ROOT, "fixtures", name)
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    if name.endswith(".cplx"):
+        return cubes.index_set_from_hyperclosure(cubes.load_complex(text))
+    return load_model(text)
+
+
+def grid(size):
+    return cubes.index_set_from_hyperclosure(cubes.grid_complex(size, size))
+
+
+FIXTURES = ("square.cplx", "grid.cplx", "chain.model", "product.model",
+            "gamma4.model")
+
+
+def check_model(test, m, records=True):
+    """Thresholds, W at three scales and the records at the default."""
+    pairs = point_pairs(m)
+    want = oracle_thresholds(m, pairs)
+    test.assertEqual(thresholds(m), want)
+    x = blow_up(m)
+    points = None
+    for lam in (1, want["default"], 10 * want["default"]):
+        w = build_w(m, x, lam=lam)
+        test.assertEqual(set(w.graph.edges()), oracle_edges(m, w, lam),
+                         "lambda %s" % lam)
+        # the tuples, and so the points, do not depend on lambda
+        points = points or oracle_points(m, w)
+        test.assertEqual(w.points, points)
+        test.assertEqual(w.realisation_defect, oracle_defect(m, w))
+    for threshold in (0, m.kappa):
+        test.assertEqual(distance_profile(m, threshold),
+                         oracle_distance_profile(pairs, threshold))
+    test.assertEqual(uniqueness_profile(m), oracle_uniqueness_profile(pairs))
+    if records:
+        w = build_w(m, x)
+        check_records(test, w)
+
+
+def check_records(test, w):
+    aug = _augmented_graph(w)
+    test.assertEqual(set(map(frozenset, chhs.augmented_graph(w).edges())),
+                     set(map(frozenset, aug.edges())))
+    for c in simplex_classes(w.blowup):
+        if c.maximal:
+            continue
+        want = oracle_record(w, aug, c)
+        got = coordinate_graph(w, c)
+        with test.subTest(cls=c.id):
+            test.assertEqual(set(got["C"].nodes()), want["nodes"])
+            test.assertEqual(set(map(frozenset, got["C"].edges())),
+                             want["C"])
+            for key in ("pi", "rho_spots", "rho_maps", "diam", "diam_in_y"):
+                test.assertEqual(got[key], want[key], key)
+            test.assertEqual(chhs._embedding_constants(*w._link_dist[c.id]),
+                             want["qi"])
+
+
+# -- tests -------------------------------------------------------------
+
+
+class KernelAgreement(unittest.TestCase):
+
+    def test_fixtures(self):
+        for name in FIXTURES:
+            with self.subTest(fixture=name):
+                check_model(self, fixture_model(name))
+
+    def test_glued_collapsed(self):
+        for depth in (2, 3, 4, 5, 6):
+            with self.subTest(depth=depth):
+                check_model(self, glued(depth)[1])
+
+    def test_grids(self):
+        for size in (6, 7):
+            with self.subTest(size=size):
+                check_model(self, grid(size))
+
+
+class DistanceCallGuard(unittest.TestCase):
+    """thresholds, build_w, check_chhs and distance_profile read the
+    per-domain arrays only: together they ask HHSModel.dist nothing,
+    where the loops they replaced ask hundreds of thousands of times."""
+
+    def test_gamma4_fixture(self):
+        m = fixture_model("gamma4.model")
+        x = blow_up(m)
+        with mock.patch.object(HHSModel, "dist", autospec=True,
+                               side_effect=HHSModel.dist) as dist, \
+             mock.patch.object(HHSModel, "diam", autospec=True,
+                               side_effect=HHSModel.diam) as diam:
+            thresholds(m)
+            w = build_w(m, x)
+            check_chhs(m, w)
+            distance_profile(m, m.kappa)
+        self.assertEqual((dist.call_count, diam.call_count), (0, 0))
+
+
+def test_small_median_graphs():
+    """Products of a random tree with up to six vertices and a path with
+    one to three edges."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    parents = st.integers(0, 5).flatmap(lambda n: st.tuples(
+        *(st.integers(0, i) for i in range(n))))
+    case = unittest.TestCase()
+
+    @hypothesis.settings(max_examples=15, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(parents, st.integers(1, 3))
+    def check(parents, length):
+        check_model(case, cubes.index_set_from_hyperclosure(
+            tree_times_path(parents, length)))
+
+    check()
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -300,6 +300,15 @@ class TestUsageErrors(unittest.TestCase):
                 self.assertIn("error:", err)
                 self.assertEqual(out, "")
 
+    def test_max_size_must_not_be_negative(self):
+        code, out, err = run_cli("lattice", fix("o6.idx"), "--max-size", "-5")
+        self.assertEqual(code, 2)
+        self.assertIn("max-size must be at least 0", err)
+        self.assertEqual(out, "")
+        code, out, err = run_cli("lattice", fix("o6.idx"), "--max-size", "0")
+        self.assertEqual(code, 1)
+        self.assertIn("targets_examined=0", out.splitlines())
+
     def test_zero_threshold_is_accepted(self):
         code, out, err = run_cli("qi-report", fix("square.cplx"),
                                  "--threshold", "0")

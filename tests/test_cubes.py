@@ -485,6 +485,12 @@ class TestFilesAndExport(unittest.TestCase):
             cubes.load_complex("vertex a\nwedge a b\n")
         self.assertIn("line 2", str(err.exception))
 
+    def test_loop_edge_is_a_parse_error(self):
+        for edge in ("edge a a", "edge a a 7"):
+            with self.assertRaises(CubeError) as err:
+                cubes.load_complex("vertex a\nvertex b\n%s\n" % edge)
+            self.assertIn("line 3: edge from a to itself", str(err.exception))
+
     def test_minimal_orth_dot(self):
         g = cubes.grid_complex(7, 7)
         m = cubes.index_set_from_hyperclosure(g)

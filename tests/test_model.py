@@ -290,6 +290,12 @@ class TestModelValidation(unittest.TestCase):
         with self.assertRaisesRegex(ModelError, "disconnected"):
             HHSModel(index, space, graphs, pi, up, down)
 
+    def test_disconnected_point_graph(self):
+        index, space, graphs, pi, up, down = self._pieces()
+        space.add_node("p2")
+        with self.assertRaisesRegex(ModelError, "point graph is disconnected"):
+            HHSModel(index, space, graphs, pi, up, down)
+
     def test_missing_projection(self):
         index, space, graphs, pi, up, down = self._pieces()
         del pi[("V", "p1")]
