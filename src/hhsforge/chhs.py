@@ -19,7 +19,7 @@ import math
 import networkx as nx
 import numpy as np
 
-from .cubes import four_point_delta, graph_dot
+from .cubes import _four_point, graph_dot
 from .indexset import (
     CONTAINS,
     EQUAL,
@@ -735,14 +735,15 @@ def coordinate_graph(w, c):
     return w._coord[c.id]
 
 
-def _component_delta(g):
-    """Exact thin-quadruple constant, componentwise on a disconnected
-    graph."""
+def _component_delta(dist):
+    """Exact thin-quadruple constant of a class graph from its distance
+    matrix, componentwise where the graph is disconnected."""
     best = 0.0
-    for comp in nx.connected_components(g):
-        sub = nx.Graph(g.subgraph(comp))
-        if sub.number_of_nodes() >= 2:
-            best = max(best, four_point_delta(sub))
+    left = np.ones(len(dist), dtype=bool)
+    while left.any():
+        comp = np.isfinite(dist[np.argmax(left)])
+        left &= ~comp
+        best = max(best, _four_point(dist[np.ix_(comp, comp)].astype(int)))
     return best
 
 
@@ -826,7 +827,7 @@ def check_chhs(m, w):
     bad_embed = None
     for c in nonmax:
         record = coordinate_graph(w, c)
-        d = _component_delta(record["C"])
+        d = _component_delta(w._link_dist[c.id][0])
         qi = _embedding_constants(*w._link_dist[c.id])
         if qi is None and bad_embed is None:
             bad_embed = c.id

@@ -81,6 +81,12 @@ class Hyperclosure(object):
 # -- context: distances, hyperplanes, convexity ------------------------
 
 
+def _cells(n):
+    """Cell budget of one kernel temporary on n vertices: O(n^2), with a
+    floor that lets small inputs go in one block."""
+    return max(n * n, 1 << 20)
+
+
 def _ctx(g):
     ctx = g.graph.get("_cube_ctx")
     if ctx is None:
@@ -101,20 +107,29 @@ def _ctx(g):
 
 
 def _is_convex(ctx, s):
-    """No geodesic between members passes outside; returns a witness pair."""
-    si = sorted(ctx["index"][v] for v in s)
-    so = sorted(i for i in range(len(ctx["vertices"])) if i not in set(si))
-    if not si or not so:
+    """No geodesic between members passes outside; returns a witness pair.
+
+    Source rows are reduced in blocks of at most `_cells(n)` cells, so
+    the first witness is the first bad pair in row-major order.
+    """
+    inside = np.zeros(len(ctx["vertices"]), dtype=bool)
+    inside[[ctx["index"][v] for v in s]] = True
+    si, so = np.flatnonzero(inside), np.flatnonzero(~inside)
+    if not len(si) or not len(so):
         return None
     d = ctx["D"]
     inner = d[np.ix_(si, si)]
     cross = d[np.ix_(si, so)]
-    through = cross[:, None, :] + cross[None, :, :]
-    bad = (through.min(axis=2) == inner) & (inner > 0)
-    if not bad.any():
-        return None
-    x, y = np.argwhere(bad)[0]
-    return (ctx["vertices"][si[x]], ctx["vertices"][si[y]])
+    step = max(1, _cells(len(d)) // (len(si) * len(so)))
+    for start in range(0, len(si), step):
+        block = cross[start:start + step]
+        through = (block[:, None, :] + cross[None, :, :]).min(axis=2)
+        rows = inner[start:start + step]
+        bad = np.argwhere((through == rows) & (rows > 0))
+        if len(bad):
+            x, y = bad[0]
+            return (ctx["vertices"][si[start + x]], ctx["vertices"][si[y]])
+    return None
 
 
 def _require_convex(ctx, s, what):
@@ -147,16 +162,35 @@ def _gate_image(ctx, y, f):
 
 
 def validate_median_graph(g):
-    """Accept a finite graph iff every vertex triple has a unique median."""
+    """Accept a finite graph iff every vertex triple has a unique median.
+
+    v is a median of x, y, z exactly when 2 (d(x,v) + d(y,v) + d(z,v))
+    equals the perimeter, and never less.  A triple with a repeated
+    vertex has one median, so only x < y < z are counted, one slab of
+    y rows at a time; the first bad triple is the least in that order.
+    """
     ctx = _ctx(g)
     d = ctx["D"]
-    between = (d[:, None, :] + d.T[None, :, :]) == d[:, :, None]
-    im = between.astype(np.int32)
-    counts = np.einsum("xyv,yzv,xzv->xyz", im, im, im)
-    bad = np.argwhere(counts != 1)
-    if len(bad):
-        names = sorted(ctx["vertices"][i] for i in bad[0])
-        raise CubeError("not median, witness %s %s %s" % tuple(names))
+    n = len(d)
+    if n < 3:
+        return g
+    # sums reach 3 diam; no sum meets half an odd perimeter, rounded down
+    small = d.astype(np.min_scalar_type(3 * int(d.max())))
+    step = max(1, _cells(n) // (n * n))
+    for x in range(n - 2):
+        for y0 in range(x + 1, n - 1, step):
+            ys = np.arange(y0, min(y0 + step, n - 1))
+            zs = np.arange(y0 + 1, n)
+            perimeter = d[x, ys, None] + d[ys[:, None], zs] + d[x, zs]
+            target = (perimeter // 2).astype(small.dtype)
+            pair = small[x] + small[ys]
+            sums = pair[:, None, :] + small[None, zs, :]
+            counts = (sums == target[:, :, None]).sum(2)
+            bad = np.argwhere((counts != 1) & (zs > ys[:, None]))
+            if len(bad):
+                y, z = ys[bad[0][0]], zs[bad[0][1]]
+                names = sorted(ctx["vertices"][i] for i in (x, y, z))
+                raise CubeError("not median, witness %s %s %s" % tuple(names))
     return g
 
 
@@ -725,18 +759,37 @@ def coordinate_dot(model, cid):
                      sorted(tuple(sorted(e)) for e in g.edges()))
 
 
+def _four_point(d):
+    """Exact four-point hyperbolicity constant of an integer distance
+    matrix with finite entries.
+
+    Vertex pairs are visited by decreasing distance, each against every
+    earlier pair in one vector step.  If {p, q} is the largest of the
+    three pairings of a quadruple, its lead over the middle one is at
+    most 2 min(d(p), d(q)), and the quadruple is scored when the later
+    of p and q is visited.  So once a pair has 2 d <= best, no quadruple
+    left can beat best (Cohen, Coudert and Lancin, ACM JEA 2015).
+    """
+    a, b = np.triu_indices(len(d), 1)
+    order = np.argsort(-d[a, b], kind="stable")
+    a, b = a[order], b[order]
+    dist = d[a, b]
+    best = 0
+    for i in range(1, len(dist)):
+        if 2 * dist[i] <= best:
+            break
+        c, e = a[:i], b[:i]
+        ra, rb = d[a[i]], d[b[i]]
+        s1 = dist[:i] + dist[i]
+        s2 = ra[c] + rb[e]
+        s3 = ra[e] + rb[c]
+        high = np.maximum(np.maximum(s1, s2), s3)
+        low = np.minimum(np.minimum(s1, s2), s3)
+        # the largest sum minus the middle one
+        best = max(best, int((2 * high + low - s1 - s2 - s3).max()))
+    return best / 2.0
+
+
 def four_point_delta(g):
     """Exact hyperbolicity constant of the four-point condition."""
-    ctx = _ctx(g)
-    d = ctx["D"].astype(np.int64)
-    n = len(d)
-    best = 0
-    for x in range(n):
-        s1 = d[x][:, None, None] + d[None, :, :]   # d(x,y) + d(z,w)
-        s2 = d[x][None, :, None] + d[:, None, :]   # d(x,z) + d(y,w)
-        s3 = d[x][None, None, :] + d[:, :, None]   # d(x,w) + d(y,z)
-        # the two largest of the three pairings differ by at most 2 delta
-        stack = np.stack([s1, s2, s3])
-        stack.sort(axis=0)
-        best = max(best, int((stack[2] - stack[1]).max()))
-    return best / 2.0
+    return _four_point(_ctx(g)["D"])

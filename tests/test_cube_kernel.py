@@ -1,0 +1,341 @@
+"""The O(n^2)-memory cube kernels against the n^3 kernels they replaced.
+
+The functions below are the reference implementations: the einsum
+median check, the full four-point scan, the one-shot convexity check
+and the per-component class delta that copies each component into its
+own graph.  Every new kernel must give the same value, and the same
+CubeError message, on the fixtures, the glued complex, grids, small
+cycles and generated graphs, and each kernel's memory must stay
+O(n^2).
+"""
+
+import os
+import tracemalloc
+import unittest
+from unittest import mock
+
+import networkx as nx
+import numpy as np
+import pytest
+
+from hhsforge import chhs, cubes
+from hhsforge.cubes import CubeError, _ctx
+from hhsforge.model import load_model
+
+from test_measure_kernel import tree_times_path
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+# -- the n^3 kernels, the reference ------------------------------------
+
+
+def oracle_validate_median_graph(g):
+    ctx = _ctx(g)
+    d = ctx["D"]
+    between = (d[:, None, :] + d.T[None, :, :]) == d[:, :, None]
+    im = between.astype(np.int32)
+    counts = np.einsum("xyv,yzv,xzv->xyz", im, im, im)
+    bad = np.argwhere(counts != 1)
+    if len(bad):
+        names = sorted(ctx["vertices"][i] for i in bad[0])
+        raise CubeError("not median, witness %s %s %s" % tuple(names))
+    return g
+
+
+def oracle_four_point_delta(g):
+    ctx = _ctx(g)
+    d = ctx["D"].astype(np.int64)
+    n = len(d)
+    best = 0
+    for x in range(n):
+        s1 = d[x][:, None, None] + d[None, :, :]   # d(x,y) + d(z,w)
+        s2 = d[x][None, :, None] + d[:, None, :]   # d(x,z) + d(y,w)
+        s3 = d[x][None, None, :] + d[:, :, None]   # d(x,w) + d(y,z)
+        # the two largest of the three pairings differ by at most 2 delta
+        stack = np.stack([s1, s2, s3])
+        stack.sort(axis=0)
+        best = max(best, int((stack[2] - stack[1]).max()))
+    return best / 2.0
+
+
+def oracle_is_convex(ctx, s):
+    si = sorted(ctx["index"][v] for v in s)
+    so = sorted(i for i in range(len(ctx["vertices"])) if i not in set(si))
+    if not si or not so:
+        return None
+    d = ctx["D"]
+    inner = d[np.ix_(si, si)]
+    cross = d[np.ix_(si, so)]
+    through = cross[:, None, :] + cross[None, :, :]
+    bad = (through.min(axis=2) == inner) & (inner > 0)
+    if not bad.any():
+        return None
+    x, y = np.argwhere(bad)[0]
+    return (ctx["vertices"][si[x]], ctx["vertices"][si[y]])
+
+
+def oracle_component_delta(g):
+    best = 0.0
+    for comp in nx.connected_components(g):
+        sub = nx.Graph(g.subgraph(comp))
+        if sub.number_of_nodes() >= 2:
+            best = max(best, oracle_four_point_delta(sub))
+    return best
+
+
+# -- graphs ------------------------------------------------------------
+
+
+def outcome(func, g):
+    """A kernel's value, or the message of the CubeError it raised."""
+    try:
+        value = func(g)
+    except CubeError as e:
+        return "error: %s" % e
+    return "graph" if value is g else value
+
+
+def named(g):
+    return nx.relabel_nodes(g, dict((v, "v%d" % i)
+                                    for i, v in enumerate(sorted(g))))
+
+
+def fixture_complex(name):
+    with open(os.path.join(ROOT, "fixtures", name), encoding="utf-8") as f:
+        return cubes.load_complex(f.read())
+
+
+def small_graphs():
+    """Fixtures, glued depths 1-6, square grids 3-9, cycles C4-C9, K2,3
+    and the triangle, by name."""
+    out = [("square.cplx", fixture_complex("square.cplx")),
+           ("grid.cplx", fixture_complex("grid.cplx")),
+           ("3-cube", cubes.b3_cube())]
+    out += [("glued %d" % d, cubes.build_counterexample(d))
+            for d in range(1, 7)]
+    out += [("grid %d" % k, cubes.grid_complex(k, k)) for k in range(3, 10)]
+    out += [("C%d" % k, named(nx.cycle_graph(k))) for k in range(4, 10)]
+    out += [("K2,3", named(nx.complete_bipartite_graph(2, 3))),
+            ("triangle", named(nx.cycle_graph(3)))]
+    return out
+
+
+def subsets(g):
+    """Every halfspace of a median graph, and some sets that are not
+    convex: balls, pairs at distance two, and the set minus a vertex."""
+    ctx = _ctx(g)
+    verts = ctx["vertices"]
+    out = [frozenset(verts), frozenset(verts[:1])]
+    try:
+        for h in cubes.hyperplanes(g):
+            out.extend(h.halfspaces)
+    except CubeError:
+        pass
+    d = ctx["D"]
+    for i in range(0, len(verts), max(1, len(verts) // 5)):
+        out.append(frozenset(verts[j] for j in np.flatnonzero(d[i] <= 1)))
+        far = np.flatnonzero(d[i] == 2)
+        if len(far):
+            out.append(frozenset((verts[i], verts[far[0]])))
+        out.append(frozenset(verts) - {verts[i]})
+    return out
+
+
+# -- tests -------------------------------------------------------------
+
+
+class CubeKernelAgreement(unittest.TestCase):
+
+    def check(self, name, g):
+        for new, old in ((cubes.validate_median_graph,
+                          oracle_validate_median_graph),
+                         (cubes.four_point_delta, oracle_four_point_delta)):
+            with self.subTest(graph=name, kernel=new.__name__):
+                self.assertEqual(outcome(new, g), outcome(old, g))
+        ctx = _ctx(g)
+        for s in subsets(g):
+            with self.subTest(graph=name, subset=sorted(s)):
+                self.assertEqual(cubes._is_convex(ctx, s),
+                                 oracle_is_convex(ctx, s))
+
+    def test_small_graphs(self):
+        for name, g in small_graphs():
+            self.check(name, g)
+
+    def test_one_row_blocks(self):
+        """With a budget of one cell every slab holds one row, so the
+        block boundaries are crossed everywhere."""
+        with mock.patch.object(cubes, "_cells", lambda n: 1):
+            for name, g in small_graphs():
+                if name.startswith(("grid", "glued")) and len(g) > 40:
+                    continue
+                with self.subTest(graph=name):
+                    self.assertEqual(
+                        outcome(cubes.validate_median_graph, g),
+                        outcome(oracle_validate_median_graph, g))
+                    ctx = _ctx(g)
+                    for s in subsets(g):
+                        self.assertEqual(cubes._is_convex(ctx, s),
+                                         oracle_is_convex(ctx, s))
+
+    def test_rejections_keep_their_witness(self):
+        messages = dict((name, outcome(cubes.validate_median_graph, g))
+                        for name, g in small_graphs())
+        self.assertEqual(messages["triangle"],
+                         "error: not median, witness v0 v1 v2")
+        self.assertEqual(messages["C5"],
+                         "error: not median, witness v0 v1 v3")
+        self.assertEqual(messages["K2,3"],
+                         "error: not median, witness v2 v3 v4")
+        self.assertEqual(messages["C6"],
+                         "error: not median, witness v0 v2 v4")
+        self.assertEqual(messages["C4"], "graph")
+
+    def test_disconnected_graph(self):
+        g = named(nx.Graph([(0, 1), (2, 3)]))
+        for func in (cubes.validate_median_graph, cubes.four_point_delta):
+            self.assertEqual(outcome(func, nx.Graph(g)),
+                             "error: graph not connected")
+
+    def test_grids_match_the_closed_form(self):
+        """The four-point constant of an r x c grid is min(r, c) - 1."""
+        for rows, cols in ((2, 9), (6, 6), (9, 4), (10, 12), (12, 14)):
+            with self.subTest(rows=rows, cols=cols):
+                g = cubes.grid_complex(rows, cols)
+                cubes.validate_median_graph(g)
+                self.assertEqual(cubes.four_point_delta(g),
+                                 min(rows, cols) - 1)
+
+
+class ClassDeltas(unittest.TestCase):
+    """Every class's delta in check_chhs against the nx-copy kernel on
+    the class graph C."""
+
+    def check(self, path):
+        with open(path, encoding="utf-8") as f:
+            m = load_model(f.read())
+        w = chhs.build_w(m, chhs.blow_up(m))
+        report = chhs.check_chhs(m, w)
+        want = dict((c.id, oracle_component_delta(
+            chhs.coordinate_graph(w, c)["C"]))
+            for c in chhs.simplex_classes(w.blowup) if not c.maximal)
+        self.assertEqual(dict((cid, row["delta"]) for cid, row
+                              in report.per_class.items()), want)
+        self.assertEqual(report.delta, max(want.values()))
+
+    def test_gamma4(self):
+        self.check(os.path.join(ROOT, "fixtures", "gamma4.model"))
+
+    def test_gamma6(self):
+        self.check(os.path.join(ROOT, "perfbench", "data", "gamma6.model"))
+
+    def test_disconnected_class_graph(self):
+        # two components: a path, then a 4-cycle (delta 1)
+        g = nx.Graph([(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)])
+        dist = np.full((7, 7), np.inf)
+        for v, row in nx.all_pairs_shortest_path_length(g):
+            for u, k in row.items():
+                dist[v, u] = k
+        self.assertEqual(chhs._component_delta(dist),
+                         oracle_component_delta(g))
+        self.assertEqual(chhs._component_delta(dist), 1.0)
+
+
+class MemoryGuards(unittest.TestCase):
+    """The n^3 kernels needed about 45 MiB (the einsum) and 24 n^3 bytes
+    per step (the four-point scan) on this grid."""
+
+    LIMIT = 8 * 2 ** 20
+
+    def peak(self, func):
+        g = cubes.grid_complex(12, 14)
+        tracemalloc.start()
+        try:
+            func(g)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_median_check(self):
+        self.assertLess(self.peak(cubes.validate_median_graph), self.LIMIT)
+
+    def test_four_point(self):
+        self.assertLess(self.peak(cubes.four_point_delta), self.LIMIT)
+
+
+# -- generated graphs --------------------------------------------------
+
+
+def _connected(parents, extra):
+    """A tree given by each vertex's parent plus extra edges."""
+    g = nx.Graph()
+    g.add_node(0)
+    g.add_edges_from((t, p) for t, p in enumerate(parents, 1))
+    g.add_edges_from((a % len(g), b % len(g)) for a, b in extra
+                     if a % len(g) != b % len(g))
+    return named(g)
+
+
+def test_generated_graphs():
+    """Random connected graphs: trees, which are median, and trees with
+    extra edges, which mostly are not."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    parents = st.integers(2, 11).flatmap(lambda n: st.tuples(
+        *(st.integers(0, i) for i in range(n))))
+    extra = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                     max_size=6)
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(parents, extra)
+    def check(parents, extra):
+        g = _connected(parents, extra)
+        assert outcome(cubes.validate_median_graph, g) == \
+            outcome(oracle_validate_median_graph, g)
+        assert cubes.four_point_delta(g) == oracle_four_point_delta(g)
+        ctx = _ctx(g)
+        for s in subsets(g):
+            assert cubes._is_convex(ctx, s) == oracle_is_convex(ctx, s)
+
+    check()
+
+
+def test_tree_times_path_products():
+    """Products of a tree and a path are median, have one hyperplane
+    per factor edge and gate every vertex to its unique nearest vertex
+    of an interval, and stop being median after one chord between two
+    vertices at distance two."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    parents = st.integers(0, 7).flatmap(lambda n: st.tuples(
+        *(st.integers(0, i) for i in range(n))))
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(parents, st.integers(1, 4), st.integers(0, 10 ** 6))
+    def check(parents, length, pick):
+        g = tree_times_path(parents, length)
+        assert cubes.validate_median_graph(g) is g
+        assert len(cubes.hyperplanes(g)) == len(parents) + length
+        ctx = _ctx(g)
+        d, verts = ctx["D"], ctx["vertices"]
+        x, y = pick % len(verts), (pick // len(verts)) % len(verts)
+        span = np.flatnonzero(d[x] + d[y] == d[x, y])
+        for z in range(len(verts)):
+            near = span[d[z, span] == d[z, span].min()]
+            assert len(near) == 1
+            assert cubes.gate(g, verts[z], (verts[i] for i in span)) == \
+                verts[near[0]]
+        far = np.argwhere(d == 2)
+        if len(far):
+            a, b = far[pick % len(far)]
+            # a fresh graph: nx.Graph(g) would share g's cached distances
+            chord = nx.Graph(list(g.edges()))
+            chord.add_edge(verts[a], verts[b])
+            got = outcome(cubes.validate_median_graph, chord)
+            assert got.startswith("error: not median, witness")
+            assert got == outcome(oracle_validate_median_graph, chord)
+
+    check()
