@@ -16,10 +16,11 @@ fill-in of link edges, and the quality of the realisation map.
 import itertools
 import math
 
-import networkx as nx
 import numpy as np
 
 from .cubes import _four_point, graph_dot
+from .graph import (Graph, apsp, enumerate_all_cliques, find_cliques,
+                    is_connected)
 from .indexset import (
     CONTAINS,
     EQUAL,
@@ -108,7 +109,7 @@ def blow_up(m):
     if not minimal:
         raise ChhsError("model has no minimal domains")
     base = m.index.orth_graph(minimal)
-    blown = nx.Graph()
+    blown = Graph()
     p = {}
     cones = {}
     for u in minimal:
@@ -139,7 +140,7 @@ def _validate_blowup(x):
             if b in x.adj[a]:
                 raise ChhsError("cone base not discrete, witness %s %s"
                                 % (vertex_name(a), vertex_name(b)))
-    top = max(len(c) for c in nx.find_cliques(x.blown))
+    top = max(len(c) for c in find_cliques(x.blown))
     s = x.model.index
     width = max(len(f) for f in s.families(s.top))
     if top > 2 * width:
@@ -198,7 +199,7 @@ def simplices(x):
     """Every clique of the blown graph, the empty one included."""
     if x._simplices is None:
         found = [frozenset()]
-        for clique in nx.enumerate_all_cliques(x.blown):
+        for clique in enumerate_all_cliques(x.blown):
             found.append(frozenset(clique))
         found.sort(key=lambda s: (len(s), sorted(s)))
         x._simplices = tuple(found)
@@ -467,7 +468,7 @@ def _tuple_distances(m, tuples):
         ids = np.array([sets.setdefault(b.coords[u], len(sets))
                         for b in tuples], dtype=np.intp)
         members = [[k.index[w] for w in s] for s in sets]
-        dist = _dist_matrix(m, u)
+        dist = _dist_matrix(m, u)[1]
         rows = np.array([dist[mem].min(0) for mem in members])
         between = np.array([rows[:, mem].min(1) for mem in members])
         gap = np.maximum(gap, between[np.ix_(ids, ids)])
@@ -537,10 +538,16 @@ class WGraph(object):
                 parts[u] = c
         return " ".join("%s=%s" % (u, parts[u]) for u in sorted(parts))
 
-    def wdist(self, i, j):
+    def distances(self):
+        """Distance matrix of the graph, -1 between simplices it does
+        not join; built once."""
         if self._wdist is None:
-            self._wdist = dict(nx.all_pairs_shortest_path_length(self.graph))
-        return self._wdist[i].get(j, math.inf)
+            self._wdist = apsp(self.graph, range(len(self.simplices)))
+        return self._wdist
+
+    def wdist(self, i, j):
+        d = int(self.distances()[i, j])
+        return math.inf if d < 0 else d
 
 
 def colevel_of_complement(m, parts):
@@ -569,7 +576,7 @@ def build_w(m, x, lam=None):
             levels[common] = colevel_of_complement(m, common)
         bound[i, j] = (levels[common] + 1) * lam
     gap, near = _tuple_distances(m, tuples)
-    graph = nx.Graph()
+    graph = Graph()
     graph.add_nodes_from(range(len(sigmas)))
     # row-major order is the order of itertools.combinations
     edges = np.nonzero(np.triu(gap <= bound, 1))
@@ -620,7 +627,7 @@ def augmented_graph(w):
     """The blown graph plus a complete join over every W-edge."""
     if w._aug is None:
         t = _class_tables(w)
-        g = nx.Graph()
+        g = Graph()
         g.add_nodes_from(w.blowup.blown.nodes())
         a, b = np.nonzero(np.triu(t.adj, 1))
         g.add_edges_from((t.names[i], t.names[j])
@@ -714,7 +721,7 @@ def coordinate_graph(w, c):
                 rho_maps[classes[i].id] = dict(
                     (t.names[j], alone[j]) for j in np.flatnonzero(t.link[i]))
 
-        cg = nx.Graph()
+        cg = Graph()
         cg.add_nodes_from(members)
         a, b = np.nonzero(np.triu(t.adj[np.ix_(link, link)], 1))
         cg.add_edges_from((members[i], members[j])
@@ -939,35 +946,30 @@ def check_chhs(m, w):
 def realisation_qi(m, w, max_k=10):
     """Lipschitz, surjectivity and lower quasi-isometry constants of the
     realisation map, measured exhaustively."""
-    lip = 0
-    for i, j in w.graph.edges():
-        lip = max(lip, m.zdist(w.points[i], w.points[j]))
-    surj = 0
-    for z in m.points:
-        surj = max(surj, min(m.zdist(z, p) for p in w.points))
-    rows = []
-    broken = False
-    for i, j in itertools.combinations(range(len(w.simplices)), 2):
-        dw = w.wdist(i, j)
-        if dw is math.inf:
-            broken = True
-            continue
-        rows.append((dw, m.zdist(w.points[i], w.points[j])))
+    space = _space_dist(m)
+    pos = np.array([m._point_pos[p] for p in w.points], dtype=np.intp)
+    dz = space[np.ix_(pos, pos)]
+    a, b = np.array(w.graph.edges(), dtype=np.intp).reshape(-1, 2).T
+    lip = int(dz[a, b].max(initial=0))
+    surj = int(space[:, pos].min(1).max())
+    upper = np.triu_indices(len(pos), 1)
+    dw, dz = w.distances()[upper], dz[upper]
+    broken = bool((dw < 0).any())
 
-    def fit(pairs):
+    def fit(ys, xs):
         # cheapest slope-plus-constant budget, ties to the flatter slope
         best = None
         for k in range(1, max_k + 1):
-            c = max([a - k * b for a, b in pairs] + [0])
+            c = int((ys - k * xs).max(initial=0))
             if best is None or (c + k, k) < (best[1] + best[0], best[0]):
                 best = (k, c)
         return best
 
     lower = None
     upper = None
-    if not broken and rows:
-        lower = fit([(dw, dz) for dw, dz in rows])
-        upper = fit([(dz, dw) for dw, dz in rows])
+    if not broken and len(dw):
+        lower = fit(dw, dz)
+        upper = fit(dz, dw)
     elif not broken:
         lower = upper = (1, 0)
     return {
@@ -1293,8 +1295,12 @@ def _is_join(x, vs):
     of its induced graph is disconnected."""
     if len(vs) < 2:
         return False
-    comp = nx.complement(x.blown.subgraph(sorted(vs)))
-    return not nx.is_connected(comp)
+    vs = sorted(vs)
+    comp = Graph()
+    comp.add_nodes_from(vs)
+    comp.add_edges_from((a, b) for a, b in itertools.combinations(vs, 2)
+                        if b not in x.adj[a])
+    return not is_connected(comp)
 
 
 def check_containment_reversal(x):
@@ -1314,7 +1320,7 @@ def check_containment_reversal(x):
 
 def _bar_simplices(x):
     out = [()]
-    for clique in nx.enumerate_all_cliques(x.base):
+    for clique in enumerate_all_cliques(x.base):
         out.append(tuple(sorted(clique)))
     return out
 
@@ -1597,14 +1603,10 @@ def collapse_unit_coordinates(m, bound=1):
             return frozenset([small[u]])
         return frozenset(vs)
 
-    coord_graphs = {}
-    for u in m.index.domains:
-        if u in small:
-            g = nx.Graph()
-            g.add_node(small[u])
-        else:
-            g = nx.Graph(m.coord_graphs[u])
-        coord_graphs[u] = g
+    coord_graphs = dict(m.coord_graphs)
+    for u in small:
+        coord_graphs[u] = Graph()
+        coord_graphs[u].add_node(small[u])
     pi = dict(((u, z), squash(u, vs)) for (u, z), vs in m.pi.items())
     rho_up = dict(((u, v), squash(v, vs))
                   for (u, v), vs in m.rho_up.items())
@@ -1618,7 +1620,7 @@ def collapse_unit_coordinates(m, bound=1):
         else:
             rho_down[(v, u)] = dict((c, squash(v, cell))
                                     for c, cell in table.items())
-    return HHSModel(m.index, nx.Graph(m.space), coord_graphs,
+    return HHSModel(m.index, m.space, coord_graphs,
                     pi, rho_up, rho_down)
 
 

@@ -13,9 +13,8 @@ import itertools
 import math
 import sys
 
-import networkx as nx
-
 from . import chhs, cubes, lattice, model
+from .graph import is_connected
 from .indexset import IndexSetError, check_all_properties, load_index_set
 from .lattice import LatticeError
 from .model import ModelError
@@ -204,8 +203,7 @@ def cmd_build_w(args):
     out = _header(m, w)
     out.append("w_vertices=%d" % w.graph.number_of_nodes())
     out.append("w_edges=%d" % w.graph.number_of_edges())
-    out.append("w_connected=%s"
-               % str(nx.is_connected(w.graph)).lower())
+    out.append("w_connected=%s" % str(is_connected(w.graph)).lower())
     dot = chhs.w_dot(w)
     if args.emit_w:
         _write(args.emit_w, dot)

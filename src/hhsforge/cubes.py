@@ -9,9 +9,9 @@ domains are parallelism classes of the hyperclosure.
 
 import itertools
 
-import networkx as nx
 import numpy as np
 
+from .graph import Graph, apsp, as_graph, components
 from .indexset import (IndexSet, PropertyReport, relation, NESTED_IN,
                        TRANSVERSE)
 from .model import HHSModel
@@ -88,21 +88,19 @@ def _cells(n):
 
 
 def _ctx(g):
+    """The distance matrix of a complex on its sorted vertices, with the
+    caches built on it, kept among the graph's attributes.  A graph of
+    another type is converted once; ctx["graph"] is the Graph."""
     ctx = g.graph.get("_cube_ctx")
     if ctx is None:
-        ctx = {}
-        ctx["vertices"] = tuple(sorted(g.nodes()))
-        ctx["index"] = dict((v, i) for i, v in enumerate(ctx["vertices"]))
-        n = len(ctx["vertices"])
-        d = np.full((n, n), -1, dtype=np.int32)
-        for v, row in nx.all_pairs_shortest_path_length(g):
-            i = ctx["index"][v]
-            for w, dist in row.items():
-                d[i, ctx["index"][w]] = dist
+        local = as_graph(g)
+        vertices = tuple(sorted(local.nodes()))
+        d = apsp(local, vertices)
         if (d < 0).any():
             raise CubeError("graph not connected")
-        ctx["D"] = d
-        g.graph["_cube_ctx"] = ctx
+        ctx = {"graph": local, "vertices": vertices, "D": d, "gates": {},
+               "index": dict((v, i) for i, v in enumerate(vertices))}
+        g.graph["_cube_ctx"] = local.graph["_cube_ctx"] = ctx
     return ctx
 
 
@@ -140,18 +138,25 @@ def _require_convex(ctx, s, what):
                                                           witness[1]))
 
 
+def _gate_table(ctx, y):
+    """For every vertex, the number of the vertex of y closest to it,
+    or -1 where two are closest; one block of rows of D, kept per set."""
+    table = ctx["gates"].get(y)
+    if table is None:
+        # vertex numbers follow the sorted order of the names
+        cols = np.array(sorted(ctx["index"][v] for v in y), dtype=np.intp)
+        rows = ctx["D"][:, cols]
+        unique = (rows == rows.min(1, keepdims=True)).sum(1) == 1
+        table = ctx["gates"][y] = np.where(unique, cols[rows.argmin(1)],
+                                           -1).tolist()
+    return table
+
+
 def _gate_vertex(ctx, y, x):
-    best = None
-    ix = ctx["index"][x]
-    for v in sorted(y):
-        dv = int(ctx["D"][ix, ctx["index"][v]])
-        if best is None or dv < best[1]:
-            best = (v, dv, 1)
-        elif dv == best[1]:
-            best = (best[0], dv, best[2] + 1)
-    if best[2] != 1:
+    gate = _gate_table(ctx, y)[ctx["index"][x]]
+    if gate < 0:
         raise CubeError("gate not unique, witness %s" % x)
-    return best[0]
+    return ctx["vertices"][gate]
 
 
 def _gate_image(ctx, y, f):
@@ -204,6 +209,8 @@ def hyperplanes(g):
     ctx = _ctx(g)
     if "hyperplanes" in ctx:
         return ctx["hyperplanes"]
+    g = ctx["graph"]
+    all_edges = g.edges()
     parent = {}
 
     def find(e):
@@ -215,9 +222,9 @@ def hyperplanes(g):
     def union(a, b):
         parent[find(a)] = find(b)
 
-    for e in g.edges():
+    for e in all_edges:
         parent[frozenset(e)] = frozenset(e)
-    for a, b in g.edges():
+    for a, b in all_edges:
         for c in g.neighbors(a):
             if c == b:
                 continue
@@ -229,22 +236,23 @@ def hyperplanes(g):
     groups = {}
     for e in parent:
         groups.setdefault(find(e), set()).add(e)
-    labelled = all("label" in g.edges[e] for e in g.edges())
+    labelled = all("label" in g[a][b] for a, b in all_edges)
     out = []
     for root in sorted(groups, key=lambda r: min(tuple(sorted(e))
                                                  for e in groups[r])):
         edges = frozenset(groups[root])
         if labelled:
-            labels = set(g.edges[tuple(e)]["label"] for e in edges)
+            labels = set(g[a][b]["label"] for a, b in map(tuple, edges))
             if len(labels) != 1:
                 raise CubeError("mixed labels in one hyperplane, witness %s"
                                 % " ".join(sorted(labels)))
             hid = labels.pop()
         else:
             hid = "h%d" % len(out)
-        cut = nx.Graph(g)
-        cut.remove_edges_from(tuple(e) for e in edges)
-        comps = sorted(nx.connected_components(cut), key=sorted)
+        cut = Graph()
+        cut.add_nodes_from(g.nodes())
+        cut.add_edges_from(e for e in all_edges if frozenset(e) not in edges)
+        comps = sorted(components(cut), key=sorted)
         if len(comps) != 2:
             raise CubeError("hyperplane does not separate, witness %s" % hid)
         halves = tuple(frozenset(c) for c in comps)
@@ -349,6 +357,7 @@ def orthogonal_complement_at(g, f, base):
     if base not in f:
         raise CubeError("base vertex outside the set, witness %s" % base)
     _require_convex(ctx, f, "complement seed")
+    g = ctx["graph"]
     hs = hyperplanes(g)
     by_id = ctx["hyp_by_id"]
     touching = set()
@@ -383,6 +392,7 @@ def hyperclosure(g, depth_cap=None):
     keys) are dropped throughout.
     """
     ctx = _ctx(g)
+    g = ctx["graph"]
     if g.number_of_edges() == 0:
         raise CubeError("complex needs at least one edge")
     hs = hyperplanes(g)
@@ -497,6 +507,7 @@ def index_set_from_hyperclosure(g, hc=None):
         raise CubeError("not a weak factor system, longest chain %d"
                         % hc.chain_length)
     ctx = _ctx(g)
+    g = ctx["graph"]
     comp = _complement_keys(g, hc)
     ids = list(hc.order)
     nesting = []
@@ -520,7 +531,6 @@ def index_set_from_hyperclosure(g, hc=None):
     apex_of = {}
     for cid in ids:
         rep = hc.classes[cid].rep
-        base = nx.Graph(g.subgraph(rep))
         images = set()
         for other in ids:
             for member in hc.classes[other].members:
@@ -528,12 +538,10 @@ def index_set_from_hyperclosure(g, hc=None):
                 if 1 < len(img) < len(rep):
                     images.add(img)
         table = {}
-        cg = nx.Graph()
-        cg.add_nodes_from(base.nodes())
-        cg.add_edges_from(base.edges())
+        cg = g.subgraph(rep)
         for i, img in enumerate(sorted(images, key=sorted)):
             apex = "H_%d" % i
-            if apex in base:
+            if apex in rep:
                 raise CubeError("apex id collides, witness %s" % apex)
             table[img] = apex
             cg.add_node(apex)
@@ -570,7 +578,7 @@ def index_set_from_hyperclosure(g, hc=None):
                 else:
                     table[w] = frozenset([_gate_vertex(ctx, ra, w)])
             rho_down[(a, b)] = table
-    model = HHSModel(index, nx.Graph(g), coord_graphs, pi, rho_up, rho_down)
+    model = HHSModel(index, g, coord_graphs, pi, rho_up, rho_down)
     model.hyperclosure = hc
     return model
 
@@ -580,7 +588,7 @@ def index_set_from_hyperclosure(g, hc=None):
 
 def b3_cube():
     """The 3-cube."""
-    g = nx.Graph()
+    g = Graph()
     bits = ["%d%d%d" % t for t in itertools.product((0, 1), repeat=3)]
     g.add_nodes_from(bits)
     for a, b in itertools.combinations(bits, 2):
@@ -591,7 +599,7 @@ def b3_cube():
 
 def grid_complex(rows=7, cols=7):
     """Square grid with rows x cols vertices named i_j."""
-    g = nx.Graph()
+    g = Graph()
     for i in range(rows):
         for j in range(cols):
             g.add_node("%d_%d" % (i, j))
@@ -618,7 +626,7 @@ def build_counterexample(depth):
     if depth < 1:
         raise CubeError("depth must be at least 1")
     d = depth
-    g = nx.Graph()
+    g = Graph()
     line = ["b%d" % j for j in range(d, 0, -1)] + ["o"] + \
            ["r%d" % i for i in range(1, d + 2)]
     labels = {}
@@ -680,29 +688,48 @@ def build_counterexample(depth):
 
 
 def load_complex(text):
-    g = nx.Graph()
+    """Parse vertex, edge and rim lines.  An edge line adds the vertices
+    it names, and an edge given twice counts once, but only with the
+    same label (or none) both times; a rim vertex must be a vertex."""
+    g = Graph()
     rim = []
+
+    def said(label):
+        return "no label" if label is None else "label %s" % label
+
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "edge" and len(parts) in (3, 4) and parts[1] == parts[2]:
-            raise CubeError("line %d: edge from %s to itself" % (lineno, parts[1]))
         if parts[0] == "vertex" and len(parts) == 2:
             g.add_node(parts[1])
-        elif parts[0] == "edge" and len(parts) == 3:
-            g.add_edge(parts[1], parts[2])
-        elif parts[0] == "edge" and len(parts) == 4:
-            g.add_edge(parts[1], parts[2], label=parts[3])
+        elif parts[0] == "edge" and len(parts) in (3, 4):
+            a, b = parts[1], parts[2]
+            if a == b:
+                raise CubeError("line %d: edge from %s to itself"
+                                % (lineno, a))
+            label = parts[3] if len(parts) == 4 else None
+            first = g[a][b].get("label") if g.has_edge(a, b) else label
+            if first != label:
+                raise CubeError("line %d: edge %s %s given again with %s,"
+                                " first with %s"
+                                % (lineno, a, b, said(label), said(first)))
+            g.add_edge(a, b)
+            if label is not None:
+                g[a][b]["label"] = label
         elif parts[0] == "rim" and len(parts) == 2:
-            rim.append(parts[1])
+            rim.append((lineno, parts[1]))
         else:
             raise CubeError("line %d: cannot parse %r" % (lineno, raw))
     if g.number_of_nodes() == 0:
         raise CubeError("no vertices declared")
+    for lineno, v in rim:
+        if v not in g:
+            raise CubeError("line %d: rim vertex %s is not a vertex"
+                            % (lineno, v))
     if rim:
-        g.graph["rim"] = tuple(sorted(rim))
+        g.graph["rim"] = tuple(sorted(v for _, v in rim))
     return g
 
 
@@ -712,7 +739,7 @@ def dump_complex(g):
     for v in sorted(g.nodes()):
         lines.append("vertex %s" % v)
     for a, b in sorted(tuple(sorted(e)) for e in g.edges()):
-        label = g.edges[(a, b)].get("label")
+        label = g[a][b].get("label")
         if label is None:
             lines.append("edge %s %s" % (a, b))
         else:

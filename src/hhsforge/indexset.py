@@ -15,7 +15,7 @@ are fine.
 import itertools
 import re
 
-import networkx as nx
+from .graph import Graph, find_cliques, reachability
 
 EQUAL = "Equal"
 NESTED_IN = "NestedIn"
@@ -94,13 +94,13 @@ class IndexSet(object):
                 if x not in index:
                     raise IndexSetError("unknown domain id %s" % x)
 
-        dig = nx.DiGraph()
-        dig.add_nodes_from(self.domains)
-        dig.add_edges_from(nesting)
-        closed = nx.transitive_closure(dig, reflexive=True)
         # up[u] = all v with u nested in v, including u itself
-        self.up = {u: frozenset(closed.successors(u)) for u in self.domains}
-        self.down = {u: frozenset(closed.predecessors(u)) for u in self.domains}
+        self.up = reachability(self.domains, nesting)
+        down = dict((u, set()) for u in self.domains)
+        for u in self.domains:
+            for v in self.up[u]:
+                down[v].add(u)
+        self.down = dict((u, frozenset(vs)) for u, vs in down.items())
 
         for u in self.domains:
             for v in sorted(self.up[u]):
@@ -187,7 +187,7 @@ class IndexSet(object):
         """Orthogonality graph induced on the given domains, whose nodes
         keep the given order."""
         domains = tuple(domains)
-        g = nx.Graph()
+        g = Graph()
         g.add_nodes_from(domains)
         g.add_edges_from((u, v) for u, v in itertools.combinations(domains, 2)
                          if v in self.orth[u])
@@ -198,7 +198,7 @@ class IndexSet(object):
         nested in u: sorted tuples, in sorted order."""
         def compute():
             below = [w for w in self.minimal_domains() if w in self.down[u]]
-            cliques = nx.find_cliques(self.orth_graph(below))
+            cliques = find_cliques(self.orth_graph(below))
             return tuple(sorted(tuple(sorted(c)) for c in cliques))
         return self._memo(("families", u), compute)
 

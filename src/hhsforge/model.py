@@ -9,9 +9,9 @@ and every axiom constant is measured from the data instead of assumed.
 import functools
 import itertools
 
-import networkx as nx
 import numpy as np
 
+from .graph import Graph, apsp, as_graph, enumerate_all_cliques, is_connected
 from .indexset import (
     CONTAINS,
     NESTED_IN,
@@ -78,11 +78,13 @@ class HHSModel:
     def __init__(self, index, space, coord_graphs, pi, rho_up, rho_down,
                  E=None, kappa=None):
         self.index = index
-        self.space = space
-        self.points = tuple(sorted(space.nodes()))
+        self.space = as_graph(space)
+        self.points = tuple(sorted(self.space.nodes()))
         if not self.points:
             raise ModelError("model needs at least one point")
-        self.coord_graphs = dict(coord_graphs)
+        self._point_pos = dict((x, i) for i, x in enumerate(self.points))
+        self.coord_graphs = dict((u, as_graph(g))
+                                 for u, g in coord_graphs.items())
         self.pi = dict(((u, x), _as_set(v)) for (u, x), v in pi.items())
         self.rho_up = dict(((u, v), _as_set(w)) for (u, v), w in rho_up.items())
         self.rho_down = {}
@@ -102,7 +104,7 @@ class HHSModel:
         self.kappa = int(kappa) if kappa is not None else 20 * self.E
 
     def _validate(self):
-        if not nx.is_connected(self.space):
+        if not is_connected(self.space):
             raise ModelError("point graph is disconnected")
         for u in self.index.domains:
             if u not in self.coord_graphs:
@@ -110,7 +112,7 @@ class HHSModel:
             g = self.coord_graphs[u]
             if g.number_of_nodes() == 0:
                 raise ModelError("empty coordinate graph for %s" % u)
-            if not nx.is_connected(g):
+            if not is_connected(g):
                 raise ModelError("coordinate graph for %s is disconnected" % u)
         for u in self.index.domains:
             nodes = set(self.coord_graphs[u].nodes())
@@ -145,27 +147,19 @@ class HHSModel:
 
     # -- distances ---------------------------------------------------
 
-    def _pairs(self, u):
-        if u not in self._dist_cache:
-            g = self.coord_graphs[u]
-            self._dist_cache[u] = dict(nx.all_pairs_shortest_path_length(g))
-        return self._dist_cache[u]
-
     def dist(self, u, a, b):
         """Distance in CU between two vertices or vertex sets (min pairwise)."""
-        table = self._pairs(u)
+        index, d = _dist_matrix(self, u)
         sa, sb = _as_set(a), _as_set(b)
-        return min(table[x][y] for x in sa for y in sb)
+        return int(min(d[index[x], index[y]] for x in sa for y in sb))
 
     def diam(self, u, a):
-        table = self._pairs(u)
+        index, d = _dist_matrix(self, u)
         sa = _as_set(a)
-        return max(table[x][y] for x in sa for y in sa)
+        return int(max(d[index[x], index[y]] for x in sa for y in sa))
 
     def zdist(self, x, y):
-        if self._zdist is None:
-            self._zdist = dict(nx.all_pairs_shortest_path_length(self.space))
-        return self._zdist[x][y]
+        return int(_space_dist(self)[self._point_pos[x], self._point_pos[y]])
 
     def projection(self, u, x):
         return self.pi[(u, x)]
@@ -197,13 +191,13 @@ class HHSModel:
 
 
 def _dist_matrix(m, u):
-    """The distance matrix of C(u), vertices in sorted order."""
-    table = m._pairs(u)
-    names = sorted(table)
-    dist = np.empty((len(names), len(names)), dtype=np.int32)
-    for i, a in enumerate(names):
-        dist[i] = [table[a][b] for b in names]
-    return dist
+    """The numbers of the vertices of C(u), in sorted order, and its
+    distance matrix; built once per domain."""
+    if u not in m._dist_cache:
+        names = sorted(m.coord_graphs[u].nodes())
+        m._dist_cache[u] = (dict((w, i) for i, w in enumerate(names)),
+                            apsp(m.coord_graphs[u], names))
+    return m._dist_cache[u]
 
 
 class _Metric:
@@ -222,8 +216,7 @@ class _Metric:
     """
 
     def __init__(self, m, u, projections, cells):
-        self.index = dict((w, i) for i, w in enumerate(sorted(m._pairs(u))))
-        dist = _dist_matrix(m, u)
+        self.index, dist = _dist_matrix(m, u)
         self.edges = np.array([(self.index[a], self.index[b])
                                for a, b in m.coord_graphs[u].edges()],
                               dtype=np.intp).reshape(-1, 2).T
@@ -299,7 +292,7 @@ def _scan_diameters(m):
 
 
 def _scan_lipschitz(m):
-    pos = dict((x, i) for i, x in enumerate(m.points))
+    pos = m._point_pos
     a, b = np.array([(pos[x], pos[y]) for x, y in m.space.edges()],
                     dtype=np.intp).reshape(-1, 2).T
     if not a.size:
@@ -402,7 +395,7 @@ def _scan_large_links(m):
 
 
 def _orth_cliques(s):
-    for clique in nx.enumerate_all_cliques(s.orth_graph(s.domains)):
+    for clique in enumerate_all_cliques(s.orth_graph(s.domains)):
         yield tuple(sorted(clique))
 
 
@@ -439,9 +432,11 @@ def _bullet_rows(m):
 
 
 def _space_dist(m):
-    """Point-graph distance between every two points, in point order."""
-    return np.array([[m.zdist(x, y) for y in m.points] for x in m.points],
-                    dtype=np.int64)
+    """Point-graph distance between every two points, in point order;
+    built once and shared, so callers must not write to it."""
+    if m._zdist is None:
+        m._zdist = apsp(m.space, m.points)
+    return m._zdist
 
 
 def _coordinate_jump(m):
@@ -755,7 +750,7 @@ def augment_point_domains(m):
     rho_up = dict(m.rho_up)
     rho_down = dict((k, dict(v)) for k, v in m.rho_down.items())
     for t, u, z in fresh:
-        g = nx.Graph()
+        g = Graph()
         g.add_node("0")
         coord_graphs[t] = g
         for x in m.points:
@@ -860,12 +855,12 @@ def load_model(text, resolve=None):
         else:
             raise ModelError("line %d: cannot parse %r" % (lineno, raw))
     index = load_index_set("\n".join(index_lines))
-    space = nx.Graph()
+    space = Graph()
     space.add_nodes_from(points)
     space.add_edges_from(space_edges)
     coord_graphs = {}
     for u in index.domains:
-        g = nx.Graph()
+        g = Graph()
         g.add_nodes_from(coord_nodes.get(u, []))
         g.add_edges_from(coord_edges.get(u, []))
         coord_graphs[u] = g

@@ -2,6 +2,18 @@
 
 from hhsforge.indexset import IndexSet
 
+
+def as_nx(g):
+    """A networkx copy of a graph the package returns, nodes, edges,
+    edge data and graph attributes included, for running networkx
+    algorithms on it."""
+    import networkx as nx
+    out = nx.Graph()
+    out.add_nodes_from(g.nodes())
+    out.add_edges_from((a, b, dict(g[a][b])) for a, b in g.edges())
+    out.graph.update(g.graph)
+    return out
+
 B3_IDS = ["1", "2", "3", "12", "13", "23", "123"]
 
 

@@ -47,6 +47,8 @@ from hhsforge.model import (
     load_model,
 )
 
+from helpers import as_nx
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # The four structural conditions, as named in verification reports.
@@ -154,7 +156,7 @@ class Acceptance(unittest.TestCase):
                         continue
                     rec = coordinate_graph(w, c)
                     worst_diam_y = max(worst_diam_y, rec["diam_in_y"])
-                diams[factor] = nx.diameter(w.graph)
+                diams[factor] = nx.diameter(as_nx(w.graph))
                 per_lam[factor].append(diams[factor])
             if diams[10] > diams[1]:
                 monotone = False
@@ -334,7 +336,7 @@ class Acceptance(unittest.TestCase):
                   len(cubes.hyperplanes(cubes.grid_complex(2, 2))))
         square_classes = len(cubes.hyperclosure(cubes.grid_complex(2, 2)))
         g = cubes.grid_complex(7, 7)
-        dist = dict(nx.all_pairs_shortest_path_length(g))
+        dist = dict(nx.all_pairs_shortest_path_length(as_nx(g)))
         rng = random.Random(7)
         verts = sorted(g.nodes())
         gate_checks = 0

@@ -53,7 +53,7 @@ from hhsforge.indexset import (
 )
 from hhsforge.model import HHSModel
 
-from helpers import make_rect_model, make_star_model
+from helpers import as_nx, make_rect_model, make_star_model
 
 
 _CACHE = {}
@@ -99,7 +99,7 @@ class TestBlowUp(unittest.TestCase):
         m, x, _ = pipeline("star")
         self.assertEqual(x.blown.number_of_nodes(), 5)
         self.assertEqual(x.blown.number_of_edges(), 4)
-        self.assertEqual(sorted(d for _, d in x.blown.degree()),
+        self.assertEqual(sorted(d for _, d in as_nx(x.blown).degree()),
                          [1, 1, 1, 1, 4])
 
     def test_two_cone_counts(self):
@@ -144,7 +144,7 @@ class TestBlowUp(unittest.TestCase):
     def test_dimension_bound(self):
         for name in ("square", "b3", "grid"):
             _, x, _ = pipeline(name)
-            width = max(len(c) for c in nx.find_cliques(x.base))
+            width = max(len(c) for c in nx.find_cliques(as_nx(x.base)))
             top = max(len(s) for s in maximal_simplices(x))
             self.assertLessEqual(top, 2 * width, name)
 
@@ -430,7 +430,7 @@ class TestWGraph(unittest.TestCase):
 
     def test_no_self_loops(self):
         _, _, w = pipeline("grid")
-        self.assertEqual(nx.number_of_selfloops(w.graph), 0)
+        self.assertEqual(nx.number_of_selfloops(as_nx(w.graph)), 0)
         self.assertEqual(w.wdist(3, 3), 0)
         self.assertEqual(w.wdist(1, 5), w.wdist(5, 1))
 
@@ -451,7 +451,7 @@ class TestWGraph(unittest.TestCase):
     def test_connected_at_lambda2(self):
         m, x, _ = pipeline("grid")
         w = build_w(m, x, lam=thresholds(m)["lambda2"])
-        self.assertTrue(nx.is_connected(w.graph))
+        self.assertTrue(nx.is_connected(as_nx(w.graph)))
 
 
 class TestCoordinateGraph(unittest.TestCase):
@@ -486,7 +486,7 @@ class TestCoordinateGraph(unittest.TestCase):
             if c.maximal:
                 continue
             rec = coordinate_graph(w, c)
-            dist = dict(nx.all_pairs_shortest_path_length(rec["Y"]))
+            dist = dict(nx.all_pairs_shortest_path_length(as_nx(rec["Y"])))
             for img in rec["pi"].values():
                 self.assertTrue(img)
                 spread = max(dist[a][b] for a in img for b in img)
@@ -849,7 +849,7 @@ class TestCollapse(unittest.TestCase):
         for u in m.index.domains:
             g = m.coord_graphs[u]
             if len(g) > 1:
-                dist = dict(nx.all_pairs_shortest_path_length(g))
+                dist = dict(nx.all_pairs_shortest_path_length(as_nx(g)))
                 self.assertGreater(max(dist[a][b] for a in g for b in g), 1)
         self.assertEqual(m.E, 3)
 

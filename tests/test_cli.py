@@ -274,6 +274,21 @@ class TestUsageErrors(unittest.TestCase):
             self.assertIn("error: line", err)
             self.assertEqual(out, "")
 
+    def test_bad_complex_lines_are_usage_errors(self):
+        with open(fix("square.cplx"), encoding="utf-8") as handle:
+            square = handle.read()
+        for extra, message in (("rim zz", "rim vertex zz is not a vertex"),
+                               ("edge a b x\nedge a b y",
+                                "edge a b given again with label y")):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "bad.cplx")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(square + extra + "\n")
+                code, out, err = run_cli("cubes", path)
+            self.assertEqual(code, 2, extra)
+            self.assertIn(message, err)
+            self.assertEqual(out, "")
+
     def test_non_utf8_input_is_a_usage_error(self):
         with open(fix("chain.model"), "rb") as handle:
             model = handle.read()

@@ -22,6 +22,7 @@ from hhsforge import chhs, cubes
 from hhsforge.cubes import CubeError, _ctx
 from hhsforge.model import load_model
 
+from helpers import as_nx
 from test_measure_kernel import tree_times_path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -75,7 +76,42 @@ def oracle_is_convex(ctx, s):
     return (ctx["vertices"][si[x]], ctx["vertices"][si[y]])
 
 
+def oracle_gate_vertex(ctx, y, x):
+    """The loop gate: y sorted on every call, the first closest vertex
+    kept and its ties counted."""
+    best = None
+    ix = ctx["index"][x]
+    for v in sorted(y):
+        dv = int(ctx["D"][ix, ctx["index"][v]])
+        if best is None or dv < best[1]:
+            best = (v, dv, 1)
+        elif dv == best[1]:
+            best = (best[0], dv, best[2] + 1)
+    if best[2] != 1:
+        raise CubeError("gate not unique, witness %s" % x)
+    return best[0]
+
+
+def gate_images(image, ctx, g):
+    """The gate image of every vertex into each subset, or the message
+    of the CubeError raised; the first witness follows the iteration
+    order of the vertex set."""
+    everything = frozenset(ctx["vertices"])
+    out = []
+    for y in subsets(g):
+        try:
+            out.append(image(ctx, y, everything))
+        except CubeError as e:
+            out.append("error: %s" % e)
+    return out
+
+
+def oracle_gate_image(ctx, y, f):
+    return frozenset(oracle_gate_vertex(ctx, y, x) for x in f)
+
+
 def oracle_component_delta(g):
+    g = as_nx(g)
     best = 0.0
     for comp in nx.connected_components(g):
         sub = nx.Graph(g.subgraph(comp))
@@ -158,6 +194,9 @@ class CubeKernelAgreement(unittest.TestCase):
             with self.subTest(graph=name, subset=sorted(s)):
                 self.assertEqual(cubes._is_convex(ctx, s),
                                  oracle_is_convex(ctx, s))
+        with self.subTest(graph=name, kernel="gates"):
+            self.assertEqual(gate_images(cubes._gate_image, ctx, g),
+                             gate_images(oracle_gate_image, ctx, g))
 
     def test_small_graphs(self):
         for name, g in small_graphs():
@@ -178,6 +217,14 @@ class CubeKernelAgreement(unittest.TestCase):
                     for s in subsets(g):
                         self.assertEqual(cubes._is_convex(ctx, s),
                                          oracle_is_convex(ctx, s))
+
+    def test_gate_witnesses_are_compared(self):
+        # some subsets have vertices with two closest members, so the
+        # comparison in check() covers the first witness too
+        square = fixture_complex("square.cplx")
+        got = gate_images(cubes._gate_image, _ctx(square), square)
+        self.assertIn("error: gate not unique, witness", "".join(
+            r for r in got if isinstance(r, str)))
 
     def test_rejections_keep_their_witness(self):
         messages = dict((name, outcome(cubes.validate_median_graph, g))
@@ -298,6 +345,8 @@ def test_generated_graphs():
         ctx = _ctx(g)
         for s in subsets(g):
             assert cubes._is_convex(ctx, s) == oracle_is_convex(ctx, s)
+        assert gate_images(cubes._gate_image, ctx, g) == \
+            gate_images(oracle_gate_image, ctx, g)
 
     check()
 

@@ -10,7 +10,7 @@ from hhsforge.cubes import CubeError
 from hhsforge.indexset import check_property, split_info
 from hhsforge.model import check_metric_property
 
-from helpers import make_b3
+from helpers import as_nx, make_b3
 
 
 def square():
@@ -109,7 +109,7 @@ class TestGates(unittest.TestCase):
 
     def test_gate_matches_nearest_on_rectangles(self):
         g = cubes.grid_complex(7, 7)
-        dist = dict(nx.all_pairs_shortest_path_length(g))
+        dist = dict(nx.all_pairs_shortest_path_length(as_nx(g)))
         rng = random.Random(7)
         for _ in range(10):
             i0, i1 = sorted(rng.randrange(7) for _ in range(2))
@@ -151,10 +151,11 @@ class TestParallelism(unittest.TestCase):
         line = frozenset(["o", "r1", "r2", "r3", "b1", "b2"])
         pc = cubes.parallel_class(g, line)
         self.assertEqual(len(pc.members), 3)
-        shape = sorted(d for _, d in g.subgraph(line).degree())
+        shape = sorted(d for _, d in as_nx(g).subgraph(line).degree())
         for member in pc.members:
             self.assertEqual(sorted(d for _, d in
-                                    g.subgraph(member).degree()), shape)
+                                    as_nx(g).subgraph(member).degree()),
+                             shape)
             self.assertEqual(cubes.crossing_set(g, member), pc.crossing)
 
     def test_non_convex_seed_rejected(self):
@@ -490,6 +491,30 @@ class TestFilesAndExport(unittest.TestCase):
             with self.assertRaises(CubeError) as err:
                 cubes.load_complex("vertex a\nvertex b\n%s\n" % edge)
             self.assertIn("line 3: edge from a to itself", str(err.exception))
+
+    def test_relabelled_edge_is_a_parse_error(self):
+        for second, said in (("edge b a y", "label y, first with label x"),
+                             ("edge a b", "no label, first with label x")):
+            with self.assertRaises(CubeError) as err:
+                cubes.load_complex("edge a b x\n%s\n" % second)
+            self.assertEqual(str(err.exception),
+                             "line 2: edge %s given again with %s"
+                             % (" ".join(second.split()[1:3]), said))
+
+    def test_repeated_edge_counts_once(self):
+        # an edge line may bring its own vertices, and may come twice
+        for text in ("edge a b\nedge b a\n", "edge a b 7\nedge a b 7\n"):
+            g = cubes.load_complex(text)
+            self.assertEqual(sorted(g.nodes()), ["a", "b"])
+            self.assertEqual(g.number_of_edges(), 1)
+
+    def test_rim_must_name_a_vertex(self):
+        with self.assertRaises(CubeError) as err:
+            cubes.load_complex("rim zz\nedge a b\nrim a\n")
+        self.assertEqual(str(err.exception),
+                         "line 1: rim vertex zz is not a vertex")
+        g = cubes.load_complex("edge a b\nrim b\nrim a\n")
+        self.assertEqual(g.graph["rim"], ("a", "b"))
 
     def test_minimal_orth_dot(self):
         g = cubes.grid_complex(7, 7)

@@ -1,0 +1,224 @@
+"""The graph kernel against networkx, which stays the oracle.
+
+`apsp`, the clique enumerations, the reachability closure and the
+components must give what networkx gives, in the same order where the
+order reaches the output.  A subprocess pins that the pipelines run
+without importing networkx at all.
+"""
+
+import os
+import subprocess
+import sys
+import unittest
+
+import networkx as nx
+import numpy as np
+import pytest
+
+from hhsforge import chhs, cubes
+from hhsforge.graph import (
+    Graph,
+    apsp,
+    as_graph,
+    components,
+    enumerate_all_cliques,
+    find_cliques,
+    reachability,
+)
+from hhsforge.indexset import load_index_set
+from hhsforge.model import load_model
+
+from helpers import as_nx, make_b3
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def read(*parts):
+    with open(os.path.join(ROOT, *parts), encoding="utf-8") as handle:
+        return handle.read()
+
+
+def oracle_apsp(g, order):
+    index = dict((v, i) for i, v in enumerate(order))
+    d = np.full((len(order), len(order)), -1, dtype=np.int32)
+    for v, row in nx.all_pairs_shortest_path_length(as_nx(g)):
+        for w, k in row.items():
+            d[index[v], index[w]] = k
+    return d
+
+
+def named_graphs():
+    """Complexes, model coordinate and point graphs, and W graphs."""
+    out = [(name, cubes.load_complex(read("fixtures", name)))
+           for name in ("square.cplx", "grid.cplx")]
+    out.append(("3-cube", cubes.b3_cube()))
+    out += [("grid %dx%d" % rc, cubes.grid_complex(*rc))
+            for rc in ((3, 3), (4, 5), (6, 6), (7, 9), (9, 9), (10, 12),
+                       (12, 14))]
+    out += [("glued %d" % d, cubes.build_counterexample(d))
+            for d in range(1, 7)]
+    for name in ("chain.model", "product.model", "gamma4.model"):
+        m = load_model(read("fixtures", name))
+        out.append((name + " space", m.space))
+        out += [("%s C(%s)" % (name, u), g)
+                for u, g in sorted(m.coord_graphs.items())]
+        out.append((name + " W", chhs.build_w(m, chhs.blow_up(m)).graph))
+    return out
+
+
+def both(edges, nodes=()):
+    """The same additions made to a Graph and to a networkx graph."""
+    g, h = Graph(), nx.Graph()
+    for x in (g, h):
+        x.add_nodes_from(nodes)
+        x.add_edges_from(edges)
+    return g, h
+
+
+def graphs():
+    """Hypothesis graphs on up to 12 vertices, disconnected ones and
+    isolated vertices included."""
+    st = pytest.importorskip("hypothesis").strategies
+    return st.tuples(
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                 max_size=30),
+        st.lists(st.integers(0, 14), max_size=4))
+
+
+def given(strategy, examples=200):
+    hypothesis = pytest.importorskip("hypothesis")
+
+    def wrap(check):
+        return hypothesis.settings(
+            max_examples=examples, deadline=None, derandomize=True,
+            database=None)(hypothesis.given(strategy)(check))
+    return wrap
+
+
+class Distances(unittest.TestCase):
+
+    def test_named_graphs(self):
+        for name, g in named_graphs():
+            order = sorted(g.nodes())
+            with self.subTest(graph=name):
+                got = apsp(g, order)
+                self.assertEqual(got.dtype, np.int32)
+                np.testing.assert_array_equal(got, oracle_apsp(g, order))
+
+    def test_unreachable_pairs_get_the_sentinel(self):
+        g, _ = both([(0, 1), (1, 2)], nodes=[3])
+        np.testing.assert_array_equal(apsp(g, [3, 2, 1, 0]),
+                                      [[0, -1, -1, -1], [-1, 0, 1, 2],
+                                       [-1, 1, 0, 1], [-1, 2, 1, 0]])
+        self.assertEqual(apsp(Graph(), []).shape, (0, 0))
+
+
+def test_apsp_on_generated_graphs():
+    @given(graphs())
+    def check(spec):
+        g, h = both(*spec)
+        order = sorted(g.nodes())
+        np.testing.assert_array_equal(apsp(g, order), oracle_apsp(h, order))
+
+    check()
+
+
+def test_cliques_in_networkx_order():
+    @given(graphs())
+    def check(spec):
+        g, h = both(*spec)
+        assert list(enumerate_all_cliques(g)) == \
+            list(nx.enumerate_all_cliques(h))
+        assert list(find_cliques(g)) == list(nx.find_cliques(h))
+
+    check()
+
+
+def test_reachability_matches_transitive_closure():
+    @given(graphs())
+    def check(spec):
+        edges, nodes = spec
+        dig = nx.DiGraph()
+        dig.add_nodes_from(range(15))
+        dig.add_edges_from(edges)
+        closed = nx.transitive_closure(dig, reflexive=True)
+        assert reachability(range(15), edges) == \
+            dict((v, frozenset(closed[v])) for v in range(15))
+
+    check()
+
+
+def test_components_match():
+    @given(graphs())
+    def check(spec):
+        g, h = both(*spec)
+        assert sorted(sorted(c) for c in components(g)) == \
+            sorted(sorted(c) for c in nx.connected_components(h))
+
+    check()
+
+
+class Graphs(unittest.TestCase):
+
+    def test_cliques_of_string_graphs(self):
+        # string hashes vary between runs, and find_cliques follows set
+        # order, so both sides run in this process on the same graph
+        for s in (make_b3(), load_index_set(read("perfbench", "data",
+                                                 "gamma6.idx"))):
+            g = s.orth_graph(s.domains)
+            self.assertEqual(list(enumerate_all_cliques(g)),
+                             list(nx.enumerate_all_cliques(as_nx(g))))
+            self.assertEqual(list(find_cliques(g)),
+                             list(nx.find_cliques(as_nx(g))))
+
+    def test_closure_matches_transitive_closure(self):
+        for path in (("fixtures", "b3.idx"), ("fixtures", "o6.idx"),
+                     ("perfbench", "data", "gamma6.idx")):
+            text = read(*path)
+            s = load_index_set(text)
+            dig = nx.DiGraph()
+            dig.add_nodes_from(s.domains)
+            dig.add_edges_from(tuple(line.split()[1:]) for line
+                               in text.splitlines() if line.startswith("nest"))
+            closed = nx.transitive_closure(dig, reflexive=True)
+            with self.subTest(index=path[-1]):
+                self.assertEqual(s.up, dict((u, frozenset(closed[u]))
+                                            for u in s.domains))
+                self.assertEqual(s.down, dict(
+                    (u, frozenset(closed.predecessors(u))) for u in s.domains))
+
+    def test_copy_keeps_order_labels_and_attributes(self):
+        h = nx.Graph()
+        h.add_nodes_from("dcba")
+        h.add_edge("a", "d", label="x")
+        h.add_edge("c", "b")
+        h.add_edge("a", "d", label="y")
+        h.graph["rim"] = ("a",)
+        g = as_graph(h)
+        self.assertIs(as_graph(g), g)
+        self.assertEqual(list(g.nodes()), list(h.nodes()))
+        self.assertEqual(g.edges(), list(h.edges()))
+        self.assertEqual(dict(g["a"]), dict(h["a"]))
+        self.assertEqual(g["d"]["a"], {"label": "y"})
+        self.assertEqual(g.graph, h.graph)
+        self.assertEqual(list(g.subgraph("abd").edges()),
+                         list(nx.Graph(h.subgraph("abd")).edges()))
+
+
+class ImportGuard(unittest.TestCase):
+
+    def test_pipelines_run_without_networkx(self):
+        script = (
+            "import sys\n"
+            "from hhsforge import chhs, cli, cubes, indexset, lattice, model\n"
+            "for argv in (['cubes', 'fixtures/square.cplx'],\n"
+            "             ['verify-chhs', 'fixtures/chain.model']):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "assert 'networkx' not in sys.modules\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(ROOT, "src")] + env.get("PYTHONPATH", "").split(
+                os.pathsep))
+        done = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                              env=env, capture_output=True, text=True)
+        self.assertEqual(done.returncode, 0, done.stderr)

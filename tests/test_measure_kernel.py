@@ -27,6 +27,8 @@ from hhsforge.model import (
     measure_model,
 )
 
+from helpers import as_nx
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -100,7 +102,10 @@ def _interval(m, v, sa, sb):
         cache = m._interval_cache = {}
     key = (v, sa, sb) if sorted(sa) <= sorted(sb) else (v, sb, sa)
     if key not in cache:
-        table = m._pairs(v)
+        if v not in cache:
+            cache[v] = dict(nx.all_pairs_shortest_path_length(
+                as_nx(m.coord_graphs[v])))
+        table = cache[v]
         da = dict((w, min(table[x][w] for x in sa)) for w in table)
         db = dict((w, min(table[x][w] for x in sb)) for w in table)
         span = min(da[x] for x in sb)
