@@ -416,7 +416,7 @@ def coverage_constant(m):
     """How far a point can sit, in coordinates, from the best maximal
     orthogonal family projecting near it."""
     base = _bullet_rows(m)
-    fams = [np.max([base[v] for v in fam], axis=0)
+    fams = [np.max([base[v] for v in fam], axis=(0, 1))
             for fam in m.index.families(m.index.top)]
     return int(np.min(fams, axis=0).max())
 
@@ -659,11 +659,12 @@ def _finite(value):
 
 
 def coordinate_graph(w, c):
-    """Complement graph, class graph and projection tables of one
-    non-maximal simplex class.
+    """Class graph, projection tables and diameters of one non-maximal
+    simplex class.
 
-    Y is the augmented graph without the class's saturation and C is
-    its subgraph on the class's link.  A projection to C takes the link
+    Y is the augmented graph without the class's saturation, used here
+    only through its distances, and C is its subgraph on the class's
+    link.  A projection to C takes the link
     vertices within one of the least Y-distance from a source set, and
     nothing when no source reaches the link.
     """
@@ -730,8 +731,6 @@ def coordinate_graph(w, c):
         in_y = dist[np.ix_(link, link)]
         w._link_dist[c.id] = (in_c, in_y)
         w._coord[c.id] = {
-            "Y": augmented_graph(w).subgraph(
-                t.names[i] for i in np.flatnonzero(keep)),
             "C": cg,
             "pi": pi,
             "rho_spots": rho_spots,
@@ -1593,7 +1592,7 @@ def collapse_unit_coordinates(m, bound=1):
     small = {}
     for u in m.index.domains:
         nodes = sorted(m.coord_graphs[u].nodes())
-        if len(nodes) > 1 and m.diam(u, nodes) <= bound:
+        if len(nodes) > 1 and _dist_matrix(m, u)[1].max() <= bound:
             small[u] = nodes[0]
     if not small:
         return m

@@ -90,16 +90,19 @@ def _cells(n):
 def _ctx(g):
     """The distance matrix of a complex on its sorted vertices, with the
     caches built on it, kept among the graph's attributes.  A graph of
-    another type is converted once; ctx["graph"] is the Graph."""
+    another type is converted once; ctx["graph"] is the Graph.  Copies
+    of a graph carry its attributes along, so a context serves only
+    the graphs it was built for."""
     ctx = g.graph.get("_cube_ctx")
-    if ctx is None:
+    if ctx is None or not any(h is g for h in ctx["owners"]):
         local = as_graph(g)
         vertices = tuple(sorted(local.nodes()))
         d = apsp(local, vertices)
         if (d < 0).any():
             raise CubeError("graph not connected")
         ctx = {"graph": local, "vertices": vertices, "D": d, "gates": {},
-               "index": dict((v, i) for i, v in enumerate(vertices))}
+               "index": dict((v, i) for i, v in enumerate(vertices)),
+               "owners": (g, local)}
         g.graph["_cube_ctx"] = local.graph["_cube_ctx"] = ctx
     return ctx
 
@@ -529,6 +532,7 @@ def index_set_from_hyperclosure(g, hc=None):
 
     coord_graphs = {}
     apex_of = {}
+    source_of = {}
     for cid in ids:
         rep = hc.classes[cid].rep
         images = set()
@@ -549,6 +553,7 @@ def index_set_from_hyperclosure(g, hc=None):
                 cg.add_edge(apex, v)
         coord_graphs[cid] = cg
         apex_of[cid] = table
+        source_of[cid] = dict((apex, img) for img, apex in table.items())
 
     def land(cid, img):
         # a coned image carries its apex along
@@ -571,10 +576,8 @@ def index_set_from_hyperclosure(g, hc=None):
         if rel == NESTED_IN:
             table = {}
             for w in coord_graphs[b].nodes():
-                if w in apex_of[b].values():
-                    src = next(img for img, apex in apex_of[b].items()
-                               if apex == w)
-                    table[w] = land(a, _gate_image(ctx, ra, src))
+                if w in source_of[b]:
+                    table[w] = land(a, _gate_image(ctx, ra, source_of[b][w]))
                 else:
                     table[w] = frozenset([_gate_vertex(ctx, ra, w)])
             rho_down[(a, b)] = table

@@ -399,36 +399,21 @@ def _orth_cliques(s):
         yield tuple(sorted(clique))
 
 
-def _realisation_defect(m, pairs, z):
-    coordinate = 0
-    nested = 0
-    transverse = 0
-    for v, p in pairs:
-        coordinate = max(coordinate, m.dist(v, m.pi[(v, z)], p))
+def _bullet_rows(m):
+    """rows[v][0, z] and rows[v][1, z]: the nested and the transverse
+    realisation bullet of a family member v at the point z, the largest
+    distance from z's projection to a relative projection of v into a
+    domain that v is nested in, or transverse to."""
+    ks = _metrics(m)
+    rows = {}
+    for v in m.index.domains:
+        row = rows[v] = np.zeros((2, len(m.points)), dtype=np.int32)
         for w in m.index.domains:
             rel = relation(m.index, v, w)
-            if rel == NESTED_IN:
-                nested = max(nested,
-                             m.dist(w, m.pi[(w, z)], m.rho_up[(v, w)]))
-            elif rel == TRANSVERSE:
-                transverse = max(transverse,
-                                 m.dist(w, m.pi[(w, z)], m.rho_up[(v, w)]))
-    return {"coordinate": coordinate, "nested": nested,
-            "transverse": transverse}
-
-
-def _bullet_rows(m):
-    """base[v][z]: the nested and transverse realisation bullets of a
-    family member v at the point z, the largest distance from z's
-    projection to a relative projection of v."""
-    ks = _metrics(m)
-    base = {}
-    for v in m.index.domains:
-        terms = [ks[w].to_set(m.rho_up[(v, w)]) for w in m.index.domains
-                 if relation(m.index, v, w) in (NESTED_IN, TRANSVERSE)]
-        base[v] = (np.max(terms, axis=0) if terms
-                   else np.zeros(len(m.points), dtype=np.int32))
-    return base
+            if rel in (NESTED_IN, TRANSVERSE):
+                i = int(rel == TRANSVERSE)
+                row[i] = np.maximum(row[i], ks[w].to_set(m.rho_up[(v, w)]))
+    return rows
 
 
 def _space_dist(m):
@@ -459,7 +444,7 @@ def _scan_partial_realisation(m):
         coord[v] = k.near[np.ix_(k.point, images)]
     worst = 0
     for family in _orth_cliques(m.index):
-        fam_base = np.max([base[v] for v in family], axis=0)
+        fam_base = np.max([base[v] for v in family], axis=(0, 1))
         head, last = family[:-1], family[-1]
         # every choice for the last member at once, the others in turn
         for choice in itertools.product(*(range(coord[v].shape[1])
@@ -552,13 +537,19 @@ def realise(m, t):
         if p not in m.images(v):
             raise ModelError("vertex outside the projection image,"
                              " witness %s %s" % (v, p))
-    best = None
-    for z in m.points:
-        bullets = _realisation_defect(m, pairs, z)
-        score = max(bullets.values())
-        if best is None or score < best[1]:
-            best = (z, score, bullets)
-    return {"point": best[0], "defect": best[1], "bullets": best[2]}
+    ks = _metrics(m)
+    rows = _bullet_rows(m)
+    # the coordinate, nested and transverse defect at every point
+    defect = np.zeros((3, len(m.points)), dtype=np.int32)
+    for v, p in pairs:
+        k = ks[v]
+        defect[0] = np.maximum(defect[0], k.near[k.point, k.index[p]])
+        defect[1:] = np.maximum(defect[1:], rows[v])
+    score = defect.max(0)
+    z = int(score.argmin())
+    return {"point": m.points[z], "defect": int(score[z]),
+            "bullets": dict(zip(("coordinate", "nested", "transverse"),
+                                defect[:, z].tolist()))}
 
 
 # -- distance formula -------------------------------------------------
@@ -615,26 +606,27 @@ def _dpr_constant(m):
 
 
 def _edpr_constant(m):
+    """Realise each maximal orthogonal family under u at every point x's
+    own projections: score[z, x] is the realisation defect at z, and the
+    first argmin over z is the realisation point y.  The constant is
+    the largest, over u and x, of the least over families of the
+    farthest y lands from x in a domain under u."""
+    ks = _metrics(m)
+    bullets = dict((v, r.max(0)) for v, r in _bullet_rows(m).items())
     worst = 0
     for u in m.index.domains:
-        families = m.index.families(u)
-        inside = sorted(m.index.down[u])
-        for x in m.points:
-            best = None
-            for family in families:
-                pairs = [(v, m.pi[(v, x)]) for v in family]
-                y = None
-                score = None
-                for z in m.points:
-                    bullets = _realisation_defect(m, pairs, z)
-                    s = max(bullets.values())
-                    if score is None or s < score:
-                        score, y = s, z
-                gap = max(m.dist(v, m.pi[(v, x)], m.pi[(v, y)])
-                          for v in inside)
-                if best is None or gap < best:
-                    best = gap
-            worst = max(worst, best)
+        best = None
+        for family in m.index.families(u):
+            # one points x points array at a time
+            score = functools.reduce(np.maximum, (
+                np.maximum(ks[v].point_gap(), bullets[v][:, None])
+                for v in family))
+            y = score.argmin(0)
+            gap = functools.reduce(np.maximum, (
+                ks[v].gap[ks[v].point, ks[v].point[y]]
+                for v in m.index.down[u]))
+            best = gap if best is None else np.minimum(best, gap)
+        worst = max(worst, int(best.max()))
     return worst
 
 
@@ -663,7 +655,7 @@ def check_metric_property(m, name):
             if u == top or u in minimal:
                 continue
             if split_info(m.index, u)["split"]:
-                constant = max(constant, m.diam(u, m.coord_graphs[u].nodes()))
+                constant = max(constant, int(_dist_matrix(m, u)[1].max()))
         report = PropertyReport("bounded_split", True, None)
         report.constant = constant
         return report

@@ -468,7 +468,7 @@ class TestCoordinateGraph(unittest.TestCase):
         _, x, w = pipeline("square")
         c = next(c for c in simplex_classes(x) if not c.maximal)
         rec = coordinate_graph(w, c)
-        self.assertEqual(sorted(rec), ["C", "Y", "diam", "diam_in_y",
+        self.assertEqual(sorted(rec), ["C", "diam", "diam_in_y",
                                        "pi", "rho_maps", "rho_spots"])
 
     def test_compression_at_small_lambda(self):
@@ -486,7 +486,11 @@ class TestCoordinateGraph(unittest.TestCase):
             if c.maximal:
                 continue
             rec = coordinate_graph(w, c)
-            dist = dict(nx.all_pairs_shortest_path_length(as_nx(rec["Y"])))
+            # Y: the augmented graph without the class's saturation
+            aug = augmented_graph(w)
+            y = aug.subgraph(v for v in aug.nodes()
+                             if v not in c.saturation)
+            dist = dict(nx.all_pairs_shortest_path_length(as_nx(y)))
             for img in rec["pi"].values():
                 self.assertTrue(img)
                 spread = max(dist[a][b] for a in img for b in img)

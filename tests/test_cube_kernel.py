@@ -20,6 +20,7 @@ import pytest
 
 from hhsforge import chhs, cubes
 from hhsforge.cubes import CubeError, _ctx
+from hhsforge.graph import as_graph
 from hhsforge.model import load_model
 
 from helpers import as_nx
@@ -239,6 +240,20 @@ class CubeKernelAgreement(unittest.TestCase):
                          "error: not median, witness v0 v2 v4")
         self.assertEqual(messages["C4"], "graph")
 
+    def test_copies_are_judged_afresh(self):
+        """A copy of an analysed graph carries the graph's attributes,
+        its cube context among them; with a chord added, the copy is
+        judged as a fresh graph with the same edges."""
+        square = named(nx.cycle_graph(4))
+        self.assertIs(cubes.validate_median_graph(square), square)
+        for copy in (nx.Graph, as_graph):
+            with self.subTest(copy=copy.__name__):
+                chord = copy(square)
+                chord.add_edge("v0", "v2")
+                self.assertEqual(outcome(cubes.validate_median_graph, chord),
+                                 "error: not median, witness v0 v1 v2")
+        self.assertIs(cubes.validate_median_graph(square), square)
+
     def test_disconnected_graph(self):
         g = named(nx.Graph([(0, 1), (2, 3)]))
         for func in (cubes.validate_median_graph, cubes.four_point_delta):
@@ -380,8 +395,7 @@ def test_tree_times_path_products():
         far = np.argwhere(d == 2)
         if len(far):
             a, b = far[pick % len(far)]
-            # a fresh graph: nx.Graph(g) would share g's cached distances
-            chord = nx.Graph(list(g.edges()))
+            chord = nx.Graph(g)
             chord.add_edge(verts[a], verts[b])
             got = outcome(cubes.validate_median_graph, chord)
             assert got.startswith("error: not median, witness")

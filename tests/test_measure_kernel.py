@@ -1,10 +1,13 @@
-"""The array scans of measure_model against the loop scans they replaced.
+"""The array scans of measure_model, realise and the edpr constant
+against the loops they replaced.
 
 The loop scans below are the reference implementations: each walks the
 model's tables and asks HHSModel.dist and diam for one pair at a time.
 Every array scan must give the same value as its loop scan, and
 measure_model the same dict, on the fixtures, the glued complex, square
-grids, the 3-cube and small generated median graphs.
+grids, the 3-cube and small generated median graphs.  The loop
+realisation defect is the reference for realising a family and for the
+edpr constant, which read the model's bullet table.
 """
 
 import functools
@@ -23,10 +26,14 @@ from hhsforge.model import (
     HHSModel,
     _consistency_value,
     _orth_cliques,
+    check_metric_property,
     load_model,
     measure_model,
+    realise,
 )
 
+import helpers
+from golden.regenerate import CASES, run_case
 from helpers import as_nx
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -170,6 +177,57 @@ def _scan_partial_realisation(m):
     return worst
 
 
+def _realisation_defect(m, pairs, z):
+    coordinate = 0
+    nested = 0
+    transverse = 0
+    for v, p in pairs:
+        coordinate = max(coordinate, m.dist(v, m.pi[(v, z)], p))
+        for w in m.index.domains:
+            rel = relation(m.index, v, w)
+            if rel == NESTED_IN:
+                nested = max(nested,
+                             m.dist(w, m.pi[(w, z)], m.rho_up[(v, w)]))
+            elif rel == TRANSVERSE:
+                transverse = max(transverse,
+                                 m.dist(w, m.pi[(w, z)], m.rho_up[(v, w)]))
+    return {"coordinate": coordinate, "nested": nested,
+            "transverse": transverse}
+
+
+def oracle_realise(m, pairs):
+    """The first point of least realisation defect for a family of
+    (domain, vertex set) pairs."""
+    best = None
+    for z in m.points:
+        bullets = _realisation_defect(m, pairs, z)
+        score = max(bullets.values())
+        if best is None or score < best[1]:
+            best = (z, score, bullets)
+    return {"point": best[0], "defect": best[1], "bullets": best[2]}
+
+
+def oracle_edpr(m):
+    # points sharing their projections to a family share its realisation
+    realised = {}
+    worst = 0
+    for u in m.index.domains:
+        inside = sorted(m.index.down[u])
+        for x in m.points:
+            best = None
+            for family in m.index.families(u):
+                pairs = tuple((v, m.pi[(v, x)]) for v in family)
+                if pairs not in realised:
+                    realised[pairs] = oracle_realise(m, pairs)["point"]
+                y = realised[pairs]
+                gap = max(m.dist(v, m.pi[(v, x)], m.pi[(v, y)])
+                          for v in inside)
+                if best is None or gap < best:
+                    best = gap
+            worst = max(worst, best)
+    return worst
+
+
 ORACLES = {
     "diameters": _scan_diameters,
     "lipschitz": _scan_lipschitz,
@@ -284,6 +342,108 @@ class DistanceCallGuard(unittest.TestCase):
 
     def test_glued_raw_depth_5(self):
         self.assertEqual(self.calls(unmeasured(glued(5)[0])), (0, 0))
+
+
+def family_choices(m):
+    """The empty family, and every orthogonal clique with the first and
+    with the last image vertex of each member."""
+    yield []
+    for family in _orth_cliques(m.index):
+        pools = [sorted(m.images(v)) for v in family]
+        for end in (0, -1):
+            yield [(v, pool[end]) for v, pool in zip(family, pools)]
+
+
+def check_realisation(m):
+    """edpr and the realisation of every chosen family equal the loop
+    oracles."""
+    assert check_metric_property(m, "edpr").constant == oracle_edpr(m)
+    for pairs in family_choices(m):
+        assert realise(m, pairs) == oracle_realise(m, pairs), pairs
+
+
+class RealisationAgreement(unittest.TestCase):
+
+    def test_fixtures(self):
+        for name in ("chain.model", "product.model"):
+            with self.subTest(name=name):
+                check_realisation(fixture_model(name))
+        for name in ("square.cplx", "grid.cplx"):
+            with self.subTest(name=name), \
+                 open(os.path.join(ROOT, "fixtures", name),
+                      encoding="utf-8") as f:
+                check_realisation(cubes.index_set_from_hyperclosure(
+                    cubes.load_complex(f.read())))
+
+    def test_helper_models(self):
+        for make in (helpers.make_chain_model, helpers.make_product_model,
+                     helpers.make_transverse_model,
+                     helpers.make_behrstock_model, helpers.make_star_model,
+                     helpers.make_rect_model):
+            with self.subTest(model=make.__name__):
+                check_realisation(make())
+
+    def test_grids(self):
+        for size in range(3, 8):
+            with self.subTest(size=size):
+                check_realisation(cubes.index_set_from_hyperclosure(
+                    cubes.grid_complex(size, size)))
+
+    def test_glued(self):
+        for depth in (2, 3):
+            for m in glued(depth):
+                with self.subTest(depth=depth, E=m.E):
+                    check_realisation(m)
+
+    def test_gamma4_realise(self):
+        # the loop edpr takes minutes here; it is pinned below
+        m = fixture_model("gamma4.model")
+        for pairs in family_choices(m):
+            self.assertEqual(realise(m, pairs), oracle_realise(m, pairs))
+
+    def test_edpr_pinned(self):
+        """Values the loop oracle gave, too slow to rerun here."""
+        gamma6 = os.path.join(ROOT, "perfbench", "data", "gamma6.model")
+        with open(gamma6, encoding="utf-8") as f:
+            big = load_model(f.read())
+        for m in (fixture_model("gamma4.model"), big):
+            self.assertEqual(check_metric_property(m, "edpr").constant, 3)
+
+
+def test_small_median_graphs_realisation():
+    """edpr and realise against the loops on products of a random tree
+    with up to seven vertices and a path with one to four edges."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    parents = st.integers(0, 6).flatmap(lambda n: st.tuples(
+        *(st.integers(0, i) for i in range(n))))
+
+    @hypothesis.settings(max_examples=15, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(parents, st.integers(1, 4))
+    def check(parents, length):
+        check_realisation(cubes.index_set_from_hyperclosure(
+            tree_times_path(parents, length)))
+
+    check()
+
+
+class CliDistanceGuard(unittest.TestCase):
+    """No subcommand asks HHSModel.dist or diam anything: every path
+    from the command line reads the per-domain arrays."""
+
+    def test_every_subcommand(self):
+        # the last golden case of each subcommand, dot output aside
+        argvs = dict((argv[0], argv) for name, argv in CASES
+                     if not name.endswith("_dot"))
+        for command, argv in sorted(argvs.items()):
+            with self.subTest(command=command), \
+                 mock.patch.object(HHSModel, "dist", autospec=True,
+                                   side_effect=HHSModel.dist) as dist, \
+                 mock.patch.object(HHSModel, "diam", autospec=True,
+                                   side_effect=HHSModel.diam) as diam:
+                run_case(argv)
+                self.assertEqual((dist.call_count, diam.call_count), (0, 0))
 
 
 def test_small_median_graphs():
