@@ -19,8 +19,7 @@ import math
 import numpy as np
 
 from .cubes import _four_point, graph_dot
-from .graph import (Graph, apsp, enumerate_all_cliques, find_cliques,
-                    is_connected)
+from .graph import Graph, apsp, enumerate_all_cliques, is_connected
 from .indexset import (
     CONTAINS,
     EQUAL,
@@ -35,6 +34,7 @@ from .indexset import (
     split_info,
 )
 from .model import (
+    MAX_SLOPE,
     ConsistentTuple,
     HHSModel,
     _bullet_rows,
@@ -122,29 +122,7 @@ def blow_up(m):
         blown.add_edges_from(((u, APEX), v) for v in cones[u][1:])
     for u, v in base.edges():
         blown.add_edges_from(itertools.product(cones[u], cones[v]))
-    x = BlowupGraph(m, base, blown, p)
-    _validate_blowup(x)
-    return x
-
-
-def _validate_blowup(x):
-    for u, v in x.base.edges():
-        for a in x.cone(u):
-            for b in x.cone(v):
-                if b not in x.adj[a]:
-                    raise ChhsError("join incomplete, witness %s %s"
-                                    % (vertex_name(a), vertex_name(b)))
-    for u in x.minimal:
-        cone = [v for v in x.cone(u) if v != x.apex(u)]
-        for a, b in itertools.combinations(cone, 2):
-            if b in x.adj[a]:
-                raise ChhsError("cone base not discrete, witness %s %s"
-                                % (vertex_name(a), vertex_name(b)))
-    top = max(len(c) for c in find_cliques(x.blown))
-    s = x.model.index
-    width = max(len(f) for f in s.families(s.top))
-    if top > 2 * width:
-        raise ChhsError("dimension exceeds the orthogonal width, witness %d" % top)
+    return BlowupGraph(m, base, blown, p)
 
 
 # -- simplex calculus --------------------------------------------------
@@ -790,7 +768,7 @@ class ChhsReport(object):
         return out
 
 
-def _embedding_constants(in_c, in_y, max_k=10):
+def _embedding_constants(in_c, in_y):
     """Least (K, C) with the class metric below K * ambient + C, from the
     distances between link vertices in C and in Y; None when C leaves
     apart two vertices that Y joins."""
@@ -800,7 +778,7 @@ def _embedding_constants(in_c, in_y, max_k=10):
         return None
     dc, dy = dc[np.isfinite(dy)], dy[np.isfinite(dy)]
     best = None
-    for k in range(1, max_k + 1):
+    for k in range(1, MAX_SLOPE + 1):
         c = int((dc - k * dy).max(initial=0))
         if best is None or (c, k) < best:
             best = (c, k)
@@ -942,7 +920,7 @@ def check_chhs(m, w):
 # -- realisation quality -----------------------------------------------
 
 
-def realisation_qi(m, w, max_k=10):
+def realisation_qi(m, w):
     """Lipschitz, surjectivity and lower quasi-isometry constants of the
     realisation map, measured exhaustively."""
     space = _space_dist(m)
@@ -958,7 +936,7 @@ def realisation_qi(m, w, max_k=10):
     def fit(ys, xs):
         # cheapest slope-plus-constant budget, ties to the flatter slope
         best = None
-        for k in range(1, max_k + 1):
+        for k in range(1, MAX_SLOPE + 1):
             c = int((ys - k * xs).max(initial=0))
             if best is None or (c + k, k) < (best[1] + best[0], best[0]):
                 best = (k, c)
@@ -1579,12 +1557,12 @@ def dump_automorphism(g):
 # -- model surgery -----------------------------------------------------
 
 
-def collapse_unit_coordinates(m, bound=1):
-    """Shrink every coordinate graph of diameter at most the bound to a
-    single vertex.
+def collapse_unit_coordinates(m):
+    """Shrink every coordinate graph of diameter at most one to a single
+    vertex.
 
     A coordinate graph that small carries no geometry at the model's
-    scale, so the collapse changes every distance by at most the bound;
+    scale, so the collapse changes every distance by at most one;
     the kept vertex is the sorted-first one.  Projections and the
     downward tables are rewritten to land on the kept vertices and the
     constants are measured afresh.
@@ -1592,7 +1570,7 @@ def collapse_unit_coordinates(m, bound=1):
     small = {}
     for u in m.index.domains:
         nodes = sorted(m.coord_graphs[u].nodes())
-        if len(nodes) > 1 and _dist_matrix(m, u)[1].max() <= bound:
+        if len(nodes) > 1 and _dist_matrix(m, u)[1].max() <= 1:
             small[u] = nodes[0]
     if not small:
         return m

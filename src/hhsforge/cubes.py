@@ -90,11 +90,15 @@ def _cells(n):
 def _ctx(g):
     """The distance matrix of a complex on its sorted vertices, with the
     caches built on it, kept among the graph's attributes.  A graph of
-    another type is converted once; ctx["graph"] is the Graph.  Copies
-    of a graph carry its attributes along, so a context serves only
-    the graphs it was built for."""
+    another type is converted once; ctx["graph"] is the Graph.  A graph
+    can change after it was analysed, and copies carry its attributes
+    along, so a context is reused only while the graph's nodes, edges
+    and edge labels are the ones it was built from.  Each public
+    function calls this once and passes the context down."""
+    shape = (tuple(g.nodes()),
+             tuple((a, b, g[a][b].get("label")) for a, b in g.edges()))
     ctx = g.graph.get("_cube_ctx")
-    if ctx is None or not any(h is g for h in ctx["owners"]):
+    if ctx is None or ctx["shape"] != shape:
         local = as_graph(g)
         vertices = tuple(sorted(local.nodes()))
         d = apsp(local, vertices)
@@ -102,7 +106,7 @@ def _ctx(g):
             raise CubeError("graph not connected")
         ctx = {"graph": local, "vertices": vertices, "D": d, "gates": {},
                "index": dict((v, i) for i, v in enumerate(vertices)),
-               "owners": (g, local)}
+               "shape": shape}
         g.graph["_cube_ctx"] = local.graph["_cube_ctx"] = ctx
     return ctx
 
@@ -209,7 +213,10 @@ def hyperplanes(g):
     of their class as id; otherwise ids are h0, h1, ... in order of the
     least edge.
     """
-    ctx = _ctx(g)
+    return _hyperplanes(_ctx(g))
+
+
+def _hyperplanes(ctx):
     if "hyperplanes" in ctx:
         return ctx["hyperplanes"]
     g = ctx["graph"]
@@ -278,12 +285,11 @@ def hyperplanes(g):
     return out
 
 
-def _crossing(ctx, g, s):
+def _crossing(ctx, s):
     """Hyperplane ids separating some pair inside s (its internal edges
     suffice for convex s)."""
-    hs = hyperplanes(g)
     out = set()
-    for h in hs:
+    for h in _hyperplanes(ctx):
         if any(v in h.halfspaces[0] for v in s) and \
            any(v in h.halfspaces[1] for v in s):
             out.add(h.hid)
@@ -292,7 +298,7 @@ def _crossing(ctx, g, s):
 
 def crossing_set(g, s):
     """Hyperplane ids separating two vertices of s."""
-    return _crossing(_ctx(g), g, frozenset(s))
+    return _crossing(_ctx(g), frozenset(s))
 
 
 def gate(g, x, y):
@@ -322,11 +328,13 @@ def parallel_class(g, f):
     the whole of f; the enumeration is complete because the copies of a
     convex set form a connected product region.
     """
-    ctx = _ctx(g)
-    f = frozenset(f)
+    return _parallel_class(_ctx(g), frozenset(f))
+
+
+def _parallel_class(ctx, f):
     _require_convex(ctx, f, "parallel seed")
-    hs = hyperplanes(g)
-    key = _crossing(ctx, g, f)
+    hs = _hyperplanes(ctx)
+    key = _crossing(ctx, f)
     seen = {f}
     queue = [f]
     while queue:
@@ -337,7 +345,7 @@ def parallel_class(g, f):
             if all(v in h.partner for v in cur):
                 moved = frozenset(h.partner[v] for v in cur)
                 if moved not in seen:
-                    if _crossing(ctx, g, moved) != key:
+                    if _crossing(ctx, moved) != key:
                         raise CubeError("parallel copy changes the crossing"
                                         " set, witness %s"
                                         % ",".join(sorted(moved)))
@@ -355,13 +363,15 @@ def orthogonal_complement_at(g, f, base):
     leaving base along f, then gate every side of every hyperplane
     crossing f into that intersection and intersect the images.
     """
-    ctx = _ctx(g)
-    f = frozenset(f)
+    return _orthogonal_complement_at(_ctx(g), frozenset(f), base)
+
+
+def _orthogonal_complement_at(ctx, f, base):
     if base not in f:
         raise CubeError("base vertex outside the set, witness %s" % base)
     _require_convex(ctx, f, "complement seed")
     g = ctx["graph"]
-    hs = hyperplanes(g)
+    hs = _hyperplanes(ctx)
     by_id = ctx["hyp_by_id"]
     touching = set()
     for v in f:
@@ -376,7 +386,7 @@ def orthogonal_complement_at(g, f, base):
         y &= side
     y = frozenset(y)
     out = y
-    for hid in sorted(_crossing(ctx, g, f)):
+    for hid in sorted(_crossing(ctx, f)):
         h = by_id[hid]
         for side in h.sides:
             out &= _gate_image(ctx, y, side)
@@ -394,11 +404,12 @@ def hyperclosure(g, depth_cap=None):
     keeps a genuine gate image as representative.  Singletons (empty
     keys) are dropped throughout.
     """
+    rim = frozenset(g.graph.get("rim", ()))
     ctx = _ctx(g)
     g = ctx["graph"]
     if g.number_of_edges() == 0:
         raise CubeError("complex needs at least one edge")
-    hs = hyperplanes(g)
+    hs = _hyperplanes(ctx)
     if depth_cap is None:
         depth_cap = 10 * max(1, len(hs))
     reps = {}
@@ -413,7 +424,7 @@ def hyperclosure(g, depth_cap=None):
     for h in hs:
         for side in h.sides:
             if len(side) > 1:
-                offer(_crossing(ctx, g, side), side)
+                offer(_crossing(ctx, side), side)
     rounds = 0
     while True:
         rounds += 1
@@ -426,7 +437,7 @@ def hyperclosure(g, depth_cap=None):
             key = k1 & k2
             if key and key not in reps:
                 image = _gate_image(ctx, reps[k1], reps[k2])
-                if _crossing(ctx, g, image) != key:
+                if _crossing(ctx, image) != key:
                     raise CubeError("gate image changes the crossing set,"
                                     " witness %s" % ",".join(sorted(image)))
                 added.append((key, image))
@@ -434,7 +445,6 @@ def hyperclosure(g, depth_cap=None):
             break
         for key, rep in added:
             offer(key, rep)
-    rim = frozenset(g.graph.get("rim", ()))
     records = []
     ordered = sorted(reps, key=lambda k: (len(k), sorted(k)))
     counter = 0
@@ -444,7 +454,7 @@ def hyperclosure(g, depth_cap=None):
         else:
             cid = "[c%d]" % counter
             counter += 1
-        pc = parallel_class(g, reps[key])
+        pc = _parallel_class(ctx, reps[key])
         minimal = not any(other < key for other in reps)
         boundary = bool(rim) and all(mem & rim for mem in pc.members)
         records.append(ClassRecord(cid, key, pc.representative, pc.members,
@@ -467,14 +477,15 @@ def check_complement_involution(g, hc=None):
         rec = hc.classes[cid]
         if cid == hc.top:
             continue
-        comp = orthogonal_complement_at(g, rec.rep, min(rec.rep))
-        comp_key = _crossing(ctx, g, comp)
+        comp = _orthogonal_complement_at(ctx, rec.rep, min(rec.rep))
+        comp_key = _crossing(ctx, comp)
         if comp_key not in hc.by_key:
             return PropertyReport("complement_involution", False, (cid,))
         comp_id = hc.by_key[comp_key]
         comp_rec = hc.classes[comp_id]
-        back = orthogonal_complement_at(g, comp_rec.rep, min(comp_rec.rep))
-        if _crossing(ctx, g, back) != rec.key:
+        back = _orthogonal_complement_at(ctx, comp_rec.rep,
+                                         min(comp_rec.rep))
+        if _crossing(ctx, back) != rec.key:
             return PropertyReport("complement_involution", False,
                                   (cid, comp_id))
     return PropertyReport("complement_involution", True)
@@ -483,16 +494,15 @@ def check_complement_involution(g, hc=None):
 # -- model extraction ---------------------------------------------------
 
 
-def _complement_keys(g, hc):
-    ctx = _ctx(g)
+def _complement_keys(ctx, hc):
     out = {}
     for cid in hc.order:
         rec = hc.classes[cid]
         if cid == hc.top:
             out[cid] = frozenset()
             continue
-        comp = orthogonal_complement_at(g, rec.rep, min(rec.rep))
-        out[cid] = _crossing(ctx, g, comp)
+        comp = _orthogonal_complement_at(ctx, rec.rep, min(rec.rep))
+        out[cid] = _crossing(ctx, comp)
     return out
 
 
@@ -506,12 +516,9 @@ def index_set_from_hyperclosure(g, hc=None):
     """
     if hc is None:
         hc = hyperclosure(g)
-    if not hc.weak_factor_system:
-        raise CubeError("not a weak factor system, longest chain %d"
-                        % hc.chain_length)
     ctx = _ctx(g)
     g = ctx["graph"]
-    comp = _complement_keys(g, hc)
+    comp = _complement_keys(ctx, hc)
     ids = list(hc.order)
     nesting = []
     orth = []

@@ -381,7 +381,8 @@ def orth_complement(s, parts, ambient):
 def depth_stats(s, u):
     """Longest proper chains from u up to the top (co_level) and below u (level)."""
     s.check_ids(u)
-    if not hasattr(s, "_depths"):
+
+    def compute():
         # nested domains have strictly smaller up-sets, so ascending up-set
         # size is a valid evaluation order, and dually for down-sets
         colv, lev = {}, {}
@@ -391,8 +392,9 @@ def depth_stats(s, u):
         for x in sorted(s.domains, key=lambda y: (len(s.down[y]), y)):
             below = s.down[x] - {x}
             lev[x] = 1 + max(lev[v] for v in below) if below else 0
-        s._depths = (colv, lev)
-    colv, lev = s._depths
+        return colv, lev
+
+    colv, lev = s._memo(("depths",), compute)
     return {"co_level": colv[u], "level": lev[u]}
 
 

@@ -28,9 +28,18 @@ class LatticeError(ValueError):
 class OrthoLattice(object):
     """Finite ortholattice given by down-sets and a complement map.
 
-    down maps each element to the set of elements below it (inclusive);
-    meet and join tables are derived and every axiom is table-checked at
-    construction time.
+    down maps each element to the set of elements below it (inclusive).
+    Construction derives the meet and join tables, requiring a unique
+    maximal common lower bound and a unique minimal common upper bound
+    for every pair, then checks that the order is reflexive, bounded and
+    transitive, and that the complement swaps top and bottom, is an
+    order-reversing involution and satisfies both complement laws.
+    Antisymmetry needs no check: if x is in its own down-set and x and y
+    lie below each other, no element of down[x] is maximal there, so
+    the meet of x with itself already failed.  The lattice laws need no
+    check either: in a finite poset a unique maximal common lower bound
+    is the greatest one, and greatest lower and least upper bounds obey
+    them.
     """
 
     def __init__(self, down, comp, top, bottom):
@@ -39,6 +48,7 @@ class OrthoLattice(object):
         self.comp = dict(comp)
         self.top = top
         self.bottom = bottom
+        self._heights = None
         self._build_tables()
         self._validate()
 
@@ -86,25 +96,8 @@ class OrthoLattice(object):
             if self.bottom not in self.down[x] or x not in self.down[self.top]:
                 raise LatticeError("not bounded, witness %s" % x)
             for y in self.down[x]:
-                if x in self.down[y] and x != y:
-                    raise LatticeError("order not antisymmetric, witness %s %s" % (x, y))
                 if not (self.down[y] <= self.down[x]):
                     raise LatticeError("order not transitive, witness %s %s" % (x, y))
-        for a in els:
-            if self.meet(a, a) != a or self.join(a, a) != a:
-                raise LatticeError("not idempotent, witness %s" % a)
-            for b in els:
-                if self.meet(a, b) != self.meet(b, a) or self.join(a, b) != self.join(b, a):
-                    raise LatticeError("not commutative, witness %s %s" % (a, b))
-                if self.leq(a, b) != (self.meet(a, b) == a):
-                    raise LatticeError("meet disagrees with order, witness %s %s" % (a, b))
-                for c in els:
-                    if self.meet(a, self.meet(b, c)) != self.meet(self.meet(a, b), c):
-                        raise LatticeError(
-                            "meet not associative, witness %s %s %s" % (a, b, c))
-                    if self.join(a, self.join(b, c)) != self.join(self.join(a, b), c):
-                        raise LatticeError(
-                            "join not associative, witness %s %s %s" % (a, b, c))
         if self.comp[self.top] != self.bottom or self.comp[self.bottom] != self.top:
             raise LatticeError("complement must swap top and bottom")
         for x in els:
@@ -119,9 +112,9 @@ class OrthoLattice(object):
                     raise LatticeError(
                         "complement not order-reversing, witness %s %s" % (x, y))
 
-    def height(self, x, _memo=None):
+    def height(self, x):
         """Longest chain from the bottom up to x, counted in steps."""
-        if not hasattr(self, "_heights"):
+        if self._heights is None:
             h = {}
             for y in sorted(self.elements, key=lambda z: (len(self.down[z]), z)):
                 below = self.down[y] - {y}
@@ -338,7 +331,7 @@ def _embed(L, T):
     return extend(0, {}, set()), tried[0]
 
 
-def search_orthomodular_extension(L, max_size, hard_cap=HARD_CAP):
+def search_orthomodular_extension(L, max_size):
     """Look for an orthomodular lattice of at most max_size receiving L.
 
     An already-orthomodular L embeds in itself.  Otherwise the target family
@@ -346,8 +339,8 @@ def search_orthomodular_extension(L, max_size, hard_cap=HARD_CAP):
     examined and how many assignment extensions the backtracker tried, so a
     NotFound is reproducible data about the family, not a proof.
     """
-    if max_size > hard_cap:
-        raise LatticeError("cap exceeded: max_size %d > %d" % (max_size, hard_cap))
+    if max_size > HARD_CAP:
+        raise LatticeError("cap exceeded: max_size %d > %d" % (max_size, HARD_CAP))
     if is_orthomodular(L).verdict:
         return {"found": True, "target": "self",
                 "mapping": {x: x for x in L.elements},
@@ -358,8 +351,6 @@ def search_orthomodular_extension(L, max_size, hard_cap=HARD_CAP):
         if size < len(L.elements):
             continue
         target = build()
-        if not is_orthomodular(target).verdict:
-            raise LatticeError("target family broke, witness %s" % name)
         examined += 1
         mapping, tried = _embed(L, target)
         tried_total += tried

@@ -27,6 +27,9 @@ from .indexset import (
 
 METRIC_PROPERTIES = ("dpr", "edpr", "bounded_split", "normalised")
 
+# the (K, C) fits try the slopes K = 1 .. MAX_SLOPE
+MAX_SLOPE = 10
+
 
 class ModelError(ValueError):
     pass
@@ -94,6 +97,7 @@ class HHSModel:
         self._zdist = None
         self._image_cache = {}
         self._metric_cache = None
+        self._bullet_cache = None
         self._threshold_cache = None
         self._validate()
         if E is None:
@@ -403,17 +407,21 @@ def _bullet_rows(m):
     """rows[v][0, z] and rows[v][1, z]: the nested and the transverse
     realisation bullet of a family member v at the point z, the largest
     distance from z's projection to a relative projection of v into a
-    domain that v is nested in, or transverse to."""
-    ks = _metrics(m)
-    rows = {}
-    for v in m.index.domains:
-        row = rows[v] = np.zeros((2, len(m.points)), dtype=np.int32)
-        for w in m.index.domains:
-            rel = relation(m.index, v, w)
-            if rel in (NESTED_IN, TRANSVERSE):
-                i = int(rel == TRANSVERSE)
-                row[i] = np.maximum(row[i], ks[w].to_set(m.rho_up[(v, w)]))
-    return rows
+    domain that v is nested in, or transverse to.  Built once per model
+    and shared, so callers must not write to it."""
+    if m._bullet_cache is None:
+        ks = _metrics(m)
+        rows = {}
+        for v in m.index.domains:
+            row = rows[v] = np.zeros((2, len(m.points)), dtype=np.int32)
+            for w in m.index.domains:
+                rel = relation(m.index, v, w)
+                if rel in (NESTED_IN, TRANSVERSE):
+                    i = int(rel == TRANSVERSE)
+                    row[i] = np.maximum(row[i],
+                                        ks[w].to_set(m.rho_up[(v, w)]))
+        m._bullet_cache = rows
+    return m._bullet_cache
 
 
 def _space_dist(m):
@@ -565,14 +573,14 @@ def distance_estimate(m, x, y, threshold):
     return total
 
 
-def distance_profile(m, threshold, max_k=10):
+def distance_profile(m, threshold):
     """Best (K, C) comparing the estimate with the point-graph metric."""
     gaps = (k.point_gap() for k in _metrics(m).values())
     upper = np.triu_indices(len(m.points), 1)
     est = sum(np.where(g > threshold, g, 0) for g in gaps)[upper]
     dz = _space_dist(m)[upper]
     best = None
-    for k in range(1, max_k + 1):
+    for k in range(1, MAX_SLOPE + 1):
         c = int(np.max(np.concatenate([est - k * dz, dz - k * est, [0]])))
         if best is None or (c, k) < best:
             best = (c, k)

@@ -1,7 +1,9 @@
 import itertools
+import os
 import unittest
 
 import networkx as nx
+import pytest
 
 from hhsforge import cubes
 from hhsforge.chhs import (
@@ -51,9 +53,12 @@ from hhsforge.indexset import (
     IndexSet,
     check_property,
 )
-from hhsforge.model import HHSModel
+from hhsforge.model import HHSModel, load_model
 
 from helpers import as_nx, make_rect_model, make_star_model
+from test_measure_kernel import glued, tree_times_path
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 _CACHE = {}
@@ -87,6 +92,25 @@ def gamma_pipeline(depth):
         x = blow_up(m)
         _CACHE[key] = (m, x, build_w(m, x))
     return _CACHE[key]
+
+
+def assert_blowup_shape(m):
+    """What blow_up builds by construction: complete joins between the
+    cones of orthogonal minimal domains and discrete cone bases.  A
+    clique then holds an apex and one base vertex per cone of an
+    orthogonal family, so the largest has twice the widest family."""
+    x = blow_up(m)
+    for u, v in x.base.edges():
+        for a in x.cone(u):
+            for b in x.cone(v):
+                assert x.blown.has_edge(a, b), (a, b)
+    for u in x.minimal:
+        base = [v for v in x.cone(u) if v != x.apex(u)]
+        for a, b in itertools.combinations(base, 2):
+            assert not x.blown.has_edge(a, b), (a, b)
+    top = max(len(c) for c in nx.find_cliques(as_nx(x.blown)))
+    s = m.index
+    assert top == 2 * max(len(f) for f in s.families(s.top)), top
 
 
 def names(vs):
@@ -148,6 +172,30 @@ class TestBlowUp(unittest.TestCase):
             top = max(len(s) for s in maximal_simplices(x))
             self.assertLessEqual(top, 2 * width, name)
 
+    def test_shape_on_fixtures(self):
+        for name in ("chain.model", "gamma4.model", "product.model",
+                     "grid.cplx", "square.cplx"):
+            with self.subTest(name=name), \
+                 open(os.path.join(ROOT, "fixtures", name),
+                      encoding="utf-8") as f:
+                text = f.read()
+                if name.endswith(".cplx"):
+                    m = cubes.index_set_from_hyperclosure(
+                        cubes.load_complex(text))
+                else:
+                    m = load_model(text)
+                assert_blowup_shape(m)
+
+    def test_shape_on_glued_and_grids(self):
+        for depth in range(2, 7):
+            for m in glued(depth):
+                with self.subTest(depth=depth, E=m.E):
+                    assert_blowup_shape(m)
+        for size in range(3, 8):
+            with self.subTest(size=size):
+                assert_blowup_shape(cubes.index_set_from_hyperclosure(
+                    cubes.grid_complex(size, size)))
+
     def test_apex_collision(self):
         index = IndexSet(["S", "V"], [("V", "S")], [])
         gv = nx.relabel_nodes(nx.path_graph(2), {0: "*", 1: "v1"})
@@ -161,6 +209,24 @@ class TestBlowUp(unittest.TestCase):
         with self.assertRaises(ChhsError) as err:
             blow_up(m)
         self.assertIn("apex marker collides", str(err.exception))
+
+
+def test_blowup_shape_on_small_median_graphs():
+    """Products of a random tree with up to seven vertices and a path
+    with one to four edges."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    parents = st.integers(0, 6).flatmap(lambda n: st.tuples(
+        *(st.integers(0, i) for i in range(n))))
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(parents, st.integers(1, 4))
+    def check(parents, length):
+        assert_blowup_shape(cubes.index_set_from_hyperclosure(
+            tree_times_path(parents, length)))
+
+    check()
 
 
 class TestSimplexCalculus(unittest.TestCase):

@@ -7,6 +7,7 @@ import networkx as nx
 
 from hhsforge import cubes
 from hhsforge.cubes import CubeError
+from hhsforge.graph import Graph
 from hhsforge.indexset import check_property, split_info
 from hhsforge.model import check_metric_property
 
@@ -167,9 +168,9 @@ class TestParallelism(unittest.TestCase):
         real = cubes._crossing
         calls = []
 
-        def drifting(ctx, g, s):
+        def drifting(ctx, s):
             calls.append(s)
-            return real(ctx, g, s) if len(calls) == 1 else frozenset()
+            return real(ctx, s) if len(calls) == 1 else frozenset()
 
         with mock.patch.object(cubes, "_crossing", side_effect=drifting):
             with self.assertRaises(CubeError) as err:
@@ -464,6 +465,44 @@ class TestFigureAdjacency(unittest.TestCase):
             if keep[b] in m.index.orth[keep[a]]:
                 got.add(tuple(sorted((a, b))))
         self.assertEqual(got, expected)
+
+
+class TestContextFollowsTheGraph(unittest.TestCase):
+    """A graph analysed once and changed afterwards, or a copy changed
+    after the original was analysed, gives what a fresh graph with the
+    same edges gives."""
+
+    def check_chord(self, g):
+        cubes.validate_median_graph(g)
+        self.assertEqual(cubes.four_point_delta(g), 1.0)
+        g.add_edge("a", "c")
+        self.assertEqual(cubes.four_point_delta(g), 0.5)
+        with self.assertRaises(CubeError) as err:
+            cubes.validate_median_graph(g)
+        self.assertEqual(str(err.exception), "not median, witness a b c")
+
+    def test_chord_added_to_the_graph(self):
+        g = Graph()
+        g.add_edges_from([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+        self.check_chord(g)
+
+    def test_chord_added_to_a_copy(self):
+        g = square()
+        cubes.validate_median_graph(g)
+        self.check_chord(nx.Graph(g))
+        # the original keeps its own analysis
+        self.assertEqual(cubes.four_point_delta(g), 1.0)
+
+    def test_relabelled_edges_give_new_ids(self):
+        g = Graph()
+        for a, b, label in (("a", "b", "x"), ("c", "d", "x"),
+                            ("b", "c", "y"), ("d", "a", "y")):
+            g.add_edge(a, b, label=label)
+        self.assertEqual([h.hid for h in cubes.hyperplanes(g)], ["x", "y"])
+        g.add_edge("a", "b", label="z")
+        g.add_edge("c", "d", label="z")
+        self.assertEqual(sorted(h.hid for h in cubes.hyperplanes(g)),
+                         ["y", "z"])
 
 
 class TestFilesAndExport(unittest.TestCase):

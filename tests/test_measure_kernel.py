@@ -428,6 +428,23 @@ def test_small_median_graphs_realisation():
     check()
 
 
+class BulletTableOnce(unittest.TestCase):
+
+    def test_gamma4_builds_it_once(self):
+        # one build asks one to_set per ordered nested or transverse pair
+        m = fixture_model("gamma4.model")
+        pairs = sum(1 for v, w in itertools.permutations(m.index.domains, 2)
+                    if relation(m.index, v, w) in (NESTED_IN, TRANSVERSE))
+        families = list(family_choices(m))[1:3]
+        with mock.patch.object(model._Metric, "to_set", autospec=True,
+                               side_effect=model._Metric.to_set) as to_set:
+            for family in families:
+                realise(m, family)
+            chhs.thresholds(m)
+        self.assertGreater(pairs, 0)
+        self.assertEqual(to_set.call_count, pairs)
+
+
 class CliDistanceGuard(unittest.TestCase):
     """No subcommand asks HHSModel.dist or diam anything: every path
     from the command line reads the per-domain arrays."""
