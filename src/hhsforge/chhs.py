@@ -19,7 +19,8 @@ import math
 import numpy as np
 
 from .cubes import _four_point, graph_dot
-from .graph import Graph, apsp, enumerate_all_cliques, is_connected
+from .graph import (Graph, apsp, chain_lengths, enumerate_all_cliques,
+                    is_connected)
 from .indexset import (
     CONTAINS,
     EQUAL,
@@ -28,6 +29,7 @@ from .indexset import (
     TRANSVERSE,
     PropertyReport,
     complexity,
+    content_lines,
     depth_stats,
     orth_complement,
     relation,
@@ -792,17 +794,9 @@ def check_chhs(m, w):
     classes = simplex_classes(x)
     nonmax = [c for c in classes if not c.maximal]
 
-    by_size = sorted(classes, key=lambda c: (len(c.link), sorted(c.link)))
-    chain = {}
-    best_chain = 0
-    for c in by_size:
-        chain[c.id] = 1
-        for d in by_size:
-            if len(d.link) >= len(c.link):
-                break
-            if d.link < c.link:
-                chain[c.id] = max(chain[c.id], chain[d.id] + 1)
-        best_chain = max(best_chain, chain[c.id])
+    by_size = sorted(classes, key=lambda c: len(c.link))
+    best_chain = 1 + max(chain_lengths(
+        by_size, lambda c: (d for d in by_size if d.link < c.link)).values())
     cond1 = PropertyReport("bounded_chains", True, None)
     cond1.constant = best_chain
 
@@ -1296,10 +1290,8 @@ def check_containment_reversal(x):
 
 
 def _bar_simplices(x):
-    out = [()]
-    for clique in enumerate_all_cliques(x.base):
-        out.append(tuple(sorted(clique)))
-    return out
+    s = x.model.index
+    return ((),) + s.cliques(s.minimal_domains())
 
 
 def check_link_complements(x):
@@ -1525,11 +1517,7 @@ def check_equivariance(m, w, g):
 def load_automorphism(text):
     """Parse domain/coord/point mapping lines."""
     g = {"domains": {}, "coords": {}, "points": {}}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in content_lines(text):
         if parts[0] == "domain" and len(parts) == 3:
             g["domains"][parts[1]] = parts[2]
         elif parts[0] == "coord" and len(parts) == 4:

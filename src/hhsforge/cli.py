@@ -130,7 +130,7 @@ def cmd_cubes(args):
     g = cubes.load_complex(_read(args.input))
     cubes.validate_median_graph(g)
     hps = cubes.hyperplanes(g)
-    hc = cubes.hyperclosure(g, depth_cap=args.depth_cap)
+    hc = cubes.hyperclosure(g)
     out = ["vertices=%d" % g.number_of_nodes(),
            "edges=%d" % g.number_of_edges(),
            "hyperplanes=%d" % len(hps),
@@ -151,7 +151,7 @@ def cmd_cubes(args):
 
 def cmd_counterexample(args):
     g = cubes.build_counterexample(args.depth)
-    hc = cubes.hyperclosure(g, depth_cap=args.depth_cap)
+    hc = cubes.hyperclosure(g)
     raw = cubes.index_set_from_hyperclosure(g, hc)
     m = chhs.collapse_unit_coordinates(raw)
     minimal = [cid for cid in hc.order if hc.classes[cid].minimal]
@@ -279,8 +279,6 @@ def _parser():
     p = add("cubes", cmd_cubes,
             help="validate a complex and extract its model")
     p.add_argument("input")
-    p.add_argument("--depth-cap", type=int, default=None,
-                   help="abort the closure beyond this many rounds")
     p.add_argument("--emit-minorth", metavar="PATH",
                    help="write the minimal orthogonality graph as DOT")
     p.add_argument("--format", choices=("text", "dot"), default="text")
@@ -289,7 +287,6 @@ def _parser():
             help="build the glued-complex fixture at a given depth")
     p.add_argument("--depth", type=int, default=4,
                    help="truncation depth (default 4)")
-    p.add_argument("--depth-cap", type=int, default=None)
     p.add_argument("--emit-minorth", metavar="PATH")
     p.add_argument("--format", choices=("text", "dot"), default="text")
 

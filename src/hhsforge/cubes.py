@@ -11,9 +11,9 @@ import itertools
 
 import numpy as np
 
-from .graph import Graph, apsp, as_graph, components
-from .indexset import (IndexSet, PropertyReport, relation, NESTED_IN,
-                       TRANSVERSE)
+from .graph import Graph, apsp, as_graph, chain_lengths, components
+from .indexset import (IndexSet, PropertyReport, content_lines, relation,
+                       NESTED_IN, TRANSVERSE)
 from .model import HHSModel
 
 
@@ -396,13 +396,20 @@ def _orthogonal_complement_at(ctx, f, base):
 # -- hyperclosure -------------------------------------------------------
 
 
-def hyperclosure(g, depth_cap=None):
+def hyperclosure(g):
     """Close combinatorial hyperplanes and Z under gates and parallelism.
 
     The crossing set of a gate image is the intersection of the two
     crossing sets, so each round intersects the keys found so far and
     keeps a genuine gate image as representative.  Singletons (empty
     keys) are dropped throughout.
+
+    The loop ends without a cap.  Every key is an intersection of
+    starting keys, and with H hyperplanes any such intersection is one
+    of at most H starting keys, one missing each hyperplane it lacks.
+    After round r every nonempty intersection of up to 2^r starting keys
+    is present, so a round adds nothing within ceil(log2(H + 1)) + 1
+    rounds.
     """
     rim = frozenset(g.graph.get("rim", ()))
     ctx = _ctx(g)
@@ -410,8 +417,6 @@ def hyperclosure(g, depth_cap=None):
     if g.number_of_edges() == 0:
         raise CubeError("complex needs at least one edge")
     hs = _hyperplanes(ctx)
-    if depth_cap is None:
-        depth_cap = 10 * max(1, len(hs))
     reps = {}
 
     def offer(key, rep):
@@ -425,12 +430,7 @@ def hyperclosure(g, depth_cap=None):
         for side in h.sides:
             if len(side) > 1:
                 offer(_crossing(ctx, side), side)
-    rounds = 0
     while True:
-        rounds += 1
-        if rounds > depth_cap:
-            raise CubeError("did not stabilize within depth_cap %d"
-                            % depth_cap)
         added = []
         keys = sorted(reps, key=sorted)
         for k1, k2 in itertools.combinations(keys, 2):
@@ -459,33 +459,22 @@ def hyperclosure(g, depth_cap=None):
         boundary = bool(rim) and all(mem & rim for mem in pc.members)
         records.append(ClassRecord(cid, key, pc.representative, pc.members,
                                    minimal, boundary))
-    chain = 1
-    length = {}
-    for key in ordered:
-        length[key] = 1 + max([length[o] for o in ordered
-                               if o < key] or [0])
-        chain = max(chain, length[key])
-    return Hyperclosure(g, hs, records, chain)
+    steps = chain_lengths(ordered, lambda k: (o for o in ordered if o < k))
+    return Hyperclosure(g, hs, records, 1 + max(steps.values()))
 
 
 def check_complement_involution(g, hc=None):
     """Complements of classes stay in the closure and square to identity."""
     if hc is None:
         hc = hyperclosure(g)
-    ctx = _ctx(g)
+    comp = _complement_keys(_ctx(g), hc)
     for cid in hc.order:
-        rec = hc.classes[cid]
         if cid == hc.top:
             continue
-        comp = _orthogonal_complement_at(ctx, rec.rep, min(rec.rep))
-        comp_key = _crossing(ctx, comp)
-        if comp_key not in hc.by_key:
+        if comp[cid] not in hc.by_key:
             return PropertyReport("complement_involution", False, (cid,))
-        comp_id = hc.by_key[comp_key]
-        comp_rec = hc.classes[comp_id]
-        back = _orthogonal_complement_at(ctx, comp_rec.rep,
-                                         min(comp_rec.rep))
-        if _crossing(ctx, back) != rec.key:
+        comp_id = hc.by_key[comp[cid]]
+        if comp[comp_id] != hc.classes[cid].key:
             return PropertyReport("complement_involution", False,
                                   (cid, comp_id))
     return PropertyReport("complement_involution", True)
@@ -495,6 +484,9 @@ def check_complement_involution(g, hc=None):
 
 
 def _complement_keys(ctx, hc):
+    """Crossing set of the complement of every class at the least vertex
+    of its representative; the top class's complement is that vertex
+    alone, which crosses nothing."""
     out = {}
     for cid in hc.order:
         rec = hc.classes[cid]
@@ -707,11 +699,7 @@ def load_complex(text):
     def said(label):
         return "no label" if label is None else "label %s" % label
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in content_lines(text):
         if parts[0] == "vertex" and len(parts) == 2:
             g.add_node(parts[1])
         elif parts[0] == "edge" and len(parts) in (3, 4):

@@ -4,16 +4,13 @@
 insertion order, with one data dict per edge shared by both ends.  It
 offers only what the package uses.  Nodes, neighbours and edges come
 out in the order the common Python graph library gives for the same
-additions, and the clique enumerations below follow its functions of
-the same names step by step, so every witness and every listing that
-follows iteration order stays as it was when that library built the
-graphs.  Public functions take any graph with `nodes()` and `edges()`
-and convert it once with `as_graph`.
+additions, so every witness and every listing that follows iteration
+order stays as it was when that library built the graphs.  Public
+functions take any graph with `nodes()` and `edges()` and convert it
+once with `as_graph`.
 
 `apsp` is the one distance kernel: a breadth-first search from every
-vertex at once over a padded neighbour table.  `find_cliques` pivots on
-the vertex with the most candidate neighbours (Tomita, Tanaka and
-Takahashi, TCS 363, 2006).
+vertex at once over a padded neighbour table.
 """
 
 import collections
@@ -191,7 +188,17 @@ def reachability(nodes, edges):
     return out
 
 
-# -- cliques -----------------------------------------------------------
+# -- orders and cliques ------------------------------------------------
+
+
+def chain_lengths(order, below):
+    """Steps in the longest chain that descends from each element:
+    `below(x)` gives the elements strictly below x, and `order` lists
+    every element after all of those below it."""
+    out = {}
+    for x in order:
+        out[x] = 1 + max((out[y] for y in below(x)), default=-1)
+    return out
 
 
 def enumerate_all_cliques(g):
@@ -211,40 +218,3 @@ def enumerate_all_cliques(g):
             queue.append((itertools.chain(base, [u]),
                           filter(nbrs[u].__contains__,
                                  itertools.islice(cnbrs, i + 1, None))))
-
-
-def find_cliques(g):
-    """Every maximal clique once, as lists, by Bron-Kerbosch with a
-    pivot that has the most candidate neighbours."""
-    if len(g) == 0:
-        return
-    adj = {u: {v for v in g[u] if v != u} for u in g}
-    q = [None]
-    cand = set(g)
-    subg = cand.copy()
-    stack = []
-    u = max(subg, key=lambda u: len(cand & adj[u]))
-    ext_u = cand - adj[u]
-    while True:
-        if ext_u:
-            v = ext_u.pop()
-            cand.remove(v)
-            q[-1] = v
-            adj_v = adj[v]
-            subg_v = subg & adj_v
-            if not subg_v:
-                yield q[:]
-            else:
-                cand_v = cand & adj_v
-                if cand_v:
-                    stack.append((subg, cand, ext_u))
-                    q.append(None)
-                    subg = subg_v
-                    cand = cand_v
-                    u = max(subg, key=lambda u: len(cand & adj[u]))
-                    ext_u = cand - adj[u]
-        else:
-            q.pop()
-            if not stack:
-                return
-            subg, cand, ext_u = stack.pop()

@@ -15,7 +15,7 @@ are fine.
 import itertools
 import re
 
-from .graph import Graph, find_cliques, reachability
+from .graph import Graph, chain_lengths, enumerate_all_cliques, reachability
 
 EQUAL = "Equal"
 NESTED_IN = "NestedIn"
@@ -193,14 +193,23 @@ class IndexSet(object):
                          if v in self.orth[u])
         return g
 
+    def cliques(self, domains):
+        """Every nonempty pairwise-orthogonal family of the given
+        domains, as sorted tuples ordered by size and then by tuple."""
+        domains = tuple(sorted(domains))
+        # on nodes in sorted order the enumeration is already in this
+        # order, each clique listed in node order
+        return self._memo(("cliques", domains), lambda: tuple(
+            tuple(c) for c in enumerate_all_cliques(self.orth_graph(domains))))
+
     def families(self, u):
         """Maximal pairwise-orthogonal families of the minimal domains
-        nested in u: sorted tuples, in sorted order."""
-        def compute():
-            below = [w for w in self.minimal_domains() if w in self.down[u]]
-            cliques = find_cliques(self.orth_graph(below))
-            return tuple(sorted(tuple(sorted(c)) for c in cliques))
-        return self._memo(("families", u), compute)
+        nested in u: sorted tuples, in sorted order.  A family in u is
+        maximal when no minimal domain in u is orthogonal to all of it."""
+        below = self.down[u]
+        return self._memo(("families", u), lambda: tuple(sorted(
+            c for c in self.cliques(self.minimal_domains())
+            if below.issuperset(c) and not self.bar_link(c) & below)))
 
     def bar_link(self, parts):
         """The minimal domains orthogonal to every member of parts; all
@@ -254,6 +263,15 @@ class IndexSet(object):
 # -- file format --------------------------------------------------------
 
 
+def content_lines(text):
+    """(line number from 1, raw line, words) for every line of a line
+    format that says more than a `#` comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, raw, parts
+
+
 def load_index_set(text):
     """Parse the line-based index-set format.
 
@@ -264,11 +282,7 @@ def load_index_set(text):
     domains = []
     nest = []
     orth = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in content_lines(text):
         if parts[0] == "domain" and len(parts) == 2:
             if not ID_PATTERN.match(parts[1]):
                 raise IndexSetError("line %d: bad domain id %r" % (lineno, parts[1]))
@@ -385,14 +399,10 @@ def depth_stats(s, u):
     def compute():
         # nested domains have strictly smaller up-sets, so ascending up-set
         # size is a valid evaluation order, and dually for down-sets
-        colv, lev = {}, {}
-        for x in sorted(s.domains, key=lambda y: (len(s.up[y]), y)):
-            above = s.up[x] - {x}
-            colv[x] = 1 + max(colv[v] for v in above) if above else 0
-        for x in sorted(s.domains, key=lambda y: (len(s.down[y]), y)):
-            below = s.down[x] - {x}
-            lev[x] = 1 + max(lev[v] for v in below) if below else 0
-        return colv, lev
+        def longest(rel):
+            return chain_lengths(sorted(s.domains, key=lambda y: len(rel[y])),
+                                 lambda x: rel[x] - {x})
+        return longest(s.up), longest(s.down)
 
     colv, lev = s._memo(("depths",), compute)
     return {"co_level": colv[u], "level": lev[u]}

@@ -15,6 +15,7 @@ data about that family up to the size cap, never a proof of non-existence.
 
 import itertools
 
+from .graph import chain_lengths
 from .indexset import IndexSetError, PropertyReport, check_property, wedge
 
 BOTTOM = "Empty"
@@ -115,11 +116,9 @@ class OrthoLattice(object):
     def height(self, x):
         """Longest chain from the bottom up to x, counted in steps."""
         if self._heights is None:
-            h = {}
-            for y in sorted(self.elements, key=lambda z: (len(self.down[z]), z)):
-                below = self.down[y] - {y}
-                h[y] = 1 + max(h[z] for z in below) if below else 0
-            self._heights = h
+            self._heights = chain_lengths(
+                sorted(self.elements, key=lambda z: len(self.down[z])),
+                lambda y: self.down[y] - {y})
         return self._heights[x]
 
 

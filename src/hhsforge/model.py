@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from .graph import Graph, apsp, as_graph, enumerate_all_cliques, is_connected
+from .graph import Graph, apsp, as_graph, is_connected
 from .indexset import (
     CONTAINS,
     NESTED_IN,
@@ -19,6 +19,7 @@ from .indexset import (
     TRANSVERSE,
     IndexSet,
     PropertyReport,
+    content_lines,
     load_index_set,
     dump_index_set,
     relation,
@@ -148,6 +149,27 @@ class HHSModel:
                     if not cell or not cell <= small:
                         raise ModelError("bad downward projection,"
                                          " witness %s %s %s" % (u, v, w))
+        # every table entry must be one that a relation calls for
+        known = self.index.up
+        for u, x in self.pi:
+            if u not in known or x not in self._point_pos:
+                raise ModelError("projection outside the domains and points,"
+                                 " witness %s %s" % (u, x))
+        for u, v in self.rho_up:
+            if (u not in known or v not in known
+                    or relation(self.index, u, v) not in (NESTED_IN,
+                                                          TRANSVERSE)):
+                raise ModelError("relative projection needs a nested or"
+                                 " transverse pair, witness %s %s" % (u, v))
+        for (u, v), table in self.rho_down.items():
+            if u == v or u not in known or v not in known[u]:
+                raise ModelError("downward projection needs a nested pair,"
+                                 " witness %s %s" % (u, v))
+            stray = table.keys() - self.coord_graphs[v].nodes()
+            if stray:
+                raise ModelError("downward projection from outside the"
+                                 " coordinate graph, witness %s %s %s"
+                                 % (u, v, min(stray)))
 
     # -- distances ---------------------------------------------------
 
@@ -398,11 +420,6 @@ def _scan_large_links(m):
     return worst
 
 
-def _orth_cliques(s):
-    for clique in enumerate_all_cliques(s.orth_graph(s.domains)):
-        yield tuple(sorted(clique))
-
-
 def _bullet_rows(m):
     """rows[v][0, z] and rows[v][1, z]: the nested and the transverse
     realisation bullet of a family member v at the point z, the largest
@@ -451,7 +468,7 @@ def _scan_partial_realisation(m):
         # coord[v][z, j]: distance from z's projection to image vertex j
         coord[v] = k.near[np.ix_(k.point, images)]
     worst = 0
-    for family in _orth_cliques(m.index):
+    for family in m.index.cliques(m.index.domains):
         fam_base = np.max([base[v] for v in family], axis=(0, 1))
         head, last = family[:-1], family[-1]
         # every choice for the last member at once, the others in turn
@@ -796,19 +813,16 @@ def load_model(text, resolve=None):
     space_edges = []
     coord_nodes = {}
     coord_edges = {}
+    coord_lines = {}
     pi = {}
     rho_up = {}
     rho_down = {}
     e_value = None
     kappa_value = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, raw, parts in content_lines(text):
         key, args = parts[0], parts[1:]
         if key in ("domain", "nest", "orth"):
-            index_lines.append(line)
+            index_lines.append(" ".join(parts))
         elif key == "indexset":
             if len(args) != 1 or resolve is None:
                 raise ModelError("line %d: cannot resolve indexset" % lineno)
@@ -828,6 +842,7 @@ def load_model(text, resolve=None):
                 coord_edges.setdefault(args[0], []).append((args[2], args[3]))
             else:
                 raise ModelError("line %d: cannot parse %r" % (lineno, raw))
+            coord_lines.setdefault(args[0], lineno)
         elif key == "pi":
             if len(args) != 3:
                 raise ModelError("line %d: cannot parse %r" % (lineno, raw))
@@ -855,6 +870,10 @@ def load_model(text, resolve=None):
         else:
             raise ModelError("line %d: cannot parse %r" % (lineno, raw))
     index = load_index_set("\n".join(index_lines))
+    for u, lineno in coord_lines.items():
+        if u not in index.up:
+            raise ModelError("line %d: coordinate graph of unknown domain %s"
+                             % (lineno, u))
     space = Graph()
     space.add_nodes_from(points)
     space.add_edges_from(space_edges)

@@ -289,6 +289,35 @@ class TestUsageErrors(unittest.TestCase):
             self.assertIn(message, err)
             self.assertEqual(out, "")
 
+    def test_stray_model_lines_are_usage_errors(self):
+        # each line is a table entry that no relation of chain.model
+        # calls for, or a coordinate graph of no domain
+        with open(fix("chain.model"), encoding="utf-8") as handle:
+            chain = handle.read()
+        for extra, message in (
+                ("pi ZZ p00 a", "projection outside the domains and points,"
+                 " witness ZZ p00"),
+                ("pi V nosuchpoint a", "projection outside the domains and"
+                 " points, witness V nosuchpoint"),
+                ("rho ZZ S a", "needs a nested or transverse pair,"
+                 " witness ZZ S"),
+                ("rho S V zz", "needs a nested or transverse pair,"
+                 " witness S V"),
+                ("rho S V a zz", "downward projection from outside the"
+                 " coordinate graph, witness V S a"),
+                ("rho V S c00 v0", "downward projection needs a nested pair,"
+                 " witness S V"),
+                ("coord ZZ edge a b", "line 92: coordinate graph of unknown"
+                 " domain ZZ")):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "bad.model")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(chain + extra + "\n")
+                code, out, err = run_cli("verify-chhs", path)
+            self.assertEqual(code, 2, extra)
+            self.assertIn(message, err)
+            self.assertEqual(out, "")
+
     def test_non_utf8_input_is_a_usage_error(self):
         with open(fix("chain.model"), "rb") as handle:
             model = handle.read()

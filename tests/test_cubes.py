@@ -8,7 +8,7 @@ import networkx as nx
 from hhsforge import cubes
 from hhsforge.cubes import CubeError
 from hhsforge.graph import Graph
-from hhsforge.indexset import check_property, split_info
+from hhsforge.indexset import PropertyReport, check_property, split_info
 from hhsforge.model import check_metric_property
 
 from helpers import as_nx, make_b3
@@ -266,12 +266,6 @@ class TestHyperclosure(unittest.TestCase):
         self.assertIn("gate image changes the crossing set, witness",
                       str(err.exception))
 
-    def test_depth_cap(self):
-        g = cubes.build_counterexample(2)
-        with self.assertRaises(CubeError) as err:
-            cubes.hyperclosure(g, depth_cap=1)
-        self.assertIn("did not stabilize within depth_cap", str(err.exception))
-
     def test_dump_format(self):
         text = cubes.dump_hyperclosure(cubes.hyperclosure(square()))
         lines = text.splitlines()
@@ -343,6 +337,59 @@ class TestComplementInvolution(unittest.TestCase):
                   cubes.build_counterexample(2)):
             report = cubes.check_complement_involution(g)
             self.assertTrue(report.verdict)
+
+    def test_matches_recomputed_complements(self):
+        # the check reads one table of complements; the reference below
+        # computes each class's complement and its complement's again,
+        # also when the complement of the first class or of its partner
+        # is bent to the whole complex or to the base vertex
+        real = cubes._orthogonal_complement_at
+
+        def recomputed(g, hc):
+            ctx = cubes._ctx(g)
+
+            def comp(rec):
+                return cubes._crossing(ctx, cubes._orthogonal_complement_at(
+                    ctx, rec.rep, min(rec.rep)))
+
+            for cid in hc.order:
+                if cid == hc.top:
+                    continue
+                key = comp(hc.classes[cid])
+                if key not in hc.by_key:
+                    return PropertyReport("complement_involution", False,
+                                          (cid,))
+                back = hc.by_key[key]
+                if comp(hc.classes[back]) != hc.classes[cid].key:
+                    return PropertyReport("complement_involution", False,
+                                          (cid, back))
+            return PropertyReport("complement_involution", True)
+
+        for g in (square(), cubes.grid_complex(4, 5),
+                  cubes.build_counterexample(2)):
+            hc = cubes.hyperclosure(g)
+            first = hc.order[0]
+            partner = hc.by_key[cubes._complement_keys(cubes._ctx(g),
+                                                       hc)[first]]
+            whole = frozenset(g.nodes())
+            for name, bent, image in (
+                    ("none", None, None),
+                    ("first to whole", first, lambda base: whole),
+                    ("first to base", first, lambda base: frozenset([base])),
+                    ("partner to base", partner,
+                     lambda base: frozenset([base]))):
+                def complement(ctx, f, base):
+                    if bent is not None and f == hc.classes[bent].rep:
+                        return image(base)
+                    return real(ctx, f, base)
+
+                with self.subTest(bend=name), mock.patch.object(
+                        cubes, "_orthogonal_complement_at",
+                        side_effect=complement):
+                    want = recomputed(g, hc)
+                    self.assertEqual(cubes.check_complement_involution(g, hc),
+                                     want)
+                    self.assertEqual(want.verdict, bent is None)
 
     def test_counterexample_pairing_table(self):
         g = cubes.build_counterexample(2)

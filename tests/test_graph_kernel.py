@@ -1,6 +1,6 @@
 """The graph kernel against networkx, which stays the oracle.
 
-`apsp`, the clique enumerations, the reachability closure and the
+`apsp`, the clique enumeration, the reachability closure and the
 components must give what networkx gives, in the same order where the
 order reaches the output.  A subprocess pins that the pipelines run
 without importing networkx at all.
@@ -20,15 +20,16 @@ from hhsforge.graph import (
     Graph,
     apsp,
     as_graph,
+    chain_lengths,
     components,
     enumerate_all_cliques,
-    find_cliques,
     reachability,
 )
 from hhsforge.indexset import load_index_set
 from hhsforge.model import load_model
 
 from helpers import as_nx, make_b3
+from test_measure_kernel import glued, tree_times_path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -129,7 +130,6 @@ def test_cliques_in_networkx_order():
         g, h = both(*spec)
         assert list(enumerate_all_cliques(g)) == \
             list(nx.enumerate_all_cliques(h))
-        assert list(find_cliques(g)) == list(nx.find_cliques(h))
 
     check()
 
@@ -158,18 +158,94 @@ def test_components_match():
     check()
 
 
+def test_chain_lengths_match_longest_paths():
+    """On posets given by random edges i -> j with i < j, listed in a
+    topological order of networkx's choosing."""
+    st = pytest.importorskip("hypothesis").strategies
+
+    @given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                    max_size=30))
+    def check(pairs):
+        dig = nx.DiGraph()
+        dig.add_nodes_from(range(12))
+        dig.add_edges_from((min(a, b), max(a, b)) for a, b in pairs if a != b)
+        got = chain_lengths(list(nx.topological_sort(dig)),
+                            lambda x: nx.ancestors(dig, x))
+        assert got == dict(
+            (x, nx.dag_longest_path_length(
+                dig.subgraph(nx.ancestors(dig, x) | {x}))) for x in dig)
+
+    check()
+
+
+# -- orthogonality cliques ---------------------------------------------
+
+
+def oracle_cliques(s, domains):
+    h = as_nx(s.orth_graph(domains))
+    return sorted((tuple(sorted(c)) for c in nx.enumerate_all_cliques(h)),
+                  key=lambda c: (len(c), c))
+
+
+def oracle_families(s, u):
+    """Maximal cliques of the orthogonality graph on the minimal domains
+    nested in u."""
+    below = [w for w in s.minimal_domains() if w in s.down[u]]
+    return sorted(tuple(sorted(c))
+                  for c in nx.find_cliques(as_nx(s.orth_graph(below))))
+
+
+def assert_orth_cliques(s):
+    for domains in (s.domains, s.minimal_domains()):
+        assert list(s.cliques(domains)) == oracle_cliques(s, domains)
+    for u in s.domains:
+        assert list(s.families(u)) == oracle_families(s, u), u
+
+
+def index_sets():
+    """Fixture and stored index sets, the raw and collapsed glued ones
+    at depths 1-8, and those of square grids."""
+    out = [(name, load_index_set(read("fixtures", name)))
+           for name in ("b3.idx", "o6.idx")]
+    out.append(("gamma6.idx",
+                load_index_set(read("perfbench", "data", "gamma6.idx"))))
+    out += [(name, load_model(read("fixtures", name)).index)
+            for name in ("chain.model", "product.model", "gamma4.model")]
+    for depth in range(1, 9):
+        raw, collapsed = glued(depth)
+        out += [("glued %d" % depth, raw.index),
+                ("collapsed %d" % depth, collapsed.index)]
+    out += [("grid %dx%d" % rc, cubes.index_set_from_hyperclosure(
+        cubes.grid_complex(*rc)).index) for rc in ((2, 3), (5, 5), (6, 9))]
+    return out
+
+
+def test_orth_cliques_on_tree_times_path():
+    st = pytest.importorskip("hypothesis").strategies
+    parents = st.integers(0, 6).flatmap(lambda n: st.tuples(
+        *(st.integers(0, i) for i in range(n))))
+
+    @given(st.tuples(parents, st.integers(1, 4)), examples=25)
+    def check(spec):
+        assert_orth_cliques(cubes.index_set_from_hyperclosure(
+            tree_times_path(*spec)).index)
+
+    check()
+
+
 class Graphs(unittest.TestCase):
 
+    def test_orth_cliques_of_index_sets(self):
+        for name, s in index_sets():
+            with self.subTest(index=name):
+                assert_orth_cliques(s)
+
     def test_cliques_of_string_graphs(self):
-        # string hashes vary between runs, and find_cliques follows set
-        # order, so both sides run in this process on the same graph
         for s in (make_b3(), load_index_set(read("perfbench", "data",
                                                  "gamma6.idx"))):
             g = s.orth_graph(s.domains)
             self.assertEqual(list(enumerate_all_cliques(g)),
                              list(nx.enumerate_all_cliques(as_nx(g))))
-            self.assertEqual(list(find_cliques(g)),
-                             list(nx.find_cliques(as_nx(g))))
 
     def test_closure_matches_transitive_closure(self):
         for path in (("fixtures", "b3.idx"), ("fixtures", "o6.idx"),

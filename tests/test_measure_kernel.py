@@ -25,7 +25,6 @@ from hhsforge.indexset import CONTAINS, NESTED_IN, TRANSVERSE, relation
 from hhsforge.model import (
     HHSModel,
     _consistency_value,
-    _orth_cliques,
     check_metric_property,
     load_model,
     measure_model,
@@ -165,7 +164,7 @@ def _scan_partial_realisation(m):
         for p in sorted(m.images(v)):
             coord[(v, p)] = tuple(m.dist(v, m.pi[(v, z)], p)
                                   for z in points)
-    for family in _orth_cliques(m.index):
+    for family in m.index.cliques(m.index.domains):
         fam_base = tuple(max(base[v][i] for v in family)
                          for i in range(len(points)))
         pools = [sorted(m.images(v)) for v in family]
@@ -348,7 +347,7 @@ def family_choices(m):
     """The empty family, and every orthogonal clique with the first and
     with the last image vertex of each member."""
     yield []
-    for family in _orth_cliques(m.index):
+    for family in m.index.cliques(m.index.domains):
         pools = [sorted(m.images(v)) for v in family]
         for end in (0, -1):
             yield [(v, pool[end]) for v, pool in zip(family, pools)]
