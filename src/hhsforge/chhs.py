@@ -13,12 +13,13 @@ hyperbolic and undistorted class graphs, extension of common nestings,
 fill-in of link edges, and the quality of the realisation map.
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from .cubes import _four_point, graph_dot
+from .cubes import _four_point, graph_dot, sorted_dot
 from .graph import (Graph, apsp, chain_lengths, enumerate_all_cliques,
                     is_connected)
 from .indexset import (
@@ -39,12 +40,8 @@ from .model import (
     MAX_SLOPE,
     ConsistentTuple,
     HHSModel,
-    _bullet_rows,
-    _coordinate_jump,
-    _dist_matrix,
-    _metrics,
-    _space_dist,
     check_consistency,
+    least_fit,
     realise,
 )
 
@@ -78,6 +75,7 @@ class BlowupGraph(object):
     blown is the cone-and-join graph, and p retracts every blown vertex
     (domain, coordinate) onto its domain.  Simplices of the blown graph
     are cliques; the apex of the cone over U is the vertex (U, "*").
+    The simplices, their links and their classes are built on first use.
     """
 
     def __init__(self, model, base, blown, p):
@@ -91,17 +89,41 @@ class BlowupGraph(object):
         for v in sorted(blown.nodes()):
             cones.setdefault(self.p[v], []).append(v)
         self._cones = dict((u, tuple(vs)) for u, vs in cones.items())
-        self._simplices = None
-        self._links = None
-        self._classes = None
-        self._class_of = None
-        self._maximal = None
 
     def apex(self, u):
         return (u, APEX)
 
     def cone(self, u):
         return self._cones.get(u, ())
+
+    @functools.cached_property
+    def simplices(self):
+        """Every clique of the blown graph, the empty one included,
+        ordered by size and then by sorted vertices."""
+        found = [frozenset()]
+        found.extend(frozenset(c) for c in enumerate_all_cliques(self.blown))
+        found.sort(key=lambda s: (len(s), sorted(s)))
+        return tuple(found)
+
+    @functools.cached_property
+    def links(self):
+        return dict((s, link_of_set(self, s)) for s in self.simplices)
+
+    @functools.cached_property
+    def classes(self):
+        """The simplices grouped by link.  Each group is listed, and
+        numbered, in the order of the simplices, so its first member is
+        its representative."""
+        groups = {}
+        for s in self.simplices:
+            groups.setdefault(self.links[s], []).append(s)
+        return tuple(SimplexClass("q%d" % i, members[0], tuple(members), lk,
+                                  not lk, link_of_set(self, lk))
+                     for i, (lk, members) in enumerate(groups.items()))
+
+    @functools.cached_property
+    def class_map(self):
+        return dict((s, c) for c in self.classes for s in c.members)
 
 
 def blow_up(m):
@@ -177,20 +199,12 @@ def star(x, delta):
 
 def simplices(x):
     """Every clique of the blown graph, the empty one included."""
-    if x._simplices is None:
-        found = [frozenset()]
-        for clique in enumerate_all_cliques(x.blown):
-            found.append(frozenset(clique))
-        found.sort(key=lambda s: (len(s), sorted(s)))
-        x._simplices = tuple(found)
-        x._links = dict((s, link_of_set(x, s)) for s in found)
-    return x._simplices
+    return x.simplices
 
 
 def simplex_link(x, delta):
-    simplices(x)
-    if delta in x._links:
-        return x._links[delta]
+    if delta in x.links:
+        return x.links[delta]
     return link(x, delta)
 
 
@@ -212,34 +226,14 @@ class SimplexClass(object):
 
 
 def simplex_classes(x):
-    if x._classes is None:
-        groups = {}
-        for s in simplices(x):
-            groups.setdefault(x._links[s], []).append(s)
-        records = []
-        for lk in groups:
-            members = sorted(groups[lk], key=lambda s: (len(s), sorted(s)))
-            records.append((members[0], members, lk))
-        records.sort(key=lambda r: (len(r[0]), sorted(r[0])))
-        classes = []
-        class_of = {}
-        for i, (rep, members, lk) in enumerate(records):
-            c = SimplexClass("q%d" % i, rep, tuple(members), lk, not lk,
-                             link_of_set(x, lk))
-            classes.append(c)
-            for s in members:
-                class_of[s] = c
-        x._classes = tuple(classes)
-        x._class_of = class_of
-    return x._classes
+    return x.classes
 
 
 def class_of(x, delta):
     delta = check_simplex(x, delta)
-    simplex_classes(x)
-    if delta not in x._class_of:
+    if delta not in x.class_map:
         raise ChhsError("unknown simplex, witness %s" % _set_name(delta))
-    return x._class_of[delta]
+    return x.class_map[delta]
 
 
 def saturation(x, delta):
@@ -334,17 +328,15 @@ def class_relation(x, a, b):
 def maximal_simplices(x):
     """Support-first enumeration: a maximal orthogonal family of minimal
     domains, then one coordinate per member."""
-    if x._maximal is None:
-        m = x.model
-        out = []
-        for bar in m.index.families(m.index.top):
-            pools = [sorted(m.coord_graphs[u].nodes()) for u in bar]
-            for choice in itertools.product(*pools):
-                s = set((u, APEX) for u in bar)
-                s.update(zip(bar, choice))
-                out.append(frozenset(s))
-        x._maximal = tuple(out)
-    return x._maximal
+    m = x.model
+    out = []
+    for bar in m.index.families(m.index.top):
+        pools = [sorted(m.coord_graphs[u].nodes()) for u in bar]
+        for choice in itertools.product(*pools):
+            s = set((u, APEX) for u in bar)
+            s.update(zip(bar, choice))
+            out.append(frozenset(s))
+    return tuple(out)
 
 
 def b_sigma(m, sigma):
@@ -367,7 +359,7 @@ def b_sigma(m, sigma):
     extra = m.index.bar_link(bar)
     if extra:
         raise ChhsError("simplex not maximal, witness %s" % min(extra))
-    ks = _metrics(m)
+    ks = m.metrics
     for v in m.index.domains:
         if v in coords:
             continue
@@ -388,14 +380,14 @@ def b_sigma(m, sigma):
 def _modulus(m):
     """t -> the largest coordinate jump between points at space
     distance <= t."""
-    jump, space = _coordinate_jump(m), _space_dist(m)
+    jump, space = m.coordinate_jump(), m.point_dist
     return lambda t: int(jump[space <= t].max())
 
 
 def coverage_constant(m):
     """How far a point can sit, in coordinates, from the best maximal
     orthogonal family projecting near it."""
-    base = _bullet_rows(m)
+    base = m.bullet_rows
     fams = [np.max([base[v] for v in fam], axis=(0, 1))
             for fam in m.index.families(m.index.top)]
     return int(np.min(fams, axis=0).max())
@@ -410,22 +402,20 @@ def thresholds(m):
     realisation backtracking stay edge-compatible.  The default lambda
     is their maximum, floored at one.
     """
-    if m._threshold_cache is None:
-        c0 = coverage_constant(m)
-        modulus = _modulus(m)
-        m0 = modulus(2 * c0 + 2)
-        lam0 = 2 * modulus(c0)
-        lam1 = modulus(4 * c0 + 1)
-        lam2 = m0 + 2 * m.E
-        m._threshold_cache = {
-            "C0": c0,
-            "M0": m0,
-            "lambda0": lam0,
-            "lambda1": lam1,
-            "lambda2": lam2,
-            "default": max(lam0, lam1, lam2, 1),
-        }
-    return m._threshold_cache
+    c0 = coverage_constant(m)
+    modulus = _modulus(m)
+    m0 = modulus(2 * c0 + 2)
+    lam0 = 2 * modulus(c0)
+    lam1 = modulus(4 * c0 + 1)
+    lam2 = m0 + 2 * m.E
+    return {
+        "C0": c0,
+        "M0": m0,
+        "lambda0": lam0,
+        "lambda1": lam1,
+        "lambda2": lam2,
+        "default": max(lam0, lam1, lam2, 1),
+    }
 
 
 # -- the W graph -------------------------------------------------------
@@ -439,7 +429,7 @@ def _tuple_distances(m, tuples):
     Coordinates repeat across tuples, so each domain measures its
     distinct coordinates once and spreads them by id.
     """
-    ks = _metrics(m)
+    ks = m.metrics
     gap = np.zeros((len(tuples), len(tuples)), dtype=np.int32)
     near = {}
     for u in m.index.domains:
@@ -448,7 +438,7 @@ def _tuple_distances(m, tuples):
         ids = np.array([sets.setdefault(b.coords[u], len(sets))
                         for b in tuples], dtype=np.intp)
         members = [[k.index[w] for w in s] for s in sets]
-        dist = _dist_matrix(m, u)[1]
+        dist = m.coord_dist[u][1]
         rows = np.array([dist[mem].min(0) for mem in members])
         between = np.array([rows[:, mem].min(1) for mem in members])
         gap = np.maximum(gap, between[np.ix_(ids, ids)])
@@ -486,7 +476,8 @@ class WGraph(object):
     supports get k = 0, a shared maximal family counts as deep as a
     minimal domain.  `points` realises each simplex and
     `realisation_defect` is the largest coordinate distance between a
-    tuple and its point.
+    tuple and its point.  The class tables and the distances are built
+    on first use.
     """
 
     def __init__(self, model, blowup, lam, simplices_, tuples, graph, consts,
@@ -505,11 +496,8 @@ class WGraph(object):
         self.lambda2 = consts["lambda2"]
         self.points = points
         self.realisation_defect = realisation_defect
-        self._aug = None
-        self._classes = None
         self._coord = {}
         self._link_dist = {}
-        self._wdist = None
 
     def simplex_name(self, i):
         parts = {}
@@ -518,15 +506,18 @@ class WGraph(object):
                 parts[u] = c
         return " ".join("%s=%s" % (u, parts[u]) for u in sorted(parts))
 
+    @functools.cached_property
     def distances(self):
         """Distance matrix of the graph, -1 between simplices it does
-        not join; built once."""
-        if self._wdist is None:
-            self._wdist = apsp(self.graph, range(len(self.simplices)))
-        return self._wdist
+        not join."""
+        return apsp(self.graph, range(len(self.simplices)))
+
+    @functools.cached_property
+    def class_tables(self):
+        return _ClassTables(self)
 
     def wdist(self, i, j):
-        d = int(self.distances()[i, j])
+        d = int(self.distances[i, j])
         return math.inf if d < 0 else d
 
 
@@ -541,8 +532,9 @@ def colevel_of_complement(m, parts):
 
 
 def build_w(m, x, lam=None):
+    consts = thresholds(m)
     if lam is None:
-        lam = thresholds(m)["default"]
+        lam = consts["default"]
     if lam <= 0:
         raise ChhsError("lambda must be positive")
     sigmas = maximal_simplices(x)
@@ -562,8 +554,7 @@ def build_w(m, x, lam=None):
     edges = np.nonzero(np.triu(gap <= bound, 1))
     graph.add_edges_from(zip(*(e.tolist() for e in edges)))
     points, defect = _realise_support_first(m, supports, near)
-    return WGraph(m, x, lam, sigmas, tuples, graph, thresholds(m),
-                  points, defect)
+    return WGraph(m, x, lam, sigmas, tuples, graph, consts, points, defect)
 
 
 class _ClassTables(object):
@@ -597,23 +588,15 @@ class _ClassTables(object):
         np.fill_diagonal(self.adj, False)
 
 
-def _class_tables(w):
-    if w._classes is None:
-        w._classes = _ClassTables(w)
-    return w._classes
-
-
 def augmented_graph(w):
     """The blown graph plus a complete join over every W-edge."""
-    if w._aug is None:
-        t = _class_tables(w)
-        g = Graph()
-        g.add_nodes_from(w.blowup.blown.nodes())
-        a, b = np.nonzero(np.triu(t.adj, 1))
-        g.add_edges_from((t.names[i], t.names[j])
-                         for i, j in zip(a.tolist(), b.tolist()))
-        w._aug = g
-    return w._aug
+    t = w.class_tables
+    g = Graph()
+    g.add_nodes_from(w.blowup.blown.nodes())
+    a, b = np.nonzero(np.triu(t.adj, 1))
+    g.add_edges_from((t.names[i], t.names[j])
+                     for i, j in zip(a.tolist(), b.tolist()))
+    return g
 
 
 def _distances(adj, keep):
@@ -657,7 +640,7 @@ def coordinate_graph(w, c):
     if c.maximal:
         raise ChhsError("class is maximal, witness %s" % c.id)
     if c.id not in w._coord:
-        t = _class_tables(w)
+        t = w.class_tables
         row = t.row[c.id]
         keep = ~t.saturation[row]
         dist = _distances(t.adj, keep)
@@ -778,13 +761,7 @@ def _embedding_constants(in_c, in_y):
     dc, dy = in_c[upper], in_y[upper]
     if (np.isinf(dc) & np.isfinite(dy)).any():
         return None
-    dc, dy = dc[np.isfinite(dy)], dy[np.isfinite(dy)]
-    best = None
-    for k in range(1, MAX_SLOPE + 1):
-        c = int((dc - k * dy).max(initial=0))
-        if best is None or (c, k) < best:
-            best = (c, k)
-    return (best[1], best[0])
+    return least_fit((dc[np.isfinite(dy)], dy[np.isfinite(dy)]))
 
 
 def check_chhs(m, w):
@@ -917,14 +894,14 @@ def check_chhs(m, w):
 def realisation_qi(m, w):
     """Lipschitz, surjectivity and lower quasi-isometry constants of the
     realisation map, measured exhaustively."""
-    space = _space_dist(m)
-    pos = np.array([m._point_pos[p] for p in w.points], dtype=np.intp)
+    space = m.point_dist
+    pos = np.array([m.point_index[p] for p in w.points], dtype=np.intp)
     dz = space[np.ix_(pos, pos)]
     a, b = np.array(w.graph.edges(), dtype=np.intp).reshape(-1, 2).T
     lip = int(dz[a, b].max(initial=0))
     surj = int(space[:, pos].min(1).max())
     upper = np.triu_indices(len(pos), 1)
-    dw, dz = w.distances()[upper], dz[upper]
+    dw, dz = w.distances[upper], dz[upper]
     broken = bool((dw < 0).any())
 
     def fit(ys, xs):
@@ -1233,7 +1210,7 @@ def adjacent_extensions(w, delta, v, u, i, j):
 
 def check_link_decomposition(x):
     for s in simplices(x):
-        if x._links[s] != _decomposed_link(x, s):
+        if x.links[s] != _decomposed_link(x, s):
             return PropertyReport("link_decomposition", False,
                                   (_set_name(s),))
     return PropertyReport("link_decomposition", True, None)
@@ -1244,7 +1221,7 @@ def check_shape_tags(x):
     recomputation from join structure."""
     for s in simplices(x):
         tag = _shape(x, s)
-        lk = x._links[s]
+        lk = x.links[s]
         if tag == SHAPE_POINT_OR_JOIN:
             if len(lk) != 1 and not _is_join(x, lk):
                 return PropertyReport("shape_tags", False, (_set_name(s),))
@@ -1276,11 +1253,10 @@ def _is_join(x, vs):
 
 def check_containment_reversal(x):
     """Bigger simplices land in smaller classes."""
-    simplex_classes(x)
     for s in simplices(x):
         for t in simplices(x):
             if s < t:
-                a, b = x._class_of[t], x._class_of[s]
+                a, b = x.class_map[t], x.class_map[s]
                 if a.maximal or b.maximal:
                     continue
                 if class_relation(x, a, b) not in (NESTED_IN, EQUAL):
@@ -1426,7 +1402,11 @@ def _check_automorphism(m, g):
                             % (u, v))
     for u in s.domains:
         src = sorted(m.coord_graphs[u].nodes())
-        img = sorted(g["coords"].get((u, c)) for c in src)
+        missing = [c for c in src if (u, c) not in g["coords"]]
+        if missing:
+            raise ChhsError("coordinate map misses a vertex, witness %s %s"
+                            % (u, missing[0]))
+        img = sorted(g["coords"][(u, c)] for c in src)
         if img != sorted(m.coord_graphs[dom[u]].nodes()):
             raise ChhsError("coordinate map not onto, witness %s" % u)
         for a, b in m.coord_graphs[u].edges():
@@ -1558,7 +1538,7 @@ def collapse_unit_coordinates(m):
     small = {}
     for u in m.index.domains:
         nodes = sorted(m.coord_graphs[u].nodes())
-        if len(nodes) > 1 and _dist_matrix(m, u)[1].max() <= 1:
+        if len(nodes) > 1 and m.coord_dist[u][1].max() <= 1:
             small[u] = nodes[0]
     if not small:
         return m
@@ -1593,15 +1573,11 @@ def collapse_unit_coordinates(m):
 
 
 def base_dot(x):
-    return graph_dot("minorth", sorted(x.base.nodes()),
-                     sorted(tuple(sorted(e)) for e in x.base.edges()))
+    return sorted_dot("minorth", x.base)
 
 
 def blown_dot(x):
-    nodes = sorted(vertex_name(v) for v in x.blown.nodes())
-    edges = sorted(tuple(sorted((vertex_name(a), vertex_name(b))))
-                   for a, b in x.blown.edges())
-    return graph_dot("blowup", nodes, edges)
+    return sorted_dot("blowup", x.blown, vertex_name)
 
 
 def w_dot(w):
@@ -1612,8 +1588,5 @@ def w_dot(w):
 
 
 def class_dot(w, cid):
-    record = coordinate_graph(w, cid)
-    nodes = sorted(vertex_name(v) for v in record["C"].nodes())
-    edges = sorted(tuple(sorted((vertex_name(a), vertex_name(b))))
-                   for a, b in record["C"].edges())
-    return graph_dot("classgraph", nodes, edges)
+    return sorted_dot("classgraph", coordinate_graph(w, cid)["C"],
+                      vertex_name)

@@ -91,11 +91,9 @@ def _verdict_lines(reports, out):
 
 
 def _header(m, w):
-    t = chhs.thresholds(m)
     return ["E=%d kappa=%d" % (m.E, m.kappa),
             "C0=%d M0=%d lambda0=%d lambda1=%d lambda2=%d lambda=%g"
-            % (t["C0"], t["M0"], t["lambda0"], t["lambda1"], t["lambda2"],
-               w.lam)]
+            % (w.c0, w.m0, w.lambda0, w.lambda1, w.lambda2, w.lam)]
 
 
 def cmd_check_indexset(args):

@@ -770,18 +770,23 @@ def graph_dot(name, nodes, edges):
     return "\n".join(out) + "\n"
 
 
+def sorted_dot(name, g, label=str):
+    """DOT text of a graph under the node labels: the labels sorted,
+    each edge's two labels sorted, and the edges sorted."""
+    return graph_dot(name, sorted(label(v) for v in g.nodes()),
+                     sorted(tuple(sorted((label(a), label(b))))
+                            for a, b in g.edges()))
+
+
 def minimal_orth_dot(hc, index):
     """DOT graph of the minimal non-boundary classes under orthogonality."""
-    keep = sorted(cid for cid in hc.order
-                  if hc.classes[cid].minimal and not hc.classes[cid].boundary)
-    edges = index.orth_graph(keep).edges()
-    return graph_dot("minorth", keep, sorted(tuple(sorted(e)) for e in edges))
+    return sorted_dot("minorth", index.orth_graph(
+        cid for cid in hc.order
+        if hc.classes[cid].minimal and not hc.classes[cid].boundary))
 
 
 def coordinate_dot(model, cid):
-    g = model.coord_graphs[cid]
-    return graph_dot("coords", sorted(g.nodes()),
-                     sorted(tuple(sorted(e)) for e in g.edges()))
+    return sorted_dot("coords", model.coord_graphs[cid])
 
 
 def _four_point(d):

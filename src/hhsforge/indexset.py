@@ -279,10 +279,16 @@ def load_index_set(text):
     a `#` starts a comment.  Relations may be given by generators; the closure
     is computed before validation.
     """
+    return index_set_from_lines(content_lines(text))
+
+
+def index_set_from_lines(lines):
+    """The index set of (line number, raw line, words) triples as
+    content_lines yields them; errors name the given line numbers."""
     domains = []
     nest = []
     orth = []
-    for lineno, raw, parts in content_lines(text):
+    for lineno, raw, parts in lines:
         if parts[0] == "domain" and len(parts) == 2:
             if not ID_PATTERN.match(parts[1]):
                 raise IndexSetError("line %d: bad domain id %r" % (lineno, parts[1]))

@@ -16,7 +16,7 @@ data about that family up to the size cap, never a proof of non-existence.
 import itertools
 
 from .graph import chain_lengths
-from .indexset import IndexSetError, PropertyReport, check_property, wedge
+from .indexset import PropertyReport, check_property
 
 BOTTOM = "Empty"
 HARD_CAP = 24

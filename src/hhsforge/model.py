@@ -20,8 +20,8 @@ from .indexset import (
     IndexSet,
     PropertyReport,
     content_lines,
-    load_index_set,
     dump_index_set,
+    index_set_from_lines,
     relation,
     split_info,
 )
@@ -86,7 +86,7 @@ class HHSModel:
         self.points = tuple(sorted(self.space.nodes()))
         if not self.points:
             raise ModelError("model needs at least one point")
-        self._point_pos = dict((x, i) for i, x in enumerate(self.points))
+        self.point_index = dict((x, i) for i, x in enumerate(self.points))
         self.coord_graphs = dict((u, as_graph(g))
                                  for u, g in coord_graphs.items())
         self.pi = dict(((u, x), _as_set(v)) for (u, x), v in pi.items())
@@ -94,12 +94,6 @@ class HHSModel:
         self.rho_down = {}
         for (v, u), table in rho_down.items():
             self.rho_down[(v, u)] = dict((w, _as_set(t)) for w, t in table.items())
-        self._dist_cache = {}
-        self._zdist = None
-        self._image_cache = {}
-        self._metric_cache = None
-        self._bullet_cache = None
-        self._threshold_cache = None
         self._validate()
         if E is None:
             E = measure_model(self)["E"]
@@ -152,7 +146,7 @@ class HHSModel:
         # every table entry must be one that a relation calls for
         known = self.index.up
         for u, x in self.pi:
-            if u not in known or x not in self._point_pos:
+            if u not in known or x not in self.point_index:
                 raise ModelError("projection outside the domains and points,"
                                  " witness %s %s" % (u, x))
         for u, v in self.rho_up:
@@ -171,38 +165,93 @@ class HHSModel:
                                  " coordinate graph, witness %s %s %s"
                                  % (u, v, min(stray)))
 
+    # -- derived tables, each built on first use and shared, so callers
+    # must not write to them ------------------------------------------
+
+    @functools.cached_property
+    def coord_dist(self):
+        """u -> the numbers of the vertices of C(u), in sorted order, and
+        its distance matrix."""
+        out = {}
+        for u in self.index.domains:
+            names = sorted(self.coord_graphs[u].nodes())
+            out[u] = (dict((w, i) for i, w in enumerate(names)),
+                      apsp(self.coord_graphs[u], names))
+        return out
+
+    @functools.cached_property
+    def point_dist(self):
+        """Point-graph distance between every two points, in point order."""
+        return apsp(self.space, self.points)
+
+    @functools.cached_property
+    def metrics(self):
+        """u -> the _Metric of C(u), which every measurement reads."""
+        projections = dict((u, []) for u in self.index.domains)
+        cells = dict((u, []) for u in self.index.domains)
+        for (u, x), img in self.pi.items():
+            projections[u].append(img)
+        for (u, v), img in self.rho_up.items():
+            projections[v].append(img)
+        for (v, u), table in self.rho_down.items():
+            cells[v].extend(table.values())
+        metrics = dict((u, _Metric(self, u, projections[u], cells[u]))
+                       for u in self.index.domains)
+        for (v, u), table in self.rho_down.items():
+            # the index of C(u) is in vertex order
+            metrics[v].cells[u] = metrics[v].lookup(
+                table[w] for w in metrics[u].index)
+        return metrics
+
+    @functools.cached_property
+    def bullet_rows(self):
+        """rows[v][0, z] and rows[v][1, z]: the nested and the transverse
+        realisation bullet of a family member v at the point z, the
+        largest distance from z's projection to a relative projection of
+        v into a domain that v is nested in, or transverse to."""
+        rows = {}
+        for v in self.index.domains:
+            row = rows[v] = np.zeros((2, len(self.points)), dtype=np.int32)
+            for w in self.index.domains:
+                rel = relation(self.index, v, w)
+                if rel in (NESTED_IN, TRANSVERSE):
+                    i = int(rel == TRANSVERSE)
+                    row[i] = np.maximum(
+                        row[i], self.metrics[w].to_set(self.rho_up[(v, w)]))
+        return rows
+
     # -- distances ---------------------------------------------------
 
     def dist(self, u, a, b):
         """Distance in CU between two vertices or vertex sets (min pairwise)."""
-        index, d = _dist_matrix(self, u)
+        index, d = self.coord_dist[u]
         sa, sb = _as_set(a), _as_set(b)
         return int(min(d[index[x], index[y]] for x in sa for y in sb))
 
     def diam(self, u, a):
-        index, d = _dist_matrix(self, u)
+        index, d = self.coord_dist[u]
         sa = _as_set(a)
         return int(max(d[index[x], index[y]] for x in sa for y in sa))
 
     def zdist(self, x, y):
-        return int(_space_dist(self)[self._point_pos[x], self._point_pos[y]])
+        return int(self.point_dist[self.point_index[x], self.point_index[y]])
+
+    def coordinate_jump(self):
+        """The largest coordinate distance between the projections of
+        every two points, in point order."""
+        return functools.reduce(np.maximum, (k.point_gap()
+                                             for k in self.metrics.values()))
 
     def projection(self, u, x):
         return self.pi[(u, x)]
 
     def images(self, u):
-        if u not in self._image_cache:
-            acc = set()
-            for x in self.points:
-                acc |= self.pi[(u, x)]
-            self._image_cache[u] = frozenset(acc)
-        return self._image_cache[u]
+        return frozenset().union(*(self.pi[(u, x)] for x in self.points))
 
-    def point_tuple(self, x, scope=None):
-        if scope is None:
-            scope = self.index.domains
-        coords = dict((u, self.pi[(u, x)]) for u in scope)
-        return ConsistentTuple(scope, coords)
+    def point_tuple(self, x):
+        scope = self.index.domains
+        return ConsistentTuple(scope, dict((u, self.pi[(u, x)])
+                                           for u in scope))
 
     def down_image(self, small, big, vertices):
         """Image of a CV vertex set under the downward map onto C(small)."""
@@ -214,16 +263,6 @@ class HHSModel:
 
 
 # -- measurement -----------------------------------------------------
-
-
-def _dist_matrix(m, u):
-    """The numbers of the vertices of C(u), in sorted order, and its
-    distance matrix; built once per domain."""
-    if u not in m._dist_cache:
-        names = sorted(m.coord_graphs[u].nodes())
-        m._dist_cache[u] = (dict((w, i) for i, w in enumerate(names)),
-                            apsp(m.coord_graphs[u], names))
-    return m._dist_cache[u]
 
 
 class _Metric:
@@ -242,7 +281,7 @@ class _Metric:
     """
 
     def __init__(self, m, u, projections, cells):
-        self.index, dist = _dist_matrix(m, u)
+        self.index, dist = m.coord_dist[u]
         self.edges = np.array([(self.index[a], self.index[b])
                                for a, b in m.coord_graphs[u].edges()],
                               dtype=np.intp).reshape(-1, 2).T
@@ -283,29 +322,8 @@ class _Metric:
         return self.gap[np.ix_(self.point, self.point)]
 
 
-def _metrics(m):
-    """The model's per-domain metrics, built on the first measurement."""
-    if m._metric_cache is None:
-        projections = dict((u, []) for u in m.index.domains)
-        cells = dict((u, []) for u in m.index.domains)
-        for (u, x), img in m.pi.items():
-            projections[u].append(img)
-        for (u, v), img in m.rho_up.items():
-            projections[v].append(img)
-        for (v, u), table in m.rho_down.items():
-            cells[v].extend(table.values())
-        metrics = dict((u, _Metric(m, u, projections[u], cells[u]))
-                       for u in m.index.domains)
-        for (v, u), table in m.rho_down.items():
-            # the index of C(u) is in vertex order
-            metrics[v].cells[u] = metrics[v].lookup(
-                table[w] for w in metrics[u].index)
-        m._metric_cache = metrics
-    return m._metric_cache
-
-
 def _scan_diameters(m):
-    ks = _metrics(m)
+    ks = m.metrics
     best = max(int(k.diam(k.projections).max()) for k in ks.values())
     for (v, u) in m.rho_down:
         # a vertex close to the upward spot may map to a large set;
@@ -318,19 +336,19 @@ def _scan_diameters(m):
 
 
 def _scan_lipschitz(m):
-    pos = m._point_pos
+    pos = m.point_index
     a, b = np.array([(pos[x], pos[y]) for x, y in m.space.edges()],
                     dtype=np.intp).reshape(-1, 2).T
     if not a.size:
         return 0
     d = max(int(k.gap[k.point[a], k.point[b]].max())
-            for k in _metrics(m).values())
+            for k in m.metrics.values())
     # (E, E)-coarse Lipschitz over an edge needs d <= 2E
     return (d + 1) // 2
 
 
 def _scan_consistency(m):
-    ks = _metrics(m)
+    ks = m.metrics
     best = 0
     for u, v in itertools.combinations(m.index.domains, 2):
         rel = relation(m.index, u, v)
@@ -354,7 +372,7 @@ def _scan_consistency(m):
 
 
 def _scan_rho_consistency(m):
-    ks = _metrics(m)
+    ks = m.metrics
     best = 0
     for u in m.index.domains:
         for v in sorted(m.index.up[u] - frozenset([u])):
@@ -368,7 +386,7 @@ def _scan_rho_consistency(m):
 
 def _scan_bgi(m):
     """Least e with the edgewise bounded geodesic image condition."""
-    ks = _metrics(m)
+    ks = m.metrics
     worst = 0
     for (u, v) in m.rho_down:
         small, big = ks[u], ks[v]
@@ -402,7 +420,7 @@ def _reach(k, sets, anchor):
 
 def _scan_large_links(m):
     """Least e for the interval form of the large links condition."""
-    ks = _metrics(m)
+    ks = m.metrics
     worst = 0
     for v in m.index.domains:
         big = ks[v]
@@ -420,47 +438,11 @@ def _scan_large_links(m):
     return worst
 
 
-def _bullet_rows(m):
-    """rows[v][0, z] and rows[v][1, z]: the nested and the transverse
-    realisation bullet of a family member v at the point z, the largest
-    distance from z's projection to a relative projection of v into a
-    domain that v is nested in, or transverse to.  Built once per model
-    and shared, so callers must not write to it."""
-    if m._bullet_cache is None:
-        ks = _metrics(m)
-        rows = {}
-        for v in m.index.domains:
-            row = rows[v] = np.zeros((2, len(m.points)), dtype=np.int32)
-            for w in m.index.domains:
-                rel = relation(m.index, v, w)
-                if rel in (NESTED_IN, TRANSVERSE):
-                    i = int(rel == TRANSVERSE)
-                    row[i] = np.maximum(row[i],
-                                        ks[w].to_set(m.rho_up[(v, w)]))
-        m._bullet_cache = rows
-    return m._bullet_cache
-
-
-def _space_dist(m):
-    """Point-graph distance between every two points, in point order;
-    built once and shared, so callers must not write to it."""
-    if m._zdist is None:
-        m._zdist = apsp(m.space, m.points)
-    return m._zdist
-
-
-def _coordinate_jump(m):
-    """The largest coordinate distance between the projections of every
-    two points, in point order."""
-    return functools.reduce(np.maximum,
-                            (k.point_gap() for k in _metrics(m).values()))
-
-
 def _scan_partial_realisation(m):
-    ks = _metrics(m)
+    ks = m.metrics
     # the nested and transverse bullets depend only on the family member
     # and the candidate point, never on the chosen image vertex
-    base = _bullet_rows(m)
+    base = m.bullet_rows
     coord = {}
     for v in m.index.domains:
         k = ks[v]
@@ -562,8 +544,8 @@ def realise(m, t):
         if p not in m.images(v):
             raise ModelError("vertex outside the projection image,"
                              " witness %s %s" % (v, p))
-    ks = _metrics(m)
-    rows = _bullet_rows(m)
+    ks = m.metrics
+    rows = m.bullet_rows
     # the coordinate, nested and transverse defect at every point
     defect = np.zeros((3, len(m.points)), dtype=np.int32)
     for v, p in pairs:
@@ -590,24 +572,31 @@ def distance_estimate(m, x, y, threshold):
     return total
 
 
-def distance_profile(m, threshold):
-    """Best (K, C) comparing the estimate with the point-graph metric."""
-    gaps = (k.point_gap() for k in _metrics(m).values())
-    upper = np.triu_indices(len(m.points), 1)
-    est = sum(np.where(g > threshold, g, 0) for g in gaps)[upper]
-    dz = _space_dist(m)[upper]
+def least_fit(*pairs):
+    """The least (C, K), over K in 1 .. MAX_SLOPE, with ys <= K * xs + C
+    for every pair (ys, xs) of arrays; returned as (K, C)."""
     best = None
     for k in range(1, MAX_SLOPE + 1):
-        c = int(np.max(np.concatenate([est - k * dz, dz - k * est, [0]])))
+        c = max(int((ys - k * xs).max(initial=0)) for ys, xs in pairs)
         if best is None or (c, k) < best:
             best = (c, k)
-    return {"threshold": threshold, "K": best[1], "C": best[0]}
+    return best[1], best[0]
+
+
+def distance_profile(m, threshold):
+    """Best (K, C) comparing the estimate with the point-graph metric."""
+    gaps = (k.point_gap() for k in m.metrics.values())
+    upper = np.triu_indices(len(m.points), 1)
+    est = sum(np.where(g > threshold, g, 0) for g in gaps)[upper]
+    dz = m.point_dist[upper]
+    k, c = least_fit((est, dz), (dz, est))
+    return {"threshold": threshold, "K": k, "C": c}
 
 
 def uniqueness_profile(m):
     """For each bound on coordinate distances, the largest point distance."""
     upper = np.triu_indices(len(m.points), 1)
-    jump, dz = _coordinate_jump(m)[upper], _space_dist(m)[upper]
+    jump, dz = m.coordinate_jump()[upper], m.point_dist[upper]
     return tuple((kappa, int(dz[jump < kappa].max(initial=0)))
                  for kappa in range(1, int(jump.max(initial=0)) + 2))
 
@@ -636,8 +625,8 @@ def _edpr_constant(m):
     first argmin over z is the realisation point y.  The constant is
     the largest, over u and x, of the least over families of the
     farthest y lands from x in a domain under u."""
-    ks = _metrics(m)
-    bullets = dict((v, r.max(0)) for v, r in _bullet_rows(m).items())
+    ks = m.metrics
+    bullets = dict((v, r.max(0)) for v, r in m.bullet_rows.items())
     worst = 0
     for u in m.index.domains:
         best = None
@@ -680,7 +669,7 @@ def check_metric_property(m, name):
             if u == top or u in minimal:
                 continue
             if split_info(m.index, u)["split"]:
-                constant = max(constant, int(_dist_matrix(m, u)[1].max()))
+                constant = max(constant, int(m.coord_dist[u][1].max()))
         report = PropertyReport("bounded_split", True, None)
         report.constant = constant
         return report
@@ -800,13 +789,12 @@ def augment_point_domains(m):
 # -- file format -------------------------------------------------------
 
 
-def load_model(text, resolve=None):
+def load_model(text):
     """Parse a model description.
 
-    Index lines (domain/nest/orth) may appear inline, or a single
-    `indexset <name>` line can pull them from elsewhere through the
-    resolve callback.  The remaining lines are point/space/coord/pi/rho
-    tables plus optional E and kappa lines.
+    Index lines (domain/nest/orth) give the index set.  The remaining
+    lines are point/space/coord/pi/rho tables plus optional E and kappa
+    lines.
     """
     index_lines = []
     points = []
@@ -822,11 +810,7 @@ def load_model(text, resolve=None):
     for lineno, raw, parts in content_lines(text):
         key, args = parts[0], parts[1:]
         if key in ("domain", "nest", "orth"):
-            index_lines.append(" ".join(parts))
-        elif key == "indexset":
-            if len(args) != 1 or resolve is None:
-                raise ModelError("line %d: cannot resolve indexset" % lineno)
-            index_lines.extend(resolve(args[0]).splitlines())
+            index_lines.append((lineno, raw, parts))
         elif key == "point":
             if len(args) != 1:
                 raise ModelError("line %d: cannot parse %r" % (lineno, raw))
@@ -869,7 +853,7 @@ def load_model(text, resolve=None):
                 kappa_value = value
         else:
             raise ModelError("line %d: cannot parse %r" % (lineno, raw))
-    index = load_index_set("\n".join(index_lines))
+    index = index_set_from_lines(index_lines)
     for u, lineno in coord_lines.items():
         if u not in index.up:
             raise ModelError("line %d: coordinate graph of unknown domain %s"

@@ -14,7 +14,7 @@ import tempfile
 import unittest
 from unittest import mock
 
-from hhsforge import cli
+from hhsforge import chhs, cli, model
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -250,6 +250,20 @@ class TestEquivarianceCommand(unittest.TestCase):
         self.assertEqual(code, 2)
         self.assertIn("error:", err)
 
+    def test_map_missing_a_coordinate_is_an_input_error(self):
+        with open(fix("grid_transpose.aut"), encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        lines.remove("coord [c1] 3_0 0_3")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "short.aut")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+            code, out, err = run_cli("equivariance", fix("grid.cplx"), path)
+        self.assertEqual(code, 2)
+        self.assertIn("error: coordinate map misses a vertex, witness [c1]"
+                      " 3_0", err)
+        self.assertEqual(out, "")
+
 
 class TestUsageErrors(unittest.TestCase):
 
@@ -308,7 +322,8 @@ class TestUsageErrors(unittest.TestCase):
                 ("rho V S c00 v0", "downward projection needs a nested pair,"
                  " witness S V"),
                 ("coord ZZ edge a b", "line 92: coordinate graph of unknown"
-                 " domain ZZ")):
+                 " domain ZZ"),
+                ("domain A B", "line 92: cannot parse 'domain A B'")):
             with tempfile.TemporaryDirectory() as tmp:
                 path = os.path.join(tmp, "bad.model")
                 with open(path, "w", encoding="utf-8") as handle:
@@ -396,6 +411,28 @@ class TestDeterminism(unittest.TestCase):
         second = run_proc(["counterexample", "--depth", "4"])
         self.assertEqual(first.returncode, 0)
         self.assertEqual(first.stdout, second.stdout)
+
+
+class TestDerivedTablesBuiltOnce(unittest.TestCase):
+    """A verify-chhs run measures its thresholds, enumerates the blow-up's
+    cliques and builds each domain's metric exactly once."""
+
+    def test_verify_chhs_gamma4(self):
+        with open(fix("gamma4.model"), encoding="utf-8") as handle:
+            domains = model.load_model(handle.read()).index.domains
+        with mock.patch.object(chhs, "thresholds",
+                               side_effect=chhs.thresholds) as thresholds, \
+             mock.patch.object(chhs, "enumerate_all_cliques",
+                               side_effect=chhs.enumerate_all_cliques) \
+                as cliques, \
+             mock.patch.object(model._Metric, "__init__", autospec=True,
+                               side_effect=model._Metric.__init__) as metric:
+            code, out, err = run_cli("verify-chhs", fix("gamma4.model"))
+        self.assertEqual((code, err), (1, ""))
+        self.assertEqual(thresholds.call_count, 1)
+        self.assertEqual(cliques.call_count, 1)
+        self.assertEqual(sorted(call.args[2] for call in metric.call_args_list),
+                         sorted(domains))
 
 
 if __name__ == "__main__":

@@ -21,11 +21,20 @@ st = hypothesis.strategies
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# the argv of each subcommand run on a fixture, MUTATED standing for
+# the mutated copy
+MUTATED = "<mutated>"
 COMMANDS = {
-    "square.cplx": (("cubes",), ("verify-chhs",)),
-    "b3.idx": (("check-indexset",), ("lattice", "--max-size", "8")),
-    "o6.idx": (("check-indexset",), ("lattice", "--max-size", "8")),
-    "chain.model": (("blowup",), ("verify-chhs",), ("qi-report",)),
+    "square.cplx": (("cubes", MUTATED), ("verify-chhs", MUTATED)),
+    "b3.idx": (("check-indexset", MUTATED),
+               ("lattice", MUTATED, "--max-size", "8")),
+    "o6.idx": (("check-indexset", MUTATED),
+               ("lattice", MUTATED, "--max-size", "8")),
+    "chain.model": (("blowup", MUTATED), ("verify-chhs", MUTATED),
+                    ("qi-report", MUTATED)),
+    "grid_transpose.aut": (("equivariance",
+                            os.path.join(ROOT, "fixtures", "grid.cplx"),
+                            MUTATED),),
 }
 
 # separators, digits, signs and names the formats use, plus a
@@ -87,7 +96,8 @@ def test_mutated_fixture_honours_exit_codes(name):
             with open(path, "wb") as handle:
                 handle.write(data)
             for command in COMMANDS[name]:
-                code, err = run([command[0], path] + list(command[1:]))
+                code, err = run([path if arg == MUTATED else arg
+                                 for arg in command])
                 assert code in (0, 1, 2), (command, data, err)
                 assert "Traceback" not in err, (command, data, err)
 

@@ -122,19 +122,11 @@ class TestChainModel(unittest.TestCase):
         self.assertEqual(sorted(m2.space.edges()), sorted(self.m.space.edges()))
         self.assertEqual(text, dump_model(m2))
 
-    def test_load_with_indexset_reference(self):
-        from hhsforge.indexset import dump_index_set
-        stash = {"chain.idx": dump_index_set(self.m.index)}
-        lines = [l for l in dump_model(self.m).splitlines()
-                 if not l.startswith(("domain", "nest", "orth", "#"))]
-        text = "indexset chain.idx\n" + "\n".join(lines)
-        m2 = load_model(text, resolve=stash.get)
-        self.assertEqual(m2.index, self.m.index)
-
     def test_parse_errors(self):
         with self.assertRaisesRegex(ModelError, "line 1: cannot parse"):
             load_model("frob x\n")
-        with self.assertRaisesRegex(ModelError, "cannot resolve indexset"):
+        with self.assertRaisesRegex(ModelError,
+                                    "line 1: cannot parse 'indexset missing"):
             load_model("indexset missing.idx\n")
 
 
