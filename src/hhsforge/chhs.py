@@ -28,6 +28,7 @@ from .indexset import (
     NESTED_IN,
     ORTHOGONAL,
     TRANSVERSE,
+    KeyedLines,
     PropertyReport,
     complexity,
     content_lines,
@@ -42,7 +43,6 @@ from .model import (
     HHSModel,
     check_consistency,
     least_fit,
-    realise,
 )
 
 APEX = "*"
@@ -192,11 +192,6 @@ def link(x, delta):
     return link_of_set(x, check_simplex(x, delta))
 
 
-def star(x, delta):
-    delta = check_simplex(x, delta)
-    return link_of_set(x, delta) | delta
-
-
 def simplices(x):
     """Every clique of the blown graph, the empty one included."""
     return x.simplices
@@ -285,25 +280,6 @@ def _shape(x, delta):
     if apex_piece is not None:
         return SHAPE_ALMOST_MAXIMAL
     return SHAPE_POINT_OR_JOIN
-
-
-def link_ops(x, delta):
-    """Link, star, saturation, class and shape of a simplex, with the
-    join decomposition recomputed and compared against the direct link."""
-    delta = check_simplex(x, delta)
-    direct = link_of_set(x, delta)
-    decomposed = _decomposed_link(x, delta)
-    if direct != decomposed:
-        raise ChhsError("link decomposition mismatch, witness %s"
-                        % _set_name(delta))
-    c = class_of(x, delta)
-    return {
-        "link": direct,
-        "star": direct | delta,
-        "saturation": c.saturation,
-        "class_id": c.id,
-        "shape": _shape(x, delta),
-    }
 
 
 def class_relation(x, a, b):
@@ -586,17 +562,6 @@ class _ClassTables(object):
         self.adj = (rows([x.adj[v] for v in self.names])
                     | (self.sigma.T @ wadj @ self.sigma))
         np.fill_diagonal(self.adj, False)
-
-
-def augmented_graph(w):
-    """The blown graph plus a complete join over every W-edge."""
-    t = w.class_tables
-    g = Graph()
-    g.add_nodes_from(w.blowup.blown.nodes())
-    a, b = np.nonzero(np.triu(t.adj, 1))
-    g.add_edges_from((t.names[i], t.names[j])
-                     for i, j in zip(a.tolist(), b.tolist()))
-    return g
 
 
 def _distances(adj, keep):
@@ -998,25 +963,6 @@ def _bar_split(m, bar_sigma, bar_delta):
     return tuple(phi), tuple(psi), tuple(theta)
 
 
-def _cone_refine(m, bar, psi):
-    """Grow the support while its free side is a cone, keeping the
-    decomposition balanced."""
-    s = m.index
-    bar = list(bar)
-    psi = list(psi)
-    while True:
-        lk = s.bar_link(bar)
-        point = None
-        for v in sorted(lk):
-            if all(t in s.orth[v] for t in lk if t != v):
-                point = v
-                break
-        if point is None:
-            return tuple(bar), tuple(psi)
-        bar.append(point)
-        psi.append(point)
-
-
 def _extend_piece(x, u, piece):
     """Complete a piece to a full cone edge, deterministically."""
     if len(piece) == 2:
@@ -1075,134 +1021,6 @@ def intersection_links_constructive(x, m, sigma, delta):
             raise ChhsError("padding does not join the link, witness %s"
                             % vertex_name(a))
     return {"pi": pi, "psi": psi}
-
-
-# -- constructive link-edge fill-in ------------------------------------
-
-
-def _greedy_maximal_support(m, seed):
-    s = m.index
-    out = sorted(seed)
-    for u in s.minimal_domains():
-        if u not in out and all(v in s.orth[u] for v in out):
-            out.append(u)
-            out.sort()
-    return tuple(out)
-
-
-def _shared_coordinate(m, x, delta, u):
-    dp = pieces(x, delta)
-    if u in dp:
-        base = sorted(c for (d, c) in dp[u] if c != APEX)
-        if base:
-            return base[0]
-    return sorted(m.coord_graphs[u].nodes())[0]
-
-
-def _assemble_maximal(m, x, bar, coords):
-    out = set()
-    for u in bar:
-        out.add(x.apex(u))
-        out.add((u, coords[u]))
-    return frozenset(out)
-
-
-def adjacent_extensions(w, delta, v, u, i, j):
-    """Complete delta * v and delta * u to adjacent maximal simplices,
-    steering by the supports of the two given adjacent witnesses."""
-    m = w.model
-    x = w.blowup
-    delta = check_simplex(x, delta)
-    lk = link_of_set(x, delta)
-    if v not in lk or u not in lk:
-        raise ChhsError("vertex outside the link, witness %s"
-                        % vertex_name(v if v not in lk else u))
-    if u in x.adj[v]:
-        raise ChhsError("vertices already adjacent, witness %s %s"
-                        % (vertex_name(v), vertex_name(u)))
-    sv, su = w.simplices[i], w.simplices[j]
-    if v not in sv or u not in su or j not in w.graph[i]:
-        raise ChhsError("witness simplices do not apply, witness %d %d"
-                        % (i, j))
-    dv, du = x.p[v], x.p[u]
-    s = m.index
-
-    if dv == du:
-        bar = _greedy_maximal_support(m, support(x, delta) | {dv})
-        coords = dict((t, _shared_coordinate(m, x, delta, t)) for t in bar)
-        cv = dict(coords)
-        cu = dict(coords)
-        if v != x.apex(dv):
-            cv[dv] = v[1]
-        if u != x.apex(du):
-            cu[du] = u[1]
-        return (_assemble_maximal(m, x, bar, cv),
-                _assemble_maximal(m, x, bar, cu))
-
-    bar_sigma = sorted(support(x, sv) & support(x, su))
-    bar_delta = sorted(support(x, delta))
-    phi, psi_bar, theta = _bar_split(m, bar_sigma, bar_delta)
-    lam_bar, _ = _cone_refine(m, tuple(bar_delta) + phi + psi_bar + theta,
-                              psi_bar)
-    lk_bar = s.bar_link(lam_bar)
-    if dv not in lk_bar or du not in lk_bar:
-        raise ChhsError("support fell outside the common link, witness %s %s"
-                        % (dv, du))
-    psi_v = sorted(t for t in support(x, sv) if t in lk_bar)
-    psi_u = sorted(t for t in support(x, su) if t in lk_bar)
-
-    def complete(side_psi, side_sigma, side_vertex):
-        seed = tuple(sorted(set(lam_bar) | set(side_psi)))
-        comp = _oc(s, seed, s.top)
-        omega = []
-        omega_coords = {}
-        if comp is not None:
-            theta_side = sorted(set(support(x, side_sigma))
-                                - set(bar_sigma) - set(side_psi))
-            scope = sorted(s.down[comp])
-            coords = {}
-            for t in scope:
-                if t in theta_side:
-                    coords[t] = frozenset(
-                        [c for (d, c) in pieces(x, side_sigma)[t]
-                         if c != APEX])
-                else:
-                    acc = set()
-                    for r in theta_side:
-                        if relation(s, r, t) in (NESTED_IN, TRANSVERSE):
-                            acc |= m.rho_up[(r, t)]
-                    if acc:
-                        coords[t] = frozenset(acc)
-            if coords:
-                target = realise(
-                    m, ConsistentTuple(sorted(coords), coords))["point"]
-                best = None
-                for fam in s.families(comp):
-                    score = max(m.dist(t, m.pi[(t, target)],
-                                       coords.get(t, m.pi[(t, target)]))
-                                for t in fam)
-                    if best is None or score < best[0]:
-                        best = (score, fam)
-                omega = list(best[1])
-                for t in omega:
-                    pool = coords.get(t)
-                    omega_coords[t] = (sorted(pool)[0] if pool else
-                                       sorted(m.coord_graphs[t].nodes())[0])
-        bar = tuple(sorted(set(lam_bar) | set(side_psi) | set(omega)))
-        coords_out = {}
-        for t in bar:
-            if t in side_psi:
-                coords_out[t] = next(c for (d, c) in pieces(x, side_sigma)[t]
-                                     if c != APEX)
-            elif t in omega_coords:
-                coords_out[t] = omega_coords[t]
-            else:
-                coords_out[t] = _shared_coordinate(m, x, delta, t)
-        return _assemble_maximal(m, x, bar, coords_out)
-
-    pi_v = complete(psi_v, sv, v)
-    pi_u = complete(psi_u, su, u)
-    return pi_v, pi_u
 
 
 # -- identity suite ----------------------------------------------------
@@ -1495,15 +1313,18 @@ def check_equivariance(m, w, g):
 
 
 def load_automorphism(text):
-    """Parse domain/coord/point mapping lines."""
+    """Parse domain/coord/point mapping lines; a line may be given twice
+    only with the same image."""
     g = {"domains": {}, "coords": {}, "points": {}}
+    once = KeyedLines(text, ChhsError)
     for lineno, raw, parts in content_lines(text):
         if parts[0] == "domain" and len(parts) == 3:
-            g["domains"][parts[1]] = parts[2]
+            once.put(g["domains"], parts[1], parts[2], lineno, parts)
         elif parts[0] == "coord" and len(parts) == 4:
-            g["coords"][(parts[1], parts[2])] = parts[3]
+            once.put(g["coords"], (parts[1], parts[2]), parts[3], lineno,
+                     parts)
         elif parts[0] == "point" and len(parts) == 3:
-            g["points"][parts[1]] = parts[2]
+            once.put(g["points"], parts[1], parts[2], lineno, parts)
         else:
             raise ChhsError("line %d: cannot parse %r" % (lineno, raw))
     if not g["domains"]:
@@ -1572,10 +1393,6 @@ def collapse_unit_coordinates(m):
 # -- exports -----------------------------------------------------------
 
 
-def base_dot(x):
-    return sorted_dot("minorth", x.base)
-
-
 def blown_dot(x):
     return sorted_dot("blowup", x.blown, vertex_name)
 
@@ -1585,8 +1402,3 @@ def w_dot(w):
     edges = sorted((nodes[min(i, j)], nodes[max(i, j)])
                    for i, j in w.graph.edges())
     return graph_dot("wgraph", sorted(nodes), edges)
-
-
-def class_dot(w, cid):
-    return sorted_dot("classgraph", coordinate_graph(w, cid)["C"],
-                      vertex_name)

@@ -167,6 +167,7 @@ def _gate_vertex(ctx, y, x):
 
 
 def _gate_image(ctx, y, f):
+    """Pointwise gate of the set f into the convex set y."""
     return frozenset(_gate_vertex(ctx, y, x) for x in f)
 
 
@@ -296,11 +297,6 @@ def _crossing(ctx, s):
     return frozenset(out)
 
 
-def crossing_set(g, s):
-    """Hyperplane ids separating two vertices of s."""
-    return _crossing(_ctx(g), frozenset(s))
-
-
 def gate(g, x, y):
     """The unique vertex of the convex set y closest to x."""
     ctx = _ctx(g)
@@ -311,27 +307,13 @@ def gate(g, x, y):
     return _gate_vertex(ctx, y, x)
 
 
-def gate_image(g, y, f):
-    """Pointwise gate of the set f into the convex set y."""
-    ctx = _ctx(g)
-    y = frozenset(y)
-    if not y:
-        raise CubeError("gate target empty")
-    _require_convex(ctx, y, "gate target")
-    return _gate_image(ctx, y, f)
-
-
-def parallel_class(g, f):
+def _parallel_class(ctx, f):
     """All convex sets crossed by exactly the same hyperplanes as f.
 
     Copies are found by translating across hyperplanes that run along
     the whole of f; the enumeration is complete because the copies of a
     convex set form a connected product region.
     """
-    return _parallel_class(_ctx(g), frozenset(f))
-
-
-def _parallel_class(ctx, f):
     _require_convex(ctx, f, "parallel seed")
     hs = _hyperplanes(ctx)
     key = _crossing(ctx, f)
@@ -355,7 +337,7 @@ def _parallel_class(ctx, f):
     return ParallelClass(key, members[0], members)
 
 
-def orthogonal_complement_at(g, f, base):
+def _orthogonal_complement_at(ctx, f, base):
     """Largest convex set at base spanning a product with f.
 
     Built as an intersection of gate images of combinatorial
@@ -363,10 +345,6 @@ def orthogonal_complement_at(g, f, base):
     leaving base along f, then gate every side of every hyperplane
     crossing f into that intersection and intersect the images.
     """
-    return _orthogonal_complement_at(_ctx(g), frozenset(f), base)
-
-
-def _orthogonal_complement_at(ctx, f, base):
     if base not in f:
         raise CubeError("base vertex outside the set, witness %s" % base)
     _require_convex(ctx, f, "complement seed")
@@ -747,19 +725,6 @@ def dump_complex(g):
     return "\n".join(lines) + "\n"
 
 
-def dump_hyperclosure(hc):
-    lines = ["# hyperclosure, %d classes, longest chain %d" %
-             (len(hc), hc.chain_length)]
-    for cid in hc.order:
-        rec = hc.classes[cid]
-        lines.append("class %s: crossing={%s} rep={%s} minimal=%s"
-                     " boundary=%s" % (cid, ",".join(sorted(rec.key)),
-                                       ",".join(sorted(rec.rep)),
-                                       str(rec.minimal).lower(),
-                                       str(rec.boundary).lower()))
-    return "\n".join(lines) + "\n"
-
-
 def graph_dot(name, nodes, edges):
     """DOT text of an undirected graph, nodes and edges in the order
     given; every DOT export goes through here."""
@@ -783,10 +748,6 @@ def minimal_orth_dot(hc, index):
     return sorted_dot("minorth", index.orth_graph(
         cid for cid in hc.order
         if hc.classes[cid].minimal and not hc.classes[cid].boundary))
-
-
-def coordinate_dot(model, cid):
-    return sorted_dot("coords", model.coord_graphs[cid])
 
 
 def _four_point(d):

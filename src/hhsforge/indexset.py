@@ -272,6 +272,27 @@ def content_lines(text):
             yield lineno, raw, parts
 
 
+class KeyedLines(object):
+    """Puts the values of keyed lines into tables: a key may be given
+    again only with the value it was first given.  A key is named by the
+    words of its line before the last, which gives the value; the first
+    line is looked up in the text only when a repeat conflicts, so the
+    tables hold nothing but the values."""
+
+    def __init__(self, text, error):
+        self.text = text
+        self.error = error
+
+    def put(self, table, key, value, lineno, parts):
+        if table.setdefault(key, value) != value:
+            first, word = next((n, p[-1])
+                               for n, _, p in content_lines(self.text)
+                               if p[:-1] == parts[:-1])
+            raise self.error("line %d: %s given again with %s, first at line"
+                             " %d with %s" % (lineno, " ".join(parts[:-1]),
+                                              parts[-1], first, word))
+
+
 def load_index_set(text):
     """Parse the line-based index-set format.
 
@@ -342,33 +363,6 @@ def relation(s, u, v):
     if v in s.orth[u]:
         return ORTHOGONAL
     return TRANSVERSE
-
-
-def wedge(s, u, v, weak=False):
-    """Largest common nested domain of u and v, or None when they share none.
-
-    Strict mode wants a unique maximal common lower bound and raises when the
-    maximal lower bounds form a bigger antichain.  Weak mode instead returns
-    the smallest T nested in both that contains every minimal domain nested
-    in both; it requires the weak wedge property to hold.
-    """
-    s.check_ids(u, v)
-    maxs = s.maximal_lower_bounds(u, v)
-    if not maxs:
-        return None
-    if not weak:
-        if len(maxs) == 1:
-            return maxs[0]
-        raise IndexSetError("wedge undefined, witness %s" % " ".join(maxs))
-    rep = check_property(s, "weak_wedges")
-    if not rep.verdict:
-        raise IndexSetError(
-            "weak wedge needs the weak_wedges property, witness %s"
-            % " ".join(rep.witness))
-    least = s.weak_wedge_candidates(u, v)
-    if len(least) != 1:
-        raise IndexSetError("weak wedge undefined, witness %s" % " ".join(least))
-    return least[0]
 
 
 def orth_complement(s, parts, ambient):

@@ -15,7 +15,6 @@ data about that family up to the size cap, never a proof of non-existence.
 
 import itertools
 
-from .graph import chain_lengths
 from .indexset import PropertyReport, check_property
 
 BOTTOM = "Empty"
@@ -49,7 +48,6 @@ class OrthoLattice(object):
         self.comp = dict(comp)
         self.top = top
         self.bottom = bottom
-        self._heights = None
         self._build_tables()
         self._validate()
 
@@ -112,15 +110,6 @@ class OrthoLattice(object):
                 if self.leq(x, y) and not self.leq(self.comp[y], self.comp[x]):
                     raise LatticeError(
                         "complement not order-reversing, witness %s %s" % (x, y))
-
-    def height(self, x):
-        """Longest chain from the bottom up to x, counted in steps."""
-        if self._heights is None:
-            self._heights = chain_lengths(
-                sorted(self.elements, key=lambda z: len(self.down[z])),
-                lambda y: self.down[y] - {y})
-        return self._heights[x]
-
 
 def to_ortholattice(s):
     """Ortholattice on the domains of s plus a fresh bottom element.
@@ -358,27 +347,3 @@ def search_orthomodular_extension(L, max_size):
                     "targets_examined": examined, "assignments_tried": tried_total}
     return {"found": False, "target": None, "mapping": None,
             "targets_examined": examined, "assignments_tried": tried_total}
-
-
-def format_embedding(result):
-    if not result["found"]:
-        return "NotFound targets=%d assignments=%d" % (
-            result["targets_examined"], result["assignments_tried"])
-    lines = ["target %s" % result["target"]]
-    for src in sorted(result["mapping"]):
-        lines.append("map %s -> %s" % (src, result["mapping"][src]))
-    return "\n".join(lines)
-
-
-def dump_lattice(L):
-    """One line per element: sort key, lower covers, complement."""
-    ranked = sorted(L.elements, key=lambda x: (L.height(x), x))
-    rank = {x: i for i, x in enumerate(ranked)}
-    out = ["# ortholattice, %d elements" % len(L.elements)]
-    for x in ranked:
-        below = L.down[x] - {x}
-        covers = sorted(y for y in below
-                        if not any(y in L.down[z] for z in below - {y} if y != z))
-        out.append("element %s key=%d covers=%s complement=%s" % (
-            x, rank[x], ",".join(covers), L.comp[x]))
-    return "\n".join(out) + "\n"

@@ -15,9 +15,9 @@ from .graph import Graph, apsp, as_graph, is_connected
 from .indexset import (
     CONTAINS,
     NESTED_IN,
-    ORTHOGONAL,
     TRANSVERSE,
     IndexSet,
+    KeyedLines,
     PropertyReport,
     content_lines,
     dump_index_set,
@@ -242,16 +242,8 @@ class HHSModel:
         return functools.reduce(np.maximum, (k.point_gap()
                                              for k in self.metrics.values()))
 
-    def projection(self, u, x):
-        return self.pi[(u, x)]
-
     def images(self, u):
         return frozenset().union(*(self.pi[(u, x)] for x in self.points))
-
-    def point_tuple(self, x):
-        scope = self.index.domains
-        return ConsistentTuple(scope, dict((u, self.pi[(u, x)])
-                                           for u in scope))
 
     def down_image(self, small, big, vertices):
         """Image of a CV vertex set under the downward map onto C(small)."""
@@ -479,7 +471,7 @@ def measure_model(m):
     return scans
 
 
-# -- consistency and realisation -------------------------------------
+# -- consistency ------------------------------------------------------
 
 
 def _consistency_value(m, coords, u, v):
@@ -519,57 +511,7 @@ def check_consistency(m, t, kappa=None):
     return report
 
 
-def realise(m, t):
-    """Find the point that best matches a tuple or a partial family.
-
-    A ConsistentTuple is matched on every domain it carries.  A list of
-    (domain, vertex) pairs must be pairwise orthogonal with vertices in
-    the projection images; the returned dict then also reports the
-    three defect families separately.
-    """
-    if isinstance(t, ConsistentTuple):
-        best = None
-        for z in m.points:
-            score = max(m.dist(u, m.pi[(u, z)], t.coords[u])
-                        for u in sorted(t.coords))
-            if best is None or score < best[1]:
-                best = (z, score)
-        return {"point": best[0], "defect": best[1]}
-    pairs = [(v, p) for v, p in t]
-    for (u, _), (v, _) in itertools.combinations(pairs, 2):
-        if relation(m.index, u, v) != ORTHOGONAL:
-            raise ModelError("family not pairwise orthogonal,"
-                             " witness %s %s" % tuple(sorted((u, v))))
-    for v, p in pairs:
-        if p not in m.images(v):
-            raise ModelError("vertex outside the projection image,"
-                             " witness %s %s" % (v, p))
-    ks = m.metrics
-    rows = m.bullet_rows
-    # the coordinate, nested and transverse defect at every point
-    defect = np.zeros((3, len(m.points)), dtype=np.int32)
-    for v, p in pairs:
-        k = ks[v]
-        defect[0] = np.maximum(defect[0], k.near[k.point, k.index[p]])
-        defect[1:] = np.maximum(defect[1:], rows[v])
-    score = defect.max(0)
-    z = int(score.argmin())
-    return {"point": m.points[z], "defect": int(score[z]),
-            "bullets": dict(zip(("coordinate", "nested", "transverse"),
-                                defect[:, z].tolist()))}
-
-
 # -- distance formula -------------------------------------------------
-
-
-def distance_estimate(m, x, y, threshold):
-    """Sum of projection distances strictly above the threshold."""
-    total = 0
-    for u in m.index.domains:
-        d = m.dist(u, m.pi[(u, x)], m.pi[(u, y)])
-        if d > threshold:
-            total += d
-    return total
 
 
 def least_fit(*pairs):
@@ -591,14 +533,6 @@ def distance_profile(m, threshold):
     dz = m.point_dist[upper]
     k, c = least_fit((est, dz), (dz, est))
     return {"threshold": threshold, "K": k, "C": c}
-
-
-def uniqueness_profile(m):
-    """For each bound on coordinate distances, the largest point distance."""
-    upper = np.triu_indices(len(m.points), 1)
-    jump, dz = m.coordinate_jump()[upper], m.point_dist[upper]
-    return tuple((kappa, int(dz[jump < kappa].max(initial=0)))
-                 for kappa in range(1, int(jump.max(initial=0)) + 2))
 
 
 # -- metric properties ------------------------------------------------
@@ -691,27 +625,6 @@ def check_metric_property(m, name):
     raise ModelError("unknown metric property %s" % name)
 
 
-def check_orth_projection_agreement(m):
-    """Orthogonal domains project to nearby spots in every third domain."""
-    worst = 0
-    witness = None
-    for u in m.index.domains:
-        for v in sorted(m.index.orth[u]):
-            if v < u:
-                continue
-            for w in m.index.domains:
-                if (u, w) in m.rho_up and (v, w) in m.rho_up:
-                    d = m.dist(w, m.rho_up[(u, w)], m.rho_up[(v, w)])
-                    if d > worst:
-                        worst = d
-                        witness = (u, v, w)
-    verdict = worst <= 2 * m.E
-    report = PropertyReport("orth_projection_agreement", verdict,
-                            None if verdict else witness)
-    report.constant = worst
-    return report
-
-
 # -- point-domain augmentation ----------------------------------------
 
 
@@ -794,7 +707,8 @@ def load_model(text):
 
     Index lines (domain/nest/orth) give the index set.  The remaining
     lines are point/space/coord/pi/rho tables plus optional E and kappa
-    lines.
+    lines.  A pi, rho, E or kappa line may be given twice only with the
+    same value.
     """
     index_lines = []
     points = []
@@ -805,8 +719,8 @@ def load_model(text):
     pi = {}
     rho_up = {}
     rho_down = {}
-    e_value = None
-    kappa_value = None
+    constants = {}
+    once = KeyedLines(text, ModelError)
     for lineno, raw, parts in content_lines(text):
         key, args = parts[0], parts[1:]
         if key in ("domain", "nest", "orth"):
@@ -830,13 +744,16 @@ def load_model(text):
         elif key == "pi":
             if len(args) != 3:
                 raise ModelError("line %d: cannot parse %r" % (lineno, raw))
-            pi[(args[0], args[1])] = frozenset(args[2].split(","))
+            once.put(pi, (args[0], args[1]), frozenset(args[2].split(",")),
+                     lineno, parts)
         elif key == "rho":
             if len(args) == 3:
-                rho_up[(args[0], args[1])] = frozenset(args[2].split(","))
+                once.put(rho_up, (args[0], args[1]),
+                         frozenset(args[2].split(",")), lineno, parts)
             elif len(args) == 4:
-                table = rho_down.setdefault((args[1], args[0]), {})
-                table[args[2]] = frozenset(args[3].split(","))
+                once.put(rho_down.setdefault((args[1], args[0]), {}),
+                         args[2], frozenset(args[3].split(",")), lineno,
+                         parts)
             else:
                 raise ModelError("line %d: cannot parse %r" % (lineno, raw))
         elif key in ("E", "kappa"):
@@ -847,10 +764,7 @@ def load_model(text):
             if value < 1:
                 raise ModelError("line %d: %s needs one positive integer,"
                                  " got %r" % (lineno, key, raw))
-            if key == "E":
-                e_value = value
-            else:
-                kappa_value = value
+            once.put(constants, key, value, lineno, parts)
         else:
             raise ModelError("line %d: cannot parse %r" % (lineno, raw))
     index = index_set_from_lines(index_lines)
@@ -868,7 +782,7 @@ def load_model(text):
         g.add_edges_from(coord_edges.get(u, []))
         coord_graphs[u] = g
     return HHSModel(index, space, coord_graphs, pi, rho_up, rho_down,
-                    E=e_value, kappa=kappa_value)
+                    E=constants.get("E"), kappa=constants.get("kappa"))
 
 
 def dump_model(m):

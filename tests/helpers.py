@@ -1,6 +1,8 @@
-"""Shared fixtures for the test modules."""
+"""Shared fixtures for the test modules, and the reference forms of
+package internals that the tests compare against."""
 
-from hhsforge.indexset import IndexSet
+from hhsforge import cubes
+from hhsforge.indexset import IndexSet, IndexSetError, check_property
 
 
 def as_nx(g):
@@ -13,6 +15,60 @@ def as_nx(g):
     out.add_edges_from((a, b, dict(g[a][b])) for a, b in g.edges())
     out.graph.update(g.graph)
     return out
+
+
+def augmented_graph(w):
+    """The augmented graph of W as a networkx graph on the blown-up
+    vertices, read from the boolean adjacency of its class tables."""
+    import networkx as nx
+    t = w.class_tables
+    return nx.relabel_nodes(nx.from_numpy_array(t.adj),
+                            dict(enumerate(t.names)))
+
+
+def on_ctx(kernel, g, s, *args):
+    """A private cube kernel on the context of g and the vertex set s."""
+    return kernel(cubes._ctx(g), frozenset(s), *args)
+
+
+def wedge(s, u, v, weak=False):
+    """Largest common nested domain of u and v, or None when they share none.
+
+    Strict mode wants a unique maximal common lower bound and raises when the
+    maximal lower bounds form a bigger antichain.  Weak mode instead returns
+    the smallest T nested in both that contains every minimal domain nested
+    in both; it requires the weak wedge property to hold.  The reference for
+    the ortholattice meet and for the lower-bound tables of an IndexSet.
+    """
+    s.check_ids(u, v)
+    maxs = s.maximal_lower_bounds(u, v)
+    if not maxs:
+        return None
+    if not weak:
+        if len(maxs) == 1:
+            return maxs[0]
+        raise IndexSetError("wedge undefined, witness %s" % " ".join(maxs))
+    rep = check_property(s, "weak_wedges")
+    if not rep.verdict:
+        raise IndexSetError(
+            "weak wedge needs the weak_wedges property, witness %s"
+            % " ".join(rep.witness))
+    least = s.weak_wedge_candidates(u, v)
+    if len(least) != 1:
+        raise IndexSetError("weak wedge undefined, witness %s"
+                            % " ".join(least))
+    return least[0]
+
+
+def distance_estimate(m, x, y, threshold):
+    """Sum of projection distances strictly above the threshold: the
+    per-pair reference for model.distance_profile."""
+    total = 0
+    for u in m.index.domains:
+        d = m.dist(u, m.pi[(u, x)], m.pi[(u, y)])
+        if d > threshold:
+            total += d
+    return total
 
 B3_IDS = ["1", "2", "3", "12", "13", "23", "123"]
 

@@ -8,18 +8,15 @@ import pytest
 from hhsforge import cubes
 from hhsforge.chhs import (
     APEX,
+    SHAPE_ALL_EDGES,
     ChhsError,
-    adjacent_extensions,
-    augmented_graph,
     b_sigma,
-    base_dot,
     blow_up,
     blown_dot,
     build_w,
     check_chhs,
     check_equivariance,
     check_simplex,
-    class_dot,
     class_of,
     class_relation,
     collapse_unit_coordinates,
@@ -33,7 +30,6 @@ from hhsforge.chhs import (
     intersection_links_constructive,
     link,
     link_of_set,
-    link_ops,
     load_automorphism,
     maximal_simplices,
     pieces,
@@ -44,6 +40,7 @@ from hhsforge.chhs import (
     thresholds,
     vertex_name,
     w_dot,
+    _shape,
 )
 from hhsforge.indexset import (
     CONTAINS,
@@ -55,7 +52,8 @@ from hhsforge.indexset import (
 )
 from hhsforge.model import HHSModel, load_model
 
-from helpers import as_nx, make_rect_model, make_star_model
+from helpers import (as_nx, augmented_graph, make_rect_model,
+                     make_star_model)
 from test_measure_kernel import glued, tree_times_path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -256,11 +254,8 @@ class TestSimplexCalculus(unittest.TestCase):
     def test_full_cone_edge_link(self):
         _, x, _ = pipeline("grid")
         edge = frozenset([("[c0]", APEX), ("[c0]", "0_3")])
-        rec = link_ops(x, edge)
-        self.assertEqual(rec["link"], frozenset(x.cone("[c1]")))
-        self.assertEqual(rec["shape"], "all-edges")
-        self.assertEqual(rec["star"], rec["link"] | edge)
-        self.assertEqual(rec["class_id"], class_of(x, edge).id)
+        self.assertEqual(link(x, edge), frozenset(x.cone("[c1]")))
+        self.assertEqual(_shape(x, edge), SHAPE_ALL_EDGES)
 
     def test_empty_link_is_everything(self):
         _, x, _ = pipeline("square")
@@ -726,69 +721,6 @@ class TestIntersectionConstructive(unittest.TestCase):
         self.assertIn("[c4] [c8]", str(err.exception))
 
 
-class TestAdjacentExtensions(unittest.TestCase):
-
-    def scan(self, name):
-        m, x, w = pipeline(name)
-        maxs = maximal_simplices(x)
-        index_of = dict((s, i) for i, s in enumerate(w.simplices))
-        holders = {}
-        for i, s in enumerate(w.simplices):
-            for v in s:
-                holders.setdefault(v, []).append(i)
-        seen = 0
-        for delta in simplices(x):
-            if delta in index_of:
-                continue
-            lk = sorted(link_of_set(x, delta))
-            for v, u in itertools.combinations(lk, 2):
-                if u in x.adj[v]:
-                    continue
-                pick = None
-                for i in holders[v]:
-                    for j in holders[u]:
-                        if i != j and w.graph.has_edge(i, j):
-                            pick = (i, j)
-                            break
-                    if pick:
-                        break
-                if pick is None:
-                    continue
-                seen += 1
-                pv, pu = adjacent_extensions(w, delta, v, u, *pick)
-                self.assertTrue((delta | {v}) <= pv)
-                self.assertTrue((delta | {u}) <= pu)
-                iv, iu = index_of[pv], index_of[pu]
-                self.assertTrue(w.graph.has_edge(iv, iu))
-        return seen
-
-    def test_square_scan(self):
-        self.assertEqual(self.scan("square"), 24)
-
-    def test_b3_scan(self):
-        self.assertEqual(self.scan("b3"), 216)
-
-    def test_grid_scan(self):
-        self.assertEqual(self.scan("grid"), 1344)
-
-    def test_errors(self):
-        m, x, w = pipeline("grid")
-        delta = frozenset([("[c0]", "0_0")])
-        outside = ("[c0]", "0_1")
-        inside = ("[c1]", "0_0")
-        apex0 = ("[c0]", APEX)
-        with self.assertRaises(ChhsError) as err:
-            adjacent_extensions(w, delta, outside, inside, 0, 1)
-        self.assertIn("vertex outside the link", str(err.exception))
-        with self.assertRaises(ChhsError) as err:
-            adjacent_extensions(w, delta, inside, apex0, 0, 1)
-        self.assertIn("vertices already adjacent", str(err.exception))
-        other = ("[c1]", "1_0")
-        with self.assertRaises(ChhsError) as err:
-            adjacent_extensions(w, frozenset(), inside, other, 0, 0)
-        self.assertIn("witness simplices do not apply", str(err.exception))
-
-
 class TestIdentitySuite(unittest.TestCase):
 
     SUITE_NAMES = ["link_decomposition", "shape_tags",
@@ -936,19 +868,12 @@ class TestDotExports(unittest.TestCase):
 
     def test_shapes_and_determinism(self):
         m, x, w = pipeline("square")
-        base = base_dot(x)
         blown = blown_dot(x)
         wg = w_dot(w)
-        self.assertTrue(base.startswith("graph minorth {"))
         self.assertTrue(blown.startswith("graph blowup {"))
         self.assertTrue(wg.startswith("graph wgraph {"))
-        self.assertEqual(base, base_dot(x))
         self.assertEqual(blown, blown_dot(x))
         self.assertEqual(wg, w_dot(w))
-        c = next(c for c in simplex_classes(x) if not c.maximal)
-        cd = class_dot(w, c)
-        self.assertTrue(cd.startswith("graph classgraph {"))
-        self.assertEqual(cd, class_dot(w, c))
 
     def test_w_dot_labels(self):
         _, _, w = pipeline("square")

@@ -1,5 +1,5 @@
 """The array kernels of thresholds, build_w, coordinate_graph and the
-point-pair profiles against the loops they replaced.
+distance profile against the loops they replaced.
 
 The loops below are the reference implementations: each asks
 HHSModel.dist for one pair of vertex sets at a time, or runs a
@@ -44,9 +44,9 @@ from hhsforge.model import (
     HHSModel,
     distance_profile,
     load_model,
-    uniqueness_profile,
 )
 
+from helpers import augmented_graph
 from test_measure_kernel import glued, tree_times_path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -157,13 +157,6 @@ def oracle_distance_profile(pairs, threshold, max_k=10):
         if best is None or (c, k) < best:
             best = (c, k)
     return {"threshold": threshold, "K": best[1], "C": best[0]}
-
-
-def oracle_uniqueness_profile(pairs):
-    top = max([max(ds) for dz, ds in pairs] + [0])
-    return tuple((kappa, max([dz for dz, ds in pairs if max(ds) < kappa]
-                             + [0]))
-                 for kappa in range(1, top + 2))
 
 
 # -- loop coordinate graphs, the reference ---------------------------
@@ -316,7 +309,6 @@ def check_model(test, m, records=True):
     for threshold in (0, m.kappa):
         test.assertEqual(distance_profile(m, threshold),
                          oracle_distance_profile(pairs, threshold))
-    test.assertEqual(uniqueness_profile(m), oracle_uniqueness_profile(pairs))
     if records:
         w = build_w(m, x)
         check_records(test, w)
@@ -324,7 +316,7 @@ def check_model(test, m, records=True):
 
 def check_records(test, w):
     aug = _augmented_graph(w)
-    test.assertEqual(set(map(frozenset, chhs.augmented_graph(w).edges())),
+    test.assertEqual(set(map(frozenset, augmented_graph(w).edges())),
                      set(map(frozenset, aug.edges())))
     for c in simplex_classes(w.blowup):
         if c.maximal:

@@ -14,6 +14,8 @@ import tempfile
 import unittest
 from unittest import mock
 
+import pytest
+
 from hhsforge import chhs, cli, model
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -396,6 +398,47 @@ class TestUsageErrors(unittest.TestCase):
         self.assertTrue(result.stdout.startswith("usage:"))
         result = run_proc(["verify-chhs", "--help"])
         self.assertEqual(result.returncode, 0)
+
+
+# (fixture, subcommand arguments before the file, first word and word
+# count of the keyed line kind, the value its changed copy gives)
+REPEATS = (
+    ("chain.model", ("verify-chhs",), "pi", 4, "c01"),
+    ("chain.model", ("verify-chhs",), "rho", 4, "c10"),
+    ("chain.model", ("verify-chhs",), "rho", 5, "v1"),
+    ("chain.model", ("verify-chhs",), "E", 2, "5"),
+    ("chain.model", ("verify-chhs",), "kappa", 2, "21"),
+    ("grid_transpose.aut", ("equivariance", fix("grid.cplx")), "domain", 3,
+     "[c2]"),
+    ("grid_transpose.aut", ("equivariance", fix("grid.cplx")), "coord", 4,
+     "9_9"),
+    ("grid_transpose.aut", ("equivariance", fix("grid.cplx")), "point", 3,
+     "9_9"),
+)
+
+
+@pytest.mark.parametrize("fixture, argv, word, count, value", REPEATS,
+                         ids=["pi", "rho-up", "rho-down", "E", "kappa",
+                              "domain", "coord", "point"])
+def test_conflicting_repeat_exits_2(fixture, argv, word, count, value):
+    """A keyed line given again with another value is an unusable input,
+    named by both line numbers; the same value given again is accepted."""
+    with open(fix(fixture), encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    first = next(i for i, line in enumerate(lines, 1)
+                 if line.split()[:1] == [word] and len(line.split()) == count)
+    parts = lines[first - 1].split()
+    for repeat, code in ((parts, 0), (parts[:-1] + [value], 2)):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, fixture)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(lines + [" ".join(repeat)]) + "\n")
+            got, out, err = run_cli(*(argv + (path,)))
+        assert got == code, (repeat, err)
+    assert out == ""
+    assert err == ("error: line %d: %s given again with %s, first at line %d"
+                   " with %s\n" % (len(lines) + 1, " ".join(parts[:-1]),
+                                    value, first, parts[-1]))
 
 
 class TestDeterminism(unittest.TestCase):

@@ -15,8 +15,10 @@ from hhsforge.indexset import (
     IndexSet, IndexSetError, PropertyReport,
     check_all_properties, check_property, complexity, depth_stats,
     dump_index_set, load_index_set, orth_complement, relation,
-    split_info, wedge,
+    split_info,
 )
+
+from helpers import wedge
 
 B3_IDS = ["1", "2", "3", "12", "13", "23", "123"]
 

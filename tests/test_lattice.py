@@ -14,13 +14,13 @@ from unittest import mock
 
 import pytest
 
-from helpers import make_b3, make_o6_indexset
+from helpers import make_b3, make_o6_indexset, wedge
 from hhsforge.indexset import (
-    IndexSet, check_property, load_index_set, relation, wedge, ORTHOGONAL,
+    IndexSet, check_property, load_index_set, relation, ORTHOGONAL,
 )
 from hhsforge.lattice import (
     BOTTOM, HARD_CAP, LatticeError, OrthoLattice, _enumerate_targets,
-    boolean_lattice, dump_lattice, format_embedding, horizontal_sum,
+    boolean_lattice, horizontal_sum,
     is_orthomodular, product_lattice, search_orthomodular_extension,
     to_ortholattice,
 )
@@ -161,18 +161,6 @@ class TestB3Lattice(unittest.TestCase):
         self.assertEqual(res["target"], "self")
         self.assertEqual(res["mapping"], {x: x for x in self.lat.elements})
         self.assertEqual(res["targets_examined"], 0)
-        text = format_embedding(res)
-        self.assertIn("target self", text)
-        self.assertIn("map 1 -> 1", text)
-
-    def test_dump_lines(self):
-        text = dump_lattice(self.lat)
-        lines = text.splitlines()
-        self.assertEqual(lines[0], "# ortholattice, 8 elements")
-        self.assertEqual(lines[1], "element Empty key=0 covers= complement=123")
-        self.assertIn("element 1 key=1 covers=Empty complement=23", lines)
-        self.assertIn("element 12 key=4 covers=1,2 complement=3", lines)
-        self.assertEqual(lines[-1], "element 123 key=7 covers=12,13,23 complement=Empty")
 
 
 class TestSingleDomainLattice(unittest.TestCase):
@@ -215,9 +203,6 @@ class TestHexagon(unittest.TestCase):
         self.assertEqual(res["targets_examined"], 2)
         self.assertGreater(res["assignments_tried"], 0)
         self._replay(self.lat, res)
-        text = format_embedding(res)
-        self.assertTrue(text.startswith("target boolean(3)"))
-        self.assertEqual(len([l for l in text.splitlines() if l.startswith("map ")]), 6)
 
     def _replay(self, lat, res):
         target = boolean_lattice(3)
@@ -233,7 +218,6 @@ class TestHexagon(unittest.TestCase):
         res = search_orthomodular_extension(self.lat, 6)
         self.assertFalse(res["found"])
         self.assertEqual(res["targets_examined"], 1)
-        self.assertTrue(format_embedding(res).startswith("NotFound targets=1"))
 
     def test_search_below_own_size(self):
         res = search_orthomodular_extension(self.lat, 4)

@@ -1,13 +1,13 @@
-"""The array scans of measure_model, realise and the edpr constant
-against the loops they replaced.
+"""The array scans of measure_model and the edpr constant against the
+loops they replaced.
 
 The loop scans below are the reference implementations: each walks the
 model's tables and asks HHSModel.dist and diam for one pair at a time.
 Every array scan must give the same value as its loop scan, and
 measure_model the same dict, on the fixtures, the glued complex, square
 grids, the 3-cube and small generated median graphs.  The loop
-realisation defect is the reference for realising a family and for the
-edpr constant, which read the model's bullet table.
+realisation defect is the reference for the edpr constant, which reads
+the model's bullet table.
 """
 
 import functools
@@ -28,7 +28,6 @@ from hhsforge.model import (
     check_metric_property,
     load_model,
     measure_model,
-    realise,
 )
 
 import helpers
@@ -343,22 +342,9 @@ class DistanceCallGuard(unittest.TestCase):
         self.assertEqual(self.calls(unmeasured(glued(5)[0])), (0, 0))
 
 
-def family_choices(m):
-    """The empty family, and every orthogonal clique with the first and
-    with the last image vertex of each member."""
-    yield []
-    for family in m.index.cliques(m.index.domains):
-        pools = [sorted(m.images(v)) for v in family]
-        for end in (0, -1):
-            yield [(v, pool[end]) for v, pool in zip(family, pools)]
-
-
 def check_realisation(m):
-    """edpr and the realisation of every chosen family equal the loop
-    oracles."""
+    """edpr equals the loop oracle."""
     assert check_metric_property(m, "edpr").constant == oracle_edpr(m)
-    for pairs in family_choices(m):
-        assert realise(m, pairs) == oracle_realise(m, pairs), pairs
 
 
 class RealisationAgreement(unittest.TestCase):
@@ -394,12 +380,6 @@ class RealisationAgreement(unittest.TestCase):
                 with self.subTest(depth=depth, E=m.E):
                     check_realisation(m)
 
-    def test_gamma4_realise(self):
-        # the loop edpr takes minutes here; it is pinned below
-        m = fixture_model("gamma4.model")
-        for pairs in family_choices(m):
-            self.assertEqual(realise(m, pairs), oracle_realise(m, pairs))
-
     def test_edpr_pinned(self):
         """Values the loop oracle gave, too slow to rerun here."""
         gamma6 = os.path.join(ROOT, "perfbench", "data", "gamma6.model")
@@ -410,7 +390,7 @@ class RealisationAgreement(unittest.TestCase):
 
 
 def test_small_median_graphs_realisation():
-    """edpr and realise against the loops on products of a random tree
+    """edpr against the loop on products of a random tree
     with up to seven vertices and a path with one to four edges."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -434,11 +414,9 @@ class BulletTableOnce(unittest.TestCase):
         m = fixture_model("gamma4.model")
         pairs = sum(1 for v, w in itertools.permutations(m.index.domains, 2)
                     if relation(m.index, v, w) in (NESTED_IN, TRANSVERSE))
-        families = list(family_choices(m))[1:3]
         with mock.patch.object(model._Metric, "to_set", autospec=True,
                                side_effect=model._Metric.to_set) as to_set:
-            for family in families:
-                realise(m, family)
+            check_metric_property(m, "edpr")
             chhs.thresholds(m)
         self.assertGreater(pairs, 0)
         self.assertEqual(to_set.call_count, pairs)

@@ -1,6 +1,8 @@
+import itertools
 import unittest
 
 import networkx as nx
+import numpy as np
 
 from hhsforge.indexset import IndexSet, check_property, complexity
 from hhsforge.model import (
@@ -10,17 +12,15 @@ from hhsforge.model import (
     augment_point_domains,
     check_consistency,
     check_metric_property,
-    check_orth_projection_agreement,
-    distance_estimate,
     distance_profile,
     dump_model,
+    least_fit,
     load_model,
     measure_model,
-    realise,
-    uniqueness_profile,
 )
 
 from helpers import (
+    distance_estimate,
     make_behrstock_model,
     make_chain_model,
     make_product_model,
@@ -43,7 +43,10 @@ class TestChainModel(unittest.TestCase):
 
     def test_point_tuples_are_consistent(self):
         for p in self.m.points:
-            report = check_consistency(self.m, self.m.point_tuple(p))
+            t = ConsistentTuple(self.m.index.domains,
+                                dict((u, self.m.pi[(u, p)])
+                                     for u in self.m.index.domains))
+            report = check_consistency(self.m, t)
             self.assertTrue(report.verdict)
             self.assertEqual(report.constant, 0)
 
@@ -51,21 +54,19 @@ class TestChainModel(unittest.TestCase):
         self.assertEqual(distance_estimate(self.m, "p00", "p11", 0), 11)
         self.assertEqual(distance_estimate(self.m, "p00", "p11", 10), 11)
         self.assertEqual(distance_estimate(self.m, "p00", "p11", 11), 0)
+        # distance_profile fits the same estimates, pair by pair
+        pairs = list(itertools.combinations(self.m.points, 2))
+        dz = np.array([self.m.zdist(x, y) for x, y in pairs])
+        for threshold in (0, 10, 11):
+            est = np.array([distance_estimate(self.m, x, y, threshold)
+                            for x, y in pairs])
+            k, c = least_fit((est, dz), (dz, est))
+            self.assertEqual(distance_profile(self.m, threshold),
+                             {"threshold": threshold, "K": k, "C": c})
 
     def test_distance_profile_exact(self):
         self.assertEqual(distance_profile(self.m, 0),
                          {"threshold": 0, "K": 1, "C": 0})
-
-    def test_uniqueness_profile(self):
-        profile = uniqueness_profile(self.m)
-        self.assertEqual(profile, tuple((k, k - 1) for k in range(1, 13)))
-        # larger coordinate gaps never hide behind smaller point gaps
-        for x in self.m.points:
-            for y in self.m.points:
-                mc = max(self.m.dist(u, self.m.pi[(u, x)], self.m.pi[(u, y)])
-                         for u in self.m.index.domains)
-                theta = dict(profile)[mc + 1]
-                self.assertLessEqual(self.m.zdist(x, y), theta)
 
     def test_dpr_fails_before_augmentation(self):
         report = check_metric_property(self.m, "dpr")
@@ -141,28 +142,10 @@ class TestProductModel(unittest.TestCase):
                           "rho_consistency": 0, "bgi": 0, "large_links": 0,
                           "partial_realisation": 0, "E": 1})
 
-    def test_realise_partial_family(self):
-        out = realise(self.m, [("A", "a2"), ("B", "b0")])
-        self.assertEqual(out["point"], "2_0")
-        self.assertEqual(out["defect"], 0)
-        self.assertEqual(out["bullets"],
-                         {"coordinate": 0, "nested": 0, "transverse": 0})
-
-    def test_realise_full_tuple(self):
-        t = ConsistentTuple(["A", "B", "S"],
-                            {"A": "a0", "B": "b2", "S": "s0"})
-        out = realise(self.m, t)
-        self.assertEqual(out, {"point": "0_2", "defect": 0})
-
     def test_orthogonal_pairs_are_unconstrained(self):
         t = ConsistentTuple(["A", "B", "S"],
                             {"A": "a0", "B": "b2", "S": "s0"})
         self.assertTrue(check_consistency(self.m, t, kappa=0).verdict)
-
-    def test_orth_projection_agreement(self):
-        report = check_orth_projection_agreement(self.m)
-        self.assertTrue(report.verdict)
-        self.assertEqual(report.constant, 0)
 
     def test_augmentation_adds_nine_domains(self):
         big = augment_point_domains(self.m)
@@ -177,9 +160,6 @@ class TestProductModel(unittest.TestCase):
         self.assertEqual(distance_profile(self.m, 0),
                          {"threshold": 0, "K": 1, "C": 0})
 
-    def test_uniqueness_profile(self):
-        self.assertEqual(uniqueness_profile(self.m), ((1, 0), (2, 2), (3, 4)))
-
 
 class TestTransverseModel(unittest.TestCase):
 
@@ -192,12 +172,6 @@ class TestTransverseModel(unittest.TestCase):
                           "rho_consistency": 0, "bgi": 0, "large_links": 0,
                           "partial_realisation": 1, "E": 1})
 
-    def test_realise_prefers_lex_least_point(self):
-        t = ConsistentTuple(["S", "U", "V"],
-                            {"U": "u0", "V": "v5", "S": "s0"})
-        out = realise(self.m, t)
-        self.assertEqual(out, {"point": "q4", "defect": 3})
-
     def test_inconsistent_tuple_detected(self):
         t = ConsistentTuple(["S", "U", "V"],
                             {"U": "u0", "V": "v5", "S": "s0"})
@@ -206,12 +180,6 @@ class TestTransverseModel(unittest.TestCase):
         self.assertEqual(report.witness, ("U", "V"))
         self.assertEqual(report.constant, 3)
         self.assertTrue(check_consistency(self.m, t).verdict)
-
-    def test_partial_family_validation(self):
-        with self.assertRaisesRegex(ModelError, "not pairwise orthogonal"):
-            realise(self.m, [("U", "u0"), ("V", "v0")])
-        with self.assertRaisesRegex(ModelError, "outside the projection image"):
-            realise(self.m, [("U", "u4")])
 
     def test_augmentation(self):
         big = augment_point_domains(self.m)
