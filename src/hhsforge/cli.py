@@ -70,14 +70,20 @@ def _max_size(text):
     return value
 
 
+def _load_complex(path):
+    """A .cplx file, checked to be a median graph: the one check that
+    every cube pipeline below relies on."""
+    return cubes.validate_median_graph(cubes.load_complex(_read(path)))
+
+
 def _load_model(path):
     """A .model file is taken as is; a .cplx file goes through the cube
     pipeline first."""
+    if path.endswith(".cplx"):
+        return cubes.index_set_from_hyperclosure(_load_complex(path))
     text = _read(path)
     if path.endswith(".model"):
         return model.load_model(text)
-    if path.endswith(".cplx"):
-        return cubes.index_set_from_hyperclosure(cubes.load_complex(text))
     raise UsageError("expected a .model or .cplx file, got %s" % path)
 
 
@@ -125,8 +131,7 @@ def cmd_lattice(args):
 
 
 def cmd_cubes(args):
-    g = cubes.load_complex(_read(args.input))
-    cubes.validate_median_graph(g)
+    g = _load_complex(args.input)
     hps = cubes.hyperplanes(g)
     hc = cubes.hyperclosure(g)
     out = ["vertices=%d" % g.number_of_nodes(),

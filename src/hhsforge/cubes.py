@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from .graph import Graph, apsp, as_graph, chain_lengths, components
+from .graph import Graph, apsp, as_graph, chain_lengths
 from .indexset import (IndexSet, PropertyReport, content_lines, relation,
                        NESTED_IN, TRANSVERSE)
 from .model import HHSModel
@@ -137,14 +137,6 @@ def _is_convex(ctx, s):
     return None
 
 
-def _require_convex(ctx, s, what):
-    witness = _is_convex(ctx, s)
-    if witness is not None:
-        raise CubeError("%s not convex, witness %s %s" % (what,
-                                                          witness[0],
-                                                          witness[1]))
-
-
 def _gate_table(ctx, y):
     """For every vertex, the number of the vertex of y closest to it,
     or -1 where two are closest; one block of rows of D, kept per set."""
@@ -210,6 +202,13 @@ def validate_median_graph(g):
 def hyperplanes(g):
     """Theta-classes of edges with their halfspaces and sides.
 
+    g must be a median graph (see validate_median_graph), and nothing
+    here checks that again.  There every Theta-class cuts g into two
+    convex halfspaces with isomorphic sides (Mulder, "The interval
+    function of a graph", 1980), and the halfspace of an edge ab is
+    {v : d(v,a) < d(v,b)} (Djokovic, JCTB 14, 1973), read here off two
+    columns of the distance matrix at the class's least edge.
+
     When every edge carries a label, hyperplanes take the common label
     of their class as id; otherwise ids are h0, h1, ... in order of the
     least edge.
@@ -249,9 +248,11 @@ def _hyperplanes(ctx):
         groups.setdefault(find(e), set()).add(e)
     labelled = all("label" in g[a][b] for a, b in all_edges)
     out = []
-    for root in sorted(groups, key=lambda r: min(tuple(sorted(e))
-                                                 for e in groups[r])):
-        edges = frozenset(groups[root])
+    dist, index = ctx["D"], ctx["index"]
+    # each class by its least edge; least edges of two classes differ
+    for (a, b), edges in sorted((min(tuple(sorted(e)) for e in group),
+                                 frozenset(group))
+                                for group in groups.values()):
         if labelled:
             labels = set(g[a][b]["label"] for a, b in map(tuple, edges))
             if len(labels) != 1:
@@ -260,25 +261,16 @@ def _hyperplanes(ctx):
             hid = labels.pop()
         else:
             hid = "h%d" % len(out)
-        cut = Graph()
-        cut.add_nodes_from(g.nodes())
-        cut.add_edges_from(e for e in all_edges if frozenset(e) not in edges)
-        comps = sorted(components(cut), key=sorted)
-        if len(comps) != 2:
-            raise CubeError("hyperplane does not separate, witness %s" % hid)
-        halves = tuple(frozenset(c) for c in comps)
-        for half in halves:
-            _require_convex(ctx, half, "halfspace %s" % hid)
+        near_a = dist[:, index[a]] < dist[:, index[b]]
+        halves = tuple(sorted((frozenset(itertools.compress(ctx["vertices"],
+                                                            side))
+                               for side in (near_a, ~near_a)), key=sorted))
         ends = [frozenset(v for e in edges for v in e if v in half)
                 for half in halves]
         partner = {}
         for e in edges:
-            a, b = tuple(e)
-            partner[a], partner[b] = b, a
-        for x, y in itertools.combinations(sorted(ends[0]), 2):
-            if g.has_edge(x, y) != g.has_edge(partner[x], partner[y]):
-                raise CubeError("hyperplane sides not isomorphic,"
-                                " witness %s" % hid)
+            u, v = tuple(e)
+            partner[u], partner[v] = v, u
         out.append(Hyperplane(hid, edges, halves,
                               tuple(frozenset(e) for e in ends), partner))
     ctx["hyperplanes"] = out
@@ -303,7 +295,9 @@ def gate(g, x, y):
     y = frozenset(y)
     if not y:
         raise CubeError("gate target empty")
-    _require_convex(ctx, y, "gate target")
+    witness = _is_convex(ctx, y)
+    if witness is not None:
+        raise CubeError("gate target not convex, witness %s %s" % witness)
     return _gate_vertex(ctx, y, x)
 
 
@@ -312,9 +306,9 @@ def _parallel_class(ctx, f):
 
     Copies are found by translating across hyperplanes that run along
     the whole of f; the enumeration is complete because the copies of a
-    convex set form a connected product region.
+    convex set form a connected product region.  f is convex: a
+    hyperplane side or a gate image of one.
     """
-    _require_convex(ctx, f, "parallel seed")
     hs = _hyperplanes(ctx)
     key = _crossing(ctx, f)
     seen = {f}
@@ -327,10 +321,6 @@ def _parallel_class(ctx, f):
             if all(v in h.partner for v in cur):
                 moved = frozenset(h.partner[v] for v in cur)
                 if moved not in seen:
-                    if _crossing(ctx, moved) != key:
-                        raise CubeError("parallel copy changes the crossing"
-                                        " set, witness %s"
-                                        % ",".join(sorted(moved)))
                     seen.add(moved)
                     queue.append(moved)
     members = sorted(seen, key=sorted)
@@ -347,7 +337,6 @@ def _orthogonal_complement_at(ctx, f, base):
     """
     if base not in f:
         raise CubeError("base vertex outside the set, witness %s" % base)
-    _require_convex(ctx, f, "complement seed")
     g = ctx["graph"]
     hs = _hyperplanes(ctx)
     by_id = ctx["hyp_by_id"]
@@ -377,10 +366,14 @@ def _orthogonal_complement_at(ctx, f, base):
 def hyperclosure(g):
     """Close combinatorial hyperplanes and Z under gates and parallelism.
 
-    The crossing set of a gate image is the intersection of the two
-    crossing sets, so each round intersects the keys found so far and
-    keeps a genuine gate image as representative.  Singletons (empty
-    keys) are dropped throughout.
+    g must be a median graph (see validate_median_graph).  There the
+    gate image of a convex set B in a convex set A is crossed by exactly
+    the hyperplanes crossing both, and a parallel copy of a convex set
+    is crossed by the same hyperplanes as the set (Bandelt and Chepoi,
+    "Metric graph theory and geometry: a survey", Contemp. Math. 453,
+    2008).  So each round intersects the keys found so far and keeps a
+    genuine gate image as representative, and a class's members share
+    its key.  Singletons (empty keys) are dropped throughout.
 
     The loop ends without a cap.  Every key is an intersection of
     starting keys, and with H hyperplanes any such intersection is one
@@ -414,11 +407,7 @@ def hyperclosure(g):
         for k1, k2 in itertools.combinations(keys, 2):
             key = k1 & k2
             if key and key not in reps:
-                image = _gate_image(ctx, reps[k1], reps[k2])
-                if _crossing(ctx, image) != key:
-                    raise CubeError("gate image changes the crossing set,"
-                                    " witness %s" % ",".join(sorted(image)))
-                added.append((key, image))
+                added.append((key, _gate_image(ctx, reps[k1], reps[k2])))
         if not added:
             break
         for key, rep in added:
@@ -479,10 +468,12 @@ def _complement_keys(ctx, hc):
 def index_set_from_hyperclosure(g, hc=None):
     """Hierarchical model on the parallelism classes of the closure.
 
-    Nesting compares crossing sets, orthogonality tests against the
-    complement, coordinate graphs cone off the nontrivial proper gate
-    images inside each representative, and all projections are gates.
-    The constant E is measured from the finished tables.
+    g must be a median graph, for the theorems that hyperplanes and
+    hyperclosure cite.  Nesting compares crossing sets, orthogonality
+    tests against the complement, coordinate graphs cone off the
+    nontrivial proper gate images inside each representative, and all
+    projections are gates.  The constant E is measured from the finished
+    tables.
     """
     if hc is None:
         hc = hyperclosure(g)

@@ -16,7 +16,7 @@ from unittest import mock
 
 import pytest
 
-from hhsforge import chhs, cli, model
+from hhsforge import chhs, cli, cubes, model
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -441,6 +441,67 @@ def test_conflicting_repeat_exits_2(fixture, argv, word, count, value):
                                     value, first, parts[-1]))
 
 
+# (name, edges, the witness line of cubes) of small graphs that are not
+# median: two vertices with three common neighbours, a hexagon, a square
+# with a diagonal and the 3-cube less one vertex
+NON_MEDIAN = (
+    ("K2,3", [(a, b) for a in ("a1", "a2") for b in ("b1", "b2", "b3")],
+     "b1 b2 b3"),
+    ("C6", [("v%d" % i, "v%d" % ((i + 1) % 6)) for i in range(6)],
+     "v0 v2 v4"),
+    ("chord", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")],
+     "a b c"),
+    ("Q3-v", [("000", "001"), ("000", "010"), ("000", "100"), ("001", "011"),
+              ("001", "101"), ("010", "011"), ("010", "110"), ("100", "101"),
+              ("100", "110")], "011 101 110"),
+)
+
+# every subcommand that reads a .cplx file, COMPLEX standing for it
+COMPLEX = "<complex>"
+CPLX_COMMANDS = (("cubes", COMPLEX), ("blowup", COMPLEX),
+                 ("build-w", COMPLEX), ("verify-chhs", COMPLEX),
+                 ("qi-report", COMPLEX),
+                 ("equivariance", COMPLEX, fix("grid_transpose.aut")))
+
+
+def run_on_complex(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.cplx")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return run_cli(*(path if arg == COMPLEX else arg for arg in command))
+
+
+@pytest.mark.parametrize("command", CPLX_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("name, edges, witness", NON_MEDIAN,
+                         ids=[case[0] for case in NON_MEDIAN])
+def test_non_median_complex_exits_2(name, edges, witness, command):
+    """Every .cplx subcommand rejects a complex that is not a median
+    graph with the least bad triple, before any later stage runs."""
+    text = "".join("edge %s %s\n" % edge for edge in edges)
+    assert run_on_complex(text, command) == (
+        2, "", "error: not median, witness %s\n" % witness)
+
+
+def test_generated_complexes_fail_alike():
+    """Wherever cubes rejects a generated graph as not median,
+    verify-chhs and blowup reject it with the same line."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from test_cube_kernel import trees_with_extra_edges
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(trees_with_extra_edges(hypothesis.strategies))
+    def check(g):
+        text = cubes.dump_complex(g)
+        code, out, err = run_on_complex(text, ("cubes", COMPLEX))
+        if code == 2 and err.startswith("error: not median, witness"):
+            for command in (("verify-chhs", COMPLEX), ("blowup", COMPLEX)):
+                assert run_on_complex(text, command) == (2, "", err), text
+
+    check()
+
+
 class TestDeterminism(unittest.TestCase):
 
     def test_verify_chhs_is_byte_identical(self):
@@ -476,6 +537,28 @@ class TestDerivedTablesBuiltOnce(unittest.TestCase):
         self.assertEqual(cliques.call_count, 1)
         self.assertEqual(sorted(call.args[2] for call in metric.call_args_list),
                          sorted(domains))
+
+
+class TestMedianCheckedOnce(unittest.TestCase):
+    """A .cplx input is checked to be median once, and the pipeline
+    then relies on the theorems: it scans no set of its own for
+    convexity."""
+
+    def count(self, *argv):
+        with mock.patch.object(cubes, "validate_median_graph",
+                               side_effect=cubes.validate_median_graph) \
+                as median, \
+             mock.patch.object(cubes, "_is_convex",
+                               side_effect=cubes._is_convex) as convex:
+            code, out, err = run_cli(*argv)
+        self.assertEqual((code, err), (0, ""))
+        return median.call_count, convex.call_count
+
+    def test_verify_chhs_grid(self):
+        self.assertEqual(self.count("verify-chhs", fix("grid.cplx")), (1, 0))
+
+    def test_counterexample(self):
+        self.assertEqual(self.count("counterexample", "--depth", "4"), (0, 0))
 
 
 if __name__ == "__main__":

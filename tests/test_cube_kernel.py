@@ -7,8 +7,13 @@ own graph.  Every new kernel must give the same value, and the same
 CubeError message, on the fixtures, the glued complex, grids, small
 cycles and generated graphs, and each kernel's memory must stay
 O(n^2).
+
+The cube pipeline checks the median property once and then relies on
+the theorems about median graphs; the cut-graph halfspace builder and
+the checks it no longer runs are kept here as oracles of those theorems.
 """
 
+import itertools
 import os
 import tracemalloc
 import unittest
@@ -20,7 +25,7 @@ import pytest
 
 from hhsforge import chhs, cubes
 from hhsforge.cubes import CubeError, _ctx
-from hhsforge.graph import as_graph
+from hhsforge.graph import Graph, as_graph, components
 from hhsforge.model import load_model
 
 from helpers import as_nx
@@ -121,6 +126,42 @@ def oracle_component_delta(g):
     return best
 
 
+def oracle_halfspaces(g, edges):
+    """The components of g once a class's edges are cut, sorted: the
+    halfspace builder that the distance columns replaced."""
+    cut = Graph()
+    cut.add_nodes_from(g.nodes())
+    cut.add_edges_from(e for e in g.edges() if frozenset(e) not in edges)
+    return tuple(frozenset(c) for c in sorted(components(cut), key=sorted))
+
+
+def check_theorems(g):
+    """What the pipeline no longer checks on a median graph g: every
+    Theta-class cuts g into the two halfspaces read off the distance
+    matrix, both convex, with sides that the partner map makes
+    isomorphic (Mulder 1980, Djokovic 1973); every member of a class,
+    its representative and the gate image it grew from among them, is
+    convex and crossed by exactly the class's key (Bandelt and Chepoi
+    2008)."""
+    ctx = _ctx(g)
+    graph = ctx["graph"]
+    for h in cubes.hyperplanes(g):
+        assert h.halfspaces == oracle_halfspaces(graph, h.edges), h.hid
+        for half in h.halfspaces:
+            assert cubes._is_convex(ctx, half) is None, h.hid
+        assert frozenset(h.partner[v] for v in h.sides[0]) == h.sides[1]
+        for x, y in itertools.combinations(sorted(h.sides[0]), 2):
+            assert graph.has_edge(x, y) == \
+                graph.has_edge(h.partner[x], h.partner[y]), h.hid
+    hc = cubes.hyperclosure(g)
+    for cid in hc.order:
+        rec = hc.classes[cid]
+        assert rec.rep in rec.members, cid
+        for member in rec.members:
+            assert cubes._crossing(ctx, member) == rec.key, cid
+            assert cubes._is_convex(ctx, member) is None, cid
+
+
 # -- graphs ------------------------------------------------------------
 
 
@@ -159,16 +200,14 @@ def small_graphs():
 
 
 def subsets(g):
-    """Every halfspace of a median graph, and some sets that are not
-    convex: balls, pairs at distance two, and the set minus a vertex."""
+    """Every halfspace (convex when g is median), and some sets that are
+    not convex: balls, pairs at distance two, and the set minus a
+    vertex."""
     ctx = _ctx(g)
     verts = ctx["vertices"]
     out = [frozenset(verts), frozenset(verts[:1])]
-    try:
-        for h in cubes.hyperplanes(g):
-            out.extend(h.halfspaces)
-    except CubeError:
-        pass
+    for h in cubes.hyperplanes(g):
+        out.extend(h.halfspaces)
     d = ctx["D"]
     for i in range(0, len(verts), max(1, len(verts) // 5)):
         out.append(frozenset(verts[j] for j in np.flatnonzero(d[i] <= 1)))
@@ -270,6 +309,17 @@ class CubeKernelAgreement(unittest.TestCase):
                                  min(rows, cols) - 1)
 
 
+class TheoremOracles(unittest.TestCase):
+    """The median graphs among the small graphs: fixtures, glued depths
+    1-6, square grids 3-9 and C4."""
+
+    def test_small_median_graphs(self):
+        for name, g in small_graphs():
+            if outcome(cubes.validate_median_graph, g) == "graph":
+                with self.subTest(graph=name):
+                    check_theorems(g)
+
+
 class ClassDeltas(unittest.TestCase):
     """Every class's delta in check_chhs against the nx-copy kernel on
     the class graph C."""
@@ -339,21 +389,25 @@ def _connected(parents, extra):
     return named(g)
 
 
-def test_generated_graphs():
-    """Random connected graphs: trees, which are median, and trees with
-    extra edges, which mostly are not."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+def trees_with_extra_edges(st):
+    """Connected graphs on 3 to 12 vertices named v0, v1, ...: a random
+    tree plus up to six extra edges."""
     parents = st.integers(2, 11).flatmap(lambda n: st.tuples(
         *(st.integers(0, i) for i in range(n))))
     extra = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
                      max_size=6)
+    return st.builds(_connected, parents, extra)
+
+
+def test_generated_graphs():
+    """Random connected graphs: trees, which are median, and trees with
+    extra edges, which mostly are not."""
+    hypothesis = pytest.importorskip("hypothesis")
 
     @hypothesis.settings(max_examples=120, deadline=None, derandomize=True,
                          database=None)
-    @hypothesis.given(parents, extra)
-    def check(parents, extra):
-        g = _connected(parents, extra)
+    @hypothesis.given(trees_with_extra_edges(hypothesis.strategies))
+    def check(g):
         assert outcome(cubes.validate_median_graph, g) == \
             outcome(oracle_validate_median_graph, g)
         assert cubes.four_point_delta(g) == oracle_four_point_delta(g)
@@ -383,6 +437,7 @@ def test_tree_times_path_products():
         g = tree_times_path(parents, length)
         assert cubes.validate_median_graph(g) is g
         assert len(cubes.hyperplanes(g)) == len(parents) + length
+        check_theorems(g)
         ctx = _ctx(g)
         d, verts = ctx["D"], ctx["vertices"]
         x, y = pick % len(verts), (pick // len(verts)) % len(verts)

@@ -159,26 +159,6 @@ class TestParallelism(unittest.TestCase):
                              shape)
             self.assertEqual(on_ctx(cubes._crossing, g, member), pc.crossing)
 
-    def test_non_convex_seed_rejected(self):
-        with self.assertRaises(CubeError):
-            on_ctx(cubes._parallel_class, square(), ["a", "c"])
-
-    def test_crossing_drift_is_a_cube_error(self):
-        # a real check, not an assert, so it also runs under python -O
-        real = cubes._crossing
-        calls = []
-
-        def drifting(ctx, s):
-            calls.append(s)
-            return real(ctx, s) if len(calls) == 1 else frozenset()
-
-        with mock.patch.object(cubes, "_crossing", side_effect=drifting):
-            with self.assertRaises(CubeError) as err:
-                on_ctx(cubes._parallel_class, cubes.grid_complex(3, 3),
-                       ["0_0", "0_1"])
-        self.assertIn("parallel copy changes the crossing set, witness",
-                      str(err.exception))
-
 
 class TestComplement(unittest.TestCase):
 
@@ -258,15 +238,6 @@ class TestHyperclosure(unittest.TestCase):
                              pairing[b] in b3.orth[pairing[a]])
             self.assertEqual(b in m.index.up[a],
                              pairing[b] in b3.up[pairing[a]])
-
-    def test_gate_image_drift_is_a_cube_error(self):
-        # a real check, not an assert, so it also runs under python -O
-        with mock.patch.object(cubes, "_gate_image",
-                               side_effect=lambda ctx, y, f: y):
-            with self.assertRaises(CubeError) as err:
-                cubes.hyperclosure(cubes.b3_cube())
-        self.assertIn("gate image changes the crossing set, witness",
-                      str(err.exception))
 
 
 class TestCounterexample(unittest.TestCase):
@@ -550,12 +521,13 @@ class TestContextFollowsTheGraph(unittest.TestCase):
 class TestFilesAndExport(unittest.TestCase):
 
     def test_complex_round_trip(self):
-        g = cubes.build_counterexample(1)
-        text = cubes.dump_complex(g)
-        h = cubes.load_complex(text)
-        self.assertEqual(text, cubes.dump_complex(h))
-        self.assertEqual(sorted(g.nodes()), sorted(h.nodes()))
-        self.assertEqual(g.graph["rim"], h.graph["rim"])
+        for depth in (1, 4):
+            g = cubes.build_counterexample(depth)
+            text = cubes.dump_complex(g)
+            h = cubes.load_complex(text)
+            self.assertEqual(text, cubes.dump_complex(h))
+            self.assertEqual(sorted(g.nodes()), sorted(h.nodes()))
+            self.assertEqual(g.graph["rim"], h.graph["rim"])
 
     def test_unlabelled_round_trip(self):
         text = cubes.dump_complex(cubes.grid_complex(3, 3))

@@ -1,9 +1,14 @@
 import itertools
+import os
 import unittest
 
 import networkx as nx
 import numpy as np
+import pytest
 
+from hhsforge import cubes
+from hhsforge.chhs import (dump_automorphism, identity_automorphism,
+                           load_automorphism)
 from hhsforge.indexset import IndexSet, check_property, complexity
 from hhsforge.model import (
     ConsistentTuple,
@@ -26,6 +31,9 @@ from helpers import (
     make_product_model,
     make_transverse_model,
 )
+from test_measure_kernel import tree_times_path
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestChainModel(unittest.TestCase):
@@ -289,6 +297,48 @@ class TestModelValidation(unittest.TestCase):
             ConsistentTuple(["S"], {"S": []})
         with self.assertRaisesRegex(ModelError, "outside scope"):
             ConsistentTuple(["S"], {"V": "v0"})
+
+
+# -- the writers are fixed points of their round trips ------------------
+
+
+def assert_model_round_trips(m):
+    """dump(load(dump(x))) == dump(x) for the model and its identity
+    automorphism."""
+    text = dump_model(m)
+    assert dump_model(load_model(text)) == text
+    aut = dump_automorphism(identity_automorphism(m))
+    assert dump_automorphism(load_automorphism(aut)) == aut
+
+
+class DumpFixedPoints(unittest.TestCase):
+
+    def test_gamma_models(self):
+        for path in (os.path.join(ROOT, "fixtures", "gamma4.model"),
+                     os.path.join(ROOT, "perfbench", "data", "gamma6.model")):
+            with self.subTest(path=os.path.basename(path)):
+                with open(path, encoding="utf-8") as handle:
+                    assert_model_round_trips(load_model(handle.read()))
+
+
+def test_tree_times_path_round_trips():
+    """The complex of a tree times a path, its model and the model's
+    identity automorphism."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    parents = st.integers(0, 6).flatmap(lambda n: st.tuples(
+        *(st.integers(0, i) for i in range(n))))
+
+    @hypothesis.settings(max_examples=15, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(parents, st.integers(1, 4))
+    def check(parents, length):
+        g = tree_times_path(parents, length)
+        text = cubes.dump_complex(g)
+        assert cubes.dump_complex(cubes.load_complex(text)) == text
+        assert_model_round_trips(cubes.index_set_from_hyperclosure(g))
+
+    check()
 
 
 if __name__ == "__main__":
