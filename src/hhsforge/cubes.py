@@ -167,18 +167,90 @@ def _gate_image(ctx, y, f):
 
 
 def validate_median_graph(g):
-    """Accept a finite graph iff every vertex triple has a unique median.
+    """Accept a finite connected graph iff every vertex triple has a
+    unique median, that is a vertex on a geodesic between each two.
+
+    The graph is accepted by a local test.  A connected graph is modular
+    (every triple has a median) iff it is bipartite and meets the
+    quadrangle condition, and a modular graph is median iff it has no
+    induced K2,3 (Bandelt and Chepoi, "Metric graph theory and geometry:
+    a survey", Contemp. Math. 453, 2008; Klavzar and Mulder, "Median
+    graphs: characterizations, location theory and related structures",
+    JCMCC 30, 1999).  Only a rejected graph is scanned for its least bad
+    triple, which the error names.
+    """
+    ctx = _ctx(g)
+    if not _locally_median(ctx):
+        witness = _median_witness(ctx)
+        if witness is None:
+            raise RuntimeError("local median test rejects a median graph")
+        raise CubeError("not median, witness %s %s %s" % witness)
+    return g
+
+
+def _locally_median(ctx):
+    """Bipartite, no induced K2,3 and the quadrangle condition against
+    every base u, in O(n sum deg^2).
+
+    Loops are ignored, as distances ignore them.  In a bipartite graph
+    the pairs v < w at distance 2 are the pairs of neighbours of some z;
+    with no K2,3 each pair has one or two such z.  The quadrangle
+    condition fails exactly when some base u is as far from v as from w
+    and every such z is one step farther.  Pairs go through the rows of
+    D in blocks of at most `_cells(n)` cells.
+    """
+    d, index = ctx["D"], ctx["index"]
+    n = len(d)
+    if n < 3:
+        # one vertex or one edge
+        return True
+    parity = (d[0] % 2).tolist()
+    nbrs = [[] for _ in range(n)]
+    for a, b in ctx["graph"].edges():
+        i, j = index[a], index[b]
+        if i != j:
+            if parity[i] == parity[j]:
+                return False
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    # (v, w, z) for v < w both neighbours of z, grouped by (v, w)
+    triples = np.array([(v, w, z) for z in range(n)
+                        for v, w in itertools.combinations(sorted(nbrs[z]),
+                                                           2)],
+                       dtype=np.intp).reshape(-1, 3)
+    key = triples[:, 0] * n + triples[:, 1]
+    order = np.argsort(key)
+    triples = triples[order]
+    _, first, count = np.unique(key[order], return_index=True,
+                                return_counts=True)
+    if count.max() > 2:
+        return False
+    v, w = triples[first, 0], triples[first, 1]
+    z1, z2 = triples[first, 2], triples[first + count - 1, 2]
+    small = d.astype(np.min_scalar_type(int(d.max())))
+    step = max(1, _cells(n) // n)
+    for start in range(0, len(v), step):
+        block = slice(start, start + step)
+        near = small[v[block]]
+        np.maximum(near, small[w[block]], out=near)
+        far = small[z1[block]]
+        np.minimum(far, small[z2[block]], out=far)
+        if (far > near).any():
+            return False
+    return True
+
+
+def _median_witness(ctx):
+    """The least bad triple x < y < z by the slab scan, as sorted names,
+    or None when every triple has a unique median.
 
     v is a median of x, y, z exactly when 2 (d(x,v) + d(y,v) + d(z,v))
     equals the perimeter, and never less.  A triple with a repeated
     vertex has one median, so only x < y < z are counted, one slab of
     y rows at a time; the first bad triple is the least in that order.
     """
-    ctx = _ctx(g)
     d = ctx["D"]
     n = len(d)
-    if n < 3:
-        return g
     # sums reach 3 diam; no sum meets half an odd perimeter, rounded down
     small = d.astype(np.min_scalar_type(3 * int(d.max())))
     step = max(1, _cells(n) // (n * n))
@@ -194,9 +266,8 @@ def validate_median_graph(g):
             bad = np.argwhere((counts != 1) & (zs > ys[:, None]))
             if len(bad):
                 y, z = ys[bad[0][0]], zs[bad[0][1]]
-                names = sorted(ctx["vertices"][i] for i in (x, y, z))
-                raise CubeError("not median, witness %s %s %s" % tuple(names))
-    return g
+                return tuple(sorted(ctx["vertices"][i] for i in (x, y, z)))
+    return None
 
 
 def hyperplanes(g):
@@ -210,7 +281,7 @@ def hyperplanes(g):
     columns of the distance matrix at the class's least edge.
 
     When every edge carries a label, hyperplanes take the common label
-    of their class as id; otherwise ids are h0, h1, ... in order of the
+    of their class as id, and two classes may not share one; otherwise ids are h0, h1, ... in order of the
     least edge.
     """
     return _hyperplanes(_ctx(g))
@@ -248,6 +319,7 @@ def _hyperplanes(ctx):
         groups.setdefault(find(e), set()).add(e)
     labelled = all("label" in g[a][b] for a, b in all_edges)
     out = []
+    ids = set()
     dist, index = ctx["D"], ctx["index"]
     # each class by its least edge; least edges of two classes differ
     for (a, b), edges in sorted((min(tuple(sorted(e)) for e in group),
@@ -259,6 +331,10 @@ def _hyperplanes(ctx):
                 raise CubeError("mixed labels in one hyperplane, witness %s"
                                 % " ".join(sorted(labels)))
             hid = labels.pop()
+            if hid in ids:
+                raise CubeError("label names two hyperplanes, witness %s"
+                                % hid)
+            ids.add(hid)
         else:
             hid = "h%d" % len(out)
         near_a = dist[:, index[a]] < dist[:, index[b]]

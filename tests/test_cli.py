@@ -483,6 +483,35 @@ def test_non_median_complex_exits_2(name, edges, witness, command):
         2, "", "error: not median, witness %s\n" % witness)
 
 
+def _relabelled_counterexample():
+    text = cubes.dump_complex(cubes.build_counterexample(3))
+    return text.replace(" psi0\n", " 4\n")
+
+
+def _rows_and_columns():
+    return "".join("edge %d_%d %d_%d %s\n" % (i, j, i + di, j + dj, label)
+                   for i in range(3) for j in range(3)
+                   for di, dj, label in ((0, 1, "r"), (1, 0, "c"))
+                   if i + di < 3 and j + dj < 3)
+
+
+# (name, complex text, the label named twice): the glued complex with
+# the psi0 edges relabelled as the hyperplane 4, and a 3 x 3 grid whose
+# row edges are all r and column edges all c
+SHARED_LABELS = (("relabelled", _relabelled_counterexample(), "4"),
+                 ("rows-and-columns", _rows_and_columns(), "r"))
+
+
+@pytest.mark.parametrize("command", CPLX_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("name, text, label", SHARED_LABELS,
+                         ids=[case[0] for case in SHARED_LABELS])
+def test_label_naming_two_hyperplanes_exits_2(name, text, label, command):
+    """A label is the id of one hyperplane; two Theta-classes with the
+    same label are an unusable input, not merged crossing sets."""
+    assert run_on_complex(text, command) == (
+        2, "", "error: label names two hyperplanes, witness %s\n" % label)
+
+
 def test_generated_complexes_fail_alike():
     """Wherever cubes rejects a generated graph as not median,
     verify-chhs and blowup reject it with the same line."""
@@ -559,6 +588,38 @@ class TestMedianCheckedOnce(unittest.TestCase):
 
     def test_counterexample(self):
         self.assertEqual(self.count("counterexample", "--depth", "4"), (0, 0))
+
+
+class TestSlabScanNamesWitnessesOnly(unittest.TestCase):
+    """The median check accepts by the local test; the slab scan runs
+    once per rejected input, to name its witness."""
+
+    def scans(self, text):
+        with mock.patch.object(cubes, "_median_witness",
+                               side_effect=cubes._median_witness) as scan:
+            result = run_on_complex(text, ("cubes", COMPLEX))
+        return scan.call_count, result
+
+    def test_grid_20x20(self):
+        count, (code, out, err) = self.scans(
+            cubes.dump_complex(cubes.grid_complex(20, 20)))
+        self.assertEqual((count, code, err), (0, 0, ""))
+        self.assertIn("vertices=400", out.splitlines())
+
+    def test_non_median(self):
+        for name, edges, witness in NON_MEDIAN:
+            with self.subTest(graph=name):
+                text = "".join("edge %s %s\n" % edge for edge in edges)
+                self.assertEqual(self.scans(text), (1, (
+                    2, "", "error: not median, witness %s\n" % witness)))
+
+    def test_disagreement_is_an_internal_error(self):
+        """A local rejection that the slab scan cannot confirm is a
+        fault of the program, never a verdict."""
+        with mock.patch.object(cubes, "_locally_median", return_value=False):
+            code, out, err = run_cli("cubes", fix("grid.cplx"))
+        self.assertEqual((code, out), (3, ""))
+        self.assertTrue(err.startswith("internal error: "), err)
 
 
 if __name__ == "__main__":

@@ -250,9 +250,11 @@ class CubeKernelAgreement(unittest.TestCase):
                 if name.startswith(("grid", "glued")) and len(g) > 40:
                     continue
                 with self.subTest(graph=name):
+                    want = outcome(oracle_validate_median_graph, g)
                     self.assertEqual(
-                        outcome(cubes.validate_median_graph, g),
-                        outcome(oracle_validate_median_graph, g))
+                        outcome(cubes.validate_median_graph, g), want)
+                    self.assertEqual(cubes._locally_median(_ctx(g)),
+                                     want == "graph")
                     ctx = _ctx(g)
                     for s in subsets(g):
                         self.assertEqual(cubes._is_convex(ctx, s),
@@ -299,14 +301,53 @@ class CubeKernelAgreement(unittest.TestCase):
             self.assertEqual(outcome(func, nx.Graph(g)),
                              "error: graph not connected")
 
+    GRIDS = ((2, 9), (6, 6), (9, 4), (10, 12), (12, 14))
+
     def test_grids_match_the_closed_form(self):
         """The four-point constant of an r x c grid is min(r, c) - 1."""
-        for rows, cols in ((2, 9), (6, 6), (9, 4), (10, 12), (12, 14)):
+        for rows, cols in self.GRIDS:
             with self.subTest(rows=rows, cols=cols):
                 g = cubes.grid_complex(rows, cols)
                 cubes.validate_median_graph(g)
                 self.assertEqual(cubes.four_point_delta(g),
                                  min(rows, cols) - 1)
+
+    def test_median_graphs_skip_the_slab_scan(self):
+        """The slab scan only names the witness of a rejected graph: it
+        never runs on the fixtures, glued depths 1-6 or the grids."""
+        graphs = [(name, g) for name, g in small_graphs()
+                  if name.endswith(".cplx") or name.startswith("glued")]
+        graphs += [("grid %d x %d" % shape, cubes.grid_complex(*shape))
+                   for shape in self.GRIDS]
+        with mock.patch.object(cubes, "_median_witness",
+                               side_effect=cubes._median_witness) as scan:
+            for name, g in graphs:
+                with self.subTest(graph=name):
+                    self.assertIs(cubes.validate_median_graph(g), g)
+        self.assertEqual(scan.call_count, 0)
+
+    def test_atlas_graphs(self):
+        """The local test against the n^3 oracle on every connected graph
+        with 3 to 7 vertices."""
+        graphs = [named(g) for g in nx.graph_atlas_g()
+                  if len(g) >= 3 and nx.is_connected(g)]
+        accepted = 0
+        for g in graphs:
+            median = outcome(oracle_validate_median_graph, g) == "graph"
+            with self.subTest(edges=sorted(g.edges())):
+                self.assertEqual(cubes._locally_median(_ctx(g)), median)
+            accepted += median
+        self.assertEqual((len(graphs), accepted), (994, 42))
+
+    def test_self_loops_are_ignored(self):
+        """A loop changes no distance, so neither check sees it."""
+        for base in (nx.cycle_graph(4), nx.cycle_graph(6),
+                     nx.complete_bipartite_graph(2, 3)):
+            g = named(base)
+            g.add_edge("v1", "v1")
+            with self.subTest(graph=sorted(g.edges())):
+                self.assertEqual(outcome(cubes.validate_median_graph, g),
+                                 outcome(oracle_validate_median_graph, g))
 
 
 class TheoremOracles(unittest.TestCase):
@@ -375,6 +416,18 @@ class MemoryGuards(unittest.TestCase):
     def test_four_point(self):
         self.assertLess(self.peak(cubes.four_point_delta), self.LIMIT)
 
+    def test_median_check_30x30(self):
+        """Distances included: they alone peak at about 6.4 MiB, and the
+        local test without pair blocks at about 13 MiB."""
+        g = cubes.grid_complex(30, 30)
+        tracemalloc.start()
+        try:
+            cubes.validate_median_graph(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self.assertLess(peak, 10 * 2 ** 20)
+
 
 # -- generated graphs --------------------------------------------------
 
@@ -408,8 +461,9 @@ def test_generated_graphs():
                          database=None)
     @hypothesis.given(trees_with_extra_edges(hypothesis.strategies))
     def check(g):
-        assert outcome(cubes.validate_median_graph, g) == \
-            outcome(oracle_validate_median_graph, g)
+        want = outcome(oracle_validate_median_graph, g)
+        assert outcome(cubes.validate_median_graph, g) == want
+        assert cubes._locally_median(_ctx(g)) == (want == "graph")
         assert cubes.four_point_delta(g) == oracle_four_point_delta(g)
         ctx = _ctx(g)
         for s in subsets(g):
@@ -435,6 +489,7 @@ def test_tree_times_path_products():
     @hypothesis.given(parents, st.integers(1, 4), st.integers(0, 10 ** 6))
     def check(parents, length, pick):
         g = tree_times_path(parents, length)
+        assert cubes._locally_median(_ctx(g))
         assert cubes.validate_median_graph(g) is g
         assert len(cubes.hyperplanes(g)) == len(parents) + length
         check_theorems(g)
@@ -455,5 +510,6 @@ def test_tree_times_path_products():
             got = outcome(cubes.validate_median_graph, chord)
             assert got.startswith("error: not median, witness")
             assert got == outcome(oracle_validate_median_graph, chord)
+            assert not cubes._locally_median(_ctx(chord))
 
     check()
