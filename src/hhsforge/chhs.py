@@ -16,6 +16,7 @@ fill-in of link edges, and the quality of the realisation map.
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -587,18 +588,15 @@ def _finite(value):
 
 
 def coordinate_graph(w, c):
-    """Class graph, projection tables and diameters of one non-maximal
-    simplex class.
+    """Diameters of one non-maximal simplex class; its class graph and
+    projection tables are built on first read.
 
-    Y is the augmented graph without the class's saturation, used here
-    only through its distances, and C is its subgraph on the class's
-    link.  A projection to C takes the link
-    vertices within one of the least Y-distance from a source set, and
-    nothing when no source reaches the link.
-    """
-    x = w.blowup
+    Y is the augmented graph without the class's saturation, and C is
+    its subgraph on the class's link.  Every maximal simplex must keep a
+    vertex in Y, all within 1 of each other.  `w._link_dist` gets the
+    link distances in C and in Y."""
     if isinstance(c, str):
-        match = [d for d in simplex_classes(x) if d.id == c]
+        match = [d for d in simplex_classes(w.blowup) if d.id == c]
         if not match:
             raise ChhsError("unknown class, witness %s" % c)
         c = match[0]
@@ -609,64 +607,86 @@ def coordinate_graph(w, c):
         row = t.row[c.id]
         keep = ~t.saturation[row]
         dist = _distances(t.adj, keep)
-        link = np.flatnonzero(t.link[row])
-        members = [t.names[i] for i in link]
-
-        def project(sources):
-            """The projection of each row's sources."""
-            d = np.where(sources[:, :, None], dist[:, link], math.inf).min(1)
-            best = d.min(1, keepdims=True)
-            hit = (d <= best + 1) & np.isfinite(best)
-            return [frozenset(itertools.compress(members, h))
-                    for h in hit.tolist()]
-
         meet = t.sigma & keep
-        spread = np.where(meet[:, :, None] & meet[:, None, :], dist,
-                          0).max((1, 2))
-        for i in np.flatnonzero(~meet.any(1) | (spread > 1))[:1]:
-            if not meet[i].any():
-                raise ChhsError("maximal simplex swallowed, witness %s %s"
-                                % (c.id, w.simplex_name(i)))
-            raise ChhsError("maximal simplex split, witness %s %s"
-                            % (c.id, w.simplex_name(i)))
-        pi = dict(enumerate(project(meet)))
-
-        # how every class d relates to c, as class_relation(x, d, c)
-        inside = ~(t.link & ~t.link[row]).any(1)
-        around = ~(t.link[row] & ~t.link).any(1)
-        orth = ~(t.link[row] & ~t.double).any(1)
-        nonmax = t.link.any(1)
-        spot = nonmax & ~around & (inside | ~orth)
-        table = nonmax & around & ~inside
-        classes = simplex_classes(x)
-        picked = np.flatnonzero(spot)
-        rho_spots = dict(zip((classes[i].id for i in picked),
-                             project(t.saturation[picked] & keep)))
-        rho_maps = {}
-        if table.any():
-            # a saturated vertex has no sources, so it maps to nothing
-            alone = project(np.diag(keep))
-            for i in np.flatnonzero(table):
-                rho_maps[classes[i].id] = dict(
-                    (t.names[j], alone[j]) for j in np.flatnonzero(t.link[i]))
-
-        cg = Graph()
-        cg.add_nodes_from(members)
-        a, b = np.nonzero(np.triu(t.adj[np.ix_(link, link)], 1))
-        cg.add_edges_from((members[i], members[j])
-                          for i, j in zip(a.tolist(), b.tolist()))
+        split = (meet @ (dist > 1) & meet).any(1)
+        for i in np.flatnonzero(~meet.any(1) | split)[:1]:
+            raise ChhsError("maximal simplex %s, witness %s %s" % (
+                "split" if meet[i].any() else "swallowed", c.id,
+                w.simplex_name(i)))
+        link = np.flatnonzero(t.link[row])
         in_c = _distances(t.adj, t.link[row])[np.ix_(link, link)]
         in_y = dist[np.ix_(link, link)]
         w._link_dist[c.id] = (in_c, in_y)
-        w._coord[c.id] = {
-            "C": cg,
-            "pi": pi,
-            "rho_spots": rho_spots,
-            "rho_maps": rho_maps,
-            "diam": _finite(in_c.max()),
-            "diam_in_y": _finite(in_y.max()),
-        }
+        w._coord[c.id] = _ClassRecord(w, row, dist, diam=_finite(in_c.max()),
+                                      diam_in_y=_finite(in_y.max()))
     return w._coord[c.id]
+
+
+class _ClassRecord(Mapping):
+    """One class's diameters, and its tables C, pi, rho_spots and rho_maps,
+    which no verdict reads, built together on the first read of any."""
+
+    TABLES = ("C", "pi", "rho_spots", "rho_maps")
+
+    def __init__(self, w, row, dist, **diameters):
+        self._args, self._known = (w, row, dist), diameters
+
+    def __getitem__(self, key):
+        if key in self.TABLES and key not in self._known:
+            self._known.update(_projection_tables(*self._args))
+        return self._known[key]
+
+    def __iter__(self):
+        return iter(self.TABLES + ("diam", "diam_in_y"))
+
+    def __len__(self):
+        return len(self.TABLES) + 2
+
+
+def _projection_tables(w, row, dist):
+    """Class graph and projection tables of one class from its distances
+    in Y.  A projection to C takes the link vertices within one of the
+    least Y-distance from a source set, or nothing if none reaches it."""
+    t = w.class_tables
+    keep = ~t.saturation[row]
+    link = np.flatnonzero(t.link[row])
+    members = [t.names[i] for i in link]
+
+    def project(sources):
+        """The projection of each row's sources."""
+        d = np.where(sources[:, :, None], dist[:, link], math.inf).min(1)
+        best = d.min(1, keepdims=True)
+        hit = (d <= best + 1) & np.isfinite(best)
+        return [frozenset(itertools.compress(members, h))
+                for h in hit.tolist()]
+
+    pi = dict(enumerate(project(t.sigma & keep)))
+
+    # how every class d relates to c, as class_relation(x, d, c)
+    inside = ~(t.link & ~t.link[row]).any(1)
+    around = ~(t.link[row] & ~t.link).any(1)
+    orth = ~(t.link[row] & ~t.double).any(1)
+    nonmax = t.link.any(1)
+    spot = nonmax & ~around & (inside | ~orth)
+    table = nonmax & around & ~inside
+    classes = simplex_classes(w.blowup)
+    picked = np.flatnonzero(spot)
+    rho_spots = dict(zip((classes[i].id for i in picked),
+                         project(t.saturation[picked] & keep)))
+    rho_maps = {}
+    if table.any():
+        # a saturated vertex has no sources, so it maps to nothing
+        alone = project(np.diag(keep))
+        for i in np.flatnonzero(table):
+            rho_maps[classes[i].id] = dict(
+                (t.names[j], alone[j]) for j in np.flatnonzero(t.link[i]))
+
+    cg = Graph()
+    cg.add_nodes_from(members)
+    a, b = np.nonzero(np.triu(t.adj[np.ix_(link, link)], 1))
+    cg.add_edges_from((members[i], members[j])
+                      for i, j in zip(a.tolist(), b.tolist()))
+    return {"C": cg, "pi": pi, "rho_spots": rho_spots, "rho_maps": rho_maps}
 
 
 def _component_delta(dist):

@@ -11,6 +11,7 @@ invocation or an input file was unusable, and 3 means an internal error
 import argparse
 import itertools
 import math
+import os
 import sys
 
 from . import chhs, cubes, lattice, model
@@ -334,6 +335,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         code, lines = args.func(args)
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early; the verdict stands, the exit flush is moot
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (UsageError, IndexSetError, LatticeError, ModelError,
             cubes.CubeError, chhs.ChhsError) as err:
         print("error: %s" % err, file=sys.stderr)
@@ -343,8 +350,6 @@ def main(argv=None):
         print("internal error: %s: %s" % (type(err).__name__, err),
               file=sys.stderr)
         return 3
-    for line in lines:
-        print(line)
     return code
 
 

@@ -1,11 +1,13 @@
 import itertools
 import os
 import unittest
+from unittest import mock
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from hhsforge import cubes
+from hhsforge import chhs, cubes
 from hhsforge.chhs import (
     APEX,
     SHAPE_ALL_EDGES,
@@ -571,6 +573,47 @@ class TestCoordinateGraph(unittest.TestCase):
         with self.assertRaises(ChhsError) as err:
             coordinate_graph(w, "zzz")
         self.assertIn("unknown class", str(err.exception))
+
+
+class TestMaximalSimplexChecks(unittest.TestCase):
+    """coordinate_graph rejects a class whose Y swallows or splits a
+    maximal simplex on its first call, before any table is built.  The
+    class tables of a fresh gamma4 W are doctored to make each case."""
+
+    def setUp(self):
+        with open(os.path.join(ROOT, "fixtures", "gamma4.model"),
+                  encoding="utf-8") as handle:
+            m = load_model(handle.read())
+        x = blow_up(m)
+        self.w = build_w(m, x)
+        self.t = self.w.class_tables
+        self.c = next(c for c in simplex_classes(x) if not c.maximal)
+
+    def first_call_error(self):
+        with mock.patch.object(chhs, "_projection_tables",
+                               side_effect=chhs._projection_tables) as tables:
+            with self.assertRaises(ChhsError) as err:
+                coordinate_graph(self.w, self.c)
+        self.assertEqual(tables.call_count, 0)
+        return str(err.exception)
+
+    def test_swallowed(self):
+        """A saturation row covering the whole of simplex 0."""
+        self.t.saturation[self.t.row[self.c.id]] |= self.t.sigma[0]
+        self.assertEqual(self.first_call_error(),
+                         "maximal simplex swallowed, witness %s %s"
+                         % (self.c.id, self.w.simplex_name(0)))
+
+    def test_split(self):
+        """Two kept vertices of the first simplex that keeps two, no
+        longer adjacent; every earlier simplex keeps one vertex."""
+        kept = self.t.sigma & ~self.t.saturation[self.t.row[self.c.id]]
+        i = int(np.flatnonzero(kept.sum(1) >= 2)[0])
+        a, b = np.flatnonzero(kept[i])[:2]
+        self.t.adj[a, b] = self.t.adj[b, a] = False
+        self.assertEqual(self.first_call_error(),
+                         "maximal simplex split, witness %s %s"
+                         % (self.c.id, self.w.simplex_name(i)))
 
 
 class TestCheckChhs(unittest.TestCase):

@@ -13,6 +13,7 @@ median graphs.
 import itertools
 import math
 import os
+import tracemalloc
 import unittest
 from unittest import mock
 
@@ -371,6 +372,23 @@ class DistanceCallGuard(unittest.TestCase):
             check_chhs(m, w)
             distance_profile(m, m.kappa)
         self.assertEqual((dist.call_count, diam.call_count), (0, 0))
+
+
+class MemoryGuard(unittest.TestCase):
+    """check_chhs keeps each class's link distances and diameters, not
+    its projection tables: with the tables built for every class it
+    peaked at about 18 MiB on gamma4."""
+
+    def test_gamma4_fixture(self):
+        m = fixture_model("gamma4.model")
+        w = build_w(m, blow_up(m))
+        tracemalloc.start()
+        try:
+            check_chhs(m, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self.assertLess(peak, 6 * 2 ** 20)
 
 
 def test_small_median_graphs():

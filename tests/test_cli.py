@@ -546,6 +546,23 @@ class TestDeterminism(unittest.TestCase):
         self.assertEqual(first.stdout, second.stdout)
 
 
+class TestClosedStdout(unittest.TestCase):
+    """A reader that closes stdout before the report is written leaves
+    the verdict's exit code and nothing on stderr."""
+
+    def test_verify_chhs_grid(self):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hhsforge.cli", "verify-chhs",
+                 fix("grid.cplx")],
+                stdout=write, stderr=subprocess.PIPE, text=True, cwd=ROOT)
+        finally:
+            os.close(write)
+        self.assertEqual((proc.returncode, proc.stderr), (0, ""))
+
+
 class TestDerivedTablesBuiltOnce(unittest.TestCase):
     """A verify-chhs run measures its thresholds, enumerates the blow-up's
     cliques and builds each domain's metric exactly once."""
@@ -566,6 +583,32 @@ class TestDerivedTablesBuiltOnce(unittest.TestCase):
         self.assertEqual(cliques.call_count, 1)
         self.assertEqual(sorted(call.args[2] for call in metric.call_args_list),
                          sorted(domains))
+
+
+class TestProjectionTablesBuiltOnRead(unittest.TestCase):
+    """verify-chhs reads each class's link distances and diameters only,
+    so it builds no projection table; the first read of one table
+    builds that class's four."""
+
+    def test_verify_chhs_gamma4(self):
+        with mock.patch.object(chhs, "_projection_tables",
+                               side_effect=chhs._projection_tables) \
+                as tables, \
+             mock.patch.object(chhs, "check_chhs",
+                               side_effect=chhs.check_chhs) as check:
+            code, out, err = run_cli("verify-chhs", fix("gamma4.model"))
+            self.assertEqual((code, err, tables.call_count), (1, "", 0))
+            w = check.call_args.args[1]
+            c = next(c for c in chhs.simplex_classes(w.blowup)
+                     if not c.maximal)
+            rec = chhs.coordinate_graph(w, c)
+            rec["pi"]
+            self.assertEqual(tables.call_count, 1)
+            self.assertEqual(sorted(rec), ["C", "diam", "diam_in_y",
+                                           "pi", "rho_maps", "rho_spots"])
+            for key in rec:
+                rec[key]
+            self.assertEqual(tables.call_count, 1)
 
 
 class TestMedianCheckedOnce(unittest.TestCase):
