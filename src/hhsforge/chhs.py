@@ -21,8 +21,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .cubes import _four_point, graph_dot, sorted_dot
-from .graph import (Graph, apsp, chain_lengths, enumerate_all_cliques,
-                    is_connected)
+from .graph import Graph, chain_lengths, enumerate_all_cliques, is_connected
 from .indexset import (
     CONTAINS,
     EQUAL,
@@ -448,16 +447,17 @@ class WGraph(object):
     """Maximal simplices of the blow-up, joined when their canonical
     tuples are close in every coordinate graph.
 
-    The threshold for one pair is (k + 1) * lam, where k is the co-level
-    of the orthogonal complement of the common support: disjoint
-    supports get k = 0, a shared maximal family counts as deep as a
-    minimal domain.  `points` realises each simplex and
-    `realisation_defect` is the largest coordinate distance between a
-    tuple and its point.  The class tables and the distances are built
-    on first use.
+    `adj` is W itself: a symmetric boolean matrix over the simplex
+    numbers with a false diagonal.  The threshold for one pair is
+    (k + 1) * lam, where k is the co-level of the orthogonal complement
+    of the common support: disjoint supports get k = 0, a shared maximal
+    family counts as deep as a minimal domain.  `points` realises each
+    simplex and `realisation_defect` is the largest coordinate distance
+    between a tuple and its point.  The class tables, the distances and
+    the `graph` view are built on first use.
     """
 
-    def __init__(self, model, blowup, lam, simplices_, tuples, graph, consts,
+    def __init__(self, model, blowup, lam, simplices_, tuples, adj, consts,
                  points, realisation_defect):
         self.model = model
         self.blowup = blowup
@@ -465,7 +465,7 @@ class WGraph(object):
         self.simplices = simplices_
         self.index = dict((s, i) for i, s in enumerate(simplices_))
         self.tuples = tuples
-        self.graph = graph
+        self.adj = adj
         self.c0 = consts["C0"]
         self.m0 = consts["M0"]
         self.lambda0 = consts["lambda0"]
@@ -484,18 +484,24 @@ class WGraph(object):
         return " ".join("%s=%s" % (u, parts[u]) for u in sorted(parts))
 
     @functools.cached_property
+    def graph(self):
+        """W as a `Graph`, for the one reader outside the package: the
+        benchmark's trace counts its edges (`perfbench/spans.py`).  The
+        package reads `adj`; drop this once the trace moves inside."""
+        graph = Graph()
+        graph.add_nodes_from(range(len(self.adj)))
+        graph.add_edges_from(np.argwhere(np.triu(self.adj, 1)).tolist())
+        return graph
+
+    @functools.cached_property
     def distances(self):
-        """Distance matrix of the graph, -1 between simplices it does
-        not join."""
-        return apsp(self.graph, range(len(self.simplices)))
+        """Distance matrix of W, inf between simplices it does not
+        join."""
+        return _distances(self.adj, np.ones(len(self.adj), dtype=bool))
 
     @functools.cached_property
     def class_tables(self):
         return _ClassTables(self)
-
-    def wdist(self, i, j):
-        d = int(self.distances[i, j])
-        return math.inf if d < 0 else d
 
 
 def colevel_of_complement(m, parts):
@@ -517,21 +523,17 @@ def build_w(m, x, lam=None):
     sigmas = maximal_simplices(x)
     tuples = tuple(b_sigma(m, s) for s in sigmas)
     supports = [support(x, s) for s in sigmas]
-    levels = {}
-    bound = np.zeros((len(sigmas), len(sigmas)))
-    for i, j in itertools.combinations(range(len(sigmas)), 2):
-        common = supports[i] & supports[j]
-        if common not in levels:
-            levels[common] = colevel_of_complement(m, common)
-        bound[i, j] = (levels[common] + 1) * lam
+    kinds = {}
+    ids = np.array([kinds.setdefault(s, len(kinds)) for s in supports],
+                   dtype=np.intp)
+    level = functools.cache(lambda common: colevel_of_complement(m, common))
+    colevel = np.array([[level(a & b) for b in kinds] for a in kinds])
+    bound = (colevel[np.ix_(ids, ids)] + 1) * lam
     gap, near = _tuple_distances(m, tuples)
-    graph = Graph()
-    graph.add_nodes_from(range(len(sigmas)))
-    # row-major order is the order of itertools.combinations
-    edges = np.nonzero(np.triu(gap <= bound, 1))
-    graph.add_edges_from(zip(*(e.tolist() for e in edges)))
+    adj = gap <= bound
+    np.fill_diagonal(adj, False)
     points, defect = _realise_support_first(m, supports, near)
-    return WGraph(m, x, lam, sigmas, tuples, graph, consts, points, defect)
+    return WGraph(m, x, lam, sigmas, tuples, adj, consts, points, defect)
 
 
 class _ClassTables(object):
@@ -542,7 +544,7 @@ class _ClassTables(object):
     def __init__(self, w):
         x = w.blowup
         self.names = sorted(x.adj)
-        pos = dict((v, i) for i, v in enumerate(self.names))
+        self.pos = pos = dict((v, i) for i, v in enumerate(self.names))
 
         def rows(sets):
             out = np.zeros((len(sets), len(self.names)), dtype=bool)
@@ -556,12 +558,9 @@ class _ClassTables(object):
         self.double = rows([c.double for c in classes])
         self.saturation = rows([c.saturation for c in classes])
         self.sigma = rows(w.simplices)
+        self.blown = rows([x.adj[v] for v in self.names])
         # a complete join over every W-edge, on top of the blown graph
-        wadj = np.zeros((len(w.simplices),) * 2, dtype=bool)
-        for i, j in w.graph.edges():
-            wadj[i, j] = wadj[j, i] = True
-        self.adj = (rows([x.adj[v] for v in self.names])
-                    | (self.sigma.T @ wadj @ self.sigma))
+        self.adj = self.blown | (self.sigma.T @ w.adj @ self.sigma)
         np.fill_diagonal(self.adj, False)
 
 
@@ -818,32 +817,7 @@ def check_chhs(m, w):
         if not cond3.verdict:
             break
 
-    contains = {}
-    for i, sigma in enumerate(w.simplices):
-        for v in sigma:
-            contains.setdefault(v, set()).add(i)
-    wadj = dict((i, set(w.graph[i])) for i in w.graph.nodes())
-    cond4 = PropertyReport("link_edges_fill_in", True, None)
-    for delta_s in simplices(x):
-        lk = simplex_link(x, delta_s)
-        for v, u in itertools.combinations(sorted(lk), 2):
-            if u in x.adj[v]:
-                continue
-            around_v = contains.get(v, set())
-            around_u = contains.get(u, set())
-            if not any(wadj[i] & around_u for i in around_v):
-                continue
-            over_v = [i for i in around_v
-                      if delta_s <= w.simplices[i]]
-            over_u = [j for j in around_u
-                      if delta_s <= w.simplices[j]]
-            if not any(wadj[i] & set(over_u) for i in over_v):
-                cond4 = PropertyReport(
-                    "link_edges_fill_in", False,
-                    (_set_name(delta_s), vertex_name(v), vertex_name(u)))
-                break
-        if not cond4.verdict:
-            break
+    cond4 = _link_edges_fill_in(w)
 
     links = dict((c.link, c.id) for c in classes)
     wedges = PropertyReport("simplicial_wedges", True, None)
@@ -873,6 +847,31 @@ def check_chhs(m, w):
                       wedges, containers, qi)
 
 
+def _link_edges_fill_in(w):
+    """Condition 4: non-adjacent link vertices of a simplex that lie in
+    maximal simplices joined in W lie in such simplices over it too.
+    The witness is the first failing simplex and pair in sorted order."""
+    x = w.blowup
+    t = w.class_tables
+    # joined through W and not adjacent in the blown graph
+    unfilled = t.adj & ~t.blown
+    for delta_s in simplices(x):
+        lk = np.array(sorted(t.pos[v] for v in simplex_link(x, delta_s)),
+                      dtype=np.intp)
+        need = unfilled[np.ix_(lk, lk)]
+        if not need.any():
+            continue
+        over = t.sigma[:, [t.pos[v] for v in delta_s]].all(1)
+        s = t.sigma[np.ix_(over, lk)]
+        missing = need & ~(s.T @ w.adj[np.ix_(over, over)] @ s)
+        for a, b in np.argwhere(np.triu(missing, 1))[:1]:
+            return PropertyReport(
+                "link_edges_fill_in", False,
+                (_set_name(delta_s), vertex_name(t.names[lk[a]]),
+                 vertex_name(t.names[lk[b]])))
+    return PropertyReport("link_edges_fill_in", True, None)
+
+
 # -- realisation quality -----------------------------------------------
 
 
@@ -882,12 +881,11 @@ def realisation_qi(m, w):
     space = m.point_dist
     pos = np.array([m.point_index[p] for p in w.points], dtype=np.intp)
     dz = space[np.ix_(pos, pos)]
-    a, b = np.array(w.graph.edges(), dtype=np.intp).reshape(-1, 2).T
-    lip = int(dz[a, b].max(initial=0))
+    lip = int(dz[w.adj].max(initial=0))
     surj = int(space[:, pos].min(1).max())
     upper = np.triu_indices(len(pos), 1)
     dw, dz = w.distances[upper], dz[upper]
-    broken = bool((dw < 0).any())
+    broken = bool(np.isinf(dw).any())
 
     def fit(ys, xs):
         # cheapest slope-plus-constant budget, ties to the flatter slope
@@ -1302,17 +1300,17 @@ def check_equivariance(m, w, g):
         if vmap(b) not in x.adj[vmap(a)]:
             return PropertyReport("equivariance", False,
                                   (vertex_name(a), vertex_name(b)))
-    mapped = {}
+    mapped = []
     for i, sigma in enumerate(w.simplices):
         img = frozenset(vmap(v) for v in sigma)
         if img not in w.index:
             return PropertyReport("equivariance", False,
                                   (w.simplex_name(i),))
-        mapped[i] = w.index[img]
-    for i, j in w.graph.edges():
-        if not w.graph.has_edge(mapped[i], mapped[j]):
-            return PropertyReport("equivariance", False,
-                                  (w.simplex_name(i), w.simplex_name(j)))
+        mapped.append(w.index[img])
+    lost = w.adj & ~w.adj[np.ix_(mapped, mapped)]
+    for i, j in np.argwhere(np.triu(lost, 1))[:1]:
+        return PropertyReport("equivariance", False,
+                              (w.simplex_name(i), w.simplex_name(j)))
     for i in range(len(w.simplices)):
         b = w.tuples[i]
         c = w.tuples[mapped[i]]
@@ -1419,6 +1417,6 @@ def blown_dot(x):
 
 def w_dot(w):
     nodes = [w.simplex_name(i) for i in range(len(w.simplices))]
-    edges = sorted((nodes[min(i, j)], nodes[max(i, j)])
-                   for i, j in w.graph.edges())
+    edges = sorted((nodes[i], nodes[j])
+                   for i, j in np.argwhere(np.triu(w.adj, 1)))
     return graph_dot("wgraph", sorted(nodes), edges)

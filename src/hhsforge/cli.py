@@ -9,13 +9,13 @@ invocation or an input file was unusable, and 3 means an internal error
 """
 
 import argparse
-import itertools
 import math
 import os
 import sys
 
+import numpy as np
+
 from . import chhs, cubes, lattice, model
-from .graph import is_connected
 from .indexset import IndexSetError, check_all_properties, load_index_set
 from .lattice import LatticeError
 from .model import ModelError
@@ -205,9 +205,9 @@ def _build_w(args):
 def cmd_build_w(args):
     m, x, w = _build_w(args)
     out = _header(m, w)
-    out.append("w_vertices=%d" % w.graph.number_of_nodes())
-    out.append("w_edges=%d" % w.graph.number_of_edges())
-    out.append("w_connected=%s" % str(is_connected(w.graph)).lower())
+    out.append("w_vertices=%d" % len(w.simplices))
+    out.append("w_edges=%d" % (w.adj.sum() // 2))
+    out.append("w_connected=%s" % str(np.isfinite(w.distances).all()).lower())
     dot = chhs.w_dot(w)
     if args.emit_w:
         _write(args.emit_w, dot)
@@ -240,9 +240,7 @@ def cmd_qi_report(args):
         return 0, out
     # the map only fails to be a quasi-isometry when the built graph is
     # disconnected; name one separated pair
-    i, j = next((a, b) for a, b
-                in itertools.combinations(range(len(w.simplices)), 2)
-                if w.wdist(a, b) is math.inf)
+    i, j = np.argwhere(np.triu(np.isinf(w.distances)))[0]
     out.append("property=quasi_isometry verdict=false witness=%s,%s"
                % (w.points[i], w.points[j]))
     return 1, out

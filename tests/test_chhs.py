@@ -494,8 +494,8 @@ class TestWGraph(unittest.TestCase):
     def test_no_self_loops(self):
         _, _, w = pipeline("grid")
         self.assertEqual(nx.number_of_selfloops(as_nx(w.graph)), 0)
-        self.assertEqual(w.wdist(3, 3), 0)
-        self.assertEqual(w.wdist(1, 5), w.wdist(5, 1))
+        self.assertEqual(w.distances[3, 3], 0)
+        self.assertEqual(w.distances[1, 5], w.distances[5, 1])
 
     def test_bad_lambda(self):
         m, x, _ = pipeline("square")

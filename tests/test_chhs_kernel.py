@@ -1,13 +1,15 @@
-"""The array kernels of thresholds, build_w, coordinate_graph and the
-distance profile against the loops they replaced.
+"""The array kernels of thresholds, build_w, coordinate_graph,
+condition 4 and the distance profile against the loops they replaced.
 
 The loops below are the reference implementations: each asks
-HHSModel.dist for one pair of vertex sets at a time, or runs a
-breadth-first search per class on a copy of the augmented graph.  The
-thresholds dict, the W edge sets at three scales, the realisation
-points and every coordinate-graph record must come out equal on the
-fixtures, the collapsed glued complex, square grids and small generated
-median graphs.
+HHSModel.dist for one pair of vertex sets at a time, runs a
+breadth-first search per class on a copy of the augmented graph, or
+intersects neighbour sets of W pair by pair.  The thresholds dict, the
+W edge sets at three scales, the realisation points and every
+coordinate-graph record must come out equal on the fixtures, the
+collapsed glued complex, square grids and small generated median
+graphs; condition 4's verdict and witness on the fixtures, gamma6 and a
+W cut to make it fail.
 """
 
 import itertools
@@ -18,6 +20,7 @@ import unittest
 from unittest import mock
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from hhsforge import chhs, cubes
@@ -272,6 +275,35 @@ def oracle_record(w, aug, c):
     }
 
 
+# -- loop condition 4, the reference ----------------------------------
+
+
+def oracle_fill_in(w):
+    """(verdict, witness) of link_edges_fill_in, pair by pair over sets
+    of neighbours in the `graph` view of W."""
+    x = w.blowup
+    contains = {}
+    for i, sigma in enumerate(w.simplices):
+        for v in sigma:
+            contains.setdefault(v, set()).add(i)
+    wadj = dict((i, set(w.graph[i])) for i in w.graph.nodes())
+    for delta_s in chhs.simplices(x):
+        lk = chhs.simplex_link(x, delta_s)
+        for v, u in itertools.combinations(sorted(lk), 2):
+            if u in x.adj[v]:
+                continue
+            around_v = contains.get(v, set())
+            around_u = contains.get(u, set())
+            if not any(wadj[i] & around_u for i in around_v):
+                continue
+            over_v = [i for i in around_v if delta_s <= w.simplices[i]]
+            over_u = set(j for j in around_u if delta_s <= w.simplices[j])
+            if not any(wadj[i] & over_u for i in over_v):
+                return False, (chhs._set_name(delta_s), chhs.vertex_name(v),
+                               chhs.vertex_name(u))
+    return True, None
+
+
 # -- models ------------------------------------------------------------
 
 
@@ -353,6 +385,43 @@ class KernelAgreement(unittest.TestCase):
         for size in (6, 7):
             with self.subTest(size=size):
                 check_model(self, grid(size))
+
+
+class FillInAgreement(unittest.TestCase):
+    """Condition 4 as boolean products over the maximal-simplex rows
+    against the pair loop, verdict and witness."""
+
+    def check(self, w):
+        got = chhs._link_edges_fill_in(w)
+        self.assertEqual((got.verdict, got.witness), oracle_fill_in(w))
+        return got.verdict
+
+    def test_models(self):
+        models = [(name, fixture_model(name)) for name in FIXTURES]
+        with open(os.path.join(ROOT, "perfbench", "data", "gamma6.model"),
+                  encoding="utf-8") as f:
+            models.append(("gamma6.model", load_model(f.read())))
+        for name, m in models:
+            x = blow_up(m)
+            for lam in (1, thresholds(m)["default"]):
+                with self.subTest(model=name, lam=lam):
+                    self.check(build_w(m, x, lam=lam))
+
+    def test_edges_cleared_over_one_simplex(self):
+        """No input fails condition 4, so cut W between the maximal
+        simplices over one simplex, the first whose cut makes the loop
+        fail, and ask for the same witness."""
+        m = fixture_model("gamma4.model")
+        x = blow_up(m)
+        for delta_s in chhs.simplices(x):
+            w = build_w(m, x)
+            over = [i for i, s in enumerate(w.simplices) if delta_s <= s]
+            w.adj[np.ix_(over, over)] = False
+            if not oracle_fill_in(w)[0]:
+                break
+        else:
+            self.fail("no cut makes condition 4 fail")
+        self.assertFalse(self.check(w))
 
 
 class DistanceCallGuard(unittest.TestCase):

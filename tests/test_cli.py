@@ -190,6 +190,29 @@ class TestBuildWCommand(unittest.TestCase):
         self.assertIn("lambda must be positive", err)
 
 
+class TestDisconnectedW(unittest.TestCase):
+    """At lambda 0.001 no two maximal simplices of the grid or the
+    square are joined: W has no edge, the realisation is no
+    quasi-isometry and qi-report names the first separated pair."""
+
+    def test_grid_and_square(self):
+        for name in ("grid.cplx", "square.cplx"):
+            with self.subTest(input=name):
+                code, out, err = run_cli("build-w", fix(name),
+                                         "--lambda", "0.001")
+                self.assertEqual((code, err), (0, ""))
+                self.assertIn("w_edges=0", out.splitlines())
+                self.assertIn("w_connected=false", out.splitlines())
+                code, out, err = run_cli("qi-report", fix(name),
+                                         "--lambda", "0.001")
+                lines = out.splitlines()
+                self.assertEqual((code, err), (1, ""))
+                self.assertIn("qi_lower=None", lines)
+                self.assertIn("qi_quasi_isometry=False", lines)
+                self.assertEqual(lines[-1], "property=quasi_isometry "
+                                 "verdict=false witness=0_0,1_0")
+
+
 class TestVerifyCommand(unittest.TestCase):
 
     def test_grid_passes_everything(self):
@@ -609,6 +632,26 @@ class TestProjectionTablesBuiltOnRead(unittest.TestCase):
             for key in rec:
                 rec[key]
             self.assertEqual(tables.call_count, 1)
+
+
+class TestWGraphViewUnread(unittest.TestCase):
+    """The subcommands read W as its boolean matrix; none of them
+    builds the `graph` view."""
+
+    def test_gamma4(self):
+        view = mock.Mock(side_effect=chhs.WGraph.graph.func)
+        with mock.patch.object(chhs.WGraph, "graph", property(view)):
+            for argv in (("verify-chhs",), ("qi-report",), ("build-w",),
+                         ("build-w", "--format", "dot")):
+                code, out, err = run_cli(*argv, fix("gamma4.model"))
+                self.assertEqual(err, "", argv)
+            self.assertEqual(view.call_count, 0)
+            # the counter sees a read of the view
+            with open(fix("gamma4.model"), encoding="utf-8") as handle:
+                m = model.load_model(handle.read())
+            w = chhs.build_w(m, chhs.blow_up(m))
+            self.assertEqual(w.graph.number_of_edges(), 406)
+            self.assertEqual(view.call_count, 1)
 
 
 class TestMedianCheckedOnce(unittest.TestCase):

@@ -106,6 +106,24 @@ class Distances(unittest.TestCase):
                 self.assertEqual(got.dtype, np.int32)
                 np.testing.assert_array_equal(got, oracle_apsp(g, order))
 
+    def test_w_distances(self):
+        """W's distances come from the boolean search over its matrix:
+        inf where the search over its `graph` view gives -1.  At lambda
+        0.001 W is disconnected."""
+        separated = 0
+        for name in ("chain.model", "product.model", "gamma4.model"):
+            m = load_model(read("fixtures", name))
+            x = chhs.blow_up(m)
+            for lam in (None, 0.001):
+                w = chhs.build_w(m, x, lam=lam)
+                with self.subTest(model=name, lam=lam):
+                    got = w.distances
+                    want = oracle_apsp(w.graph, range(len(w.simplices)))
+                    np.testing.assert_array_equal(
+                        np.where(np.isinf(got), -1, got), want)
+                    separated += int(np.isinf(got).any())
+        self.assertGreater(separated, 0)
+
     def test_unreachable_pairs_get_the_sentinel(self):
         g, _ = both([(0, 1), (1, 2)], nodes=[3])
         np.testing.assert_array_equal(apsp(g, [3, 2, 1, 0]),
