@@ -16,7 +16,6 @@ fill-in of link edges, and the quality of the realisation map.
 import functools
 import itertools
 import math
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -473,8 +472,6 @@ class WGraph(object):
         self.lambda2 = consts["lambda2"]
         self.points = points
         self.realisation_defect = realisation_defect
-        self._coord = {}
-        self._link_dist = {}
 
     def simplex_name(self, i):
         parts = {}
@@ -538,8 +535,8 @@ def build_w(m, x, lam=None):
 
 class _ClassTables(object):
     """The augmented graph on vertices numbered in sorted order, with
-    every simplex class's link, double link and saturation and every
-    maximal simplex as boolean rows over those numbers."""
+    every simplex class's link and saturation and every maximal simplex
+    as boolean rows over those numbers."""
 
     def __init__(self, w):
         x = w.blowup
@@ -555,7 +552,6 @@ class _ClassTables(object):
         classes = simplex_classes(x)
         self.row = dict((c.id, i) for i, c in enumerate(classes))
         self.link = rows([c.link for c in classes])
-        self.double = rows([c.double for c in classes])
         self.saturation = rows([c.saturation for c in classes])
         self.sigma = rows(w.simplices)
         self.blown = rows([x.adj[v] for v in self.names])
@@ -587,105 +583,30 @@ def _finite(value):
 
 
 def coordinate_graph(w, c):
-    """Diameters of one non-maximal simplex class; its class graph and
-    projection tables are built on first read.
+    """Link distances and diameters of one non-maximal simplex class.
 
     Y is the augmented graph without the class's saturation, and C is
     its subgraph on the class's link.  Every maximal simplex must keep a
-    vertex in Y, all within 1 of each other.  `w._link_dist` gets the
-    link distances in C and in Y."""
-    if isinstance(c, str):
-        match = [d for d in simplex_classes(w.blowup) if d.id == c]
-        if not match:
-            raise ChhsError("unknown class, witness %s" % c)
-        c = match[0]
+    vertex in Y, all within 1 of each other.  `in_c` and `in_y` are the
+    distances between the link vertices, in sorted order, in C and in
+    Y."""
     if c.maximal:
         raise ChhsError("class is maximal, witness %s" % c.id)
-    if c.id not in w._coord:
-        t = w.class_tables
-        row = t.row[c.id]
-        keep = ~t.saturation[row]
-        dist = _distances(t.adj, keep)
-        meet = t.sigma & keep
-        split = (meet @ (dist > 1) & meet).any(1)
-        for i in np.flatnonzero(~meet.any(1) | split)[:1]:
-            raise ChhsError("maximal simplex %s, witness %s %s" % (
-                "split" if meet[i].any() else "swallowed", c.id,
-                w.simplex_name(i)))
-        link = np.flatnonzero(t.link[row])
-        in_c = _distances(t.adj, t.link[row])[np.ix_(link, link)]
-        in_y = dist[np.ix_(link, link)]
-        w._link_dist[c.id] = (in_c, in_y)
-        w._coord[c.id] = _ClassRecord(w, row, dist, diam=_finite(in_c.max()),
-                                      diam_in_y=_finite(in_y.max()))
-    return w._coord[c.id]
-
-
-class _ClassRecord(Mapping):
-    """One class's diameters, and its tables C, pi, rho_spots and rho_maps,
-    which no verdict reads, built together on the first read of any."""
-
-    TABLES = ("C", "pi", "rho_spots", "rho_maps")
-
-    def __init__(self, w, row, dist, **diameters):
-        self._args, self._known = (w, row, dist), diameters
-
-    def __getitem__(self, key):
-        if key in self.TABLES and key not in self._known:
-            self._known.update(_projection_tables(*self._args))
-        return self._known[key]
-
-    def __iter__(self):
-        return iter(self.TABLES + ("diam", "diam_in_y"))
-
-    def __len__(self):
-        return len(self.TABLES) + 2
-
-
-def _projection_tables(w, row, dist):
-    """Class graph and projection tables of one class from its distances
-    in Y.  A projection to C takes the link vertices within one of the
-    least Y-distance from a source set, or nothing if none reaches it."""
     t = w.class_tables
+    row = t.row[c.id]
     keep = ~t.saturation[row]
+    dist = _distances(t.adj, keep)
+    meet = t.sigma & keep
+    split = (meet @ (dist > 1) & meet).any(1)
+    for i in np.flatnonzero(~meet.any(1) | split)[:1]:
+        raise ChhsError("maximal simplex %s, witness %s %s" % (
+            "split" if meet[i].any() else "swallowed", c.id,
+            w.simplex_name(i)))
     link = np.flatnonzero(t.link[row])
-    members = [t.names[i] for i in link]
-
-    def project(sources):
-        """The projection of each row's sources."""
-        d = np.where(sources[:, :, None], dist[:, link], math.inf).min(1)
-        best = d.min(1, keepdims=True)
-        hit = (d <= best + 1) & np.isfinite(best)
-        return [frozenset(itertools.compress(members, h))
-                for h in hit.tolist()]
-
-    pi = dict(enumerate(project(t.sigma & keep)))
-
-    # how every class d relates to c, as class_relation(x, d, c)
-    inside = ~(t.link & ~t.link[row]).any(1)
-    around = ~(t.link[row] & ~t.link).any(1)
-    orth = ~(t.link[row] & ~t.double).any(1)
-    nonmax = t.link.any(1)
-    spot = nonmax & ~around & (inside | ~orth)
-    table = nonmax & around & ~inside
-    classes = simplex_classes(w.blowup)
-    picked = np.flatnonzero(spot)
-    rho_spots = dict(zip((classes[i].id for i in picked),
-                         project(t.saturation[picked] & keep)))
-    rho_maps = {}
-    if table.any():
-        # a saturated vertex has no sources, so it maps to nothing
-        alone = project(np.diag(keep))
-        for i in np.flatnonzero(table):
-            rho_maps[classes[i].id] = dict(
-                (t.names[j], alone[j]) for j in np.flatnonzero(t.link[i]))
-
-    cg = Graph()
-    cg.add_nodes_from(members)
-    a, b = np.nonzero(np.triu(t.adj[np.ix_(link, link)], 1))
-    cg.add_edges_from((members[i], members[j])
-                      for i, j in zip(a.tolist(), b.tolist()))
-    return {"C": cg, "pi": pi, "rho_spots": rho_spots, "rho_maps": rho_maps}
+    in_c = _distances(t.adj, t.link[row])[np.ix_(link, link)]
+    in_y = dist[np.ix_(link, link)]
+    return {"diam": _finite(in_c.max()), "diam_in_y": _finite(in_y.max()),
+            "in_c": in_c, "in_y": in_y}
 
 
 def _component_delta(dist):
@@ -766,8 +687,8 @@ def check_chhs(m, w):
     bad_embed = None
     for c in nonmax:
         record = coordinate_graph(w, c)
-        d = _component_delta(w._link_dist[c.id][0])
-        qi = _embedding_constants(*w._link_dist[c.id])
+        d = _component_delta(record["in_c"])
+        qi = _embedding_constants(record["in_c"], record["in_y"])
         if qi is None and bad_embed is None:
             bad_embed = c.id
         per_class[c.id] = {
@@ -785,7 +706,7 @@ def check_chhs(m, w):
 
     classes_above = {}
     for s in simplices(x):
-        c = class_of(x, s)
+        c = x.class_map[s]
         for r in range(len(s) + 1):
             for sub in itertools.combinations(sorted(s), r):
                 classes_above.setdefault(frozenset(sub), set()).add(c.id)
@@ -797,7 +718,7 @@ def check_chhs(m, w):
         if not gammas:
             continue
         for sigma in simplices(x):
-            scls = class_of(x, sigma)
+            scls = x.class_map[sigma]
             if scls.maximal:
                 continue
             found = [g for g in gammas if g.link <= scls.link]
@@ -812,7 +733,7 @@ def check_chhs(m, w):
             if not ok:
                 cond3 = PropertyReport(
                     "common_nesting_extension", False,
-                    (dcls.id, class_of(x, sigma).id, found[0].id))
+                    (dcls.id, scls.id, found[0].id))
                 break
         if not cond3.verdict:
             break
@@ -1319,10 +1240,9 @@ def check_equivariance(m, w, g):
             if img != c.coords[g["domains"][u]]:
                 return PropertyReport("equivariance", False,
                                       (w.simplex_name(i), u))
-    worst = 0
-    for i in range(len(w.simplices)):
-        worst = max(worst, m.zdist(g["points"][w.points[i]],
-                                   w.points[mapped[i]]))
+    pos = m.point_index
+    worst = int(m.point_dist[[pos[g["points"][z]] for z in w.points],
+                             [pos[w.points[i]] for i in mapped]].max())
     verdict = worst <= m.E
     report = PropertyReport("equivariance", verdict,
                             None if verdict else ("defect", "%d" % worst))

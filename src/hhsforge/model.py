@@ -26,8 +26,6 @@ from .indexset import (
     split_info,
 )
 
-METRIC_PROPERTIES = ("dpr", "edpr", "bounded_split", "normalised")
-
 # the (K, C) fits try the slopes K = 1 .. MAX_SLOPE
 MAX_SLOPE = 10
 
@@ -232,9 +230,6 @@ class HHSModel:
         index, d = self.coord_dist[u]
         sa = _as_set(a)
         return int(max(d[index[x], index[y]] for x in sa for y in sa))
-
-    def zdist(self, x, y):
-        return int(self.point_dist[self.point_index[x], self.point_index[y]])
 
     def coordinate_jump(self):
         """The largest coordinate distance between the projections of
@@ -539,90 +534,33 @@ def distance_profile(m, threshold):
 
 
 def _dpr_constant(m):
+    """The largest distance from a vertex of C(u) to the nearest upward
+    spot of a minimal domain strictly below u, with its first witness
+    (u, vertex) in domain order and then vertex order."""
     worst = (0, None)
     minimal = m.index.minimal_domains()
     for u in m.index.domains:
-        below = sorted(v for v in minimal
-                       if v != u and v in m.index.down[u])
+        below = [v for v in minimal if v != u and v in m.index.down[u]]
         if not below:
             continue
-        for w in sorted(m.coord_graphs[u].nodes()):
-            gap = min(m.dist(u, w, m.rho_up[(v, u)]) for v in below)
-            if gap > worst[0]:
-                worst = (gap, (u, w))
-    return worst
-
-
-def _edpr_constant(m):
-    """Realise each maximal orthogonal family under u at every point x's
-    own projections: score[z, x] is the realisation defect at z, and the
-    first argmin over z is the realisation point y.  The constant is
-    the largest, over u and x, of the least over families of the
-    farthest y lands from x in a domain under u."""
-    ks = m.metrics
-    bullets = dict((v, r.max(0)) for v, r in m.bullet_rows.items())
-    worst = 0
-    for u in m.index.domains:
-        best = None
-        for family in m.index.families(u):
-            # one points x points array at a time
-            score = functools.reduce(np.maximum, (
-                np.maximum(ks[v].point_gap(), bullets[v][:, None])
-                for v in family))
-            y = score.argmin(0)
-            gap = functools.reduce(np.maximum, (
-                ks[v].gap[ks[v].point, ks[v].point[y]]
-                for v in m.index.down[u]))
-            best = gap if best is None else np.minimum(best, gap)
-        worst = max(worst, int(best.max()))
+        k = m.metrics[u]
+        gap = k.near[k.lookup(m.rho_up[(v, u)] for v in below)].min(0)
+        far = int(gap.argmax())
+        if gap[far] > worst[0]:
+            worst = (int(gap[far]), (u, sorted(k.index)[far]))
     return worst
 
 
 def check_metric_property(m, name):
-    """Measure one of dpr, edpr, bounded_split, normalised.
-
-    The report carries the least constant; dpr and normalised compare
-    it against the measured E, the other two always hold with a finite
-    constant on a finite model.
-    """
-    if name == "dpr":
-        constant, witness = _dpr_constant(m)
-        verdict = constant <= m.E
-        report = PropertyReport("dpr", verdict, None if verdict else witness)
-        report.constant = constant
-        return report
-    if name == "edpr":
-        report = PropertyReport("edpr", True, None)
-        report.constant = _edpr_constant(m)
-        return report
-    if name == "bounded_split":
-        constant = 0
-        top = m.index.top
-        minimal = set(m.index.minimal_domains())
-        for u in m.index.domains:
-            if u == top or u in minimal:
-                continue
-            if split_info(m.index, u)["split"]:
-                constant = max(constant, int(m.coord_dist[u][1].max()))
-        report = PropertyReport("bounded_split", True, None)
-        report.constant = constant
-        return report
-    if name == "normalised":
-        constant = 0
-        witness = None
-        for u in m.index.domains:
-            img = m.images(u)
-            for w in sorted(m.coord_graphs[u].nodes()):
-                gap = m.dist(u, w, img)
-                if gap > constant:
-                    constant = gap
-                    witness = (u, w)
-        verdict = constant <= m.E
-        report = PropertyReport("normalised", verdict,
-                                None if verdict else witness)
-        report.constant = constant
-        return report
-    raise ModelError("unknown metric property %s" % name)
+    """Measure dpr, the one metric property a verdict reads: the report
+    carries the least constant and compares it against the measured E."""
+    if name != "dpr":
+        raise ModelError("unknown metric property %s" % name)
+    constant, witness = _dpr_constant(m)
+    verdict = constant <= m.E
+    report = PropertyReport("dpr", verdict, None if verdict else witness)
+    report.constant = constant
+    return report
 
 
 # -- point-domain augmentation ----------------------------------------

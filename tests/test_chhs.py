@@ -1,13 +1,12 @@
 import itertools
 import os
 import unittest
-from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from hhsforge import chhs, cubes
+from hhsforge import cubes
 from hhsforge.chhs import (
     APEX,
     SHAPE_ALL_EDGES,
@@ -523,16 +522,16 @@ class TestCoordinateGraph(unittest.TestCase):
         _, x, w = pipeline("grid")
         rec = coordinate_graph(w, class_of(x, frozenset()))
         aug = augmented_graph(w)
-        self.assertEqual(set(rec["C"].nodes()), set(aug.nodes()))
-        self.assertEqual(set(map(frozenset, rec["C"].edges())),
-                         set(map(frozenset, aug.edges())))
+        names = sorted(aug.nodes())
+        want = nx.floyd_warshall_numpy(aug, nodelist=names, weight=None)
+        np.testing.assert_array_equal(rec["in_c"], want)
+        np.testing.assert_array_equal(rec["in_y"], want)
 
     def test_record_keys(self):
         _, x, w = pipeline("square")
         c = next(c for c in simplex_classes(x) if not c.maximal)
         rec = coordinate_graph(w, c)
-        self.assertEqual(sorted(rec), ["C", "diam", "diam_in_y",
-                                       "pi", "rho_maps", "rho_spots"])
+        self.assertEqual(sorted(rec), ["diam", "diam_in_y", "in_c", "in_y"])
 
     def test_compression_at_small_lambda(self):
         m, x, _ = pipeline("grid")
@@ -543,42 +542,18 @@ class TestCoordinateGraph(unittest.TestCase):
         self.assertEqual(rec["diam"], 3)
         self.assertEqual(rec["diam_in_y"], 3)
 
-    def test_projections_are_tight(self):
-        _, x, w = pipeline("square")
-        for c in simplex_classes(x):
-            if c.maximal:
-                continue
-            rec = coordinate_graph(w, c)
-            # Y: the augmented graph without the class's saturation
-            aug = augmented_graph(w)
-            y = aug.subgraph(v for v in aug.nodes()
-                             if v not in c.saturation)
-            dist = dict(nx.all_pairs_shortest_path_length(as_nx(y)))
-            for img in rec["pi"].values():
-                self.assertTrue(img)
-                spread = max(dist[a][b] for a in img for b in img)
-                self.assertLessEqual(spread, 1)
-
-    def test_accepts_class_id(self):
-        _, x, w = pipeline("square")
-        c = next(c for c in simplex_classes(x) if not c.maximal)
-        self.assertIs(coordinate_graph(w, c.id), coordinate_graph(w, c))
-
     def test_errors(self):
         _, x, w = pipeline("grid")
         cs = {c.id: c for c in simplex_classes(x)}
         with self.assertRaises(ChhsError) as err:
             coordinate_graph(w, cs["q15"])
         self.assertIn("class is maximal", str(err.exception))
-        with self.assertRaises(ChhsError) as err:
-            coordinate_graph(w, "zzz")
-        self.assertIn("unknown class", str(err.exception))
 
 
 class TestMaximalSimplexChecks(unittest.TestCase):
     """coordinate_graph rejects a class whose Y swallows or splits a
-    maximal simplex on its first call, before any table is built.  The
-    class tables of a fresh gamma4 W are doctored to make each case."""
+    maximal simplex.  The class tables of a fresh gamma4 W are doctored
+    to make each case."""
 
     def setUp(self):
         with open(os.path.join(ROOT, "fixtures", "gamma4.model"),
@@ -589,18 +564,15 @@ class TestMaximalSimplexChecks(unittest.TestCase):
         self.t = self.w.class_tables
         self.c = next(c for c in simplex_classes(x) if not c.maximal)
 
-    def first_call_error(self):
-        with mock.patch.object(chhs, "_projection_tables",
-                               side_effect=chhs._projection_tables) as tables:
-            with self.assertRaises(ChhsError) as err:
-                coordinate_graph(self.w, self.c)
-        self.assertEqual(tables.call_count, 0)
+    def call_error(self):
+        with self.assertRaises(ChhsError) as err:
+            coordinate_graph(self.w, self.c)
         return str(err.exception)
 
     def test_swallowed(self):
         """A saturation row covering the whole of simplex 0."""
         self.t.saturation[self.t.row[self.c.id]] |= self.t.sigma[0]
-        self.assertEqual(self.first_call_error(),
+        self.assertEqual(self.call_error(),
                          "maximal simplex swallowed, witness %s %s"
                          % (self.c.id, self.w.simplex_name(0)))
 
@@ -611,7 +583,7 @@ class TestMaximalSimplexChecks(unittest.TestCase):
         i = int(np.flatnonzero(kept.sum(1) >= 2)[0])
         a, b = np.flatnonzero(kept[i])[:2]
         self.t.adj[a, b] = self.t.adj[b, a] = False
-        self.assertEqual(self.first_call_error(),
+        self.assertEqual(self.call_error(),
                          "maximal simplex split, witness %s %s"
                          % (self.c.id, self.w.simplex_name(i)))
 
@@ -842,6 +814,26 @@ class TestEquivariance(unittest.TestCase):
         rep = check_equivariance(m, w, grid_transpose(m))
         self.assertTrue(rep.verdict)
         self.assertEqual(rep.constant, 0)
+
+    def test_realisation_defect(self):
+        """The first simplex realised at the point the transpose moves
+        farthest: the defect is the farthest a point's image lands from
+        the realisation of the mapped simplex, in the point graph."""
+        m, x, _ = pipeline("grid")
+        g = grid_transpose(m)
+        dist = dict(nx.all_pairs_shortest_path_length(as_nx(m.space)))
+        w = build_w(m, x)
+        w.points = (max(m.points, key=lambda z: dist[z][g["points"][z]]),
+                    ) + w.points[1:]
+        mapped = [w.index[frozenset(
+            (g["domains"][u], c if c == APEX else g["coords"][(u, c)])
+            for u, c in s)] for s in w.simplices]
+        want = max(dist[g["points"][z]][w.points[j]]
+                   for z, j in zip(w.points, mapped))
+        rep = check_equivariance(m, w, g)
+        self.assertGreater(want, m.E)
+        self.assertEqual((rep.verdict, rep.constant, rep.witness),
+                         (False, want, ("defect", "%d" % want)))
 
     def test_composition(self):
         m, _, w = pipeline("grid")

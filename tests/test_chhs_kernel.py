@@ -31,19 +31,11 @@ from hhsforge.chhs import (
     check_chhs,
     colevel_of_complement,
     coordinate_graph,
-    link_of_set,
     simplex_classes,
     support,
     thresholds,
 )
-from hhsforge.indexset import (
-    CONTAINS,
-    EQUAL,
-    NESTED_IN,
-    ORTHOGONAL,
-    TRANSVERSE,
-    relation,
-)
+from hhsforge.indexset import NESTED_IN, TRANSVERSE, relation
 from hhsforge.model import (
     HHSModel,
     distance_profile,
@@ -64,8 +56,9 @@ def point_pairs(m):
     pair of points."""
     out = []
     for i, z in enumerate(m.points):
-        for y in m.points[i + 1:]:
-            out.append((m.zdist(z, y),
+        for j in range(i + 1, len(m.points)):
+            y = m.points[j]
+            out.append((int(m.point_dist[i, j]),
                         [m.dist(u, m.pi[(u, z)], m.pi[(u, y)])
                          for u in m.index.domains]))
     return out
@@ -178,31 +171,6 @@ def _augmented_graph(w):
     return g
 
 
-def _class_relation(x, a, b):
-    if a.link == b.link:
-        return EQUAL
-    if a.link <= b.link:
-        return NESTED_IN
-    if b.link <= a.link:
-        return CONTAINS
-    if b.link <= link_of_set(x, a.link):
-        return ORTHOGONAL
-    return TRANSVERSE
-
-
-def _closest_point_projection(dist, targets, sources):
-    best = math.inf
-    for s in sources:
-        row = dist.get(s, {})
-        for t in targets:
-            best = min(best, row.get(t, math.inf))
-    if best is math.inf:
-        return frozenset()
-    return frozenset(t for t in targets
-                     if min(dist.get(s, {}).get(t, math.inf)
-                            for s in sources) <= best + 1)
-
-
 def _graph_diameter(g):
     if g.number_of_nodes() <= 1:
         return 0
@@ -233,42 +201,21 @@ def _embedding_constants(cg, dist_y, max_k=10):
 
 
 def oracle_record(w, aug, c):
-    """The coordinate-graph record of a class, plus its (K, C) fit."""
-    x = w.blowup
+    """The class graph C of a class as a set of edges, its diameters in
+    C and in Y, and its (K, C) fit."""
     y = aug.subgraph(set(aug.nodes()) - c.saturation)
     dist = dict(nx.all_pairs_shortest_path_length(y))
     cg = nx.Graph(y.subgraph(sorted(c.link)))
-    pi = {}
-    for i, sigma in enumerate(w.simplices):
+    for sigma in w.simplices:
         meet = sorted(sigma - c.saturation)
         assert meet
         assert max(dist[a].get(b, math.inf) for a in meet for b in meet) <= 1
-        pi[i] = _closest_point_projection(dist, sorted(c.link), meet)
-    rho_spots = {}
-    rho_maps = {}
-    for d in simplex_classes(x):
-        if d.maximal or d.id == c.id:
-            continue
-        rel = _class_relation(x, d, c)
-        if rel in (TRANSVERSE, NESTED_IN):
-            sat = sorted(d.saturation - c.saturation)
-            rho_spots[d.id] = _closest_point_projection(
-                dist, sorted(c.link), sat) if sat else frozenset()
-        if rel == CONTAINS:
-            rho_maps[d.id] = dict(
-                (v, frozenset() if v in c.saturation
-                 else _closest_point_projection(dist, sorted(c.link), [v]))
-                for v in sorted(d.link))
     members = sorted(c.link)
     diam_in_y = 0
     for a, b in itertools.combinations(members, 2):
         diam_in_y = max(diam_in_y, dist[a].get(b, math.inf))
     return {
         "C": set(map(frozenset, cg.edges())),
-        "nodes": set(cg.nodes()),
-        "pi": pi,
-        "rho_spots": rho_spots,
-        "rho_maps": rho_maps,
         "diam": _graph_diameter(cg),
         "diam_in_y": diam_in_y,
         "qi": _embedding_constants(cg, dist),
@@ -343,8 +290,11 @@ def check_model(test, m, records=True):
         test.assertEqual(distance_profile(m, threshold),
                          oracle_distance_profile(pairs, threshold))
     if records:
-        w = build_w(m, x)
-        check_records(test, w)
+        # at lambda 1 two class graphs of gamma4 are distorted in Y, so
+        # their distances in C and in Y differ
+        for lam in (1, want["default"]):
+            with test.subTest(records=lam):
+                check_records(test, build_w(m, x, lam=lam))
 
 
 def check_records(test, w):
@@ -356,14 +306,18 @@ def check_records(test, w):
             continue
         want = oracle_record(w, aug, c)
         got = coordinate_graph(w, c)
+        members = sorted(c.link)
         with test.subTest(cls=c.id):
-            test.assertEqual(set(got["C"].nodes()), want["nodes"])
-            test.assertEqual(set(map(frozenset, got["C"].edges())),
+            # the edges of C are the link pairs at distance 1 in C
+            a, b = np.nonzero(np.triu(got["in_c"] == 1))
+            test.assertEqual(set(frozenset((members[i], members[j]))
+                                 for i, j in zip(a.tolist(), b.tolist())),
                              want["C"])
-            for key in ("pi", "rho_spots", "rho_maps", "diam", "diam_in_y"):
+            for key in ("diam", "diam_in_y"):
                 test.assertEqual(got[key], want[key], key)
-            test.assertEqual(chhs._embedding_constants(*w._link_dist[c.id]),
-                             want["qi"])
+            test.assertEqual(
+                chhs._embedding_constants(got["in_c"], got["in_y"]),
+                want["qi"])
 
 
 # -- tests -------------------------------------------------------------
@@ -444,9 +398,10 @@ class DistanceCallGuard(unittest.TestCase):
 
 
 class MemoryGuard(unittest.TestCase):
-    """check_chhs keeps each class's link distances and diameters, not
-    its projection tables: with the tables built for every class it
-    peaked at about 18 MiB on gamma4."""
+    """check_chhs keeps each class's diameters, not its distances: with
+    the projection tables built for every class it peaked at about
+    18 MiB on gamma4, and with each class's Y distances kept it held on
+    to 1.5 MiB once it returned."""
 
     def test_gamma4_fixture(self):
         m = fixture_model("gamma4.model")
@@ -458,6 +413,36 @@ class MemoryGuard(unittest.TestCase):
         finally:
             tracemalloc.stop()
         self.assertLess(peak, 6 * 2 ** 20)
+
+    def test_gamma4_keeps_nothing_per_class(self):
+        """What check_chhs still holds once it returns, past the cached
+        tables of the blow-up and of W, which are built first."""
+        m = fixture_model("gamma4.model")
+        x = blow_up(m)
+        w = build_w(m, x)
+        x.class_map, x.links, w.class_tables, w.distances
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            check_chhs(m, w)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        self.assertLess(kept, 2 ** 19)
+
+
+class CheckSimplexGuard(unittest.TestCase):
+    """check_chhs reads the class of each simplex the blow-up enumerated
+    from its class map; it checks no simplex again, where class_of
+    re-ran the clique test 621 times on gamma4."""
+
+    def test_gamma4_fixture(self):
+        m = fixture_model("gamma4.model")
+        w = build_w(m, blow_up(m))
+        with mock.patch.object(chhs, "check_simplex",
+                               side_effect=chhs.check_simplex) as check:
+            check_chhs(m, w)
+        self.assertEqual(check.call_count, 0)
 
 
 def test_small_median_graphs():

@@ -608,32 +608,6 @@ class TestDerivedTablesBuiltOnce(unittest.TestCase):
                          sorted(domains))
 
 
-class TestProjectionTablesBuiltOnRead(unittest.TestCase):
-    """verify-chhs reads each class's link distances and diameters only,
-    so it builds no projection table; the first read of one table
-    builds that class's four."""
-
-    def test_verify_chhs_gamma4(self):
-        with mock.patch.object(chhs, "_projection_tables",
-                               side_effect=chhs._projection_tables) \
-                as tables, \
-             mock.patch.object(chhs, "check_chhs",
-                               side_effect=chhs.check_chhs) as check:
-            code, out, err = run_cli("verify-chhs", fix("gamma4.model"))
-            self.assertEqual((code, err, tables.call_count), (1, "", 0))
-            w = check.call_args.args[1]
-            c = next(c for c in chhs.simplex_classes(w.blowup)
-                     if not c.maximal)
-            rec = chhs.coordinate_graph(w, c)
-            rec["pi"]
-            self.assertEqual(tables.call_count, 1)
-            self.assertEqual(sorted(rec), ["C", "diam", "diam_in_y",
-                                           "pi", "rho_maps", "rho_spots"])
-            for key in rec:
-                rec[key]
-            self.assertEqual(tables.call_count, 1)
-
-
 class TestWGraphViewUnread(unittest.TestCase):
     """The subcommands read W as its boolean matrix; none of them
     builds the `graph` view."""

@@ -29,6 +29,7 @@ from hhsforge.graph import Graph, as_graph, components
 from hhsforge.model import load_model
 
 from helpers import as_nx
+from test_chhs_kernel import _augmented_graph
 from test_measure_kernel import tree_times_path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -363,16 +364,20 @@ class TheoremOracles(unittest.TestCase):
 
 class ClassDeltas(unittest.TestCase):
     """Every class's delta in check_chhs against the nx-copy kernel on
-    the class graph C."""
+    the class graph C: Y, the augmented graph without the class's
+    saturation, restricted to the class's link."""
 
     def check(self, path):
         with open(path, encoding="utf-8") as f:
             m = load_model(f.read())
         w = chhs.build_w(m, chhs.blow_up(m))
         report = chhs.check_chhs(m, w)
-        want = dict((c.id, oracle_component_delta(
-            chhs.coordinate_graph(w, c)["C"]))
-            for c in chhs.simplex_classes(w.blowup) if not c.maximal)
+        aug = _augmented_graph(w)
+        want = {}
+        for c in chhs.simplex_classes(w.blowup):
+            if not c.maximal:
+                y = aug.subgraph(set(aug.nodes()) - c.saturation)
+                want[c.id] = oracle_component_delta(y.subgraph(c.link))
         self.assertEqual(dict((cid, row["delta"]) for cid, row
                               in report.per_class.items()), want)
         self.assertEqual(report.delta, max(want.values()))

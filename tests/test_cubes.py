@@ -445,8 +445,9 @@ class TestModelExtraction(unittest.TestCase):
     def test_counterexample_metric_reports(self):
         g = cubes.build_counterexample(2)
         m = cubes.index_set_from_hyperclosure(g)
-        self.assertTrue(check_metric_property(m, "normalised").verdict)
-        self.assertTrue(check_metric_property(m, "bounded_split").verdict)
+        report = check_metric_property(m, "dpr")
+        self.assertTrue(report.verdict)
+        self.assertEqual((report.constant, m.E), (3, 3))
 
 
 class TestFigureAdjacency(unittest.TestCase):

@@ -1,13 +1,13 @@
-"""The array scans of measure_model and the edpr constant against the
+"""The array scans of measure_model and the dpr constant against the
 loops they replaced.
 
 The loop scans below are the reference implementations: each walks the
 model's tables and asks HHSModel.dist and diam for one pair at a time.
 Every array scan must give the same value as its loop scan, and
 measure_model the same dict, on the fixtures, the glued complex, square
-grids, the 3-cube and small generated median graphs.  The loop
-realisation defect is the reference for the edpr constant, which reads
-the model's bullet table.
+grids, the 3-cube and small generated median graphs.  The loop dpr
+constant is the reference for the one that reads each domain's
+least-distance rows, witness included.
 """
 
 import functools
@@ -25,7 +25,7 @@ from hhsforge.indexset import CONTAINS, NESTED_IN, TRANSVERSE, relation
 from hhsforge.model import (
     HHSModel,
     _consistency_value,
-    check_metric_property,
+    augment_point_domains,
     load_model,
     measure_model,
 )
@@ -175,54 +175,21 @@ def _scan_partial_realisation(m):
     return worst
 
 
-def _realisation_defect(m, pairs, z):
-    coordinate = 0
-    nested = 0
-    transverse = 0
-    for v, p in pairs:
-        coordinate = max(coordinate, m.dist(v, m.pi[(v, z)], p))
-        for w in m.index.domains:
-            rel = relation(m.index, v, w)
-            if rel == NESTED_IN:
-                nested = max(nested,
-                             m.dist(w, m.pi[(w, z)], m.rho_up[(v, w)]))
-            elif rel == TRANSVERSE:
-                transverse = max(transverse,
-                                 m.dist(w, m.pi[(w, z)], m.rho_up[(v, w)]))
-    return {"coordinate": coordinate, "nested": nested,
-            "transverse": transverse}
-
-
-def oracle_realise(m, pairs):
-    """The first point of least realisation defect for a family of
-    (domain, vertex set) pairs."""
-    best = None
-    for z in m.points:
-        bullets = _realisation_defect(m, pairs, z)
-        score = max(bullets.values())
-        if best is None or score < best[1]:
-            best = (z, score, bullets)
-    return {"point": best[0], "defect": best[1], "bullets": best[2]}
-
-
-def oracle_edpr(m):
-    # points sharing their projections to a family share its realisation
-    realised = {}
-    worst = 0
+def oracle_dpr(m):
+    """(constant, witness) of dpr: the largest distance from a vertex of
+    C(u) to the nearest upward spot of a minimal domain strictly below
+    u, the first (u, vertex) to reach it."""
+    worst = (0, None)
+    minimal = m.index.minimal_domains()
     for u in m.index.domains:
-        inside = sorted(m.index.down[u])
-        for x in m.points:
-            best = None
-            for family in m.index.families(u):
-                pairs = tuple((v, m.pi[(v, x)]) for v in family)
-                if pairs not in realised:
-                    realised[pairs] = oracle_realise(m, pairs)["point"]
-                y = realised[pairs]
-                gap = max(m.dist(v, m.pi[(v, x)], m.pi[(v, y)])
-                          for v in inside)
-                if best is None or gap < best:
-                    best = gap
-            worst = max(worst, best)
+        below = sorted(v for v in minimal
+                       if v != u and v in m.index.down[u])
+        if not below:
+            continue
+        for w in sorted(m.coord_graphs[u].nodes()):
+            gap = min(m.dist(u, w, m.rho_up[(v, u)]) for v in below)
+            if gap > worst[0]:
+                worst = (gap, (u, w))
     return worst
 
 
@@ -342,22 +309,26 @@ class DistanceCallGuard(unittest.TestCase):
         self.assertEqual(self.calls(unmeasured(glued(5)[0])), (0, 0))
 
 
-def check_realisation(m):
-    """edpr equals the loop oracle."""
-    assert check_metric_property(m, "edpr").constant == oracle_edpr(m)
+def check_dpr(m):
+    """dpr, constant and witness, equals the loop oracle."""
+    assert model._dpr_constant(m) == oracle_dpr(m)
 
 
 class RealisationAgreement(unittest.TestCase):
+    """The dpr constant against its loop oracle."""
 
     def test_fixtures(self):
-        for name in ("chain.model", "product.model"):
+        for name in ("chain.model", "product.model", "gamma4.model"):
             with self.subTest(name=name):
-                check_realisation(fixture_model(name))
+                check_dpr(fixture_model(name))
+        with self.subTest(name="augmented chain.model"):
+            check_dpr(augment_point_domains(
+                fixture_model("chain.model")))
         for name in ("square.cplx", "grid.cplx"):
             with self.subTest(name=name), \
                  open(os.path.join(ROOT, "fixtures", name),
                       encoding="utf-8") as f:
-                check_realisation(cubes.index_set_from_hyperclosure(
+                check_dpr(cubes.index_set_from_hyperclosure(
                     cubes.load_complex(f.read())))
 
     def test_helper_models(self):
@@ -366,31 +337,23 @@ class RealisationAgreement(unittest.TestCase):
                      helpers.make_behrstock_model, helpers.make_star_model,
                      helpers.make_rect_model):
             with self.subTest(model=make.__name__):
-                check_realisation(make())
+                check_dpr(make())
 
     def test_grids(self):
         for size in range(3, 8):
             with self.subTest(size=size):
-                check_realisation(cubes.index_set_from_hyperclosure(
+                check_dpr(cubes.index_set_from_hyperclosure(
                     cubes.grid_complex(size, size)))
 
     def test_glued(self):
-        for depth in (2, 3):
+        for depth in (2, 3, 4, 5):
             for m in glued(depth):
                 with self.subTest(depth=depth, E=m.E):
-                    check_realisation(m)
-
-    def test_edpr_pinned(self):
-        """Values the loop oracle gave, too slow to rerun here."""
-        gamma6 = os.path.join(ROOT, "perfbench", "data", "gamma6.model")
-        with open(gamma6, encoding="utf-8") as f:
-            big = load_model(f.read())
-        for m in (fixture_model("gamma4.model"), big):
-            self.assertEqual(check_metric_property(m, "edpr").constant, 3)
+                    check_dpr(m)
 
 
 def test_small_median_graphs_realisation():
-    """edpr against the loop on products of a random tree
+    """dpr against the loop on products of a random tree
     with up to seven vertices and a path with one to four edges."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -401,7 +364,7 @@ def test_small_median_graphs_realisation():
                          database=None)
     @hypothesis.given(parents, st.integers(1, 4))
     def check(parents, length):
-        check_realisation(cubes.index_set_from_hyperclosure(
+        check_dpr(cubes.index_set_from_hyperclosure(
             tree_times_path(parents, length)))
 
     check()
@@ -416,7 +379,7 @@ class BulletTableOnce(unittest.TestCase):
                     if relation(m.index, v, w) in (NESTED_IN, TRANSVERSE))
         with mock.patch.object(model._Metric, "to_set", autospec=True,
                                side_effect=model._Metric.to_set) as to_set:
-            check_metric_property(m, "edpr")
+            model._scan_partial_realisation(m)
             chhs.thresholds(m)
         self.assertGreater(pairs, 0)
         self.assertEqual(to_set.call_count, pairs)

@@ -64,7 +64,8 @@ class TestChainModel(unittest.TestCase):
         self.assertEqual(distance_estimate(self.m, "p00", "p11", 11), 0)
         # distance_profile fits the same estimates, pair by pair
         pairs = list(itertools.combinations(self.m.points, 2))
-        dz = np.array([self.m.zdist(x, y) for x, y in pairs])
+        pos = self.m.point_index
+        dz = np.array([self.m.point_dist[pos[x], pos[y]] for x, y in pairs])
         for threshold in (0, 10, 11):
             est = np.array([distance_estimate(self.m, x, y, threshold)
                             for x, y in pairs])
@@ -83,15 +84,12 @@ class TestChainModel(unittest.TestCase):
         self.assertEqual(report.witness, ("S", "c00"))
 
     def test_other_metric_properties(self):
-        normalised = check_metric_property(self.m, "normalised")
-        self.assertTrue(normalised.verdict)
-        self.assertEqual(normalised.constant, 0)
-        split = check_metric_property(self.m, "bounded_split")
-        self.assertTrue(split.verdict)
-        self.assertEqual(split.constant, 0)
-        edpr = check_metric_property(self.m, "edpr")
-        self.assertTrue(edpr.verdict)
-        self.assertEqual(edpr.constant, 11)
+        """dpr is the one metric property measured; the names of the
+        ones no verdict read are unknown."""
+        for name in ("edpr", "bounded_split", "normalised"):
+            with self.assertRaisesRegex(ModelError,
+                                        "unknown metric property %s" % name):
+                check_metric_property(self.m, name)
 
     def test_augmentation_flips_dpr(self):
         before = dict((name, check_property(self.m.index, name).verdict)
@@ -102,7 +100,6 @@ class TestChainModel(unittest.TestCase):
         self.assertIn("T_S_p00", big.index.domains)
         self.assertTrue(check_metric_property(big, "dpr").verdict)
         self.assertEqual(check_metric_property(big, "dpr").constant, 0)
-        self.assertEqual(check_metric_property(big, "edpr").constant, 0)
         after = dict((name, check_property(big.index, name).verdict)
                      for name in before)
         self.assertEqual(before, after)

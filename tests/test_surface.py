@@ -1,11 +1,12 @@
-"""Every public function of the package has a caller outside the tests.
+"""Every public function and constant of the package has a reader
+outside the tests.
 
-A public top-level function in src/hhsforge must be named, as a name or
-as an attribute, somewhere in the package outside its own body, in the
-benchmark harness (perfbench/*.py) or in the acceptance gate
-(tests/test_acceptance.py).  A function that only other tests call is
-surface no subcommand reaches: delete it, or move it into the tests as
-the reference for the code that replaced it.
+A public top-level function or constant in src/hhsforge must be named,
+as a name or as an attribute, somewhere in the package outside its own
+definition, in the benchmark harness (perfbench/*.py) or in the
+acceptance gate (tests/test_acceptance.py).  A function or constant that
+only other tests read is surface no subcommand reaches: delete it, or
+move it into the tests as the reference for the code that replaced it.
 """
 
 import ast
@@ -38,35 +39,63 @@ def named(node):
     return out
 
 
+def public_names(node):
+    """The public names a top-level statement defines: a function's
+    name, or the plain names an assignment binds."""
+    if isinstance(node, ast.FunctionDef):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
 class SurfaceGuard(unittest.TestCase):
 
-    def test_every_public_function_is_reached(self):
-        package = dict((path, parse(path)) for path in sorted(
+    @classmethod
+    def setUpClass(cls):
+        cls.package = dict((path, parse(path)) for path in sorted(
             glob.glob(os.path.join(ROOT, "src", "hhsforge", "*.py"))))
-        inside = collections.Counter()
-        for tree in package.values():
-            inside += named(tree)
-        outside = collections.Counter()
+        cls.inside = collections.Counter()
+        for tree in cls.package.values():
+            cls.inside += named(tree)
+        cls.outside = collections.Counter()
         for path in (sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
                      + [os.path.join(ROOT, "tests", "test_acceptance.py")]):
-            outside += named(parse(path))
+            cls.outside += named(parse(path))
+
+    def unreached(self, kinds):
+        """(public names defined by top-level statements of the given
+        kinds, those of them that nothing outside the tests reads)."""
         public = []
         unreached = []
-        for path, tree in package.items():
-            for fn in tree.body:
-                if (not isinstance(fn, ast.FunctionDef)
-                        or fn.name.startswith("_")):
+        for path, tree in self.package.items():
+            for node in tree.body:
+                if not isinstance(node, kinds):
                     continue
-                public.append(fn.name)
-                if (inside[fn.name] > named(fn)[fn.name]
-                        or outside[fn.name]
-                        or fn.name in ROUND_TRIP_WRITERS):
-                    continue
-                unreached.append("%s:%d %s" % (os.path.basename(path),
-                                               fn.lineno, fn.name))
+                for name in public_names(node):
+                    public.append(name)
+                    if (self.inside[name] > named(node)[name]
+                            or self.outside[name]
+                            or name in ROUND_TRIP_WRITERS):
+                        continue
+                    unreached.append("%s:%d %s" % (os.path.basename(path),
+                                                   node.lineno, name))
+        return public, unreached
+
+    def test_every_public_function_is_reached(self):
+        public, unreached = self.unreached(ast.FunctionDef)
         self.assertEqual(unreached, [])
         for name in ROUND_TRIP_WRITERS:
             self.assertIn(name, public)
+
+    def test_every_public_constant_is_read(self):
+        public, unreached = self.unreached((ast.Assign, ast.AnnAssign))
+        self.assertIn("APEX", public)
+        self.assertEqual(unreached, [])
 
 
 if __name__ == "__main__":
