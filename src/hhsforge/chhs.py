@@ -40,7 +40,9 @@ from .model import (
     MAX_SLOPE,
     ConsistentTuple,
     HHSModel,
-    check_consistency,
+    _consistency,
+    _metrics,
+    _padded,
     least_fit,
 )
 
@@ -187,19 +189,9 @@ def link_of_set(x, s):
     return out - s
 
 
-def link(x, delta):
-    return link_of_set(x, check_simplex(x, delta))
-
-
 def simplices(x):
     """Every clique of the blown graph, the empty one included."""
     return x.simplices
-
-
-def simplex_link(x, delta):
-    if delta in x.links:
-        return x.links[delta]
-    return link(x, delta)
 
 
 class SimplexClass(object):
@@ -221,17 +213,6 @@ class SimplexClass(object):
 
 def simplex_classes(x):
     return x.classes
-
-
-def class_of(x, delta):
-    delta = check_simplex(x, delta)
-    if delta not in x.class_map:
-        raise ChhsError("unknown simplex, witness %s" % _set_name(delta))
-    return x.class_map[delta]
-
-
-def saturation(x, delta):
-    return class_of(x, delta).saturation
 
 
 def _cone_link(x, u, piece):
@@ -316,7 +297,11 @@ def maximal_simplices(x):
 
 def b_sigma(m, sigma):
     """Canonical tuple of a maximal simplex: the prescribed coordinate
-    on the support, the union of the relative projections elsewhere."""
+    on the support, the union of the relative projections elsewhere.
+
+    The tuple also keeps, per coordinate off the support, the ids in
+    `m.metrics` of the projections it unites (`spots`), and the largest
+    diameter of a coordinate (`spread`)."""
     bar = {}
     for u, c in sigma:
         bar.setdefault(u, set()).add(c)
@@ -335,18 +320,24 @@ def b_sigma(m, sigma):
     if extra:
         raise ChhsError("simplex not maximal, witness %s" % min(extra))
     ks = m.metrics
+    spots = {}
+    spread = 0
     for v in m.index.domains:
         if v in coords:
             continue
-        spots = [m.rho_up[(u, v)] for u in sorted(bar)
-                 if relation(m.index, u, v) in (NESTED_IN, TRANSVERSE)]
-        if not spots:
+        targets = [m.rho_up[(u, v)] for u in sorted(bar)
+                   if relation(m.index, u, v) in (NESTED_IN, TRANSVERSE)]
+        if not targets:
             raise ChhsError("no projection target, witness %s" % v)
-        ids = ks[v].lookup(spots)
-        if ks[v].span[np.ix_(ids, ids)].max() > 10 * m.E:
+        ids = spots[v] = ks[v].lookup(targets)
+        diam = int(ks[v].span[np.ix_(ids, ids)].max())
+        if diam > 10 * m.E:
             raise ChhsError("coordinate too spread, witness %s" % v)
-        coords[v] = frozenset().union(*spots)
-    return ConsistentTuple(m.index.domains, coords)
+        spread = max(spread, diam)
+        coords[v] = frozenset().union(*targets)
+    t = ConsistentTuple(m.index.domains, coords)
+    t.spots, t.spread = spots, spread
+    return t
 
 
 # -- thresholds --------------------------------------------------------
@@ -743,7 +734,7 @@ def check_chhs(m, w):
     links = dict((c.link, c.id) for c in classes)
     wedges = PropertyReport("simplicial_wedges", True, None)
     for sigma in simplices(x):
-        lk_sigma = simplex_link(x, sigma)
+        lk_sigma = x.links[sigma]
         for dcls in classes:
             want = lk_sigma & dcls.link
             pid = links.get(want)
@@ -777,7 +768,7 @@ def _link_edges_fill_in(w):
     # joined through W and not adjacent in the blown graph
     unfilled = t.adj & ~t.blown
     for delta_s in simplices(x):
-        lk = np.array(sorted(t.pos[v] for v in simplex_link(x, delta_s)),
+        lk = np.array(sorted(t.pos[v] for v in x.links[delta_s]),
                       dtype=np.intp)
         need = unfilled[np.ix_(lk, lk)]
         if not need.any():
@@ -1074,12 +1065,10 @@ def check_complement_dichotomy(x):
     return PropertyReport("complement_dichotomy", True, None)
 
 
-def check_tuple_spread(m, x):
-    worst = 0
-    for sigma in maximal_simplices(x):
-        b = b_sigma(m, sigma)
-        for u in m.index.domains:
-            worst = max(worst, m.diam(u, b.coords[u]))
+def check_tuple_spread(m, tuples):
+    """The largest coordinate diameter of the canonical tuples, against
+    10 E."""
+    worst = max(b.spread for b in tuples)
     verdict = worst <= 10 * m.E
     report = PropertyReport("tuple_spread", verdict,
                             None if verdict else ("%d" % worst,))
@@ -1087,17 +1076,32 @@ def check_tuple_spread(m, x):
     return report
 
 
-def check_tuple_consistency(m, x):
-    worst = 0
-    witness = None
-    for sigma in maximal_simplices(x):
-        rep = check_consistency(m, b_sigma(m, sigma), kappa=20 * m.E)
-        if rep.constant > worst:
-            worst = rep.constant
-            witness = rep.witness
+def _canonical_rows(m, tuples):
+    """The canonical tuples as rows of the consistency kernel.
+
+    Off the support a coordinate is the union of its spots.  On the
+    support it is one vertex of a minimal domain; those vertices are
+    interned in a table of these tuples' own, which gives the model's
+    sets the ids they have in `m.metrics`."""
+    ks = _metrics(m, dict(
+        (u, [frozenset([w]) for w in m.coord_graphs[u].nodes()])
+        for u in m.index.minimal_domains()))
+    sets, vertices = {}, {}
+    for u, k in ks.items():
+        sets[u] = _padded(b.spots[u] if u in b.spots
+                          else k.lookup([b.coords[u]]) for b in tuples)
+        vertices[u] = _padded([k.index[w] for w in b.coords[u]]
+                              for b in tuples)
+    return ks, sets, vertices
+
+
+def check_tuple_consistency(m, tuples):
+    """The largest consistency gap of the canonical tuples, against
+    20 E, by the kernel that measures the points' tuples."""
+    worst, witness = _consistency(m, *_canonical_rows(m, tuples))
     verdict = worst <= 20 * m.E
     report = PropertyReport("tuple_consistency", verdict,
-                            None if verdict else witness)
+                            None if verdict else witness[1:])
     report.constant = worst
     return report
 
@@ -1106,14 +1110,15 @@ def identity_suite(m, x):
     """The structural identities that every blow-up must satisfy, plus
     the two complement laws that need the model's orthogonality to be
     rich enough."""
+    tuples = [b_sigma(m, s) for s in maximal_simplices(x)]
     return [
         check_link_decomposition(x),
         check_shape_tags(x),
         check_containment_reversal(x),
         check_link_complements(x),
         check_complement_dichotomy(x),
-        check_tuple_spread(m, x),
-        check_tuple_consistency(m, x),
+        check_tuple_spread(m, tuples),
+        check_tuple_consistency(m, tuples),
     ]
 
 

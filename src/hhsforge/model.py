@@ -185,21 +185,7 @@ class HHSModel:
     @functools.cached_property
     def metrics(self):
         """u -> the _Metric of C(u), which every measurement reads."""
-        projections = dict((u, []) for u in self.index.domains)
-        cells = dict((u, []) for u in self.index.domains)
-        for (u, x), img in self.pi.items():
-            projections[u].append(img)
-        for (u, v), img in self.rho_up.items():
-            projections[v].append(img)
-        for (v, u), table in self.rho_down.items():
-            cells[v].extend(table.values())
-        metrics = dict((u, _Metric(self, u, projections[u], cells[u]))
-                       for u in self.index.domains)
-        for (v, u), table in self.rho_down.items():
-            # the index of C(u) is in vertex order
-            metrics[v].cells[u] = metrics[v].lookup(
-                table[w] for w in metrics[u].index)
-        return metrics
+        return _metrics(self)
 
     @functools.cached_property
     def bullet_rows(self):
@@ -221,15 +207,14 @@ class HHSModel:
     # -- distances ---------------------------------------------------
 
     def dist(self, u, a, b):
-        """Distance in CU between two vertices or vertex sets (min pairwise)."""
+        """Distance in CU between two vertices or vertex sets (min pairwise).
+
+        Nothing in the package calls this: every measurement reads the
+        per-domain arrays.  It stays for the benchmark, which counts
+        its calls."""
         index, d = self.coord_dist[u]
         sa, sb = _as_set(a), _as_set(b)
         return int(min(d[index[x], index[y]] for x in sa for y in sb))
-
-    def diam(self, u, a):
-        index, d = self.coord_dist[u]
-        sa = _as_set(a)
-        return int(max(d[index[x], index[y]] for x in sa for y in sa))
 
     def coordinate_jump(self):
         """The largest coordinate distance between the projections of
@@ -239,14 +224,6 @@ class HHSModel:
 
     def images(self, u):
         return frozenset().union(*(self.pi[(u, x)] for x in self.points))
-
-    def down_image(self, small, big, vertices):
-        """Image of a CV vertex set under the downward map onto C(small)."""
-        table = self.rho_down[(small, big)]
-        acc = set()
-        for w in _as_set(vertices):
-            acc |= table[w]
-        return frozenset(acc)
 
 
 # -- measurement -----------------------------------------------------
@@ -260,21 +237,22 @@ class _Metric:
     the cells of the downward tables leaving here.  `near` holds every
     set's least distance to each vertex; `gap` and `span` hold the least
     and the greatest distance between two sets, so the diagonal of
-    `span` is each set's diameter.  `projections` gives the ids of the
-    point and relative projections, `point` the id of every point's
-    projection and `point_vertices` its vertices, padded by repeats to
-    one width; `cells[v]` gives the id of the cell over every vertex of
-    C(v).
+    `span` is each set's diameter.  `extra` sets are interned last, so
+    they leave every other set's id as it is.  `projections` gives the
+    ids of the point and relative projections, `point` the id of every
+    point's projection and `point_vertices` its vertices, padded by
+    repeats to one width; `cells[v]` gives the id of the cell over every
+    vertex of C(v).
     """
 
-    def __init__(self, m, u, projections, cells):
+    def __init__(self, m, u, projections, cells, extra=()):
         self.index, dist = m.coord_dist[u]
         self.edges = np.array([(self.index[a], self.index[b])
                                for a, b in m.coord_graphs[u].edges()],
                               dtype=np.intp).reshape(-1, 2).T
         self.ids = {}
         members = []
-        for s in itertools.chain(projections, cells):
+        for s in itertools.chain(projections, cells, extra):
             if s not in self.ids:
                 self.ids[s] = len(members)
                 members.append([self.index[w] for w in s])
@@ -284,10 +262,7 @@ class _Metric:
         self.span = np.array([far[:, mem].max(1) for mem in members])
         self.projections = self.lookup(projections)
         self.point = self.lookup(m.pi[(u, x)] for x in m.points)
-        width = max(len(members[i]) for i in self.point)
-        self.point_vertices = np.array(
-            [members[i] + members[i][:1] * (width - len(members[i]))
-             for i in self.point], dtype=np.intp)
+        self.point_vertices = _padded(members[i] for i in self.point)
         self.cells = {}
 
     def lookup(self, sets):
@@ -300,6 +275,11 @@ class _Metric:
         """Diameter of the union of the sets in each row of ids."""
         return self.span[ids[:, :, None], ids[:, None, :]].max(axis=(1, 2))
 
+    def union_gap(self, ids, s):
+        """Distance from the union of the sets in each row of ids to the
+        set s."""
+        return self.gap[ids, self.ids[s]].min(1)
+
     def to_set(self, s):
         """Distance from every point's projection to the set s."""
         return self.gap[self.point, self.ids[s]]
@@ -307,6 +287,37 @@ class _Metric:
     def point_gap(self):
         """Distance between the projections of every two points."""
         return self.gap[np.ix_(self.point, self.point)]
+
+
+def _padded(rows):
+    """The rows as one array, each padded by repeats of its first entry
+    to the longest row's length."""
+    rows = [list(row) for row in rows]
+    width = max(map(len, rows))
+    return np.array([row + row[:1] * (width - len(row)) for row in rows],
+                    dtype=np.intp)
+
+
+def _metrics(m, extra=None):
+    """u -> the _Metric of C(u), with the vertex sets extra[u] interned
+    after the model's own."""
+    extra = extra or {}
+    projections = dict((u, []) for u in m.index.domains)
+    cells = dict((u, []) for u in m.index.domains)
+    for (u, x), img in m.pi.items():
+        projections[u].append(img)
+    for (u, v), img in m.rho_up.items():
+        projections[v].append(img)
+    for (v, u), table in m.rho_down.items():
+        cells[v].extend(table.values())
+    metrics = dict((u, _Metric(m, u, projections[u], cells[u],
+                               extra.get(u, ())))
+                   for u in m.index.domains)
+    for (v, u), table in m.rho_down.items():
+        # the index of C(u) is in vertex order
+        metrics[v].cells[u] = metrics[v].lookup(
+            table[w] for w in metrics[u].index)
+    return metrics
 
 
 def _scan_diameters(m):
@@ -334,28 +345,43 @@ def _scan_lipschitz(m):
     return (d + 1) // 2
 
 
-def _scan_consistency(m):
-    ks = m.metrics
-    best = 0
+def _consistency(m, ks, sets, vertices):
+    """The largest consistency gap of a family of tuples, and the first
+    (tuple, u, v) to reach it in tuple order and then domain pair order;
+    None for a gap of 0.
+
+    Row i of sets[u] holds ks[u] set ids whose union is tuple i's
+    coordinate in C(u), and row i of vertices[u] that coordinate's
+    vertex numbers, each padded by repeats to one width.
+    """
+    best, witness = 0, None
     for u, v in itertools.combinations(m.index.domains, 2):
         rel = relation(m.index, u, v)
-        if rel == CONTAINS:
-            u, v, rel = v, u, NESTED_IN
         if rel == TRANSVERSE:
-            value = np.minimum(ks[u].to_set(m.rho_up[(v, u)]),
-                               ks[v].to_set(m.rho_up[(u, v)]))
-        elif rel == NESTED_IN:
-            # each point's projection to C(u) with the downward image of
-            # its projection to C(v)
-            small, big = ks[u], ks[v]
-            down = small.cells[v][big.point_vertices]
-            value = np.minimum(big.to_set(m.rho_up[(u, v)]),
+            value = np.minimum(ks[u].union_gap(sets[u], m.rho_up[(v, u)]),
+                               ks[v].union_gap(sets[v], m.rho_up[(u, v)]))
+        elif rel in (NESTED_IN, CONTAINS):
+            # the small coordinate with the downward image of the big one
+            a, b = (u, v) if rel == NESTED_IN else (v, u)
+            small, big = ks[a], ks[b]
+            down = small.cells[b][vertices[b]]
+            value = np.minimum(big.union_gap(sets[b], m.rho_up[(a, b)]),
                                small.union_diam(np.column_stack(
-                                   [small.point, down])))
+                                   [sets[a], down])))
         else:
             continue
-        best = max(best, int(value.max()))
-    return best
+        top = int(value.max())
+        if top > best or (witness is not None and top == best
+                          and value.argmax() < witness[0]):
+            best, witness = top, (int(value.argmax()), u, v)
+    return best, witness
+
+
+def _scan_consistency(m):
+    ks = m.metrics
+    return _consistency(m, ks,
+                        dict((u, k.point[:, None]) for u, k in ks.items()),
+                        dict((u, k.point_vertices) for u, k in ks.items()))[0]
 
 
 def _scan_rho_consistency(m):
@@ -464,46 +490,6 @@ def measure_model(m):
     }
     scans["E"] = max(1, max(scans.values()))
     return scans
-
-
-# -- consistency ------------------------------------------------------
-
-
-def _consistency_value(m, coords, u, v):
-    """Defn-style consistency gap of a coordinate pair, E-free."""
-    rel = relation(m.index, u, v)
-    if rel == TRANSVERSE:
-        return min(m.dist(u, coords[u], m.rho_up[(v, u)]),
-                   m.dist(v, coords[v], m.rho_up[(u, v)]))
-    if rel == NESTED_IN:
-        down = m.down_image(u, v, coords[v])
-        return min(m.dist(v, coords[v], m.rho_up[(u, v)]),
-                   m.diam(u, coords[u] | down))
-    if rel == CONTAINS:
-        return _consistency_value(m, coords, v, u)
-    return 0
-
-
-def check_consistency(m, t, kappa=None):
-    """Check the pairwise consistency inequalities for a tuple."""
-    if kappa is None:
-        kappa = m.kappa
-    worst = 0
-    witness = None
-    for u, v in itertools.combinations(t.scope, 2):
-        if u not in t.coords or v not in t.coords:
-            raise ModelError("tuple misses a coordinate, witness %s %s" % (u, v))
-        if relation(m.index, u, v) not in (TRANSVERSE, NESTED_IN, CONTAINS):
-            continue
-        value = _consistency_value(m, t.coords, u, v)
-        if value > worst:
-            worst = value
-            witness = (u, v)
-    verdict = worst <= kappa
-    report = PropertyReport("consistent", verdict,
-                            None if verdict else witness)
-    report.constant = worst
-    return report
 
 
 # -- distance formula -------------------------------------------------

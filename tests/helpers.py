@@ -1,8 +1,18 @@
 """Shared fixtures for the test modules, and the reference forms of
 package internals that the tests compare against."""
 
-from hhsforge import cubes
-from hhsforge.indexset import IndexSet, IndexSetError, check_property
+import itertools
+
+from hhsforge import cubes, model
+from hhsforge.indexset import (
+    CONTAINS,
+    NESTED_IN,
+    TRANSVERSE,
+    IndexSet,
+    IndexSetError,
+    check_property,
+    relation,
+)
 
 
 def as_nx(g):
@@ -69,6 +79,65 @@ def distance_estimate(m, x, y, threshold):
         if d > threshold:
             total += d
     return total
+
+
+# -- the scalar consistency loop, the reference for model._consistency --
+
+
+def diam(m, u, a):
+    """Diameter in C(u) of a vertex set."""
+    index, d = m.coord_dist[u]
+    return int(max(d[index[x], index[y]] for x in a for y in a))
+
+
+def down_image(m, small, big, vertices):
+    """Image of a C(big) vertex set under the downward map onto
+    C(small)."""
+    table = m.rho_down[(small, big)]
+    return frozenset().union(*(table[w] for w in vertices))
+
+
+def consistency_value(m, coords, u, v):
+    """Consistency gap of one coordinate pair, E-free."""
+    rel = relation(m.index, u, v)
+    if rel == TRANSVERSE:
+        return min(m.dist(u, coords[u], m.rho_up[(v, u)]),
+                   m.dist(v, coords[v], m.rho_up[(u, v)]))
+    if rel == NESTED_IN:
+        down = down_image(m, u, v, coords[v])
+        return min(m.dist(v, coords[v], m.rho_up[(u, v)]),
+                   diam(m, u, coords[u] | down))
+    if rel == CONTAINS:
+        return consistency_value(m, coords, v, u)
+    return 0
+
+
+def tuples_consistency(m, tuples):
+    """(constant, witness) of a family of tuples, pair by pair: the
+    largest gap and the first (tuple, u, v) to reach it, None for 0."""
+    worst, witness = 0, None
+    for i, t in enumerate(tuples):
+        for u, v in itertools.combinations(t.scope, 2):
+            if u not in t.coords or v not in t.coords:
+                raise model.ModelError("tuple misses a coordinate, witness"
+                                       " %s %s" % (u, v))
+            value = consistency_value(m, t.coords, u, v)
+            if value > worst:
+                worst, witness = value, (i, u, v)
+    return worst, witness
+
+
+def kernel_consistency(m, tuples):
+    """model._consistency on tuples of any vertex sets: each coordinate
+    is interned whole, in a table of the tuples' own, one id a row."""
+    coords = dict((u, [t.coords[u] for t in tuples]) for u in m.index.domains)
+    ks = model._metrics(m, coords)
+    sets = dict((u, ks[u].lookup(coords[u])[:, None]) for u in coords)
+    vertices = dict((u, model._padded([ks[u].index[w] for w in s]
+                                      for s in coords[u]))
+                    for u in coords)
+    return model._consistency(m, ks, sets, vertices)
+
 
 B3_IDS = ["1", "2", "3", "12", "13", "23", "123"]
 

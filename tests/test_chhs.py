@@ -18,7 +18,6 @@ from hhsforge.chhs import (
     check_chhs,
     check_equivariance,
     check_simplex,
-    class_of,
     class_relation,
     collapse_unit_coordinates,
     colevel_of_complement,
@@ -29,7 +28,6 @@ from hhsforge.chhs import (
     identity_automorphism,
     identity_suite,
     intersection_links_constructive,
-    link,
     link_of_set,
     load_automorphism,
     maximal_simplices,
@@ -41,6 +39,7 @@ from hhsforge.chhs import (
     thresholds,
     vertex_name,
     w_dot,
+    _set_name,
     _shape,
 )
 from hhsforge.indexset import (
@@ -61,6 +60,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 _CACHE = {}
+
+
+def class_of(x, delta):
+    """The class of a simplex that a caller names, checked first: the
+    class map only knows the simplices the blow-up enumerated."""
+    delta = check_simplex(x, delta)
+    if delta not in x.class_map:
+        raise ChhsError("unknown simplex, witness %s" % _set_name(delta))
+    return x.class_map[delta]
 
 
 def pipeline(name):
@@ -250,12 +258,12 @@ class TestSimplexCalculus(unittest.TestCase):
     def test_maximal_link_empty(self):
         _, x, _ = pipeline("grid")
         for s in maximal_simplices(x):
-            self.assertEqual(link(x, s), frozenset())
+            self.assertEqual(x.links[s], frozenset())
 
     def test_full_cone_edge_link(self):
         _, x, _ = pipeline("grid")
         edge = frozenset([("[c0]", APEX), ("[c0]", "0_3")])
-        self.assertEqual(link(x, edge), frozenset(x.cone("[c1]")))
+        self.assertEqual(x.links[edge], frozenset(x.cone("[c1]")))
         self.assertEqual(_shape(x, edge), SHAPE_ALL_EDGES)
 
     def test_empty_link_is_everything(self):

@@ -9,7 +9,9 @@ W edge sets at three scales, the realisation points and every
 coordinate-graph record must come out equal on the fixtures, the
 collapsed glued complex, square grids and small generated median
 graphs; condition 4's verdict and witness on the fixtures, gamma6 and a
-W cut to make it fail.
+W cut to make it fail.  The scalar consistency loop is the reference
+for the consistency kernel on the canonical tuples and the points'
+tuples, constant and witness.
 """
 
 import itertools
@@ -23,7 +25,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from hhsforge import chhs, cubes
+from hhsforge import chhs, cubes, model
 from hhsforge.chhs import (
     APEX,
     blow_up,
@@ -37,12 +39,13 @@ from hhsforge.chhs import (
 )
 from hhsforge.indexset import NESTED_IN, TRANSVERSE, relation
 from hhsforge.model import (
+    ConsistentTuple,
     HHSModel,
     distance_profile,
     load_model,
 )
 
-from helpers import augmented_graph
+from helpers import augmented_graph, kernel_consistency, tuples_consistency
 from test_measure_kernel import glued, tree_times_path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -235,7 +238,7 @@ def oracle_fill_in(w):
             contains.setdefault(v, set()).add(i)
     wadj = dict((i, set(w.graph[i])) for i in w.graph.nodes())
     for delta_s in chhs.simplices(x):
-        lk = chhs.simplex_link(x, delta_s)
+        lk = x.links[delta_s]
         for v, u in itertools.combinations(sorted(lk), 2):
             if u in x.adj[v]:
                 continue
@@ -378,6 +381,93 @@ class FillInAgreement(unittest.TestCase):
         self.assertFalse(self.check(w))
 
 
+def canonical_tuples(m):
+    return [chhs.b_sigma(m, s) for s in chhs.maximal_simplices(blow_up(m))]
+
+
+def point_tuples(m):
+    return [ConsistentTuple(m.index.domains,
+                            dict((u, m.pi[(u, z)]) for u in m.index.domains))
+            for z in m.points]
+
+
+class TupleConsistencyAgreement(unittest.TestCase):
+    """The consistency kernel against the scalar loop, constant and
+    first (tuple, u, v) witness, whatever the verdict: on the canonical
+    tuples as the identity suite gives them, and on the points' tuples
+    as measure_model gives them."""
+
+    def check(self, m):
+        tuples = canonical_tuples(m)
+        self.assertEqual(
+            model._consistency(m, *chhs._canonical_rows(m, tuples)),
+            tuples_consistency(m, tuples))
+        ks = m.metrics
+        self.assertEqual(
+            model._consistency(
+                m, ks, dict((u, k.point[:, None]) for u, k in ks.items()),
+                dict((u, k.point_vertices) for u, k in ks.items())),
+            tuples_consistency(m, point_tuples(m)))
+
+    def test_fixtures(self):
+        for name in ("square.cplx", "chain.model", "product.model",
+                     "gamma4.model"):
+            with self.subTest(fixture=name):
+                self.check(fixture_model(name))
+
+    def test_b3_and_grid(self):
+        self.check(cubes.index_set_from_hyperclosure(cubes.b3_cube()))
+        self.check(grid(7))
+
+    def test_gamma6(self):
+        self.check(glued(6)[1])
+
+    def test_doctored_tuple(self):
+        """Tuple 24 of grid 7x7 with its top coordinate moved to the
+        projections of 0_1 and 0_3: the grid's tuples are consistent,
+        this one is 1 off, first in the pair ([c1], [c2]).  Its
+        coordinate unites two sets, and only their nearer one counts."""
+        m = grid(7)
+        tuples = canonical_tuples(m)
+        spots = [m.pi[("[c2]", "0_1")], m.pi[("[c2]", "0_3")]]
+        bad = ConsistentTuple(m.index.domains,
+                              dict(tuples[24].coords,
+                                   **{"[c2]": frozenset().union(*spots)}))
+        bad.spots = {"[c2]": m.metrics["[c2]"].lookup(spots)}
+        tuples[24] = bad
+        want = (1, (24, "[c1]", "[c2]"))
+        self.assertEqual(tuples_consistency(m, tuples), want)
+        self.assertEqual(
+            model._consistency(m, *chhs._canonical_rows(m, tuples)), want)
+        self.assertEqual(kernel_consistency(m, tuples), want)
+        report = chhs.check_tuple_consistency(m, tuples)
+        self.assertEqual((report.verdict, report.constant), (True, 1))
+        # with E at 0 every gap is over the bound, and the report names
+        # the pair
+        with mock.patch.object(m, "E", 0):
+            report = chhs.check_tuple_consistency(m, tuples)
+        self.assertEqual((report.verdict, report.witness, report.constant),
+                         (False, ("[c1]", "[c2]"), 1))
+
+
+class IdentitySuiteGuard(unittest.TestCase):
+    """The identity suite builds each canonical tuple once and measures
+    them on the arrays: on gamma4 the scalar loop asked HHSModel.dist
+    29,928 times, over 58 tuple builds."""
+
+    def test_gamma4_fixture(self):
+        m = fixture_model("gamma4.model")
+        x = blow_up(m)
+        with mock.patch.object(HHSModel, "dist", autospec=True,
+                               side_effect=HHSModel.dist) as dist, \
+             mock.patch.object(chhs, "b_sigma",
+                               side_effect=chhs.b_sigma) as build:
+            chhs.identity_suite(m, x)
+        self.assertEqual(dist.call_count, 0)
+        self.assertEqual(build.call_count, len(chhs.maximal_simplices(x)))
+        self.assertEqual(build.call_count, 29)
+
+
 class DistanceCallGuard(unittest.TestCase):
     """thresholds, build_w, check_chhs and distance_profile read the
     per-domain arrays only: together they ask HHSModel.dist nothing,
@@ -387,14 +477,12 @@ class DistanceCallGuard(unittest.TestCase):
         m = fixture_model("gamma4.model")
         x = blow_up(m)
         with mock.patch.object(HHSModel, "dist", autospec=True,
-                               side_effect=HHSModel.dist) as dist, \
-             mock.patch.object(HHSModel, "diam", autospec=True,
-                               side_effect=HHSModel.diam) as diam:
+                               side_effect=HHSModel.dist) as dist:
             thresholds(m)
             w = build_w(m, x)
             check_chhs(m, w)
             distance_profile(m, m.kappa)
-        self.assertEqual((dist.call_count, diam.call_count), (0, 0))
+        self.assertEqual(dist.call_count, 0)
 
 
 class MemoryGuard(unittest.TestCase):
@@ -433,8 +521,9 @@ class MemoryGuard(unittest.TestCase):
 
 class CheckSimplexGuard(unittest.TestCase):
     """check_chhs reads the class of each simplex the blow-up enumerated
-    from its class map; it checks no simplex again, where class_of
-    re-ran the clique test 621 times on gamma4."""
+    from its class map; it checks no simplex again, where a class
+    lookup through check_simplex re-ran the clique test 621 times on
+    gamma4."""
 
     def test_gamma4_fixture(self):
         m = fixture_model("gamma4.model")

@@ -2,7 +2,8 @@
 loops they replaced.
 
 The loop scans below are the reference implementations: each walks the
-model's tables and asks HHSModel.dist and diam for one pair at a time.
+model's tables and asks HHSModel.dist and the test-side diam for one
+pair at a time.
 Every array scan must give the same value as its loop scan, and
 measure_model the same dict, on the fixtures, the glued complex, square
 grids, the 3-cube and small generated median graphs.  The loop dpr
@@ -24,7 +25,6 @@ from hhsforge import chhs, cubes, model
 from hhsforge.indexset import CONTAINS, NESTED_IN, TRANSVERSE, relation
 from hhsforge.model import (
     HHSModel,
-    _consistency_value,
     augment_point_domains,
     load_model,
     measure_model,
@@ -32,7 +32,7 @@ from hhsforge.model import (
 
 import helpers
 from golden.regenerate import CASES, run_case
-from helpers import as_nx
+from helpers import as_nx, consistency_value, diam
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -43,16 +43,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _scan_diameters(m):
     best = 0
     for (u, x), img in sorted(m.pi.items()):
-        best = max(best, m.diam(u, img))
+        best = max(best, diam(m, u, img))
     for (u, v), img in sorted(m.rho_up.items()):
-        best = max(best, m.diam(v, img))
+        best = max(best, diam(m, v, img))
     for (v, u), table in sorted(m.rho_down.items()):
         # a vertex close to the upward spot may map to a large set;
         # only far vertices need small images
         spot = m.rho_up[(v, u)]
         for w in sorted(table):
             gap = m.dist(u, frozenset([w]), spot)
-            best = max(best, min(gap, m.diam(v, table[w])))
+            best = max(best, min(gap, diam(m, v, table[w])))
     return best
 
 
@@ -72,7 +72,7 @@ def _scan_consistency(m):
         coords = dict((u, m.pi[(u, x)]) for u in m.index.domains)
         for u, v in itertools.combinations(m.index.domains, 2):
             if relation(m.index, u, v) in (TRANSVERSE, NESTED_IN, CONTAINS):
-                best = max(best, _consistency_value(m, coords, u, v))
+                best = max(best, consistency_value(m, coords, u, v))
     return best
 
 
@@ -94,7 +94,7 @@ def _scan_bgi(m):
         anchor = m.rho_up[(u, v)]
         for a, b in m.coord_graphs[v].edges():
             gap = min(m.dist(v, a, anchor), m.dist(v, b, anchor))
-            spread = m.diam(u, table[a] | table[b])
+            spread = diam(m, u, table[a] | table[b])
             if spread > 0:
                 # condition must hold once e >= gap, or e >= spread
                 worst = max(worst, min(gap, spread))
@@ -291,22 +291,20 @@ class ScanAgreement(unittest.TestCase):
 
 class DistanceCallGuard(unittest.TestCase):
     """measure_model reads the per-domain arrays only: it asks
-    HHSModel.dist and diam nothing, where the loop scans ask millions
-    of times."""
+    HHSModel.dist nothing, where the loop scans ask millions of
+    times."""
 
     def calls(self, m):
         with mock.patch.object(HHSModel, "dist", autospec=True,
-                               side_effect=HHSModel.dist) as dist, \
-             mock.patch.object(HHSModel, "diam", autospec=True,
-                               side_effect=HHSModel.diam) as diam:
+                               side_effect=HHSModel.dist) as dist:
             measure_model(m)
-        return dist.call_count, diam.call_count
+        return dist.call_count
 
     def test_gamma4_fixture(self):
-        self.assertEqual(self.calls(fixture_model("gamma4.model")), (0, 0))
+        self.assertEqual(self.calls(fixture_model("gamma4.model")), 0)
 
     def test_glued_raw_depth_5(self):
-        self.assertEqual(self.calls(unmeasured(glued(5)[0])), (0, 0))
+        self.assertEqual(self.calls(unmeasured(glued(5)[0])), 0)
 
 
 def check_dpr(m):
@@ -386,8 +384,8 @@ class BulletTableOnce(unittest.TestCase):
 
 
 class CliDistanceGuard(unittest.TestCase):
-    """No subcommand asks HHSModel.dist or diam anything: every path
-    from the command line reads the per-domain arrays."""
+    """No subcommand asks HHSModel.dist anything: every path from the
+    command line reads the per-domain arrays."""
 
     def test_every_subcommand(self):
         # the last golden case of each subcommand, dot output aside
@@ -396,11 +394,9 @@ class CliDistanceGuard(unittest.TestCase):
         for command, argv in sorted(argvs.items()):
             with self.subTest(command=command), \
                  mock.patch.object(HHSModel, "dist", autospec=True,
-                                   side_effect=HHSModel.dist) as dist, \
-                 mock.patch.object(HHSModel, "diam", autospec=True,
-                                   side_effect=HHSModel.diam) as diam:
+                                   side_effect=HHSModel.dist) as dist:
                 run_case(argv)
-                self.assertEqual((dist.call_count, diam.call_count), (0, 0))
+                self.assertEqual(dist.call_count, 0)
 
 
 def test_small_median_graphs():

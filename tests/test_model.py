@@ -15,7 +15,6 @@ from hhsforge.model import (
     HHSModel,
     ModelError,
     augment_point_domains,
-    check_consistency,
     check_metric_property,
     distance_profile,
     dump_model,
@@ -26,10 +25,12 @@ from hhsforge.model import (
 
 from helpers import (
     distance_estimate,
+    kernel_consistency,
     make_behrstock_model,
     make_chain_model,
     make_product_model,
     make_transverse_model,
+    tuples_consistency,
 )
 from test_measure_kernel import tree_times_path
 
@@ -50,13 +51,11 @@ class TestChainModel(unittest.TestCase):
         self.assertEqual(self.m.kappa, 20)
 
     def test_point_tuples_are_consistent(self):
-        for p in self.m.points:
-            t = ConsistentTuple(self.m.index.domains,
-                                dict((u, self.m.pi[(u, p)])
-                                     for u in self.m.index.domains))
-            report = check_consistency(self.m, t)
-            self.assertTrue(report.verdict)
-            self.assertEqual(report.constant, 0)
+        tuples = [ConsistentTuple(self.m.index.domains,
+                                  dict((u, self.m.pi[(u, p)])
+                                       for u in self.m.index.domains))
+                  for p in self.m.points]
+        self.assertEqual(kernel_consistency(self.m, tuples), (0, None))
 
     def test_distance_estimate_threshold_is_strict(self):
         self.assertEqual(distance_estimate(self.m, "p00", "p11", 0), 11)
@@ -150,7 +149,8 @@ class TestProductModel(unittest.TestCase):
     def test_orthogonal_pairs_are_unconstrained(self):
         t = ConsistentTuple(["A", "B", "S"],
                             {"A": "a0", "B": "b2", "S": "s0"})
-        self.assertTrue(check_consistency(self.m, t, kappa=0).verdict)
+        # within kappa 0
+        self.assertEqual(kernel_consistency(self.m, [t]), (0, None))
 
     def test_augmentation_adds_nine_domains(self):
         big = augment_point_domains(self.m)
@@ -180,11 +180,17 @@ class TestTransverseModel(unittest.TestCase):
     def test_inconsistent_tuple_detected(self):
         t = ConsistentTuple(["S", "U", "V"],
                             {"U": "u0", "V": "v5", "S": "s0"})
-        report = check_consistency(self.m, t, kappa=2)
-        self.assertFalse(report.verdict)
-        self.assertEqual(report.witness, ("U", "V"))
-        self.assertEqual(report.constant, 3)
-        self.assertTrue(check_consistency(self.m, t).verdict)
+        # beyond kappa 2, within the default kappa
+        self.assertEqual(kernel_consistency(self.m, [t]), (3, (0, "U", "V")))
+        self.assertLessEqual(3, self.m.kappa)
+
+    def test_missing_coordinate_rejected(self):
+        # the scalar reference; the kernel reads canonical tuples,
+        # which have every coordinate
+        t = ConsistentTuple(["S", "U", "V"], {"U": "u0", "S": "s0"})
+        with self.assertRaisesRegex(ModelError,
+                                    "misses a coordinate, witness S V"):
+            tuples_consistency(self.m, [t])
 
     def test_augmentation(self):
         big = augment_point_domains(self.m)
