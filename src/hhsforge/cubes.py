@@ -821,11 +821,24 @@ def _four_point(d):
     """Exact four-point hyperbolicity constant of an integer distance
     matrix with finite entries.
 
-    Vertex pairs are visited by decreasing distance, each against every
-    earlier pair in one vector step.  If {p, q} is the largest of the
-    three pairings of a quadruple, its lead over the middle one is at
-    most 2 min(d(p), d(q)), and the quadruple is scored when the later
-    of p and q is visited.  So once a pair has 2 d <= best, no quadruple
+    A matrix with no entry above 1 is 0-hyperbolic, so it returns
+    before any pair is built: the three pairing sums of four distinct
+    points are all 2, and when two of the four points coincide, the two
+    pairings that split them have equal sums, at least the third's by
+    the triangle inequality.  Each of the 434 class graph components of
+    gamma4 and gamma6 is of this kind.  Otherwise the pair scan decides.
+    """
+    if not (d > 1).any():
+        return 0.0
+    return _pair_scan(d)
+
+
+def _pair_scan(d):
+    """Vertex pairs are visited by decreasing distance, each against
+    every earlier pair in one vector step.  If {p, q} is the largest of
+    the three pairings of a quadruple, its lead over the middle one is at
+    most 2 min(d(p), d(q)), and the quadruple is scored when the later of
+    p and q is visited.  So once a pair has 2 d <= best, no quadruple
     left can beat best (Cohen, Coudert and Lancin, ACM JEA 2015).
     """
     a, b = np.triu_indices(len(d), 1)

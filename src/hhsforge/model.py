@@ -415,39 +415,58 @@ def _scan_bgi(m):
     return worst
 
 
-def _reach(k, sets, anchor):
-    """reach[i, j]: the least anchor row value on a geodesic from set i
-    to set j, so the distance from the anchor set to their interval.
+def _reach_row(rows, i, span, anchor):
+    """The least anchor value on a geodesic from set i to each set, so
+    the distance from the anchor set to their interval.
 
-    The (set x set x vertex) interval mask is made and reduced one
-    source row at a time, so only (set x vertex) cells are ever held;
-    the whole mask of the depth-6 glued complex would outweigh every
-    other array of its measurement together.
+    rows holds every set's least distance to each vertex and span the
+    distance from set i to each set; only this one (set x vertex) slice
+    of the interval mask is ever held.
     """
-    rows = k.near[sets]
-    span = k.gap[np.ix_(sets, sets)]
     far = np.iinfo(np.int32).max
-    return np.array([np.where(row + rows == span[i][:, None], anchor, far)
-                     .min(1) for i, row in enumerate(rows)])
+    return np.where(rows[i] + rows == span[:, None], anchor, far).min(1)
 
 
 def _scan_large_links(m):
-    """Least e for the interval form of the large links condition."""
+    """Least e for the interval form of the large links condition.
+
+    For u nested in v, two points count up to the smaller of their gap
+    in C(u) and their reach in C(v): the distance from rho_up(u, v) to
+    the interval between their projections.  Each projection's nearest
+    vertex to the other lies on a geodesic between them, so the reach
+    from set i is at most the largest anchor value over set i's
+    vertices, and a pair with a point x counts at most x's largest C(u)
+    gap.  Each point is bounded by the smaller of the two, and the sets
+    are visited by their points' largest bound, decreasing.  The scan
+    stops at the first set whose bound cannot beat the running worst:
+    every row left is at most that bound, so only the rows that can
+    raise worst are reduced.
+    """
     ks = m.metrics
     worst = 0
     for v in m.index.domains:
+        below = [u for u in m.index.domains
+                 if u != v and v in m.index.up[u]]
+        if not below:
+            continue
         big = ks[v]
         sets, inv = np.unique(big.point, return_inverse=True)
-        for u in m.index.domains:
-            if u == v or v not in m.index.up[u]:
-                continue
+        rows = big.near[sets]
+        for u in below:
             gap = ks[u].point_gap()
-            # a pair only counts up to its gap in C(u)
-            if gap.max() <= worst:
-                continue
-            reach = _reach(big, sets, big.near[big.ids[m.rho_up[(u, v)]]])
-            worst = max(worst,
-                        int(np.minimum(gap, reach[np.ix_(inv, inv)]).max()))
+            anchor = big.near[big.ids[m.rho_up[(u, v)]]]
+            bound = np.minimum(gap.max(1),
+                               anchor[big.point_vertices].max(1))
+            x = bound.argmax()
+            while bound[x] > worst:
+                i = inv[x]
+                mine = inv == i
+                reach = _reach_row(rows, i, big.gap[sets[i], sets], anchor)
+                worst = max(worst, int(np.minimum(gap[mine],
+                                                  reach[inv]).max()))
+                # worst >= 0, so a set once reduced is never chosen again
+                bound[mine] = 0
+                x = bound.argmax()
     return worst
 
 

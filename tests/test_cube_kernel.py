@@ -362,31 +362,57 @@ class TheoremOracles(unittest.TestCase):
                     check_theorems(g)
 
 
+def stored_model(path):
+    with open(os.path.join(ROOT, *path), encoding="utf-8") as f:
+        m = load_model(f.read())
+    return m, chhs.build_w(m, chhs.blow_up(m))
+
+
+def class_graphs(w):
+    """(class id, C) for every non-maximal class: C is Y, the augmented
+    graph without the class's saturation, restricted to the class's
+    link."""
+    aug = _augmented_graph(w)
+    for c in chhs.simplex_classes(w.blowup):
+        if not c.maximal:
+            y = aug.subgraph(set(aug.nodes()) - c.saturation)
+            yield c.id, y.subgraph(c.link)
+
+
+GAMMA4 = ("fixtures", "gamma4.model")
+GAMMA6 = ("perfbench", "data", "gamma6.model")
+
+
 class ClassDeltas(unittest.TestCase):
     """Every class's delta in check_chhs against the nx-copy kernel on
-    the class graph C: Y, the augmented graph without the class's
-    saturation, restricted to the class's link."""
+    the class graph."""
 
     def check(self, path):
-        with open(path, encoding="utf-8") as f:
-            m = load_model(f.read())
-        w = chhs.build_w(m, chhs.blow_up(m))
+        m, w = stored_model(path)
         report = chhs.check_chhs(m, w)
-        aug = _augmented_graph(w)
-        want = {}
-        for c in chhs.simplex_classes(w.blowup):
-            if not c.maximal:
-                y = aug.subgraph(set(aug.nodes()) - c.saturation)
-                want[c.id] = oracle_component_delta(y.subgraph(c.link))
+        want = dict((cid, oracle_component_delta(g))
+                    for cid, g in class_graphs(w))
         self.assertEqual(dict((cid, row["delta"]) for cid, row
                               in report.per_class.items()), want)
         self.assertEqual(report.delta, max(want.values()))
 
     def test_gamma4(self):
-        self.check(os.path.join(ROOT, "fixtures", "gamma4.model"))
+        self.check(GAMMA4)
 
     def test_gamma6(self):
-        self.check(os.path.join(ROOT, "perfbench", "data", "gamma6.model"))
+        self.check(GAMMA6)
+
+    def test_no_pair_scan_on_gamma4(self):
+        """Every class graph of gamma4 has diameter at most 1, so each
+        delta returns before the pair scan."""
+        m, w = stored_model(GAMMA4)
+        with mock.patch.object(chhs, "_four_point",
+                               side_effect=cubes._four_point) as kernel, \
+             mock.patch.object(cubes, "_pair_scan",
+                               side_effect=cubes._pair_scan) as scan:
+            chhs.check_chhs(m, w)
+        self.assertGreater(kernel.call_count, 0)
+        self.assertEqual(scan.call_count, 0)
 
     def test_disconnected_class_graph(self):
         # two components: a path, then a 4-cycle (delta 1)
@@ -398,6 +424,37 @@ class ClassDeltas(unittest.TestCase):
         self.assertEqual(chhs._component_delta(dist),
                          oracle_component_delta(g))
         self.assertEqual(chhs._component_delta(dist), 1.0)
+
+
+class FourPointAgreement(unittest.TestCase):
+    """The four-point kernel, with its exit for diameter at most 1,
+    against the full scan."""
+
+    def check(self, g):
+        g = nx.Graph(g)
+        self.assertEqual(cubes._four_point(_ctx(g)["D"]),
+                         oracle_four_point_delta(g))
+
+    def test_complete_graphs(self):
+        for n in range(1, 9):
+            with self.subTest(n=n):
+                self.check(named(nx.complete_graph(n)))
+
+    def test_diameter_two(self):
+        """Distances of 2 and no more: the exit must not fire."""
+        for name, g in (("K2,3", nx.complete_bipartite_graph(2, 3)),
+                        ("4-star", nx.star_graph(4))):
+            with self.subTest(graph=name):
+                self.check(named(g))
+
+    def test_class_graphs(self):
+        for path in (GAMMA4, GAMMA6):
+            _, w = stored_model(path)
+            for cid, g in class_graphs(w):
+                for comp in nx.connected_components(g):
+                    with self.subTest(model=path[-1], cls=cid,
+                                      component=sorted(comp)[0]):
+                        self.check(g.subgraph(comp))
 
 
 class MemoryGuards(unittest.TestCase):

@@ -15,10 +15,12 @@ import functools
 import itertools
 import math
 import os
+import sys
 import unittest
 from unittest import mock
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from hhsforge import chhs, cubes, model
@@ -140,6 +142,38 @@ def _scan_large_links(m):
     return worst
 
 
+def _reach(k, sets, anchor):
+    """reach[i, j]: the least anchor row value on a geodesic from set i
+    to set j, so the distance from the anchor set to their interval."""
+    rows = k.near[sets]
+    span = k.gap[np.ix_(sets, sets)]
+    far = np.iinfo(np.int32).max
+    return np.array([np.where(row + rows == span[i][:, None], anchor, far)
+                     .min(1) for i, row in enumerate(rows)])
+
+
+def array_scan_large_links(m):
+    """Large links from the full sets x sets reach of every nested pair
+    whose largest C(u) gap beats the running worst: every row of it is
+    reduced and every point pair scored."""
+    ks = m.metrics
+    worst = 0
+    for v in m.index.domains:
+        big = ks[v]
+        sets, inv = np.unique(big.point, return_inverse=True)
+        for u in m.index.domains:
+            if u == v or v not in m.index.up[u]:
+                continue
+            gap = ks[u].point_gap()
+            # a pair only counts up to its gap in C(u)
+            if gap.max() <= worst:
+                continue
+            reach = _reach(big, sets, big.near[big.ids[m.rho_up[(u, v)]]])
+            worst = max(worst,
+                        int(np.minimum(gap, reach[np.ix_(inv, inv)]).max()))
+    return worst
+
+
 def _scan_partial_realisation(m):
     worst = 0
     points = m.points
@@ -247,6 +281,44 @@ def tree_times_path(parents, length):
     return g
 
 
+def cube_product(*sizes):
+    """Cartesian product of paths with the given vertex counts; vertices
+    are named by their coordinates joined with _."""
+    g = nx.path_graph(sizes[0])
+    for size in sizes[1:]:
+        g = nx.cartesian_product(g, nx.path_graph(size))
+
+    def name(v):
+        # the product nests its vertices: ((a, b), c)
+        return name(v[0]) + "_%d" % v[1] if isinstance(v, tuple) else str(v)
+
+    return nx.relabel_nodes(g, dict((v, name(v)) for v in g))
+
+
+def doctored(m, pair, vertex):
+    """The same tables with rho_up of one nested pair moved to one
+    vertex, and E = 1 given."""
+    rho_up = dict(m.rho_up)
+    rho_up[pair] = frozenset([vertex])
+    return HHSModel(m.index, m.space, m.coord_graphs, m.pi, rho_up,
+                    m.rho_down, E=1)
+
+
+def doctored_grid():
+    """The 7 x 7 grid's model with rho_up([c0], [c2]) at the corner 0_0:
+    its large links constant is 3."""
+    return doctored(cubes.index_set_from_hyperclosure(
+        cubes.grid_complex(7, 7)), ("[c0]", "[c2]"), "0_0")
+
+
+def doctored_gamma4():
+    """gamma4 with rho_up([c16], [c21]) at H_19: its large links
+    constant is 3, and only a row after the first one visited for some
+    nested pair reaches it."""
+    return doctored(fixture_model("gamma4.model"), ("[c16]", "[c21]"),
+                    "H_19")
+
+
 # -- tests -------------------------------------------------------------
 
 
@@ -258,7 +330,11 @@ class ScanAgreement(unittest.TestCase):
             with self.subTest(scan=key):
                 scan = getattr(model, "_scan_" + key)
                 self.assertEqual(scan(m), expected[key])
+        with self.subTest(scan="large_links, full reach"):
+            self.assertEqual(array_scan_large_links(m),
+                             expected["large_links"])
         self.assertEqual(measure_model(m), expected)
+        return expected
 
     def test_chain_fixture(self):
         self.check(fixture_model("chain.model"))
@@ -280,13 +356,25 @@ class ScanAgreement(unittest.TestCase):
                 self.check(glued(depth)[1])
 
     def test_grids(self):
-        for size in (7, 9):
+        for size in range(3, 10):
             with self.subTest(size=size):
                 self.check(cubes.index_set_from_hyperclosure(
                     cubes.grid_complex(size, size)))
 
     def test_b3_cube(self):
         self.check(cubes.index_set_from_hyperclosure(cubes.b3_cube()))
+
+    def test_cube_product(self):
+        m = cubes.index_set_from_hyperclosure(cube_product(3, 3, 3))
+        self.assertEqual(len(m.index.domains), 7)
+        self.check(m)
+
+    def test_doctored(self):
+        """Models whose large links constant is neither 0 nor 2, so a
+        scan that stops too early gives a smaller value here."""
+        for make in (doctored_grid, doctored_gamma4):
+            with self.subTest(model=make.__name__):
+                self.assertEqual(self.check(make())["large_links"], 3)
 
 
 class DistanceCallGuard(unittest.TestCase):
@@ -305,6 +393,44 @@ class DistanceCallGuard(unittest.TestCase):
 
     def test_glued_raw_depth_5(self):
         self.assertEqual(self.calls(unmeasured(glued(5)[0])), 0)
+
+
+class LargeLinksRowGuard(unittest.TestCase):
+    """The large links scan reduces only the interval rows whose bound
+    can beat the running worst, counted as calls of model._reach_row,
+    where the full-reach oracle reduces every row of each nested pair
+    that it does not skip whole."""
+
+    def rows(self, m):
+        with mock.patch.object(model, "_reach_row",
+                               side_effect=model._reach_row) as row:
+            model._scan_large_links(m)
+        return row.call_count
+
+    def full_rows(self, m):
+        this = sys.modules[__name__]
+        with mock.patch.object(this, "_reach", side_effect=_reach) as reach:
+            array_scan_large_links(m)
+        return sum(len(call.args[1]) for call in reach.call_args_list)
+
+    def test_gamma4_fixture(self):
+        m = fixture_model("gamma4.model")
+        self.assertEqual(self.full_rows(m), 717)
+        self.assertLessEqual(self.rows(m), 153)
+        self.assertEqual(self.rows(m), 93)
+
+    def test_grid_9x9(self):
+        m = cubes.index_set_from_hyperclosure(cubes.grid_complex(9, 9))
+        self.assertEqual(self.full_rows(m), 162)
+        self.assertEqual(self.rows(m), 1)
+
+    def test_doctored(self):
+        for make, full, rows in ((doctored_grid, 98, 20),
+                                 (doctored_gamma4, 504, 77)):
+            with self.subTest(model=make.__name__):
+                m = make()
+                self.assertEqual(self.full_rows(m), full)
+                self.assertEqual(self.rows(m), rows)
 
 
 def check_dpr(m):
@@ -413,6 +539,8 @@ def test_small_median_graphs():
     def check(parents, length):
         m = cubes.index_set_from_hyperclosure(tree_times_path(parents,
                                                                length))
-        assert measure_model(m) == oracle_measure(m)
+        expected = oracle_measure(m)
+        assert measure_model(m) == expected
+        assert array_scan_large_links(m) == expected["large_links"]
 
     check()
