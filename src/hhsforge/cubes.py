@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from .graph import Graph, apsp, as_graph, chain_lengths
+from .graph import Graph, _cells, apsp, as_graph, chain_lengths
 from .indexset import (IndexSet, PropertyReport, content_lines, relation,
                        NESTED_IN, TRANSVERSE)
 from .model import HHSModel
@@ -81,10 +81,16 @@ class Hyperclosure(object):
 # -- context: distances, hyperplanes, convexity ------------------------
 
 
-def _cells(n):
-    """Cell budget of one kernel temporary on n vertices: O(n^2), with a
-    floor that lets small inputs go in one block."""
-    return max(n * n, 1 << 20)
+# Largest complex, in vertices, that any cube pipeline accepts: its
+# distance matrix takes 4 n^2 bytes, and the search that fills it about
+# as much again.
+MAX_VERTICES = 10000
+
+
+def _check_cap(n):
+    if n > MAX_VERTICES:
+        raise CubeError("cap exceeded: %d vertices > %d"
+                        % (n, MAX_VERTICES))
 
 
 def _ctx(g):
@@ -99,6 +105,7 @@ def _ctx(g):
              tuple((a, b, g[a][b].get("label")) for a, b in g.edges()))
     ctx = g.graph.get("_cube_ctx")
     if ctx is None or ctx["shape"] != shape:
+        _check_cap(len(shape[0]))
         local = as_graph(g)
         vertices = tuple(sorted(local.nodes()))
         d = apsp(local, vertices)
@@ -139,16 +146,21 @@ def _is_convex(ctx, s):
 
 def _gate_table(ctx, y):
     """For every vertex, the number of the vertex of y closest to it,
-    or -1 where two are closest; one block of rows of D, kept per set."""
+    or -1 where two are closest, as an intp array; one block of rows of
+    D, kept per set."""
     table = ctx["gates"].get(y)
     if table is None:
         # vertex numbers follow the sorted order of the names
-        cols = np.array(sorted(ctx["index"][v] for v in y), dtype=np.intp)
+        cols = _numbers(ctx, y)
         rows = ctx["D"][:, cols]
         unique = (rows == rows.min(1, keepdims=True)).sum(1) == 1
-        table = ctx["gates"][y] = np.where(unique, cols[rows.argmin(1)],
-                                           -1).tolist()
+        table = ctx["gates"][y] = np.where(unique, cols[rows.argmin(1)], -1)
     return table
+
+
+def _numbers(ctx, s):
+    """The vertex numbers of the set s, sorted."""
+    return np.array(sorted(ctx["index"][v] for v in s), dtype=np.intp)
 
 
 def _gate_vertex(ctx, y, x):
@@ -159,8 +171,40 @@ def _gate_vertex(ctx, y, x):
 
 
 def _gate_image(ctx, y, f):
-    """Pointwise gate of the set f into the convex set y."""
-    return frozenset(_gate_vertex(ctx, y, x) for x in f)
+    """Pointwise gate of the set f into the convex set y; a vertex with
+    two closest vertices in y is named in f's iteration order."""
+    xs = tuple(f)
+    gates = _gate_table(ctx, y)[[ctx["index"][x] for x in xs]]
+    bad = gates < 0
+    if bad.any():
+        raise CubeError("gate not unique, witness %s" % xs[bad.argmax()])
+    return frozenset(map(ctx["vertices"].__getitem__, gates.tolist()))
+
+
+def _gate_masks(ctx, y, sets):
+    """The gate images into y of a run of sets, each given by its sorted
+    vertex numbers, as boolean rows over the vertices, one per set, in
+    blocks of rows under the cell budget.  A vertex with two closest
+    vertices in y is named: the least one of the first set that has one.
+    """
+    if not sets:
+        return
+    n = len(ctx["vertices"])
+    flat = np.concatenate(sets)
+    gates = _gate_table(ctx, y)[flat]
+    bad = gates < 0
+    if bad.any():
+        raise CubeError("gate not unique, witness %s"
+                        % ctx["vertices"][flat[bad.argmax()]])
+    sizes = np.array([len(s) for s in sets])
+    ends = np.cumsum(sizes)
+    step = max(1, _cells(n) // n)
+    for lo in range(0, len(sets), step):
+        hi = min(lo + step, len(sets))
+        mask = np.zeros((hi - lo, n), dtype=bool)
+        mask[np.repeat(np.arange(hi - lo), sizes[lo:hi]),
+             gates[ends[lo] - sizes[lo]:ends[hi - 1]]] = True
+        yield mask
 
 
 # -- public geometry ---------------------------------------------------
@@ -550,6 +594,10 @@ def index_set_from_hyperclosure(g, hc=None):
     nontrivial proper gate images inside each representative, and all
     projections are gates.  The constant E is measured from the finished
     tables.
+
+    Gates are read on vertex numbers (`_gate_masks`), and a vertex set
+    is named only once per distinct image row.  Point projections and
+    the downward cells at vertices share one singleton set per vertex.
     """
     if hc is None:
         hc = hyperclosure(g)
@@ -573,21 +621,35 @@ def index_set_from_hyperclosure(g, hc=None):
         if forward:
             orth.append((a, b))
     index = IndexSet(ids, nesting, orth)
+    rels = dict(((a, b), relation(index, a, b))
+                for a, b in itertools.permutations(ids, 2))
+    rels = dict((pair, rel) for pair, rel in rels.items()
+                if rel in (NESTED_IN, TRANSVERSE))
+    vertices = ctx["vertices"]
+    reps = dict((cid, hc.classes[cid].rep) for cid in ids)
+    members = [_numbers(ctx, mem) for cid in ids
+               for mem in hc.classes[cid].members]
+
+    def name(row):
+        return frozenset(map(vertices.__getitem__,
+                             np.flatnonzero(row).tolist()))
 
     coord_graphs = {}
+    nodes = {}
     apex_of = {}
-    source_of = {}
+    sources = {}
     for cid in ids:
-        rep = hc.classes[cid].rep
-        images = set()
-        for other in ids:
-            for member in hc.classes[other].members:
-                img = _gate_image(ctx, rep, member)
-                if 1 < len(img) < len(rep):
-                    images.add(img)
+        rep = reps[cid]
+        distinct = {}
+        for mask in _gate_masks(ctx, rep, members):
+            size = mask.sum(1)
+            for row in mask[(size > 1) & (size < len(rep))]:
+                distinct.setdefault(row.tobytes(), row)
         table = {}
         cg = g.subgraph(rep)
-        for i, img in enumerate(sorted(images, key=sorted)):
+        nodes[cid] = list(cg.nodes())
+        for i, img in enumerate(sorted(map(name, distinct.values()),
+                                       key=sorted)):
             apex = "H_%d" % i
             if apex in rep:
                 raise CubeError("apex id collides, witness %s" % apex)
@@ -597,34 +659,54 @@ def index_set_from_hyperclosure(g, hc=None):
                 cg.add_edge(apex, v)
         coord_graphs[cid] = cg
         apex_of[cid] = table
-        source_of[cid] = dict((apex, img) for img, apex in table.items())
+        sources[cid] = [_numbers(ctx, img) for img in table]
 
     def land(cid, img):
         # a coned image carries its apex along
         apex = apex_of[cid].get(img)
         return img | {apex} if apex else img
 
+    def landed(cid, memo, row):
+        # one name set per distinct image row
+        key = row.tobytes()
+        if key not in memo:
+            memo[key] = land(cid, name(row))
+        return memo[key]
+
+    # the top class's one member is every vertex, so the member images
+    # above have met every gate: no table below holds a -1.  cell[c][i]
+    # is the one-vertex set of vertex i's gate in class c's rep.
+    single = [frozenset([v]) for v in vertices]
+    cell = dict((cid, [single[i] for i in
+                       _gate_table(ctx, reps[cid]).tolist()])
+                for cid in ids)
     pi = {}
     for cid in ids:
-        rep = hc.classes[cid].rep
-        for x in ctx["vertices"]:
-            pi[(cid, x)] = frozenset([_gate_vertex(ctx, rep, x)])
-    rho_up = {}
+        pi.update(zip([(cid, x) for x in vertices], cell[cid]))
+    order = [_numbers(ctx, reps[cid]) for cid in ids]
+    up = {}
+    for b in ids:
+        # every rep gated into b at once, one block of the mask at a time
+        memo = {}
+        rows = itertools.chain.from_iterable(_gate_masks(ctx, reps[b], order))
+        for a, row in zip(ids, rows):
+            if (a, b) in rels:
+                up[(a, b)] = landed(b, memo, row)
+    rho_up = dict((pair, up[pair]) for pair in rels)
     rho_down = {}
-    for a, b in itertools.permutations(ids, 2):
-        rel = relation(index, a, b)
-        if rel not in (NESTED_IN, TRANSVERSE):
-            continue
-        ra, rb = hc.classes[a].rep, hc.classes[b].rep
-        rho_up[(a, b)] = land(b, _gate_image(ctx, rb, ra))
-        if rel == NESTED_IN:
-            table = {}
-            for w in coord_graphs[b].nodes():
-                if w in source_of[b]:
-                    table[w] = land(a, _gate_image(ctx, ra, source_of[b][w]))
-                else:
-                    table[w] = frozenset([_gate_vertex(ctx, ra, w)])
-            rho_down[(a, b)] = table
+    number = ctx["index"]
+    for a in ids:
+        above = [b for b in ids if rels.get((a, b)) == NESTED_IN]
+        # the apex sources of every class above a gated into a at once,
+        # each distinct row landed once
+        rows = itertools.chain.from_iterable(_gate_masks(
+            ctx, reps[a], [src for b in above for src in sources[b]]))
+        memo = {}
+        for b in above:
+            table = rho_down[(a, b)] = dict(
+                (w, cell[a][number[w]]) for w in nodes[b])
+            table.update((apex, landed(a, memo, row))
+                         for apex, row in zip(apex_of[b].values(), rows))
     model = HHSModel(index, g, coord_graphs, pi, rho_up, rho_down)
     model.hyperclosure = hc
     return model
@@ -672,6 +754,9 @@ def build_counterexample(depth):
     """
     if depth < 1:
         raise CubeError("depth must be at least 1")
+    # three lines of 2 depth + 2 vertices, the gamma rails, a pair of
+    # flap ends per line edge and 12 on the special squares and flaps
+    _check_cap(12 * depth + 23)
     d = depth
     g = Graph()
     line = ["b%d" % j for j in range(d, 0, -1)] + ["o"] + \

@@ -146,6 +146,12 @@ def apsp(g, order):
         frontier[:n] = grown
 
 
+def _cells(n):
+    """Cell budget of one kernel temporary on n vertices: O(n^2), with a
+    floor that lets small inputs go in one block."""
+    return max(n * n, 1 << 20)
+
+
 def components(g):
     """Vertex sets of the connected components, in order of their first
     vertex."""

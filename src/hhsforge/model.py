@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from .graph import Graph, apsp, as_graph, is_connected
+from .graph import Graph, _cells, apsp, as_graph, is_connected
 from .indexset import (
     CONTAINS,
     NESTED_IN,
@@ -242,7 +242,8 @@ class _Metric:
     ids of the point and relative projections, `point` the id of every
     point's projection and `point_vertices` its vertices, padded by
     repeats to one width; `cells[v]` gives the id of the cell over every
-    vertex of C(v).
+    vertex of C(v).  The four set tables are reductions over the sets'
+    vertex rows laid end to end (`_set_reduce`).
     """
 
     def __init__(self, m, u, projections, cells, extra=()):
@@ -256,10 +257,15 @@ class _Metric:
             if s not in self.ids:
                 self.ids[s] = len(members)
                 members.append([self.index[w] for w in s])
-        self.near = np.array([dist[mem].min(0) for mem in members])
-        far = np.array([dist[mem].max(0) for mem in members])
-        self.gap = np.array([self.near[:, mem].min(1) for mem in members])
-        self.span = np.array([far[:, mem].max(1) for mem in members])
+        sizes = [len(mem) for mem in members]
+        flat = np.fromiter(itertools.chain.from_iterable(members),
+                           dtype=np.intp, count=sum(sizes))
+        self.near = _set_reduce(np.minimum, dist, flat, sizes)
+        far = _set_reduce(np.maximum, dist, flat, sizes)
+        # the distance between two sets is symmetric: gap[i, j] is the
+        # least of row j of near over the vertices of set i
+        self.gap = _set_reduce(np.minimum, self.near.T, flat, sizes)
+        self.span = _set_reduce(np.maximum, far.T, flat, sizes)
         self.projections = self.lookup(projections)
         self.point = self.lookup(m.pi[(u, x)] for x in m.points)
         self.point_vertices = _padded(members[i] for i in self.point)
@@ -287,6 +293,31 @@ class _Metric:
     def point_gap(self):
         """Distance between the projections of every two points."""
         return self.gap[np.ix_(self.point, self.point)]
+
+    @functools.cached_property
+    def point_max(self):
+        """The largest distance from each point's projection to another
+        point's projection."""
+        return self.gap[:, self.point].max(1)[self.point]
+
+
+def _set_reduce(ufunc, table, flat, sizes):
+    """Row i of the result reduces, by ufunc, the rows of table at the
+    vertices of set i; the sets' vertex numbers lie end to end in flat.
+    Sets go in blocks, of one set at least, whose gathered rows stay
+    under `_cells` of the table's row count."""
+    out = np.empty((len(sizes), table.shape[1]), dtype=table.dtype)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    rows = _cells(len(table)) // table.shape[1]
+    lo = 0
+    while lo < len(sizes):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + rows,
+                                             "right")))
+        out[lo:hi] = ufunc.reduceat(table[flat[starts[lo]:ends[hi - 1]]],
+                                    starts[lo:hi] - starts[lo], axis=0)
+        lo = hi
+    return out
 
 
 def _padded(rows):
@@ -385,15 +416,20 @@ def _scan_consistency(m):
 
 
 def _scan_rho_consistency(m):
+    """The largest gap in C(w) between rho_up(u, w) and rho_up(v, w),
+    over u properly nested in v: one gap lookup per w."""
     ks = m.metrics
+    domains = m.index.domains
+    nested = np.array([[v != u and v in m.index.up[u] for v in domains]
+                       for u in domains])
     best = 0
-    for u in m.index.domains:
-        for v in sorted(m.index.up[u] - frozenset([u])):
-            for w in m.index.domains:
-                if (u, w) in m.rho_up and (v, w) in m.rho_up:
-                    k = ks[w]
-                    best = max(best, int(k.gap[k.ids[m.rho_up[(u, w)]],
-                                               k.ids[m.rho_up[(v, w)]]]))
+    for w in domains:
+        k = ks[w]
+        ids = np.array([k.ids[m.rho_up[(u, w)]] if (u, w) in m.rho_up
+                        else -1 for u in domains], dtype=np.intp)
+        a, b = np.nonzero(nested & (ids[:, None] >= 0) & (ids >= 0))
+        if len(a):
+            best = max(best, int(k.gap[ids[a], ids[b]].max()))
     return best
 
 
@@ -453,17 +489,18 @@ def _scan_large_links(m):
         sets, inv = np.unique(big.point, return_inverse=True)
         rows = big.near[sets]
         for u in below:
-            gap = ks[u].point_gap()
+            small = ks[u]
             anchor = big.near[big.ids[m.rho_up[(u, v)]]]
-            bound = np.minimum(gap.max(1),
+            bound = np.minimum(small.point_max,
                                anchor[big.point_vertices].max(1))
             x = bound.argmax()
             while bound[x] > worst:
                 i = inv[x]
                 mine = inv == i
                 reach = _reach_row(rows, i, big.gap[sets[i], sets], anchor)
-                worst = max(worst, int(np.minimum(gap[mine],
-                                                  reach[inv]).max()))
+                # the C(u) gaps from the points whose C(v) set is i
+                gap = small.gap[small.point[mine]][:, small.point]
+                worst = max(worst, int(np.minimum(gap, reach[inv]).max()))
                 # worst >= 0, so a set once reduced is never chosen again
                 bound[mine] = 0
                 x = bound.argmax()

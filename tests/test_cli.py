@@ -628,6 +628,60 @@ class TestWGraphViewUnread(unittest.TestCase):
             self.assertEqual(view.call_count, 1)
 
 
+class TestVertexCap(unittest.TestCase):
+    """A complex above cubes.MAX_VERTICES exits 2 before anything of its
+    size is built: the glued complex from its depth, a .cplx file before
+    its distances."""
+
+    def counted(self, *argv):
+        with mock.patch.object(cubes, "Graph", side_effect=cubes.Graph) \
+                as graph, \
+             mock.patch.object(cubes, "apsp", side_effect=cubes.apsp) as apsp:
+            result = run_cli(*argv)
+        return result, graph.call_count, apsp.call_count
+
+    def exceeded(self, n):
+        return (2, "", "error: cap exceeded: %d vertices > %d\n"
+                % (n, cubes.MAX_VERTICES))
+
+    def test_vertex_count_of_the_glued_complex(self):
+        for depth in range(1, 9):
+            self.assertEqual(
+                cubes.build_counterexample(depth).number_of_nodes(),
+                12 * depth + 23)
+
+    def test_depth_past_the_cap_builds_nothing(self):
+        least = (cubes.MAX_VERTICES - 23) // 12 + 1
+        for depth in (least, 3000):
+            with self.subTest(depth=depth):
+                self.assertEqual(
+                    self.counted("counterexample", "--depth", str(depth)),
+                    (self.exceeded(12 * depth + 23), 0, 0))
+
+    def test_complex_file_at_cap_plus_one(self):
+        n = cubes.MAX_VERTICES + 1
+        text = "".join("vertex v%d\n" % i for i in range(n))
+        with mock.patch.object(cubes, "apsp", side_effect=cubes.apsp) as apsp:
+            self.assertEqual(run_on_complex(text, ("cubes", COMPLEX)),
+                             self.exceeded(n))
+        self.assertEqual(apsp.call_count, 0)
+
+    def test_at_the_cap(self):
+        """A complex of exactly the cap runs; one vertex more does not."""
+        for cap, argv, code in ((71, ("counterexample", "--depth", "4"), 0),
+                                (70, ("counterexample", "--depth", "4"), 2),
+                                (4, ("cubes", fix("square.cplx")), 0),
+                                (3, ("cubes", fix("square.cplx")), 2)):
+            with self.subTest(cap=cap, argv=argv), \
+                 mock.patch.object(cubes, "MAX_VERTICES", cap):
+                (got, out, err), _, searches = self.counted(*argv)
+                self.assertEqual(got, code)
+                if code:
+                    self.assertEqual((got, out, err),
+                                     self.exceeded(cap + 1))
+                    self.assertEqual(searches, 0)
+
+
 class TestMedianCheckedOnce(unittest.TestCase):
     """A .cplx input is checked to be median once, and the pipeline
     then relies on the theorems: it scans no set of its own for

@@ -11,6 +11,10 @@ O(n^2).
 The cube pipeline checks the median property once and then relies on
 the theorems about median graphs; the cut-graph halfspace builder and
 the checks it no longer runs are kept here as oracles of those theorems.
+
+Model extraction reads gates as arrays on vertex numbers; the loop it
+replaced, one frozenset gate image per representative and member, is
+the oracle for every table it builds.
 """
 
 import itertools
@@ -26,11 +30,12 @@ import pytest
 from hhsforge import chhs, cubes
 from hhsforge.cubes import CubeError, _ctx
 from hhsforge.graph import Graph, as_graph, components
-from hhsforge.model import load_model
+from hhsforge.indexset import NESTED_IN, TRANSVERSE, IndexSet, relation
+from hhsforge.model import HHSModel, load_model
 
 from helpers import as_nx
 from test_chhs_kernel import _augmented_graph
-from test_measure_kernel import tree_times_path
+from test_measure_kernel import cube_product, tree_times_path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -134,6 +139,107 @@ def oracle_halfspaces(g, edges):
     cut.add_nodes_from(g.nodes())
     cut.add_edges_from(e for e in g.edges() if frozenset(e) not in edges)
     return tuple(frozenset(c) for c in sorted(components(cut), key=sorted))
+
+
+def oracle_extraction(g, hc):
+    """The tables of index_set_from_hyperclosure by the loop it
+    replaced: a frozenset gate image of every class member into every
+    representative, and one gate per vertex and class.  Returns the
+    arguments of the model, E left to measure."""
+    ctx = _ctx(g)
+    g = ctx["graph"]
+    comp = cubes._complement_keys(ctx, hc)
+    ids = list(hc.order)
+    nesting = []
+    orth = []
+    for a, b in itertools.permutations(ids, 2):
+        ka, kb = hc.classes[a].key, hc.classes[b].key
+        if ka < kb:
+            nesting.append((a, b))
+    for a, b in itertools.combinations(ids, 2):
+        ka, kb = hc.classes[a].key, hc.classes[b].key
+        forward = kb <= comp[a]
+        backward = ka <= comp[b]
+        if forward != backward:
+            raise CubeError("orthogonality asymmetric, witness %s %s"
+                            % (a, b))
+        if forward:
+            orth.append((a, b))
+    index = IndexSet(ids, nesting, orth)
+
+    coord_graphs = {}
+    apex_of = {}
+    source_of = {}
+    for cid in ids:
+        rep = hc.classes[cid].rep
+        images = set()
+        for other in ids:
+            for member in hc.classes[other].members:
+                img = cubes._gate_image(ctx, rep, member)
+                if 1 < len(img) < len(rep):
+                    images.add(img)
+        table = {}
+        cg = g.subgraph(rep)
+        for i, img in enumerate(sorted(images, key=sorted)):
+            apex = "H_%d" % i
+            if apex in rep:
+                raise CubeError("apex id collides, witness %s" % apex)
+            table[img] = apex
+            cg.add_node(apex)
+            for v in img:
+                cg.add_edge(apex, v)
+        coord_graphs[cid] = cg
+        apex_of[cid] = table
+        source_of[cid] = dict((apex, img) for img, apex in table.items())
+
+    def land(cid, img):
+        apex = apex_of[cid].get(img)
+        return img | {apex} if apex else img
+
+    pi = {}
+    for cid in ids:
+        rep = hc.classes[cid].rep
+        for x in ctx["vertices"]:
+            pi[(cid, x)] = frozenset([cubes._gate_vertex(ctx, rep, x)])
+    rho_up = {}
+    rho_down = {}
+    for a, b in itertools.permutations(ids, 2):
+        rel = relation(index, a, b)
+        if rel not in (NESTED_IN, TRANSVERSE):
+            continue
+        ra, rb = hc.classes[a].rep, hc.classes[b].rep
+        rho_up[(a, b)] = land(b, cubes._gate_image(ctx, rb, ra))
+        if rel == NESTED_IN:
+            table = {}
+            for w in coord_graphs[b].nodes():
+                if w in source_of[b]:
+                    table[w] = land(a, cubes._gate_image(ctx, ra,
+                                                         source_of[b][w]))
+                else:
+                    table[w] = frozenset([cubes._gate_vertex(ctx, ra, w)])
+            rho_down[(a, b)] = table
+    return index, g, coord_graphs, pi, rho_up, rho_down
+
+
+def model_tables(m):
+    """Every table of a model in its insertion order: pi, rho_up,
+    rho_down, each coordinate graph's nodes and edges, and E."""
+    return (list(m.pi.items()), list(m.rho_up.items()),
+            [(key, list(table.items())) for key, table in m.rho_down.items()],
+            [(u, list(cg.nodes()), list(cg.edges()))
+             for u, cg in m.coord_graphs.items()],
+            m.E)
+
+
+def check_extraction(g):
+    """The extracted model and its collapse against the loop oracle's
+    tables and their collapse."""
+    hc = cubes.hyperclosure(g)
+    m = cubes.index_set_from_hyperclosure(g, hc)
+    want = HHSModel(*oracle_extraction(g, hc), E=m.E)
+    assert model_tables(m) == model_tables(want)
+    assert model_tables(chhs.collapse_unit_coordinates(m)) == \
+        model_tables(chhs.collapse_unit_coordinates(want))
 
 
 def check_theorems(g):
@@ -362,6 +468,143 @@ class TheoremOracles(unittest.TestCase):
                     check_theorems(g)
 
 
+class ExtractionAgreement(unittest.TestCase):
+    """Every table of index_set_from_hyperclosure, raw and collapsed,
+    equals the loop oracle's, in insertion order."""
+
+    def test_fixtures(self):
+        for name, g in (("square.cplx", fixture_complex("square.cplx")),
+                        ("grid.cplx", fixture_complex("grid.cplx")),
+                        ("3-cube", cubes.b3_cube())):
+            with self.subTest(graph=name):
+                check_extraction(g)
+
+    def test_glued(self):
+        for depth in range(1, 7):
+            with self.subTest(depth=depth):
+                check_extraction(cubes.build_counterexample(depth))
+
+    def test_grids(self):
+        for size in range(3, 10):
+            with self.subTest(size=size):
+                check_extraction(cubes.grid_complex(size, size))
+
+    def test_cube_product(self):
+        check_extraction(cube_product(3, 3, 3))
+
+    def test_gate_witness(self):
+        """On graphs that are not median, a gate with two closest
+        vertices is named by the least such vertex of the first class
+        member, in class order and then member order, that has one,
+        where the loop named the first in the member's hash order.  An
+        earlier error stays the loop's."""
+        seen = 0
+        for g in map(named, nx.graph_atlas_g()[:150]):
+            if len(g) < 3 or not nx.is_connected(g):
+                continue
+            hc = outcome(cubes.hyperclosure, g)
+            if isinstance(hc, str):
+                continue
+            ctx = _ctx(g)
+            try:
+                cubes._complement_keys(ctx, hc)
+            except CubeError:
+                continue
+            got = outcome(cubes.index_set_from_hyperclosure, g)
+            loop = outcome(lambda g: oracle_extraction(g, hc), g)
+            with self.subTest(edges=sorted(g.edges())):
+                if not str(loop).startswith("error: gate not unique"):
+                    self.assertEqual(got if isinstance(loop, str)
+                                     else loop, loop)
+                    continue
+                seen += 1
+                self.assertEqual(got, "error: gate not unique, witness %s"
+                                 % first_bad_gate(ctx, hc))
+        self.assertGreater(seen, 0)
+
+
+class GateMasks(unittest.TestCase):
+
+    def test_least_witness(self):
+        """v1 and v3 each have two closest vertices in {v0, v2}; the
+        least of them is named, whatever the hash order of the set."""
+        g = named(nx.cycle_graph(4))
+        ctx = _ctx(g)
+        y = frozenset(["v0", "v2"])
+        sets = [cubes._numbers(ctx, s) for s in (y, {"v3", "v1"})]
+        with self.assertRaisesRegex(CubeError,
+                                    "^gate not unique, witness v1$"):
+            list(cubes._gate_masks(ctx, y, sets))
+
+    def test_one_row_blocks(self):
+        """With a budget of one cell each block holds one row, and the
+        rows are those of one block."""
+        g = cubes.grid_complex(4, 5)
+        ctx = _ctx(g)
+        hc = cubes.hyperclosure(g)
+        sets = [cubes._numbers(ctx, mem) for cid in hc.order
+                for mem in hc.classes[cid].members]
+        y = hc.classes[hc.order[0]].rep
+        whole = np.concatenate(list(cubes._gate_masks(ctx, y, sets)))
+        with mock.patch.object(cubes, "_cells", lambda n: 1):
+            blocks = list(cubes._gate_masks(ctx, y, sets))
+        self.assertEqual([len(b) for b in blocks], [1] * len(sets))
+        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+
+
+def first_bad_gate(ctx, hc):
+    """The least vertex with two closest vertices in a representative,
+    of the first class member, in class order and then member order,
+    that has one; None when every gate is unique."""
+    for cid in hc.order:
+        rep = hc.classes[cid].rep
+        for other in hc.order:
+            for member in hc.classes[other].members:
+                for x in sorted(member):
+                    try:
+                        oracle_gate_vertex(ctx, rep, x)
+                    except CubeError:
+                        return x
+    return None
+
+
+def test_extraction_on_tree_times_path():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    parents = st.integers(0, 6).flatmap(lambda n: st.tuples(
+        *(st.integers(0, i) for i in range(n))))
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(parents, st.integers(1, 4))
+    def check(parents, length):
+        check_extraction(tree_times_path(parents, length))
+
+    check()
+
+
+class ExtractionGuards(unittest.TestCase):
+
+    def gate_calls(self, func, *args):
+        with mock.patch.object(cubes, "_gate_image",
+                               side_effect=cubes._gate_image) as image, \
+             mock.patch.object(cubes, "_gate_vertex",
+                               side_effect=cubes._gate_vertex) as vertex:
+            func(*args)
+        return image.call_count, vertex.call_count
+
+    def test_gates_only_in_complements(self):
+        """On glued depth 6 the loop made 20,850 gate images and 87,625
+        gates; extraction now makes only those of the complements, and
+        reads every other gate from the arrays."""
+        g = cubes.build_counterexample(6)
+        hc = cubes.hyperclosure(g)
+        want = self.gate_calls(cubes._complement_keys, _ctx(g), hc)
+        self.assertGreater(want[0], 0)
+        self.assertEqual(
+            self.gate_calls(cubes.index_set_from_hyperclosure, g, hc), want)
+
+
 def stored_model(path):
     with open(os.path.join(ROOT, *path), encoding="utf-8") as f:
         m = load_model(f.read())
@@ -477,6 +720,20 @@ class MemoryGuards(unittest.TestCase):
 
     def test_four_point(self):
         self.assertLess(self.peak(cubes.four_point_delta), self.LIMIT)
+
+    def test_extraction_and_measure_30x30(self):
+        """The hyperclosure given: extraction and measure_model peaked at
+        26.3 MiB with a frozenset per gate image and the per-set metric
+        tables."""
+        g = cubes.grid_complex(30, 30)
+        hc = cubes.hyperclosure(g)
+        tracemalloc.start()
+        try:
+            cubes.index_set_from_hyperclosure(g, hc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self.assertLess(peak, 26.3 * 2 ** 20)
 
     def test_median_check_30x30(self):
         """Distances included: they alone peak at about 6.4 MiB, and the

@@ -424,6 +424,16 @@ class LargeLinksRowGuard(unittest.TestCase):
         self.assertEqual(self.full_rows(m), 162)
         self.assertEqual(self.rows(m), 1)
 
+    def test_no_point_gap(self):
+        """The scan reads each metric's cached point row maxima and
+        gathers only the gap rows of the sets it reduces."""
+        for m in (fixture_model("gamma4.model"), unmeasured(glued(6)[0])):
+            with mock.patch.object(model._Metric, "point_gap", autospec=True,
+                                   side_effect=model._Metric.point_gap) \
+                    as point_gap:
+                model._scan_large_links(m)
+            self.assertEqual(point_gap.call_count, 0)
+
     def test_doctored(self):
         for make, full, rows in ((doctored_grid, 98, 20),
                                  (doctored_gamma4, 504, 77)):
@@ -431,6 +441,50 @@ class LargeLinksRowGuard(unittest.TestCase):
                 m = make()
                 self.assertEqual(self.full_rows(m), full)
                 self.assertEqual(self.rows(m), rows)
+
+
+def oracle_metric_tables(m, k, u):
+    """near, gap and span of the sets interned in k, the metric of C(u),
+    one set at a time."""
+    index, dist = m.coord_dist[u]
+    members = [None] * len(k.ids)
+    for s, i in k.ids.items():
+        members[i] = [index[w] for w in s]
+    near = np.array([dist[mem].min(0) for mem in members])
+    far = np.array([dist[mem].max(0) for mem in members])
+    gap = np.array([near[:, mem].min(1) for mem in members])
+    span = np.array([far[:, mem].max(1) for mem in members])
+    return near, gap, span
+
+
+class MetricTables(unittest.TestCase):
+    """The reduceat tables of every _Metric against the per-set loop,
+    in blocks under the budget and one set to a block."""
+
+    def check(self, m):
+        for budget in (model._cells, lambda n: 1):
+            with mock.patch.object(model, "_cells", budget):
+                ks = model._metrics(m)
+            for u, k in ks.items():
+                with self.subTest(domain=u, one_set_blocks=budget(1) == 1):
+                    for got, want in zip((k.near, k.gap, k.span),
+                                         oracle_metric_tables(m, k, u)):
+                        self.assertEqual(got.dtype, want.dtype)
+                        np.testing.assert_array_equal(got, want)
+
+    def test_fixtures(self):
+        for name in ("chain.model", "product.model", "gamma4.model"):
+            with self.subTest(name=name):
+                self.check(fixture_model(name))
+
+    def test_glued(self):
+        for depth in (2, 4):
+            for m in glued(depth):
+                self.check(m)
+
+    def test_grid(self):
+        self.check(cubes.index_set_from_hyperclosure(
+            cubes.grid_complex(5, 6)))
 
 
 def check_dpr(m):
