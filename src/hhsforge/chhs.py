@@ -41,7 +41,6 @@ from .model import (
     ConsistentTuple,
     HHSModel,
     _consistency,
-    _metrics,
     _padded,
     least_fit,
 )
@@ -326,7 +325,7 @@ def b_sigma(m, sigma):
         if v in coords:
             continue
         targets = [m.rho_up[(u, v)] for u in sorted(bar)
-                   if relation(m.index, u, v) in (NESTED_IN, TRANSVERSE)]
+                   if (u, v) in m.rho_up]
         if not targets:
             raise ChhsError("no projection target, witness %s" % v)
         ids = spots[v] = ks[v].lookup(targets)
@@ -392,24 +391,31 @@ def _tuple_distances(m, tuples):
     near[u][i, z]: the distance in C(u) from tuple i's coordinate to the
     projection of the z-th point.
 
-    Coordinates repeat across tuples, so each domain measures its
-    distinct coordinates once and spreads them by id.
+    A coordinate is the union of some sets of `m.metrics` (its spots,
+    or one support vertex); each domain measures its distinct
+    coordinates once and spreads them by number.
     """
-    ks = m.metrics
     gap = np.zeros((len(tuples), len(tuples)), dtype=np.int32)
     near = {}
-    for u in m.index.domains:
-        k = ks[u]
-        sets = {}
-        ids = np.array([sets.setdefault(b.coords[u], len(sets))
-                        for b in tuples], dtype=np.intp)
-        members = [[k.index[w] for w in s] for s in sets]
-        dist = m.coord_dist[u][1]
-        rows = np.array([dist[mem].min(0) for mem in members])
-        between = np.array([rows[:, mem].min(1) for mem in members])
+    for u, k in m.metrics.items():
+        first = {}
+        for b in tuples:
+            first.setdefault(b.coords[u], (len(first), b))
+        ids = np.array([first[b.coords[u]][0] for b in tuples], dtype=np.intp)
+        rows = _padded(_coordinate_ids(k, u, [b for _, b in first.values()]))
+        # reach[r, s]: the distance from the union of row r to set s
+        reach = k.gap[rows].min(1)
+        between = reach[:, rows].min(2)
         gap = np.maximum(gap, between[np.ix_(ids, ids)])
-        near[u] = rows[:, k.point_vertices].min(2)[ids]
+        near[u] = reach[:, k.point][ids]
     return gap, near
+
+
+def _coordinate_ids(k, u, tuples):
+    """The ids in k, the metric of C(u), of the sets whose union is each
+    tuple's coordinate in C(u)."""
+    return [b.spots[u] if u in b.spots else k.lookup([b.coords[u]])
+            for b in tuples]
 
 
 def _realise_support_first(m, supports, near):
@@ -1077,19 +1083,13 @@ def check_tuple_spread(m, tuples):
 
 
 def _canonical_rows(m, tuples):
-    """The canonical tuples as rows of the consistency kernel.
-
-    Off the support a coordinate is the union of its spots.  On the
-    support it is one vertex of a minimal domain; those vertices are
-    interned in a table of these tuples' own, which gives the model's
-    sets the ids they have in `m.metrics`."""
-    ks = _metrics(m, dict(
-        (u, [frozenset([w]) for w in m.coord_graphs[u].nodes()])
-        for u in m.index.minimal_domains()))
+    """The canonical tuples as rows of the consistency kernel, on the
+    sets of `m.metrics`: off the support a coordinate is the union of
+    its spots, on the support one vertex of a minimal domain."""
+    ks = m.metrics
     sets, vertices = {}, {}
     for u, k in ks.items():
-        sets[u] = _padded(b.spots[u] if u in b.spots
-                          else k.lookup([b.coords[u]]) for b in tuples)
+        sets[u] = _padded(_coordinate_ids(k, u, tuples))
         vertices[u] = _padded([k.index[w] for w in b.coords[u]]
                               for b in tuples)
     return ks, sets, vertices

@@ -362,7 +362,7 @@ def _hyperplanes(ctx):
     for e in parent:
         groups.setdefault(find(e), set()).add(e)
     labelled = all("label" in g[a][b] for a, b in all_edges)
-    out = []
+    out, rows = [], []
     ids = set()
     dist, index = ctx["D"], ctx["index"]
     # each class by its least edge; least edges of two classes differ
@@ -382,9 +382,12 @@ def _hyperplanes(ctx):
         else:
             hid = "h%d" % len(out)
         near_a = dist[:, index[a]] < dist[:, index[b]]
-        halves = tuple(sorted((frozenset(itertools.compress(ctx["vertices"],
-                                                            side))
-                               for side in (near_a, ~near_a)), key=sorted))
+        # the vertices are in sorted order, and so is each side's list
+        sides = sorted((near_a, ~near_a), key=lambda side: list(
+            itertools.compress(ctx["vertices"], side)))
+        rows.append(sides[0])
+        halves = tuple(frozenset(itertools.compress(ctx["vertices"], side))
+                       for side in sides)
         ends = [frozenset(v for e in edges for v in e if v in half)
                 for half in halves]
         partner = {}
@@ -394,19 +397,20 @@ def _hyperplanes(ctx):
         out.append(Hyperplane(hid, edges, halves,
                               tuple(frozenset(e) for e in ends), partner))
     ctx["hyperplanes"] = out
-    ctx["hyp_by_id"] = dict((h.hid, h) for h in out)
+    # row h: the vertices of halfspaces[0] of hyperplane h
+    ctx["halfspace"] = np.array(rows, dtype=bool).reshape(
+        len(out), len(ctx["vertices"]))
+    ctx["edge_hyperplane"] = dict((e, h) for h in out for e in h.edges)
     return out
 
 
 def _crossing(ctx, s):
     """Hyperplane ids separating some pair inside s (its internal edges
     suffice for convex s)."""
-    out = set()
-    for h in _hyperplanes(ctx):
-        if any(v in h.halfspaces[0] for v in s) and \
-           any(v in h.halfspaces[1] for v in s):
-            out.add(h.hid)
-    return frozenset(out)
+    hs = _hyperplanes(ctx)
+    cols = ctx["halfspace"][:, [ctx["index"][v] for v in s]]
+    return frozenset(hs[i].hid
+                     for i in np.flatnonzero(cols.any(1) & ~cols.all(1)))
 
 
 def gate(g, x, y):
@@ -459,22 +463,17 @@ def _orthogonal_complement_at(ctx, f, base):
         raise CubeError("base vertex outside the set, witness %s" % base)
     g = ctx["graph"]
     hs = _hyperplanes(ctx)
-    by_id = ctx["hyp_by_id"]
-    touching = set()
-    for v in f:
-        if g.has_edge(base, v):
-            for h in hs:
-                if frozenset((base, v)) in h.edges:
-                    touching.add(h.hid)
+    touching = set(ctx["edge_hyperplane"][frozenset((base, v))]
+                   for v in f if g.has_edge(base, v))
     y = set(g.nodes())
-    for hid in sorted(touching):
-        h = by_id[hid]
+    for h in sorted(touching, key=lambda h: h.hid):
         side = h.sides[0] if base in h.sides[0] else h.sides[1]
         y &= side
     y = frozenset(y)
     out = y
-    for hid in sorted(_crossing(ctx, f)):
-        h = by_id[hid]
+    crossing = _crossing(ctx, f)
+    for h in sorted((h for h in hs if h.hid in crossing),
+                    key=lambda h: h.hid):
         for side in h.sides:
             out &= _gate_image(ctx, y, side)
     return frozenset(out)

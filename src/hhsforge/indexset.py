@@ -23,18 +23,6 @@ CONTAINS = "Contains"
 ORTHOGONAL = "Orthogonal"
 TRANSVERSE = "Transverse"
 
-PROPERTY_NAMES = (
-    "wedges",
-    "weak_wedges",
-    "clean_containers",
-    "orthogonals_for_non_split",
-    "strong_orth",
-    "weak_orth",
-    "complement_involution",
-    "orth_determines_nesting",
-    "orthogonal_set",
-)
-
 ID_PATTERN = re.compile(r"[A-Za-z0-9_\[\]-]+\Z")
 
 
@@ -539,28 +527,26 @@ def _check_orthogonal_set(s):
 
 def check_property(s, name):
     """Exhaustively decide one named property, with a failure witness."""
-    if name == "wedges":
-        witness = _check_wedges(s)
-    elif name == "weak_wedges":
-        witness = _check_weak_wedges(s)
-    elif name == "clean_containers":
-        witness = _check_clean_containers(s)
-    elif name == "orthogonals_for_non_split":
-        witness = _check_ons(s)
-    elif name == "strong_orth":
-        witness = _check_strong_orth(s)
-    elif name == "weak_orth":
-        witness = _check_strong_orth(s, skip_minimal=True)
-    elif name == "complement_involution":
-        witness = _check_involution(s)
-    elif name == "orth_determines_nesting":
-        witness = _check_orth_determines_nesting(s)
-    elif name == "orthogonal_set":
-        witness = _check_orthogonal_set(s)
-    else:
+    if name not in _CHECKERS:
         raise IndexSetError("unknown property %s" % name)
+    witness = _CHECKERS[name](s)
     return PropertyReport(name, witness is None, witness)
 
 
 def check_all_properties(s):
     return [check_property(s, name) for name in PROPERTY_NAMES]
+
+
+# name -> checker, in the order check-indexset reports them
+_CHECKERS = {
+    "wedges": _check_wedges,
+    "weak_wedges": _check_weak_wedges,
+    "clean_containers": _check_clean_containers,
+    "orthogonals_for_non_split": _check_ons,
+    "strong_orth": _check_strong_orth,
+    "weak_orth": lambda s: _check_strong_orth(s, skip_minimal=True),
+    "complement_involution": _check_involution,
+    "orth_determines_nesting": _check_orth_determines_nesting,
+    "orthogonal_set": _check_orthogonal_set,
+}
+PROPERTY_NAMES = tuple(_CHECKERS)

@@ -193,15 +193,12 @@ class HHSModel:
         realisation bullet of a family member v at the point z, the
         largest distance from z's projection to a relative projection of
         v into a domain that v is nested in, or transverse to."""
-        rows = {}
-        for v in self.index.domains:
-            row = rows[v] = np.zeros((2, len(self.points)), dtype=np.int32)
-            for w in self.index.domains:
-                rel = relation(self.index, v, w)
-                if rel in (NESTED_IN, TRANSVERSE):
-                    i = int(rel == TRANSVERSE)
-                    row[i] = np.maximum(
-                        row[i], self.metrics[w].to_set(self.rho_up[(v, w)]))
+        rows = dict((v, np.zeros((2, len(self.points)), dtype=np.int32))
+                    for v in self.index.domains)
+        # the keys of rho_up are the nested and the transverse pairs
+        for (v, w), spot in self.rho_up.items():
+            row = rows[v][int(w not in self.index.up[v])]
+            np.maximum(row, self.metrics[w].to_set(spot), out=row)
         return rows
 
     # -- distances ---------------------------------------------------
@@ -233,11 +230,12 @@ class _Metric:
     """One coordinate graph and the vertex sets the model uses in it.
 
     Vertices are numbered in sorted order and each set is interned once:
-    the point projections, the relative projections landing here, and
-    the cells of the downward tables leaving here.  `near` holds every
-    set's least distance to each vertex; `gap` and `span` hold the least
-    and the greatest distance between two sets, so the diagonal of
-    `span` is each set's diameter.  `extra` sets are interned last, so
+    the point projections, the relative projections landing here, the
+    cells of the downward tables leaving here and, in a minimal domain,
+    every vertex as a singleton.  `near` holds every set's least
+    distance to each vertex; `gap` and `span` hold the least and the
+    greatest distance between two sets, so the diagonal of `span` is
+    each set's diameter.  `extra` sets are interned last, so
     they leave every other set's id as it is.  `projections` gives the
     ids of the point and relative projections, `point` the id of every
     point's projection and `point_vertices` its vertices, padded by
@@ -341,6 +339,10 @@ def _metrics(m, extra=None):
         projections[v].append(img)
     for (v, u), table in m.rho_down.items():
         cells[v].extend(table.values())
+    # a canonical tuple's coordinate on its support is one vertex of a
+    # minimal domain
+    for u in m.index.minimal_domains():
+        cells[u].extend(frozenset([w]) for w in m.coord_graphs[u].nodes())
     metrics = dict((u, _Metric(m, u, projections[u], cells[u],
                                extra.get(u, ())))
                    for u in m.index.domains)

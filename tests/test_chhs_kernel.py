@@ -450,6 +450,102 @@ class TupleConsistencyAgreement(unittest.TestCase):
                          (False, ("[c1]", "[c2]"), 1))
 
 
+def oracle_tuple_distances(m, tuples):
+    """The loop that _tuple_distances replaced: each domain's distinct
+    coordinates measured on the distance matrix of C(u), one vertex
+    row per coordinate."""
+    gap = np.zeros((len(tuples), len(tuples)), dtype=np.int32)
+    near = {}
+    for u in m.index.domains:
+        index, dist = m.coord_dist[u]
+        sets = {}
+        ids = np.array([sets.setdefault(b.coords[u], len(sets))
+                        for b in tuples], dtype=np.intp)
+        members = [[index[w] for w in s] for s in sets]
+        rows = np.array([dist[mem].min(0) for mem in members])
+        between = np.array([rows[:, mem].min(1) for mem in members])
+        gap = np.maximum(gap, between[np.ix_(ids, ids)])
+        near[u] = np.column_stack(
+            [rows[:, [index[w] for w in m.pi[(u, z)]]].min(1)
+             for z in m.points])[ids]
+    return gap, near
+
+
+def unprojected_vertex_model():
+    """product.model with a vertex a3 of the minimal domain A that no
+    point projects to: the one kind of input where `m.metrics` interns
+    a support vertex as a set of its own."""
+    path = os.path.join(ROOT, "fixtures", "product.model")
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    return load_model(text + "coord A vertex a3\ncoord A edge a2 a3\n")
+
+
+class TupleDistanceAgreement(unittest.TestCase):
+    """_tuple_distances reads the set table of `m.metrics` against the
+    loop over each coordinate's vertex rows: gap and every near[u]."""
+
+    def check(self, m):
+        tuples = canonical_tuples(m)
+        gap, near = chhs._tuple_distances(m, tuples)
+        want_gap, want_near = oracle_tuple_distances(m, tuples)
+        np.testing.assert_array_equal(gap, want_gap)
+        self.assertEqual(sorted(near), sorted(want_near))
+        for u in m.index.domains:
+            np.testing.assert_array_equal(near[u], want_near[u], u)
+
+    def test_fixtures(self):
+        for name in FIXTURES:
+            with self.subTest(fixture=name):
+                self.check(fixture_model(name))
+
+    def test_glued_collapsed(self):
+        # depth 4 is gamma4's complex, depth 6 gamma6
+        for depth in (2, 3, 4, 5, 6):
+            with self.subTest(depth=depth):
+                self.check(glued(depth)[1])
+
+    def test_grids(self):
+        for size in range(3, 10):
+            with self.subTest(size=size):
+                self.check(grid(size))
+
+    def test_unprojected_vertex(self):
+        self.check(unprojected_vertex_model())
+
+
+class UnprojectedMinimalVertex(unittest.TestCase):
+    """A support vertex that is no point's projection: `m.metrics`
+    interns it after the model's own sets, and the identity suite and W
+    read it there."""
+
+    def setUp(self):
+        self.m = unprojected_vertex_model()
+        self.tuples = canonical_tuples(self.m)
+
+    def test_singleton_interned_last(self):
+        k = self.m.metrics["A"]
+        a3 = frozenset(["a3"])
+        self.assertEqual(k.ids[a3], len(k.ids) - 1)
+        # the other vertices of A are point projections already
+        self.assertEqual(len(k.ids), 4)
+        mine = [b for b in self.tuples if b.coords["A"] == a3]
+        self.assertEqual(len(mine), 3)
+        for b in mine:
+            self.assertNotIn("A", b.spots)
+            self.assertEqual(chhs._coordinate_ids(k, "A", [b])[0].tolist(),
+                             [k.ids[a3]])
+
+    def test_tuple_consistency(self):
+        want = tuples_consistency(self.m, self.tuples)
+        self.assertEqual(
+            model._consistency(self.m,
+                               *chhs._canonical_rows(self.m, self.tuples)),
+            want)
+        report = chhs.check_tuple_consistency(self.m, self.tuples)
+        self.assertEqual(report.constant, want[0])
+
+
 class IdentitySuiteGuard(unittest.TestCase):
     """The identity suite builds each canonical tuple once and measures
     them on the arrays: on gamma4 the scalar loop asked HHSModel.dist
@@ -466,6 +562,18 @@ class IdentitySuiteGuard(unittest.TestCase):
         self.assertEqual(dist.call_count, 0)
         self.assertEqual(build.call_count, len(chhs.maximal_simplices(x)))
         self.assertEqual(build.call_count, 29)
+
+    def test_gamma4_metrics_built_once(self):
+        """The suite reads `m.metrics`: one _Metric per domain, where a
+        second table of the suite's own built every domain again."""
+        m = fixture_model("gamma4.model")
+        x = blow_up(m)
+        with mock.patch.object(model._Metric, "__init__", autospec=True,
+                               side_effect=model._Metric.__init__) as metric:
+            chhs.identity_suite(m, x)
+        self.assertEqual(sorted(call.args[2] for call in metric.call_args_list),
+                         sorted(m.index.domains))
+        self.assertEqual(metric.call_count, 37)
 
 
 class DistanceCallGuard(unittest.TestCase):
