@@ -41,6 +41,7 @@ from .model import (
     ConsistentTuple,
     HHSModel,
     _consistency,
+    _Coord,
     _padded,
     least_fit,
 )
@@ -324,16 +325,17 @@ def b_sigma(m, sigma):
     for v in m.index.domains:
         if v in coords:
             continue
-        targets = [m.rho_up[(u, v)] for u in sorted(bar)
-                   if (u, v) in m.rho_up]
-        if not targets:
+        ids = [m.rho_up[(u, v)] for u in sorted(bar) if (u, v) in m.rho_up]
+        if not ids:
             raise ChhsError("no projection target, witness %s" % v)
-        ids = spots[v] = ks[v].lookup(targets)
+        ids = spots[v] = np.array(ids, dtype=np.intp)
         diam = int(ks[v].span[np.ix_(ids, ids)].max())
         if diam > 10 * m.E:
             raise ChhsError("coordinate too spread, witness %s" % v)
         spread = max(spread, diam)
-        coords[v] = frozenset().union(*targets)
+        c = m.coords[v]
+        coords[v] = frozenset(c.names[w] for i in ids.tolist()
+                              for w in c.rows[i])
     t = ConsistentTuple(m.index.domains, coords)
     t.spots, t.spread = spots, spread
     return t
@@ -414,7 +416,7 @@ def _tuple_distances(m, tuples):
 def _coordinate_ids(k, u, tuples):
     """The ids in k, the metric of C(u), of the sets whose union is each
     tuple's coordinate in C(u)."""
-    return [b.spots[u] if u in b.spots else k.lookup([b.coords[u]])
+    return [b.spots[u] if u in b.spots else k.coord.lookup([b.coords[u]])
             for b in tuples]
 
 
@@ -1090,7 +1092,7 @@ def _canonical_rows(m, tuples):
     sets, vertices = {}, {}
     for u, k in ks.items():
         sets[u] = _padded(_coordinate_ids(k, u, tuples))
-        vertices[u] = _padded([k.index[w] for w in b.coords[u]]
+        vertices[u] = _padded([k.coord.index[w] for w in b.coords[u]]
                               for b in tuples)
     return ks, sets, vertices
 
@@ -1189,17 +1191,18 @@ def _check_automorphism(m, g):
     def image(u, vs):
         return frozenset(g["coords"][(u, c)] for c in vs)
 
+    named = m.named
     for u in s.domains:
         for z in m.points:
-            if image(u, m.pi[(u, z)]) != m.pi[(dom[u], pts[z])]:
+            if image(u, named.pi[(u, z)]) != named.pi[(dom[u], pts[z])]:
                 raise ChhsError("projection diagram breaks, witness %s %s"
                                 % (u, z))
-    for (u, v), spot in m.rho_up.items():
-        if image(v, spot) != m.rho_up[(dom[u], dom[v])]:
+    for (u, v), spot in named.rho_up.items():
+        if image(v, spot) != named.rho_up[(dom[u], dom[v])]:
             raise ChhsError("relative projection diagram breaks,"
                             " witness %s %s" % (u, v))
-    for (u, v), table in m.rho_down.items():
-        other = m.rho_down[(dom[u], dom[v])]
+    for (u, v), table in named.rho_down.items():
+        other = named.rho_down[(dom[u], dom[v])]
         for c, cell in table.items():
             if image(u, cell) != other[g["coords"][(v, c)]]:
                 raise ChhsError("downward diagram breaks, witness %s %s %s"
@@ -1298,39 +1301,43 @@ def collapse_unit_coordinates(m):
     the kept vertex is the sorted-first one.  Projections and the
     downward tables are rewritten to land on the kept vertices and the
     constants are measured afresh.
+
+    The tables are mapped on set ids: every set of a small domain
+    becomes the one set of its kept vertex, and a downward table into a
+    small domain the union of its cells.  Every other coordinate graph,
+    its distances and its interned sets are shared with m.
     """
-    small = {}
-    for u in m.index.domains:
-        nodes = sorted(m.coord_graphs[u].nodes())
-        if len(nodes) > 1 and m.coord_dist[u][1].max() <= 1:
-            small[u] = nodes[0]
+    small = [u for u in m.index.domains
+             if len(m.coords[u].names) > 1 and m.coords[u].dist.max() <= 1]
     if not small:
         return m
-
-    def squash(u, vs):
-        if u in small:
-            return frozenset([small[u]])
-        return frozenset(vs)
-
-    coord_graphs = dict(m.coord_graphs)
+    coords = dict(m.coords)
     for u in small:
-        coord_graphs[u] = Graph()
-        coord_graphs[u].add_node(small[u])
-    pi = dict(((u, z), squash(u, vs)) for (u, z), vs in m.pi.items())
-    rho_up = dict(((u, v), squash(v, vs))
-                  for (u, v), vs in m.rho_up.items())
+        g = Graph()
+        g.add_node(m.coords[u].names[0])
+        coords[u] = _Coord(g, m.coords[u].names[:1],
+                           np.zeros((1, 1), dtype=np.int32), [(0,)])
+    pi = dict(m.pi)
+    pi.update((u, np.zeros(len(m.points), dtype=np.intp)) for u in small)
+    rho_up = dict(((u, v), 0 if v in small else spot)
+                  for (u, v), spot in m.rho_up.items())
     rho_down = {}
-    for (v, u), table in m.rho_down.items():
-        if u in small:
-            union = set()
-            for cell in table.values():
-                union |= cell
-            rho_down[(v, u)] = {small[u]: squash(v, union)}
-        else:
-            rho_down[(v, u)] = dict((c, squash(v, cell))
-                                    for c, cell in table.items())
-    return HHSModel(m.index, m.space, coord_graphs,
-                    pi, rho_up, rho_down)
+    copied = set(small)
+    for (v, u), cells in m.rho_down.items():
+        if v in small:
+            cells = np.zeros(1 if u in small else len(cells), dtype=np.intp)
+        elif u in small:
+            rows = m.coords[v].rows
+            union = set().union(*(rows[i] for i in set(cells.tolist())))
+            if v not in copied:
+                # the union may be a new set, and m's tables stay as they are
+                coords[v] = coords[v].copy()
+                copied.add(v)
+            cells = np.array([coords[v].intern(tuple(sorted(union)))],
+                             dtype=np.intp)
+        rho_down[(v, u)] = cells
+    return HHSModel.numbered(m.index, m.space, coords, pi, rho_up, rho_down,
+                             point_dist=m.point_dist)
 
 
 # -- exports -----------------------------------------------------------

@@ -12,9 +12,9 @@ import itertools
 import numpy as np
 
 from .graph import Graph, _cells, apsp, as_graph, chain_lengths
-from .indexset import (IndexSet, PropertyReport, content_lines, relation,
+from .indexset import (IndexSet, PropertyReport, content_lines,
                        NESTED_IN, TRANSVERSE)
-from .model import HHSModel
+from .model import HHSModel, _Coord
 
 
 class CubeError(ValueError):
@@ -584,6 +584,17 @@ def _complement_keys(ctx, hc):
     return out
 
 
+def _distinct_rows(mask):
+    """The distinct rows of a boolean mask: each one's bytes, packed,
+    in byte order, the first row that has it, and the row's place among
+    them for every row."""
+    packed = np.packbits(mask, axis=1)
+    keys, first, inv = np.unique(
+        packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+        return_index=True, return_inverse=True)
+    return keys.tolist(), first.tolist(), inv.ravel()
+
+
 def index_set_from_hyperclosure(g, hc=None):
     """Hierarchical model on the parallelism classes of the closure.
 
@@ -594,9 +605,10 @@ def index_set_from_hyperclosure(g, hc=None):
     projections are gates.  The constant E is measured from the finished
     tables.
 
-    Gates are read on vertex numbers (`_gate_masks`), and a vertex set
-    is named only once per distinct image row.  Point projections and
-    the downward cells at vertices share one singleton set per vertex.
+    Gates are read on vertex numbers (`_gate_masks`), and the tables go
+    to the model on the numbers of each coordinate graph: a vertex set
+    is interned once per distinct image row.  Point projections and the
+    downward cells at vertices share one singleton set per vertex.
     """
     if hc is None:
         hc = hyperclosure(g)
@@ -620,93 +632,99 @@ def index_set_from_hyperclosure(g, hc=None):
         if forward:
             orth.append((a, b))
     index = IndexSet(ids, nesting, orth)
-    rels = dict(((a, b), relation(index, a, b))
-                for a, b in itertools.permutations(ids, 2))
-    rels = dict((pair, rel) for pair, rel in rels.items()
-                if rel in (NESTED_IN, TRANSVERSE))
+    related = dict(((a, b), rel) for a, b, rel in index.relations()
+                   if rel in (NESTED_IN, TRANSVERSE))
+    rels = dict((pair, related[pair])
+                for pair in itertools.permutations(ids, 2) if pair in related)
     vertices = ctx["vertices"]
     reps = dict((cid, hc.classes[cid].rep) for cid in ids)
     members = [_numbers(ctx, mem) for cid in ids
                for mem in hc.classes[cid].members]
-
-    def name(row):
-        return frozenset(map(vertices.__getitem__,
-                             np.flatnonzero(row).tolist()))
-
-    coord_graphs = {}
-    nodes = {}
+    coords = {}
+    # local[c][i]: the number in C(c) of complex vertex i, -1 off c's
+    # rep; rank[c][i]: the id of its one-vertex set, which comes first
+    local = {}
+    rank = {}
+    # apex_of[c]: the number in C(c) of the apex over each coned image
+    # row; sources[c]: the complex vertex numbers of each coned image
     apex_of = {}
     sources = {}
+    numbers = {}
     for cid in ids:
-        rep = reps[cid]
+        rep = numbers[cid] = _numbers(ctx, reps[cid])
         distinct = {}
-        for mask in _gate_masks(ctx, rep, members):
+        for mask in _gate_masks(ctx, reps[cid], members):
             size = mask.sum(1)
-            for row in mask[(size > 1) & (size < len(rep))]:
-                distinct.setdefault(row.tobytes(), row)
-        table = {}
-        cg = g.subgraph(rep)
-        nodes[cid] = list(cg.nodes())
-        for i, img in enumerate(sorted(map(name, distinct.values()),
-                                       key=sorted)):
+            mask = mask[(size > 1) & (size < len(rep))]
+            for key, i in zip(*_distinct_rows(mask)[:2]):
+                distinct.setdefault(key, np.flatnonzero(mask[i]).tolist())
+        images = sorted((img, key) for key, img in distinct.items())
+        cg = g.subgraph(reps[cid])
+        apexes = []
+        for i, (img, _) in enumerate(images):
             apex = "H_%d" % i
-            if apex in rep:
+            if apex in reps[cid]:
                 raise CubeError("apex id collides, witness %s" % apex)
-            table[img] = apex
+            apexes.append(apex)
             cg.add_node(apex)
             for v in img:
-                cg.add_edge(apex, v)
-        coord_graphs[cid] = cg
-        apex_of[cid] = table
-        sources[cid] = [_numbers(ctx, img) for img in table]
+                cg.add_edge(apex, vertices[v])
+        names = tuple(sorted(cg.nodes()))
+        at = dict((w, i) for i, w in enumerate(names))
+        local[cid] = np.full(len(vertices), -1, dtype=np.intp)
+        local[cid][rep] = [at[vertices[v]] for v in rep.tolist()]
+        rank[cid] = np.full(len(vertices), -1, dtype=np.intp)
+        rank[cid][rep] = np.arange(len(rep))
+        coords[cid] = _Coord(cg, names, apsp(cg, names),
+                             [(i,) for i in local[cid][rep].tolist()])
+        apex_of[cid] = dict((key, at[apex])
+                            for (_, key), apex in zip(images, apexes))
+        sources[cid] = [np.array(img, dtype=np.intp) for img, _ in images]
 
-    def land(cid, img):
-        # a coned image carries its apex along
-        apex = apex_of[cid].get(img)
-        return img | {apex} if apex else img
-
-    def landed(cid, memo, row):
-        # one name set per distinct image row
-        key = row.tobytes()
-        if key not in memo:
-            memo[key] = land(cid, name(row))
-        return memo[key]
+    def landed(cid, masks):
+        """The set id of the image in every row of the masks, one set
+        per distinct row; a coned image carries its apex."""
+        memo = {}
+        out = [np.empty(0, dtype=np.intp)]
+        for mask in masks:
+            keys, first, inv = _distinct_rows(mask)
+            for key, i in zip(keys, first):
+                if key not in memo:
+                    vs = local[cid][np.flatnonzero(mask[i])].tolist()
+                    if key in apex_of[cid]:
+                        vs = sorted(vs + [apex_of[cid][key]])
+                    memo[key] = coords[cid].intern(tuple(vs))
+            out.append(np.array([memo[key] for key in keys],
+                                dtype=np.intp)[inv])
+        return np.concatenate(out)
 
     # the top class's one member is every vertex, so the member images
-    # above have met every gate: no table below holds a -1.  cell[c][i]
-    # is the one-vertex set of vertex i's gate in class c's rep.
-    single = [frozenset([v]) for v in vertices]
-    cell = dict((cid, [single[i] for i in
-                       _gate_table(ctx, reps[cid]).tolist()])
-                for cid in ids)
-    pi = {}
-    for cid in ids:
-        pi.update(zip([(cid, x) for x in vertices], cell[cid]))
-    order = [_numbers(ctx, reps[cid]) for cid in ids]
+    # above have met every gate: no table below holds a -1.
+    pi = dict((cid, rank[cid][_gate_table(ctx, reps[cid])]) for cid in ids)
     up = {}
     for b in ids:
-        # every rep gated into b at once, one block of the mask at a time
-        memo = {}
-        rows = itertools.chain.from_iterable(_gate_masks(ctx, reps[b], order))
-        for a, row in zip(ids, rows):
-            if (a, b) in rels:
-                up[(a, b)] = landed(b, memo, row)
+        # every rep that needs a relative projection into b gated at
+        # once, one block of the mask at a time
+        pairs = [(a, b) for a in ids if (a, b) in rels]
+        up.update(zip(pairs, landed(b, _gate_masks(
+            ctx, reps[b], [numbers[a] for a, _ in pairs]))))
     rho_up = dict((pair, up[pair]) for pair in rels)
     rho_down = {}
-    number = ctx["index"]
     for a in ids:
         above = [b for b in ids if rels.get((a, b)) == NESTED_IN]
         # the apex sources of every class above a gated into a at once,
         # each distinct row landed once
-        rows = itertools.chain.from_iterable(_gate_masks(
+        cells = landed(a, _gate_masks(
             ctx, reps[a], [src for b in above for src in sources[b]]))
-        memo = {}
+        gate = rank[a][_gate_table(ctx, reps[a])]
         for b in above:
-            table = rho_down[(a, b)] = dict(
-                (w, cell[a][number[w]]) for w in nodes[b])
-            table.update((apex, landed(a, memo, row))
-                         for apex, row in zip(apex_of[b].values(), rows))
-    model = HHSModel(index, g, coord_graphs, pi, rho_up, rho_down)
+            table = rho_down[(a, b)] = np.empty(len(coords[b].names),
+                                                dtype=np.intp)
+            table[local[b][numbers[b]]] = gate[numbers[b]]
+            table[list(apex_of[b].values())] = cells[:len(apex_of[b])]
+            cells = cells[len(apex_of[b]):]
+    model = HHSModel.numbered(index, g, coords, pi, rho_up, rho_down,
+                              point_dist=ctx["D"])
     model.hyperclosure = hc
     return model
 

@@ -171,6 +171,13 @@ class IndexSet(object):
             self._derived[key] = compute()
         return self._derived[key]
 
+    def relations(self):
+        """(u, v, relation of u to v) for every ordered pair of distinct
+        domains, in the order of itertools.permutations."""
+        return self._memo("relations", lambda: tuple(
+            (u, v, relation(self, u, v))
+            for u, v in itertools.permutations(self.domains, 2)))
+
     def orth_graph(self, domains):
         """Orthogonality graph induced on the given domains, whose nodes
         keep the given order."""

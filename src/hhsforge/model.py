@@ -8,10 +8,11 @@ and every axiom constant is measured from the data instead of assumed.
 
 import functools
 import itertools
+import types
 
 import numpy as np
 
-from .graph import Graph, _cells, apsp, as_graph, is_connected
+from .graph import Graph, _cells, apsp, as_graph
 from .indexset import (
     CONTAINS,
     NESTED_IN,
@@ -75,24 +76,55 @@ class HHSModel:
     nested in U to a total map from CU vertices to nonempty CV sets.
     E is measured from the data when not supplied; kappa defaults to
     20 * E.
+
+    The tables are given by vertex names and kept on vertex numbers:
+    `coords[u]` numbers C(u) and interns its vertex sets (`_Coord`),
+    `pi[u]` holds the set id of every point's projection in point
+    order, `rho_up[(u, v)]` one set id of C(v) and `rho_down[(v, u)]`
+    the set id of C(v) over every vertex of C(u).  `named` gives the
+    tables by names again, built on first read.
     """
 
     def __init__(self, index, space, coord_graphs, pi, rho_up, rho_down,
                  E=None, kappa=None):
+        space = as_graph(space)
+        coords = dict((u, _Coord.of(as_graph(g)))
+                      for u, g in coord_graphs.items() if u in index.up)
+        tables = _number(index, sorted(space.nodes()), coords, pi, rho_up,
+                         rho_down)
+        self._setup(index, space, coords, *tables, E=E, kappa=kappa)
+
+    @classmethod
+    def numbered(cls, index, space, coords, pi, rho_up, rho_down,
+                 point_dist=None):
+        """A model on tables that are numbered already, in the form the
+        model keeps them; point_dist, when given, is the distance matrix
+        of the space on its sorted vertices.  E is measured."""
+        m = cls.__new__(cls)
+        m._setup(index, space, coords, pi, rho_up, rho_down, None,
+                 point_dist=point_dist)
+        return m
+
+    def _setup(self, index, space, coords, pi, rho_up, rho_down, stray,
+               E=None, kappa=None, point_dist=None):
         self.index = index
-        self.space = as_graph(space)
+        self.space = space
         self.points = tuple(sorted(self.space.nodes()))
         if not self.points:
             raise ModelError("model needs at least one point")
         self.point_index = dict((x, i) for i, x in enumerate(self.points))
-        self.coord_graphs = dict((u, as_graph(g))
-                                 for u, g in coord_graphs.items())
-        self.pi = dict(((u, x), _as_set(v)) for (u, x), v in pi.items())
-        self.rho_up = dict(((u, v), _as_set(w)) for (u, v), w in rho_up.items())
-        self.rho_down = {}
-        for (v, u), table in rho_down.items():
-            self.rho_down[(v, u)] = dict((w, _as_set(t)) for w, t in table.items())
-        self._validate()
+        self.coords = coords
+        self.pi = pi
+        self.rho_up = rho_up
+        self.rho_down = rho_down
+        self.point_dist = (apsp(self.space, self.points) if point_dist is None
+                           else point_dist)
+        self._validate(stray)
+        # a canonical tuple's coordinate on its support is one vertex of
+        # a minimal domain
+        for u in index.minimal_domains():
+            for i in range(len(coords[u].names)):
+                coords[u].intern((i,))
         if E is None:
             E = measure_model(self)["E"]
         if E < 1:
@@ -100,34 +132,35 @@ class HHSModel:
         self.E = int(E)
         self.kappa = int(kappa) if kappa is not None else 20 * self.E
 
-    def _validate(self):
-        if not is_connected(self.space):
+    def _validate(self, stray):
+        """Connectivity from the distance matrices, then every table
+        entry that a relation calls for, then stray, the first entry
+        that none calls for."""
+        if (self.point_dist < 0).any():
             raise ModelError("point graph is disconnected")
         for u in self.index.domains:
-            if u not in self.coord_graphs:
+            if u not in self.coords:
                 raise ModelError("no coordinate graph for %s" % u)
-            g = self.coord_graphs[u]
-            if g.number_of_nodes() == 0:
+            if not self.coords[u].names:
                 raise ModelError("empty coordinate graph for %s" % u)
-            if not is_connected(g):
+            if (self.coords[u].dist < 0).any():
                 raise ModelError("coordinate graph for %s is disconnected" % u)
         for u in self.index.domains:
-            nodes = set(self.coord_graphs[u].nodes())
-            for x in self.points:
-                img = self.pi.get((u, x))
-                if not img:
-                    raise ModelError("missing projection, witness %s %s" % (u, x))
-                if not img <= nodes:
-                    raise ModelError("projection leaves the coordinate graph,"
-                                     " witness %s %s" % (u, x))
-        for u, v in itertools.permutations(self.index.domains, 2):
-            rel = relation(self.index, u, v)
+            bad = np.flatnonzero(self.pi[u] < 0)
+            if bad.size:
+                x = self.points[bad[0]]
+                if self.pi[u][bad[0]] == MISSING:
+                    raise ModelError("missing projection, witness %s %s"
+                                     % (u, x))
+                raise ModelError("projection leaves the coordinate graph,"
+                                 " witness %s %s" % (u, x))
+        for u, v, rel in self.index.relations():
             if rel in (NESTED_IN, TRANSVERSE):
-                img = self.rho_up.get((u, v))
-                if not img:
+                spot = self.rho_up.get((u, v), MISSING)
+                if spot == MISSING:
                     raise ModelError("missing relative projection,"
                                      " witness %s %s" % (u, v))
-                if not img <= set(self.coord_graphs[v].nodes()):
+                if spot == OUTSIDE:
                     raise ModelError("relative projection leaves the coordinate"
                                      " graph, witness %s %s" % (u, v))
             if rel == NESTED_IN:
@@ -135,57 +168,33 @@ class HHSModel:
                 if table is None:
                     raise ModelError("missing downward projection,"
                                      " witness %s %s" % (u, v))
-                small = set(self.coord_graphs[u].nodes())
-                for w in self.coord_graphs[v].nodes():
-                    cell = table.get(w)
-                    if not cell or not cell <= small:
-                        raise ModelError("bad downward projection,"
-                                         " witness %s %s %s" % (u, v, w))
-        # every table entry must be one that a relation calls for
-        known = self.index.up
-        for u, x in self.pi:
-            if u not in known or x not in self.point_index:
-                raise ModelError("projection outside the domains and points,"
-                                 " witness %s %s" % (u, x))
-        for u, v in self.rho_up:
-            if (u not in known or v not in known
-                    or relation(self.index, u, v) not in (NESTED_IN,
-                                                          TRANSVERSE)):
-                raise ModelError("relative projection needs a nested or"
-                                 " transverse pair, witness %s %s" % (u, v))
-        for (u, v), table in self.rho_down.items():
-            if u == v or u not in known or v not in known[u]:
-                raise ModelError("downward projection needs a nested pair,"
-                                 " witness %s %s" % (u, v))
-            stray = table.keys() - self.coord_graphs[v].nodes()
-            if stray:
-                raise ModelError("downward projection from outside the"
-                                 " coordinate graph, witness %s %s %s"
-                                 % (u, v, min(stray)))
+                if (table < 0).any():
+                    c = self.coords[v]
+                    bad = set(c.names[i] for i in np.flatnonzero(table < 0))
+                    w = next(w for w in c.graph.nodes() if w in bad)
+                    raise ModelError("bad downward projection,"
+                                     " witness %s %s %s" % (u, v, w))
+        if stray is not None:
+            raise ModelError(stray)
 
     # -- derived tables, each built on first use and shared, so callers
     # must not write to them ------------------------------------------
 
     @functools.cached_property
-    def coord_dist(self):
-        """u -> the numbers of the vertices of C(u), in sorted order, and
-        its distance matrix."""
-        out = {}
-        for u in self.index.domains:
-            names = sorted(self.coord_graphs[u].nodes())
-            out[u] = (dict((w, i) for i, w in enumerate(names)),
-                      apsp(self.coord_graphs[u], names))
-        return out
+    def coord_graphs(self):
+        return dict((u, c.graph) for u, c in self.coords.items())
 
     @functools.cached_property
-    def point_dist(self):
-        """Point-graph distance between every two points, in point order."""
-        return apsp(self.space, self.points)
+    def named(self):
+        """pi, rho_up and rho_down by vertex names, as the constructor
+        takes them, with frozenset values: for writers and readers of
+        names."""
+        return _named_tables(self)
 
     @functools.cached_property
     def metrics(self):
         """u -> the _Metric of C(u), which every measurement reads."""
-        return _metrics(self)
+        return dict((u, _Metric(c, self.pi[u])) for u, c in self.coords.items())
 
     @functools.cached_property
     def bullet_rows(self):
@@ -193,13 +202,21 @@ class HHSModel:
         realisation bullet of a family member v at the point z, the
         largest distance from z's projection to a relative projection of
         v into a domain that v is nested in, or transverse to."""
-        rows = dict((v, np.zeros((2, len(self.points)), dtype=np.int32))
-                    for v in self.index.domains)
-        # the keys of rho_up are the nested and the transverse pairs
+        domains = self.index.domains
+        at = dict((v, i) for i, v in enumerate(domains))
+        # row 2i of v = domains[i] is nested, 2i + 1 transverse; the keys
+        # of rho_up are the nested and the transverse pairs, and those
+        # into one w hold each v once
+        into = dict((w, ([], [])) for w in domains)
         for (v, w), spot in self.rho_up.items():
-            row = rows[v][int(w not in self.index.up[v])]
-            np.maximum(row, self.metrics[w].to_set(spot), out=row)
-        return rows
+            into[w][0].append(2 * at[v] + (w not in self.index.up[v]))
+            into[w][1].append(spot)
+        rows = np.zeros((2 * len(domains), len(self.points)), dtype=np.int32)
+        for w, (slots, spots) in into.items():
+            if slots:
+                rows[slots] = np.maximum(rows[slots],
+                                         self.metrics[w].to_set(spots).T)
+        return dict((v, rows[2 * i:2 * i + 2]) for i, v in enumerate(domains))
 
     # -- distances ---------------------------------------------------
 
@@ -209,9 +226,9 @@ class HHSModel:
         Nothing in the package calls this: every measurement reads the
         per-domain arrays.  It stays for the benchmark, which counts
         its calls."""
-        index, d = self.coord_dist[u]
+        c = self.coords[u]
         sa, sb = _as_set(a), _as_set(b)
-        return int(min(d[index[x], index[y]] for x in sa for y in sb))
+        return int(min(c.dist[c.index[x], c.index[y]] for x in sa for y in sb))
 
     def coordinate_jump(self):
         """The largest coordinate distance between the projections of
@@ -220,57 +237,184 @@ class HHSModel:
                                              for k in self.metrics.values()))
 
     def images(self, u):
-        return frozenset().union(*(self.pi[(u, x)] for x in self.points))
+        """The vertex numbers of C(u) that some point projects onto, in
+        order."""
+        rows = self.coords[u].rows
+        return sorted(set().union(*(rows[i] for i in
+                                    set(self.pi[u].tolist()))))
+
+
+# set ids of a table entry that names no set, and of one that names a
+# vertex outside its coordinate graph
+MISSING = -1
+OUTSIDE = -2
+
+
+class _Coord:
+    """One coordinate graph on vertex numbers.
+
+    `names` lists the vertices in sorted order, so vertex i is names[i],
+    and `dist` is the distance matrix in that order, -1 between vertices
+    that no path joins.  `rows` holds the vertex sets that models use in
+    the graph, each interned once as the sorted tuple of its vertex
+    numbers: a set's id is its row's place.  The set tables are built
+    from the rows on first use and shared by every model that holds
+    this object, so rows are interned only before then.
+    """
+
+    def __init__(self, graph, names, dist, rows=()):
+        self.graph = graph
+        self.names = names
+        self.dist = dist
+        self.rows = list(rows)
+        self.ids = dict((row, i) for i, row in enumerate(self.rows))
+
+    @classmethod
+    def of(cls, graph):
+        names = tuple(sorted(graph.nodes()))
+        return cls(graph, names, apsp(graph, names))
+
+    def copy(self):
+        """The same graph, names and distances, with rows of its own."""
+        return _Coord(self.graph, self.names, self.dist, self.rows)
+
+    def intern(self, row):
+        """The id of a row, interned last when it is new."""
+        i = self.ids.setdefault(row, len(self.rows))
+        if i == len(self.rows):
+            self.rows.append(row)
+        return i
+
+    def lookup(self, sets):
+        """The ids of vertex sets given by names."""
+        return np.array([self.ids[tuple(sorted(self.index[w] for w in s))]
+                         for s in sets], dtype=np.intp)
+
+    @functools.cached_property
+    def index(self):
+        return dict((w, i) for i, w in enumerate(self.names))
+
+    @functools.cached_property
+    def edges(self):
+        index = self.index
+        return np.array([(index[a], index[b]) for a, b in self.graph.edges()],
+                        dtype=np.intp).reshape(-1, 2).T
+
+    @functools.cached_property
+    def tables(self):
+        """near, gap and span of the rows (see _Metric)."""
+        return _set_tables(self.dist, self.rows)
+
+
+def _number(index, points, coords, pi, rho_up, rho_down):
+    """The named tables on the vertex numbers of coords, interning their
+    sets, with the message of the first entry that no relation calls
+    for, or None: pi entries first, then rho_up, then rho_down, each in
+    its own order.  An empty set is MISSING and a set with a vertex
+    outside its graph OUTSIDE; entries of domains without a coordinate
+    graph are left out, since validation stops at the missing graph."""
+    position = dict((x, i) for i, x in enumerate(points))
+    memo = dict((u, {}) for u in coords)
+
+    def number(u, s):
+        if not isinstance(s, frozenset):
+            s = _as_set(s)
+        got = memo[u].get(s)
+        if got is None:
+            c = coords[u]
+            try:
+                got = c.intern(tuple(sorted(c.index[w] for w in s))) \
+                    if s else MISSING
+            except KeyError:
+                got = OUTSIDE
+            memo[u][s] = got
+        return got
+
+    rels = dict(((u, v), rel) for u, v, rel in index.relations()
+                if rel in (NESTED_IN, TRANSVERSE))
+    strays = [None, None, None]
+    ids = dict((u, np.full(len(points), MISSING, dtype=np.intp))
+               for u in coords)
+    for (u, x), s in pi.items():
+        if u in coords and x in position:
+            ids[u][position[x]] = number(u, s)
+        elif strays[0] is None and (u not in index.up or x not in position):
+            strays[0] = ("projection outside the domains and points,"
+                         " witness %s %s" % (u, x))
+    up = {}
+    for (u, v), s in rho_up.items():
+        if (u, v) in rels:
+            if v in coords:
+                up[(u, v)] = number(v, s)
+        elif strays[1] is None:
+            strays[1] = ("relative projection needs a nested or transverse"
+                         " pair, witness %s %s" % (u, v))
+    down = {}
+    for (u, v), table in rho_down.items():
+        if rels.get((u, v)) != NESTED_IN:
+            strays[2] = strays[2] or ("downward projection needs a nested"
+                                      " pair, witness %s %s" % (u, v))
+            continue
+        if u not in coords or v not in coords:
+            continue
+        at = coords[v].index
+        stray = [w for w in table if w not in at]
+        if stray:
+            strays[2] = strays[2] or ("downward projection from outside the"
+                                      " coordinate graph, witness %s %s %s"
+                                      % (u, v, min(stray)))
+        row = down[(u, v)] = np.full(len(at), MISSING, dtype=np.intp)
+        for w, s in table.items():
+            if w in at:
+                row[at[w]] = number(u, s)
+    stray = next((s for s in strays if s is not None), None)
+    return ids, up, down, stray
+
+
+def _named_tables(m):
+    """The tables of m by names: pi, rho_up and rho_down as the public
+    constructor takes them, each set a frozenset, pi in domain and then
+    point order and each downward table in its graph's node order."""
+    sets = dict((u, [frozenset(map(c.names.__getitem__, row))
+                     for row in c.rows]) for u, c in m.coords.items())
+    pi = {}
+    for u in m.index.domains:
+        pi.update(zip([(u, x) for x in m.points],
+                      map(sets[u].__getitem__, m.pi[u].tolist())))
+    rho_up = dict(((u, v), sets[v][i]) for (u, v), i in m.rho_up.items())
+    rho_down = {}
+    for (v, u), table in m.rho_down.items():
+        c = m.coords[u]
+        rho_down[(v, u)] = dict((w, sets[v][table[c.index[w]]])
+                                for w in c.graph.nodes())
+    return types.SimpleNamespace(pi=pi, rho_up=rho_up, rho_down=rho_down)
 
 
 # -- measurement -----------------------------------------------------
 
 
 class _Metric:
-    """One coordinate graph and the vertex sets the model uses in it.
+    """One coordinate graph's set tables, read for one model.
 
-    Vertices are numbered in sorted order and each set is interned once:
-    the point projections, the relative projections landing here, the
-    cells of the downward tables leaving here and, in a minimal domain,
-    every vertex as a singleton.  `near` holds every set's least
-    distance to each vertex; `gap` and `span` hold the least and the
-    greatest distance between two sets, so the diagonal of `span` is
-    each set's diameter.  `extra` sets are interned last, so
-    they leave every other set's id as it is.  `projections` gives the
-    ids of the point and relative projections, `point` the id of every
-    point's projection and `point_vertices` its vertices, padded by
-    repeats to one width; `cells[v]` gives the id of the cell over every
-    vertex of C(v).  The four set tables are reductions over the sets'
-    vertex rows laid end to end (`_set_reduce`).
+    `near` holds every interned set's least distance to each vertex;
+    `gap` and `span` hold the least and the greatest distance between
+    two sets, so the diagonal of `span` is each set's diameter.  The
+    three are reductions over the sets' vertex rows laid end to end
+    (`_set_reduce`), built once per `_Coord`.  `point` gives the id of
+    every point's projection and `point_vertices` its vertex numbers,
+    padded by repeats to one width.
     """
 
-    def __init__(self, m, u, projections, cells, extra=()):
-        self.index, dist = m.coord_dist[u]
-        self.edges = np.array([(self.index[a], self.index[b])
-                               for a, b in m.coord_graphs[u].edges()],
-                              dtype=np.intp).reshape(-1, 2).T
-        self.ids = {}
-        members = []
-        for s in itertools.chain(projections, cells, extra):
-            if s not in self.ids:
-                self.ids[s] = len(members)
-                members.append([self.index[w] for w in s])
-        sizes = [len(mem) for mem in members]
-        flat = np.fromiter(itertools.chain.from_iterable(members),
-                           dtype=np.intp, count=sum(sizes))
-        self.near = _set_reduce(np.minimum, dist, flat, sizes)
-        far = _set_reduce(np.maximum, dist, flat, sizes)
-        # the distance between two sets is symmetric: gap[i, j] is the
-        # least of row j of near over the vertices of set i
-        self.gap = _set_reduce(np.minimum, self.near.T, flat, sizes)
-        self.span = _set_reduce(np.maximum, far.T, flat, sizes)
-        self.projections = self.lookup(projections)
-        self.point = self.lookup(m.pi[(u, x)] for x in m.points)
-        self.point_vertices = _padded(members[i] for i in self.point)
-        self.cells = {}
+    def __init__(self, coord, point):
+        self.coord = coord
+        self.near, self.gap, self.span = coord.tables
+        self.point = point
 
-    def lookup(self, sets):
-        return np.array([self.ids[s] for s in sets], dtype=np.intp)
+    @functools.cached_property
+    def point_vertices(self):
+        sets, inv = np.unique(self.point, return_inverse=True)
+        rows = self.coord.rows
+        return _padded(rows[i] for i in sets.tolist())[inv]
 
     def diam(self, ids):
         return self.span[ids, ids]
@@ -279,14 +423,10 @@ class _Metric:
         """Diameter of the union of the sets in each row of ids."""
         return self.span[ids[:, :, None], ids[:, None, :]].max(axis=(1, 2))
 
-    def union_gap(self, ids, s):
-        """Distance from the union of the sets in each row of ids to the
-        set s."""
-        return self.gap[ids, self.ids[s]].min(1)
-
-    def to_set(self, s):
-        """Distance from every point's projection to the set s."""
-        return self.gap[self.point, self.ids[s]]
+    def to_set(self, ids):
+        """Distance from every point's projection to each set of ids, a
+        column per set."""
+        return self.gap[np.ix_(self.point, ids)]
 
     def point_gap(self):
         """Distance between the projections of every two points."""
@@ -297,6 +437,20 @@ class _Metric:
         """The largest distance from each point's projection to another
         point's projection."""
         return self.gap[:, self.point].max(1)[self.point]
+
+
+def _set_tables(dist, rows):
+    """near, gap and span of the vertex sets in rows, on the distance
+    matrix dist."""
+    sizes = [len(row) for row in rows]
+    flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp,
+                       count=sum(sizes))
+    near = _set_reduce(np.minimum, dist, flat, sizes)
+    far = _set_reduce(np.maximum, dist, flat, sizes)
+    # the distance between two sets is symmetric: gap[i, j] is the
+    # least of row j of near over the vertices of set i
+    return (near, _set_reduce(np.minimum, near.T, flat, sizes),
+            _set_reduce(np.maximum, far.T, flat, sizes))
 
 
 def _set_reduce(ufunc, table, flat, sizes):
@@ -327,41 +481,16 @@ def _padded(rows):
                     dtype=np.intp)
 
 
-def _metrics(m, extra=None):
-    """u -> the _Metric of C(u), with the vertex sets extra[u] interned
-    after the model's own."""
-    extra = extra or {}
-    projections = dict((u, []) for u in m.index.domains)
-    cells = dict((u, []) for u in m.index.domains)
-    for (u, x), img in m.pi.items():
-        projections[u].append(img)
-    for (u, v), img in m.rho_up.items():
-        projections[v].append(img)
-    for (v, u), table in m.rho_down.items():
-        cells[v].extend(table.values())
-    # a canonical tuple's coordinate on its support is one vertex of a
-    # minimal domain
-    for u in m.index.minimal_domains():
-        cells[u].extend(frozenset([w]) for w in m.coord_graphs[u].nodes())
-    metrics = dict((u, _Metric(m, u, projections[u], cells[u],
-                               extra.get(u, ())))
-                   for u in m.index.domains)
-    for (v, u), table in m.rho_down.items():
-        # the index of C(u) is in vertex order
-        metrics[v].cells[u] = metrics[v].lookup(
-            table[w] for w in metrics[u].index)
-    return metrics
-
-
 def _scan_diameters(m):
     ks = m.metrics
-    best = max(int(k.diam(k.projections).max()) for k in ks.values())
-    for (v, u) in m.rho_down:
+    best = max(int(k.diam(k.point).max()) for k in ks.values())
+    for (u, v), spot in m.rho_up.items():
+        best = max(best, int(ks[v].span[spot, spot]))
+    for (v, u), cells in m.rho_down.items():
         # a vertex close to the upward spot may map to a large set;
         # only far vertices need small images
-        big, small = ks[u], ks[v]
-        gap = big.near[big.ids[m.rho_up[(v, u)]]]
-        spread = small.diam(small.cells[u])
+        gap = ks[u].near[m.rho_up[(v, u)]]
+        spread = ks[v].diam(cells)
         best = max(best, int(np.minimum(gap, spread).max()))
     return best
 
@@ -387,27 +516,43 @@ def _consistency(m, ks, sets, vertices):
     coordinate in C(u), and row i of vertices[u] that coordinate's
     vertex numbers, each padded by repeats to one width.
     """
-    best, witness = 0, None
-    for u, v in itertools.combinations(m.index.domains, 2):
-        rel = relation(m.index, u, v)
+    # the distance from each tuple's coordinate in C(u) to rho_up(v, u)
+    # is column col[(v, u)] of reach, gathered once per u
+    found = dict((u, []) for u in m.index.domains)
+    for (v, u), spot in m.rho_up.items():
+        found[u].append((v, spot))
+    col, reach = {}, []
+    for u, spots in found.items():
+        col.update([((v, u), len(col) + j) for j, (v, _) in enumerate(spots)])
+        reach.append(ks[u].gap[:, [spot for _, spot in spots]][sets[u]]
+                     .min(1))
+    reach = np.hstack(reach)
+    # the gap of every related pair, in pair order: the transverse pairs
+    # in one gather, the nested ones with the downward image of the big
+    # coordinate one by one
+    related = [(u, v, rel) for u, v, rel in m.index.relations()
+               if u < v and rel in (TRANSVERSE, NESTED_IN, CONTAINS)]
+    value = np.empty((len(reach), len(related)), dtype=reach.dtype)
+    across = []
+    for j, (u, v, rel) in enumerate(related):
         if rel == TRANSVERSE:
-            value = np.minimum(ks[u].union_gap(sets[u], m.rho_up[(v, u)]),
-                               ks[v].union_gap(sets[v], m.rho_up[(u, v)]))
-        elif rel in (NESTED_IN, CONTAINS):
-            # the small coordinate with the downward image of the big one
-            a, b = (u, v) if rel == NESTED_IN else (v, u)
-            small, big = ks[a], ks[b]
-            down = small.cells[b][vertices[b]]
-            value = np.minimum(big.union_gap(sets[b], m.rho_up[(a, b)]),
-                               small.union_diam(np.column_stack(
-                                   [sets[a], down])))
-        else:
+            across.append((j, col[(v, u)], col[(u, v)]))
             continue
-        top = int(value.max())
-        if top > best or (witness is not None and top == best
-                          and value.argmax() < witness[0]):
-            best, witness = top, (int(value.argmax()), u, v)
-    return best, witness
+        a, b = (u, v) if rel == NESTED_IN else (v, u)
+        down = m.rho_down[(a, b)][vertices[b]]
+        value[:, j] = np.minimum(reach[:, col[(a, b)]], ks[a].union_diam(
+            np.column_stack([sets[a], down])))
+    if across:
+        j, a, b = np.array(across, dtype=np.intp).T
+        value[:, j] = np.minimum(reach[:, a], reach[:, b])
+    top = value.max(0, initial=0)
+    best = int(top.max(initial=0))
+    if best == 0:
+        return 0, None
+    hit = np.flatnonzero(top == best)
+    first = value[:, hit].argmax(0)
+    u, v, _ = related[hit[first.argmin()]]
+    return best, (int(first.min()), u, v)
 
 
 def _scan_consistency(m):
@@ -427,8 +572,8 @@ def _scan_rho_consistency(m):
     best = 0
     for w in domains:
         k = ks[w]
-        ids = np.array([k.ids[m.rho_up[(u, w)]] if (u, w) in m.rho_up
-                        else -1 for u in domains], dtype=np.intp)
+        ids = np.array([m.rho_up.get((u, w), -1) for u in domains],
+                       dtype=np.intp)
         a, b = np.nonzero(nested & (ids[:, None] >= 0) & (ids >= 0))
         if len(a):
             best = max(best, int(k.gap[ids[a], ids[b]].max()))
@@ -439,18 +584,23 @@ def _scan_bgi(m):
     """Least e with the edgewise bounded geodesic image condition."""
     ks = m.metrics
     worst = 0
-    for (u, v) in m.rho_down:
-        small, big = ks[u], ks[v]
-        a, b = big.edges
-        if not a.size:
-            continue
-        anchor = big.near[big.ids[m.rho_up[(u, v)]]]
+    for (u, v), cells in m.rho_down.items():
+        a, b = m.coords[v].edges
+        anchor = ks[v].near[m.rho_up[(u, v)]]
         gap = np.minimum(anchor[a], anchor[b])
-        cells = small.cells[v]
-        spread = small.union_diam(np.column_stack([cells[a], cells[b]]))
-        # condition must hold once e >= gap, or e >= spread
-        worst = max(worst, int(np.minimum(gap, spread).max()))
+        # condition must hold once e >= gap, or e >= spread: only an
+        # edge whose gap beats worst can raise it
+        far = gap > worst
+        if not far.any():
+            continue
+        a, b = cells[a[far]], cells[b[far]]
+        span = ks[u].span
+        spread = np.maximum(span[a, b], np.maximum(span[a, a], span[b, b]))
+        worst = max(worst, int(np.minimum(gap[far], spread).max()))
     return worst
+
+
+_FAR = np.iinfo(np.int32).max
 
 
 def _reach_row(rows, i, span, anchor):
@@ -461,8 +611,7 @@ def _reach_row(rows, i, span, anchor):
     distance from set i to each set; only this one (set x vertex) slice
     of the interval mask is ever held.
     """
-    far = np.iinfo(np.int32).max
-    return np.where(rows[i] + rows == span[:, None], anchor, far).min(1)
+    return np.where(rows[i] + rows == span[:, None], anchor, _FAR).min(1)
 
 
 def _scan_large_links(m):
@@ -490,11 +639,11 @@ def _scan_large_links(m):
         big = ks[v]
         sets, inv = np.unique(big.point, return_inverse=True)
         rows = big.near[sets]
-        for u in below:
+        anchors = big.near[[m.rho_up[(u, v)] for u in below]]
+        bounds = np.minimum([ks[u].point_max for u in below],
+                            anchors[:, big.point_vertices].max(2))
+        for u, anchor, bound in zip(below, anchors, bounds):
             small = ks[u]
-            anchor = big.near[big.ids[m.rho_up[(u, v)]]]
-            bound = np.minimum(small.point_max,
-                               anchor[big.point_vertices].max(1))
             x = bound.argmax()
             while bound[x] > worst:
                 i = inv[x]
@@ -517,9 +666,8 @@ def _scan_partial_realisation(m):
     coord = {}
     for v in m.index.domains:
         k = ks[v]
-        images = [k.index[p] for p in sorted(m.images(v))]
         # coord[v][z, j]: distance from z's projection to image vertex j
-        coord[v] = k.near[np.ix_(k.point, images)]
+        coord[v] = k.near[np.ix_(k.point, m.images(v))]
     worst = 0
     for family in m.index.cliques(m.index.domains):
         fam_base = np.max([base[v] for v in family], axis=(0, 1))
@@ -587,11 +735,10 @@ def _dpr_constant(m):
         below = [v for v in minimal if v != u and v in m.index.down[u]]
         if not below:
             continue
-        k = m.metrics[u]
-        gap = k.near[k.lookup(m.rho_up[(v, u)] for v in below)].min(0)
+        gap = m.metrics[u].near[[m.rho_up[(v, u)] for v in below]].min(0)
         far = int(gap.argmax())
         if gap[far] > worst[0]:
-            worst = (int(gap[far]), (u, sorted(k.index)[far]))
+            worst = (int(gap[far]), (u, m.coords[u].names[far]))
     return worst
 
 
@@ -628,8 +775,8 @@ def augment_point_domains(m):
     for u in sorted(wide):
         seen = {}
         scope = sorted(s.down[u])
-        for z in m.points:
-            key = tuple((v, m.pi[(v, z)]) for v in scope)
+        for i, z in enumerate(m.points):
+            key = tuple(m.pi[v][i] for v in scope)
             if key not in seen:
                 seen[key] = z
         for key in sorted(seen, key=lambda k: seen[k]):
@@ -646,10 +793,11 @@ def augment_point_domains(m):
     orth += [(t, v) for t, u, _ in fresh for v in sorted(s.orth[u])]
     index = IndexSet(domains, nesting, orth)
 
+    named = m.named
     coord_graphs = dict(m.coord_graphs)
-    pi = dict(m.pi)
-    rho_up = dict(m.rho_up)
-    rho_down = dict((k, dict(v)) for k, v in m.rho_down.items())
+    pi = dict(named.pi)
+    rho_up = dict(named.rho_up)
+    rho_down = dict((k, dict(v)) for k, v in named.rho_down.items())
     for t, u, z in fresh:
         g = Graph()
         g.add_node("0")
@@ -657,8 +805,8 @@ def augment_point_domains(m):
         for x in m.points:
             pi[(t, x)] = frozenset(["0"])
         for v in sorted(index.up[t] - frozenset([t])):
-            rho_up[(t, v)] = m.pi[(u, z)] if v == u else (
-                m.rho_up[(u, v)] if v in s.up[u] else None)
+            rho_up[(t, v)] = named.pi[(u, z)] if v == u else (
+                named.rho_up[(u, v)] if v in s.up[u] else None)
             if rho_up[(t, v)] is None:
                 raise ModelError("augment lost a projection, witness %s" % v)
             rho_down[(t, v)] = dict(
@@ -674,10 +822,10 @@ def augment_point_domains(m):
                 # v transverse to t: either transverse to u or below u
                 if v in s.up[u] or v in s.orth[u]:
                     raise ModelError("augment relation drift, witness %s" % v)
-                if (u, v) in m.rho_up:
-                    rho_up[(t, v)] = m.rho_up[(u, v)]
+                if (u, v) in named.rho_up:
+                    rho_up[(t, v)] = named.rho_up[(u, v)]
                 else:
-                    rho_up[(t, v)] = m.pi[(v, z)]
+                    rho_up[(t, v)] = named.pi[(v, z)]
     return HHSModel(index, m.space, coord_graphs, pi, rho_up, rho_down)
 
 
@@ -703,6 +851,15 @@ def load_model(text):
     rho_down = {}
     constants = {}
     once = KeyedLines(text, ModelError)
+    # one frozenset per distinct set word, so the tables share them
+    sets = {}
+
+    def vertex_set(word):
+        got = sets.get(word)
+        if got is None:
+            got = sets[word] = frozenset(word.split(","))
+        return got
+
     for lineno, raw, parts in content_lines(text):
         key, args = parts[0], parts[1:]
         if key in ("domain", "nest", "orth"):
@@ -726,16 +883,15 @@ def load_model(text):
         elif key == "pi":
             if len(args) != 3:
                 raise ModelError("line %d: cannot parse %r" % (lineno, raw))
-            once.put(pi, (args[0], args[1]), frozenset(args[2].split(",")),
-                     lineno, parts)
+            once.put(pi, (args[0], args[1]), vertex_set(args[2]), lineno,
+                     parts)
         elif key == "rho":
             if len(args) == 3:
-                once.put(rho_up, (args[0], args[1]),
-                         frozenset(args[2].split(",")), lineno, parts)
+                once.put(rho_up, (args[0], args[1]), vertex_set(args[2]),
+                         lineno, parts)
             elif len(args) == 4:
                 once.put(rho_down.setdefault((args[1], args[0]), {}),
-                         args[2], frozenset(args[3].split(",")), lineno,
-                         parts)
+                         args[2], vertex_set(args[3]), lineno, parts)
             else:
                 raise ModelError("line %d: cannot parse %r" % (lineno, raw))
         elif key in ("E", "kappa"):
@@ -783,13 +939,16 @@ def dump_model(m):
             lines.append("coord %s vertex %s" % (u, v))
         for a, b in sorted(tuple(sorted(e)) for e in g.edges()):
             lines.append("coord %s edge %s %s" % (u, a, b))
+    named = m.named
     for u in m.index.domains:
         for x in m.points:
-            lines.append("pi %s %s %s" % (u, x, ",".join(sorted(m.pi[(u, x)]))))
-    for u, v in sorted(m.rho_up):
-        lines.append("rho %s %s %s" % (u, v, ",".join(sorted(m.rho_up[(u, v)]))))
-    for v, u in sorted(m.rho_down):
-        table = m.rho_down[(v, u)]
+            lines.append("pi %s %s %s" % (u, x,
+                                          ",".join(sorted(named.pi[(u, x)]))))
+    for u, v in sorted(named.rho_up):
+        lines.append("rho %s %s %s" % (u, v,
+                                       ",".join(sorted(named.rho_up[(u, v)]))))
+    for v, u in sorted(named.rho_down):
+        table = named.rho_down[(v, u)]
         for w in sorted(table):
             lines.append("rho %s %s %s %s" % (u, v, w,
                                               ",".join(sorted(table[w]))))

@@ -3,6 +3,8 @@ package internals that the tests compare against."""
 
 import itertools
 
+import numpy as np
+
 from hhsforge import cubes, model
 from hhsforge.indexset import (
     CONTAINS,
@@ -75,7 +77,7 @@ def distance_estimate(m, x, y, threshold):
     per-pair reference for model.distance_profile."""
     total = 0
     for u in m.index.domains:
-        d = m.dist(u, m.pi[(u, x)], m.pi[(u, y)])
+        d = m.dist(u, m.named.pi[(u, x)], m.named.pi[(u, y)])
         if d > threshold:
             total += d
     return total
@@ -86,14 +88,13 @@ def distance_estimate(m, x, y, threshold):
 
 def diam(m, u, a):
     """Diameter in C(u) of a vertex set."""
-    index, d = m.coord_dist[u]
-    return int(max(d[index[x], index[y]] for x in a for y in a))
+    return max(m.dist(u, x, y) for x in a for y in a)
 
 
 def down_image(m, small, big, vertices):
     """Image of a C(big) vertex set under the downward map onto
     C(small)."""
-    table = m.rho_down[(small, big)]
+    table = m.named.rho_down[(small, big)]
     return frozenset().union(*(table[w] for w in vertices))
 
 
@@ -101,11 +102,11 @@ def consistency_value(m, coords, u, v):
     """Consistency gap of one coordinate pair, E-free."""
     rel = relation(m.index, u, v)
     if rel == TRANSVERSE:
-        return min(m.dist(u, coords[u], m.rho_up[(v, u)]),
-                   m.dist(v, coords[v], m.rho_up[(u, v)]))
+        return min(m.dist(u, coords[u], m.named.rho_up[(v, u)]),
+                   m.dist(v, coords[v], m.named.rho_up[(u, v)]))
     if rel == NESTED_IN:
         down = down_image(m, u, v, coords[v])
-        return min(m.dist(v, coords[v], m.rho_up[(u, v)]),
+        return min(m.dist(v, coords[v], m.named.rho_up[(u, v)]),
                    diam(m, u, coords[u] | down))
     if rel == CONTAINS:
         return consistency_value(m, coords, v, u)
@@ -129,13 +130,16 @@ def tuples_consistency(m, tuples):
 
 def kernel_consistency(m, tuples):
     """model._consistency on tuples of any vertex sets: each coordinate
-    is interned whole, in a table of the tuples' own, one id a row."""
-    coords = dict((u, [t.coords[u] for t in tuples]) for u in m.index.domains)
-    ks = model._metrics(m, coords)
-    sets = dict((u, ks[u].lookup(coords[u])[:, None]) for u in coords)
-    vertices = dict((u, model._padded([ks[u].index[w] for w in s]
-                                      for s in coords[u]))
-                    for u in coords)
+    is interned whole, after the model's own sets, in a metric of the
+    tuples' own, one id a row."""
+    ks, sets, vertices = {}, {}, {}
+    for u, c in m.coords.items():
+        c = c.copy()
+        rows = [tuple(sorted(c.index[w] for w in t.coords[u]))
+                for t in tuples]
+        sets[u] = np.array([[c.intern(row)] for row in rows], dtype=np.intp)
+        vertices[u] = model._padded(rows)
+        ks[u] = model._Metric(c, m.pi[u])
     return model._consistency(m, ks, sets, vertices)
 
 

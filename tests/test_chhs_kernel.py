@@ -62,7 +62,7 @@ def point_pairs(m):
         for j in range(i + 1, len(m.points)):
             y = m.points[j]
             out.append((int(m.point_dist[i, j]),
-                        [m.dist(u, m.pi[(u, z)], m.pi[(u, y)])
+                        [m.dist(u, m.named.pi[(u, z)], m.named.pi[(u, y)])
                          for u in m.index.domains]))
     return out
 
@@ -82,8 +82,8 @@ def coverage_constant(m):
             for v in fam:
                 for w in m.index.domains:
                     if relation(m.index, v, w) in (NESTED_IN, TRANSVERSE):
-                        gap = max(gap, m.dist(w, m.pi[(w, z)],
-                                              m.rho_up[(v, w)]))
+                        gap = max(gap, m.dist(w, m.named.pi[(w, z)],
+                                              m.named.rho_up[(v, w)]))
             if best is None or gap < best:
                 best = gap
         worst = max(worst, best)
@@ -129,8 +129,8 @@ def _realise_support_first(m, bar, b):
     rest = [u for u in m.index.domains if u not in bar]
     best = None
     for z in m.points:
-        on = max(m.dist(u, m.pi[(u, z)], b.coords[u]) for u in bar)
-        off = max([m.dist(u, m.pi[(u, z)], b.coords[u]) for u in rest] + [0])
+        on = max(m.dist(u, m.named.pi[(u, z)], b.coords[u]) for u in bar)
+        off = max([m.dist(u, m.named.pi[(u, z)], b.coords[u]) for u in rest] + [0])
         key = (on, off, z)
         if best is None or key < best:
             best = key
@@ -143,7 +143,7 @@ def oracle_points(m, w):
 
 
 def oracle_defect(m, w):
-    return max(m.dist(u, m.pi[(u, z)], b.coords[u])
+    return max(m.dist(u, m.named.pi[(u, z)], b.coords[u])
                for z, b in zip(w.points, w.tuples) for u in m.index.domains)
 
 
@@ -387,7 +387,7 @@ def canonical_tuples(m):
 
 def point_tuples(m):
     return [ConsistentTuple(m.index.domains,
-                            dict((u, m.pi[(u, z)]) for u in m.index.domains))
+                            dict((u, m.named.pi[(u, z)]) for u in m.index.domains))
             for z in m.points]
 
 
@@ -429,11 +429,11 @@ class TupleConsistencyAgreement(unittest.TestCase):
         coordinate unites two sets, and only their nearer one counts."""
         m = grid(7)
         tuples = canonical_tuples(m)
-        spots = [m.pi[("[c2]", "0_1")], m.pi[("[c2]", "0_3")]]
+        spots = [m.named.pi[("[c2]", "0_1")], m.named.pi[("[c2]", "0_3")]]
         bad = ConsistentTuple(m.index.domains,
                               dict(tuples[24].coords,
                                    **{"[c2]": frozenset().union(*spots)}))
-        bad.spots = {"[c2]": m.metrics["[c2]"].lookup(spots)}
+        bad.spots = {"[c2]": m.coords["[c2]"].lookup(spots)}
         tuples[24] = bad
         want = (1, (24, "[c1]", "[c2]"))
         self.assertEqual(tuples_consistency(m, tuples), want)
@@ -457,7 +457,7 @@ def oracle_tuple_distances(m, tuples):
     gap = np.zeros((len(tuples), len(tuples)), dtype=np.int32)
     near = {}
     for u in m.index.domains:
-        index, dist = m.coord_dist[u]
+        index, dist = m.coords[u].index, m.coords[u].dist
         sets = {}
         ids = np.array([sets.setdefault(b.coords[u], len(sets))
                         for b in tuples], dtype=np.intp)
@@ -466,7 +466,7 @@ def oracle_tuple_distances(m, tuples):
         between = np.array([rows[:, mem].min(1) for mem in members])
         gap = np.maximum(gap, between[np.ix_(ids, ids)])
         near[u] = np.column_stack(
-            [rows[:, [index[w] for w in m.pi[(u, z)]]].min(1)
+            [rows[:, [index[w] for w in m.named.pi[(u, z)]]].min(1)
              for z in m.points])[ids]
     return gap, near
 
@@ -525,16 +525,18 @@ class UnprojectedMinimalVertex(unittest.TestCase):
 
     def test_singleton_interned_last(self):
         k = self.m.metrics["A"]
+        c = self.m.coords["A"]
         a3 = frozenset(["a3"])
-        self.assertEqual(k.ids[a3], len(k.ids) - 1)
+        (i,) = c.lookup([a3])
+        self.assertEqual(i, len(c.rows) - 1)
         # the other vertices of A are point projections already
-        self.assertEqual(len(k.ids), 4)
+        self.assertEqual(len(c.rows), 4)
         mine = [b for b in self.tuples if b.coords["A"] == a3]
         self.assertEqual(len(mine), 3)
         for b in mine:
             self.assertNotIn("A", b.spots)
             self.assertEqual(chhs._coordinate_ids(k, "A", [b])[0].tolist(),
-                             [k.ids[a3]])
+                             [i])
 
     def test_tuple_consistency(self):
         want = tuples_consistency(self.m, self.tuples)
@@ -571,7 +573,9 @@ class IdentitySuiteGuard(unittest.TestCase):
         with mock.patch.object(model._Metric, "__init__", autospec=True,
                                side_effect=model._Metric.__init__) as metric:
             chhs.identity_suite(m, x)
-        self.assertEqual(sorted(call.args[2] for call in metric.call_args_list),
+        domain = dict((id(c), u) for u, c in m.coords.items())
+        self.assertEqual(sorted(domain[id(call.args[1])]
+                                for call in metric.call_args_list),
                          sorted(m.index.domains))
         self.assertEqual(metric.call_count, 37)
 

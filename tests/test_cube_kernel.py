@@ -224,8 +224,8 @@ def oracle_extraction(g, hc):
 def model_tables(m):
     """Every table of a model in its insertion order: pi, rho_up,
     rho_down, each coordinate graph's nodes and edges, and E."""
-    return (list(m.pi.items()), list(m.rho_up.items()),
-            [(key, list(table.items())) for key, table in m.rho_down.items()],
+    return (list(m.named.pi.items()), list(m.named.rho_up.items()),
+            [(key, list(table.items())) for key, table in m.named.rho_down.items()],
             [(u, list(cg.nodes()), list(cg.edges()))
              for u, cg in m.coord_graphs.items()],
             m.E)

@@ -412,7 +412,7 @@ class TestModelExtraction(unittest.TestCase):
         hc = m.hyperclosure
         col = hc.by_key[on_ctx(cubes._crossing, g,
                                ("0_%d" % j for j in range(7)))]
-        self.assertEqual(m.pi[(col, "3_4")],
+        self.assertEqual(m.named.pi[(col, "3_4")],
                          frozenset([cubes.gate(g, "3_4",
                                                hc.classes[col].rep)]))
 

@@ -44,14 +44,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def _scan_diameters(m):
     best = 0
-    for (u, x), img in sorted(m.pi.items()):
+    for (u, x), img in sorted(m.named.pi.items()):
         best = max(best, diam(m, u, img))
-    for (u, v), img in sorted(m.rho_up.items()):
+    for (u, v), img in sorted(m.named.rho_up.items()):
         best = max(best, diam(m, v, img))
-    for (v, u), table in sorted(m.rho_down.items()):
+    for (v, u), table in sorted(m.named.rho_down.items()):
         # a vertex close to the upward spot may map to a large set;
         # only far vertices need small images
-        spot = m.rho_up[(v, u)]
+        spot = m.named.rho_up[(v, u)]
         for w in sorted(table):
             gap = m.dist(u, frozenset([w]), spot)
             best = max(best, min(gap, diam(m, v, table[w])))
@@ -62,7 +62,7 @@ def _scan_lipschitz(m):
     best = 0
     for x, y in m.space.edges():
         for u in m.index.domains:
-            d = m.dist(u, m.pi[(u, x)], m.pi[(u, y)])
+            d = m.dist(u, m.named.pi[(u, x)], m.named.pi[(u, y)])
             # (E, E)-coarse Lipschitz over an edge needs d <= 2E
             best = max(best, int(math.ceil(d / 2.0)))
     return best
@@ -71,7 +71,7 @@ def _scan_lipschitz(m):
 def _scan_consistency(m):
     best = 0
     for x in m.points:
-        coords = dict((u, m.pi[(u, x)]) for u in m.index.domains)
+        coords = dict((u, m.named.pi[(u, x)]) for u in m.index.domains)
         for u, v in itertools.combinations(m.index.domains, 2):
             if relation(m.index, u, v) in (TRANSVERSE, NESTED_IN, CONTAINS):
                 best = max(best, consistency_value(m, coords, u, v))
@@ -83,17 +83,17 @@ def _scan_rho_consistency(m):
     for u in m.index.domains:
         for v in sorted(m.index.up[u] - frozenset([u])):
             for w in m.index.domains:
-                if (u, w) in m.rho_up and (v, w) in m.rho_up:
-                    best = max(best, m.dist(w, m.rho_up[(u, w)],
-                                            m.rho_up[(v, w)]))
+                if (u, w) in m.named.rho_up and (v, w) in m.named.rho_up:
+                    best = max(best, m.dist(w, m.named.rho_up[(u, w)],
+                                            m.named.rho_up[(v, w)]))
     return best
 
 
 def _scan_bgi(m):
     """Least e with the edgewise bounded geodesic image condition."""
     worst = 0
-    for (u, v), table in sorted(m.rho_down.items()):
-        anchor = m.rho_up[(u, v)]
+    for (u, v), table in sorted(m.named.rho_down.items()):
+        anchor = m.named.rho_up[(u, v)]
         for a, b in m.coord_graphs[v].edges():
             gap = min(m.dist(v, a, anchor), m.dist(v, b, anchor))
             spread = diam(m, u, table[a] | table[b])
@@ -126,13 +126,13 @@ def _scan_large_links(m):
     worst = 0
     for u in m.index.domains:
         for v in sorted(m.index.up[u] - frozenset([u])):
-            anchor = m.rho_up[(u, v)]
+            anchor = m.named.rho_up[(u, v)]
             reach_cache = {}
             for x, y in itertools.combinations(m.points, 2):
-                gap = m.dist(u, m.pi[(u, x)], m.pi[(u, y)])
+                gap = m.dist(u, m.named.pi[(u, x)], m.named.pi[(u, y)])
                 if gap <= worst:
                     continue
-                ends = (m.pi[(v, x)], m.pi[(v, y)])
+                ends = (m.named.pi[(v, x)], m.named.pi[(v, y)])
                 if ends not in reach_cache:
                     reach_cache[ends] = m.dist(v, anchor,
                                                _interval(m, v, *ends))
@@ -168,7 +168,7 @@ def array_scan_large_links(m):
             # a pair only counts up to its gap in C(u)
             if gap.max() <= worst:
                 continue
-            reach = _reach(big, sets, big.near[big.ids[m.rho_up[(u, v)]]])
+            reach = _reach(big, sets, big.near[m.rho_up[(u, v)]])
             worst = max(worst,
                         int(np.minimum(gap, reach[np.ix_(inv, inv)]).max()))
     return worst
@@ -185,22 +185,24 @@ def _scan_partial_realisation(m):
         for w in m.index.domains:
             rel = relation(m.index, v, w)
             if rel in (NESTED_IN, TRANSVERSE):
-                spot = m.rho_up[(v, w)]
-                terms.append(tuple(m.dist(w, m.pi[(w, z)], spot)
+                spot = m.named.rho_up[(v, w)]
+                terms.append(tuple(m.dist(w, m.named.pi[(w, z)], spot)
                                    for z in points))
         if terms:
             base[v] = tuple(max(col) for col in zip(*terms))
         else:
             base[v] = (0,) * len(points)
+    images = dict((v, sorted(frozenset().union(
+        *(m.named.pi[(v, z)] for z in points)))) for v in m.index.domains)
     coord = {}
     for v in m.index.domains:
-        for p in sorted(m.images(v)):
-            coord[(v, p)] = tuple(m.dist(v, m.pi[(v, z)], p)
+        for p in images[v]:
+            coord[(v, p)] = tuple(m.dist(v, m.named.pi[(v, z)], p)
                                   for z in points)
     for family in m.index.cliques(m.index.domains):
         fam_base = tuple(max(base[v][i] for v in family)
                          for i in range(len(points)))
-        pools = [sorted(m.images(v)) for v in family]
+        pools = [images[v] for v in family]
         for choice in itertools.product(*pools):
             rows = [coord[pair] for pair in zip(family, choice)]
             best = min(max(fam_base[i], *(r[i] for r in rows))
@@ -221,7 +223,7 @@ def oracle_dpr(m):
         if not below:
             continue
         for w in sorted(m.coord_graphs[u].nodes()):
-            gap = min(m.dist(u, w, m.rho_up[(v, u)]) for v in below)
+            gap = min(m.dist(u, w, m.named.rho_up[(v, u)]) for v in below)
             if gap > worst[0]:
                 worst = (gap, (u, w))
     return worst
@@ -262,8 +264,9 @@ def glued(depth):
 
 def unmeasured(m):
     """The same tables with E given, so nothing is measured yet."""
-    return HHSModel(m.index, m.space, m.coord_graphs, m.pi, m.rho_up,
-                    m.rho_down, E=m.E)
+    named = m.named
+    return HHSModel(m.index, m.space, m.coord_graphs, named.pi, named.rho_up,
+                    named.rho_down, E=m.E)
 
 
 def tree_times_path(parents, length):
@@ -298,10 +301,11 @@ def cube_product(*sizes):
 def doctored(m, pair, vertex):
     """The same tables with rho_up of one nested pair moved to one
     vertex, and E = 1 given."""
-    rho_up = dict(m.rho_up)
+    named = m.named
+    rho_up = dict(named.rho_up)
     rho_up[pair] = frozenset([vertex])
-    return HHSModel(m.index, m.space, m.coord_graphs, m.pi, rho_up,
-                    m.rho_down, E=1)
+    return HHSModel(m.index, m.space, m.coord_graphs, named.pi, rho_up,
+                    named.rho_down, E=1)
 
 
 def doctored_grid():
@@ -443,13 +447,10 @@ class LargeLinksRowGuard(unittest.TestCase):
                 self.assertEqual(self.rows(m), rows)
 
 
-def oracle_metric_tables(m, k, u):
-    """near, gap and span of the sets interned in k, the metric of C(u),
+def oracle_metric_tables(c):
+    """near, gap and span of the sets interned in c, the numbered C(u),
     one set at a time."""
-    index, dist = m.coord_dist[u]
-    members = [None] * len(k.ids)
-    for s, i in k.ids.items():
-        members[i] = [index[w] for w in s]
+    dist, members = c.dist, [list(row) for row in c.rows]
     near = np.array([dist[mem].min(0) for mem in members])
     far = np.array([dist[mem].max(0) for mem in members])
     gap = np.array([near[:, mem].min(1) for mem in members])
@@ -463,12 +464,11 @@ class MetricTables(unittest.TestCase):
 
     def check(self, m):
         for budget in (model._cells, lambda n: 1):
-            with mock.patch.object(model, "_cells", budget):
-                ks = model._metrics(m)
-            for u, k in ks.items():
+            for u, c in m.coords.items():
+                with mock.patch.object(model, "_cells", budget):
+                    tables = model._set_tables(c.dist, c.rows)
                 with self.subTest(domain=u, one_set_blocks=budget(1) == 1):
-                    for got, want in zip((k.near, k.gap, k.span),
-                                         oracle_metric_tables(m, k, u)):
+                    for got, want in zip(tables, oracle_metric_tables(c)):
                         self.assertEqual(got.dtype, want.dtype)
                         np.testing.assert_array_equal(got, want)
 
@@ -551,16 +551,20 @@ def test_small_median_graphs_realisation():
 class BulletTableOnce(unittest.TestCase):
 
     def test_gamma4_builds_it_once(self):
-        # one build asks one to_set per ordered nested or transverse pair
+        # one build asks one to_set per domain that a nested or a
+        # transverse domain projects to, for every such pair at once
         m = fixture_model("gamma4.model")
-        pairs = sum(1 for v, w in itertools.permutations(m.index.domains, 2)
-                    if relation(m.index, v, w) in (NESTED_IN, TRANSVERSE))
+        pairs = [(v, w) for v, w in itertools.permutations(m.index.domains, 2)
+                 if relation(m.index, v, w) in (NESTED_IN, TRANSVERSE)]
+        targets = set(w for _, w in pairs)
         with mock.patch.object(model._Metric, "to_set", autospec=True,
                                side_effect=model._Metric.to_set) as to_set:
             model._scan_partial_realisation(m)
             chhs.thresholds(m)
-        self.assertGreater(pairs, 0)
-        self.assertEqual(to_set.call_count, pairs)
+        self.assertGreater(len(pairs), len(targets))
+        self.assertEqual(to_set.call_count, len(targets))
+        self.assertEqual(sum(len(call.args[1]) for call in
+                             to_set.call_args_list), len(pairs))
 
 
 class CliDistanceGuard(unittest.TestCase):

@@ -52,7 +52,7 @@ class TestChainModel(unittest.TestCase):
 
     def test_point_tuples_are_consistent(self):
         tuples = [ConsistentTuple(self.m.index.domains,
-                                  dict((u, self.m.pi[(u, p)])
+                                  dict((u, self.m.named.pi[(u, p)])
                                        for u in self.m.index.domains))
                   for p in self.m.points]
         self.assertEqual(kernel_consistency(self.m, tuples), (0, None))
@@ -110,10 +110,10 @@ class TestChainModel(unittest.TestCase):
         self.assertTrue(big.index.nested(t, "S"))
         self.assertFalse(big.index.nested(t, "V"))
         self.assertFalse(big.index.nested("V", t))
-        self.assertEqual(big.rho_up[(t, "S")], frozenset(["c03"]))
-        self.assertEqual(big.rho_up[(t, "V")], frozenset(["v0"]))
-        self.assertEqual(big.rho_up[("V", t)], frozenset(["0"]))
-        self.assertEqual(big.rho_up[("T_S_p04", t)], frozenset(["0"]))
+        self.assertEqual(big.named.rho_up[(t, "S")], frozenset(["c03"]))
+        self.assertEqual(big.named.rho_up[(t, "V")], frozenset(["v0"]))
+        self.assertEqual(big.named.rho_up[("V", t)], frozenset(["0"]))
+        self.assertEqual(big.named.rho_up[("T_S_p04", t)], frozenset(["0"]))
 
     def test_round_trip(self):
         text = dump_model(self.m)
@@ -121,9 +121,9 @@ class TestChainModel(unittest.TestCase):
         self.assertEqual(m2.index, self.m.index)
         self.assertEqual(m2.E, self.m.E)
         self.assertEqual(m2.kappa, self.m.kappa)
-        self.assertEqual(m2.pi, self.m.pi)
-        self.assertEqual(m2.rho_up, self.m.rho_up)
-        self.assertEqual(m2.rho_down, self.m.rho_down)
+        self.assertEqual(m2.named.pi, self.m.named.pi)
+        self.assertEqual(m2.named.rho_up, self.m.named.rho_up)
+        self.assertEqual(m2.named.rho_down, self.m.named.rho_down)
         self.assertEqual(sorted(m2.space.edges()), sorted(self.m.space.edges()))
         self.assertEqual(text, dump_model(m2))
 
@@ -300,6 +300,43 @@ class TestModelValidation(unittest.TestCase):
             ConsistentTuple(["S"], {"S": []})
         with self.assertRaisesRegex(ModelError, "outside scope"):
             ConsistentTuple(["S"], {"V": "v0"})
+
+
+class LoaderRepeats(unittest.TestCase):
+    """Each keyed line of a .model file, given again: with another value
+    the loader names the repeat, its value, and the first line and its
+    value, before any table is numbered; with the same set in another
+    order the model is the one loaded without it."""
+
+    def setUp(self):
+        with open(os.path.join(ROOT, "fixtures", "chain.model"),
+                  encoding="utf-8") as handle:
+            self.text = handle.read()
+        self.count = len(self.text.splitlines())
+
+    def test_each_keyed_line(self):
+        # (repeat, first line of the key, first value), in chain.model
+        for line, first, value in (
+                ("pi S p00 c01", 55, "c00"),
+                ("rho V S c10", 79, "c11"),
+                ("rho S V c03 v1", 83, "v0"),
+                ("E 2", 6, "1"),
+                ("kappa 30", 7, "20")):
+            with self.subTest(line=line):
+                parts = line.split()
+                with self.assertRaises(ModelError) as err:
+                    load_model(self.text + line + "\n")
+                self.assertEqual(
+                    str(err.exception),
+                    "line %d: %s given again with %s, first at line %d"
+                    " with %s" % (self.count + 1, " ".join(parts[:-1]),
+                                  parts[-1], first, value))
+
+    def test_same_set_in_another_order(self):
+        text = self.text.replace("pi S p00 c00", "pi S p00 c00,c01")
+        m = load_model(text + "pi S p00 c01,c00\n")
+        self.assertEqual(dump_model(m), dump_model(load_model(text)))
+        self.assertEqual(m.named.pi[("S", "p00")], frozenset(["c00", "c01"]))
 
 
 # -- the writers are fixed points of their round trips ------------------
