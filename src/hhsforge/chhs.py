@@ -43,7 +43,6 @@ from .model import (
     _consistency,
     _Coord,
     _padded,
-    least_fit,
 )
 
 APEX = "*"
@@ -302,9 +301,66 @@ def b_sigma(m, sigma):
     The tuple also keeps, per coordinate off the support, the ids in
     `m.metrics` of the projections it unites (`spots`), and the largest
     diameter of a coordinate (`spread`)."""
-    bar = {}
-    for u, c in sigma:
-        bar.setdefault(u, set()).add(c)
+    return canonical_tuples(m, [sigma])[0]
+
+
+def canonical_tuples(m, sigmas):
+    """b_sigma of each maximal simplex, raising the error b_sigma would
+    raise first, simplex by simplex.
+
+    Off its support a canonical tuple depends on the support alone, so
+    each domain measures the union diameters of every distinct support
+    in one gather."""
+    bars = {}
+    for sigma in sigmas:
+        bars.setdefault(frozenset(u for u, _ in sigma), len(bars))
+    ks = m.metrics
+    spots = dict((v, [[m.rho_up[(u, v)] for u in sorted(bar)
+                       if (u, v) in m.rho_up] if v not in bar else []
+                      for bar in bars]) for v in m.index.domains)
+    diams = dict((v, ks[v].union_diam(_padded(i or [0] for i in ids))
+                  .tolist()) for v, ids in spots.items())
+    off = [_off_support(m, bar, j, spots, diams) for bar, j in bars.items()]
+    out = []
+    for sigma in sigmas:
+        bar = {}
+        for u, c in sigma:
+            bar.setdefault(u, set()).add(c)
+        coords = _support_coords(m, bar)
+        error, rest, mine, spread = off[bars[frozenset(bar)]]
+        if error:
+            raise ChhsError(error)
+        coords.update(rest)
+        t = ConsistentTuple(m.index.domains, coords)
+        t.spots, t.spread = dict(mine), spread
+        out.append(t)
+    return out
+
+
+def _off_support(m, bar, j, spots, diams):
+    """(first error, coordinates, spots, spread) off the support bar,
+    the j-th, with its spot ids and union diameters per domain."""
+    coords, mine, spread = {}, {}, 0
+    for v in m.index.domains:
+        if v in bar:
+            continue
+        if not spots[v][j]:
+            return "no projection target, witness %s" % v, None, None, None
+        if diams[v][j] > 10 * m.E:
+            return "coordinate too spread, witness %s" % v, None, None, None
+        spread = max(spread, diams[v][j])
+        mine[v] = np.array(spots[v][j], dtype=np.intp)
+        c = m.coords[v]
+        coords[v] = frozenset(c.names[w] for i in spots[v][j]
+                              for w in c.rows[i])
+    return None, coords, mine, spread
+
+
+def _support_coords(m, bar):
+    """The coordinate of each support domain of a simplex, given as
+    domain -> its vertices, after checking that the support is a
+    maximal orthogonal family of minimal domains, each with a full cone
+    edge."""
     coords = {}
     for u in sorted(bar):
         if u not in m.index.down or m.index.down[u] != frozenset([u]):
@@ -319,26 +375,7 @@ def b_sigma(m, sigma):
     extra = m.index.bar_link(bar)
     if extra:
         raise ChhsError("simplex not maximal, witness %s" % min(extra))
-    ks = m.metrics
-    spots = {}
-    spread = 0
-    for v in m.index.domains:
-        if v in coords:
-            continue
-        ids = [m.rho_up[(u, v)] for u in sorted(bar) if (u, v) in m.rho_up]
-        if not ids:
-            raise ChhsError("no projection target, witness %s" % v)
-        ids = spots[v] = np.array(ids, dtype=np.intp)
-        diam = int(ks[v].span[np.ix_(ids, ids)].max())
-        if diam > 10 * m.E:
-            raise ChhsError("coordinate too spread, witness %s" % v)
-        spread = max(spread, diam)
-        c = m.coords[v]
-        coords[v] = frozenset(c.names[w] for i in ids.tolist()
-                              for w in c.rows[i])
-    t = ConsistentTuple(m.index.domains, coords)
-    t.spots, t.spread = spots, spread
-    return t
+    return coords
 
 
 # -- thresholds --------------------------------------------------------
@@ -451,8 +488,8 @@ class WGraph(object):
     of the common support: disjoint supports get k = 0, a shared maximal
     family counts as deep as a minimal domain.  `points` realises each
     simplex and `realisation_defect` is the largest coordinate distance
-    between a tuple and its point.  The class tables, the distances and
-    the `graph` view are built on first use.
+    between a tuple and its point.  The class tables, the class graphs,
+    the distances and the `graph` view are built on first use.
     """
 
     def __init__(self, model, blowup, lam, simplices_, tuples, adj, consts,
@@ -493,11 +530,16 @@ class WGraph(object):
     def distances(self):
         """Distance matrix of W, inf between simplices it does not
         join."""
-        return _distances(self.adj, np.ones(len(self.adj), dtype=bool))
+        keep = np.ones((1, len(self.adj)), dtype=bool)
+        return _with_inf(_distances(self.adj, keep)[0])
 
     @functools.cached_property
     def class_tables(self):
         return _ClassTables(self)
+
+    @functools.cached_property
+    def class_graphs(self):
+        return _ClassGraphs(self)
 
 
 def colevel_of_complement(m, parts):
@@ -517,7 +559,7 @@ def build_w(m, x, lam=None):
     if lam <= 0:
         raise ChhsError("lambda must be positive")
     sigmas = maximal_simplices(x)
-    tuples = tuple(b_sigma(m, s) for s in sigmas)
+    tuples = tuple(canonical_tuples(m, sigmas))
     supports = [support(x, s) for s in sigmas]
     kinds = {}
     ids = np.array([kinds.setdefault(s, len(kinds)) for s in supports],
@@ -559,26 +601,130 @@ class _ClassTables(object):
         np.fill_diagonal(self.adj, False)
 
 
+# The stacked searches keep their temporaries under about this many
+# cells.  On gamma6, where check_chhs peaks at 0.9 MiB with one class at a
+# time, blocks of 2 ** 16 cells peak at 1.6 MiB, of 2 ** 18 at 4.9 MiB and
+# one stack of all 249 classes at 7.1 MiB; the searches are no faster.
+_BLOCK_CELLS = 2 ** 16
+
+
 def _distances(adj, keep):
-    """All-pairs distances in the subgraph of adj induced on the keep
-    mask, by breadth-first search from every vertex at once; inf
-    between vertices it does not join."""
-    adj = adj & keep & keep[:, None]
-    reach = np.diag(keep)
-    dist = np.where(reach, 0.0, math.inf)
-    step = 0
-    while True:
-        step += 1
-        grown = reach | (reach @ adj)
-        fresh = grown & ~reach
-        if not fresh.any():
-            return dist
-        dist[fresh] = step
-        reach = grown
+    """All-pairs distances in the subgraph of adj induced on each mask
+    of keep, a stack of K vertex masks, by breadth-first search from
+    every vertex of every mask at once.
+
+    A level is one float32 product per mask, exact since no count
+    exceeds n < 2 ** 24.  The sources go in row blocks whose frontier
+    stays under `_BLOCK_CELLS` cells.  The K x n x n distances are in
+    the least unsigned type that holds n; its largest value stands
+    between two vertices a mask does not join, and on every vertex off
+    the mask."""
+    k, n = keep.shape
+    dtype = np.min_scalar_type(n)
+    far = np.iinfo(dtype).max
+    edges = (adj & keep[:, :, None] & keep[:, None, :]).astype(np.float32)
+    dist = np.full((k, n, n), far, dtype=dtype)
+    rows = max(1, _BLOCK_CELLS // (k * n))
+    for lo in range(0, n, rows):
+        part = dist[:, lo:lo + rows]
+        # row j starts from vertex lo + j, if the mask keeps it
+        front = np.eye(part.shape[1], n, lo, dtype=np.float32) * keep[:, None]
+        part[front > 0] = 0
+        for step in range(1, n):
+            fresh = np.matmul(front, edges) > 0
+            fresh &= part == far
+            if not fresh.any():
+                break
+            part[fresh] = step
+            front = fresh.astype(np.float32)
+    return dist
 
 
-def _finite(value):
-    return int(value) if math.isfinite(value) else math.inf
+def _with_inf(dist):
+    """Unsigned distances as floats, inf where they say "not joined"."""
+    return np.where(dist == np.iinfo(dist.dtype).max, math.inf, dist)
+
+
+class _ClassGraphs(object):
+    """Every non-maximal class's record, error, delta and (K, C) fit, by
+    class id, from stacked searches over blocks of classes.
+
+    Per block, one search gives Y (the augmented graph without each
+    class's saturation) and one gives C (its subgraph on the class's
+    link).  The distances between link vertices go end to end, class by
+    class, so the diameters and the fits reduce over every class at
+    once.  A class's error is its first swallowed or split maximal
+    simplex; `coordinate_graph` raises it when the class is read."""
+
+    def __init__(self, w):
+        t = w.class_tables
+        classes = [c for c in simplex_classes(w.blowup) if not c.maximal]
+        rows = np.array([t.row[c.id] for c in classes], dtype=np.intp)
+        s, n = t.sigma.shape
+        size = max(1, _BLOCK_CELLS // (n * max(n, s)))
+        self.errors = {}
+        in_c, in_y = [], []
+        for lo in range(0, len(rows), size):
+            keep = ~t.saturation[rows[lo:lo + size]]
+            dist = _distances(t.adj, keep)
+            meet = t.sigma & keep[:, None, :]
+            split = np.matmul(meet.astype(np.float32),
+                              (dist > 1).astype(np.float32)) > 0
+            bad = ~meet.any(2) | (split & meet).any(2)
+            for b in np.flatnonzero(bad.any(1)).tolist():
+                i, c = int(bad[b].argmax()), classes[lo + b]
+                self.errors[c.id] = "maximal simplex %s, witness %s %s" % (
+                    "split" if meet[b, i].any() else "swallowed", c.id,
+                    w.simplex_name(i))
+            link = t.link[rows[lo:lo + size]]
+            pairs = link[:, :, None] & link[:, None, :]
+            in_y.append(dist[pairs])
+            in_c.append(_distances(t.adj, link)[pairs])
+        in_c, in_y = np.concatenate(in_c), np.concatenate(in_y)
+        far = np.iinfo(in_c.dtype).max
+        sizes = t.link[rows].sum(1)
+        starts = np.cumsum(sizes ** 2) - sizes ** 2
+        diam = np.maximum.reduceat(in_c, starts).tolist()
+        diam_y = np.maximum.reduceat(in_y, starts).tolist()
+        self.qi = dict(zip([c.id for c in classes],
+                           _embedding_fits(in_c, in_y, starts)))
+        in_c = np.split(_with_inf(in_c), starts[1:])
+        in_y = np.split(_with_inf(in_y), starts[1:])
+        self.records, self.delta = {}, {}
+        for i, (c, side) in enumerate(zip(classes, sizes.tolist())):
+            rec = self.records[c.id] = {
+                "diam": math.inf if diam[i] == far else diam[i],
+                "diam_in_y": math.inf if diam_y[i] == far else diam_y[i],
+                "in_c": in_c[i].reshape(side, side),
+                "in_y": in_y[i].reshape(side, side)}
+            self.delta[c.id] = 0.0
+            if diam[i] > 1 and c.id not in self.errors:
+                self.delta[c.id] = _component_delta(rec["in_c"])
+
+
+def _embedding_fits(dc, dy, starts):
+    """The least (K, C) with dc below K * dy + C on each segment of two
+    flat unsigned distance arrays, a segment starting at each of
+    `starts`, over the pairs that dy joins; None for a segment where dc
+    leaves apart a pair that dy joins.  The fits go one slope at a time
+    over every segment, in the least signed type that holds MAX_SLOPE
+    times a distance."""
+    far = np.iinfo(dy.dtype).max
+    dtype = np.min_scalar_type(-MAX_SLOPE * int(far))
+    joined = dy != far
+    torn = np.logical_or.reduceat((dc == far) & joined, starts)
+    ys = np.where(joined, dc, 0).astype(dtype)
+    xs = np.where(joined, dy, 0).astype(dtype)
+    const = np.full(len(starts), np.iinfo(dtype).max, dtype=dtype)
+    slope = np.zeros(len(starts), dtype=np.intp)
+    for k in range(1, MAX_SLOPE + 1):
+        # every segment holds a vertex's distance 0 to itself, so the
+        # least constant is at least 0
+        c = np.maximum.reduceat(ys - k * xs, starts)
+        better = c < const
+        const[better], slope[better] = c[better], k
+    return [None if t else fit for t, fit in zip(
+        torn.tolist(), zip(slope.tolist(), const.tolist()))]
 
 
 def coordinate_graph(w, c):
@@ -588,24 +734,13 @@ def coordinate_graph(w, c):
     its subgraph on the class's link.  Every maximal simplex must keep a
     vertex in Y, all within 1 of each other.  `in_c` and `in_y` are the
     distances between the link vertices, in sorted order, in C and in
-    Y."""
+    Y.  The first read measures every class of W (`w.class_graphs`)."""
     if c.maximal:
         raise ChhsError("class is maximal, witness %s" % c.id)
-    t = w.class_tables
-    row = t.row[c.id]
-    keep = ~t.saturation[row]
-    dist = _distances(t.adj, keep)
-    meet = t.sigma & keep
-    split = (meet @ (dist > 1) & meet).any(1)
-    for i in np.flatnonzero(~meet.any(1) | split)[:1]:
-        raise ChhsError("maximal simplex %s, witness %s %s" % (
-            "split" if meet[i].any() else "swallowed", c.id,
-            w.simplex_name(i)))
-    link = np.flatnonzero(t.link[row])
-    in_c = _distances(t.adj, t.link[row])[np.ix_(link, link)]
-    in_y = dist[np.ix_(link, link)]
-    return {"diam": _finite(in_c.max()), "diam_in_y": _finite(in_y.max()),
-            "in_c": in_c, "in_y": in_y}
+    graphs = w.class_graphs
+    if c.id in graphs.errors:
+        raise ChhsError(graphs.errors[c.id])
+    return dict(graphs.records[c.id])
 
 
 def _component_delta(dist):
@@ -657,17 +792,6 @@ class ChhsReport(object):
         return out
 
 
-def _embedding_constants(in_c, in_y):
-    """Least (K, C) with the class metric below K * ambient + C, from the
-    distances between link vertices in C and in Y; None when C leaves
-    apart two vertices that Y joins."""
-    upper = np.triu_indices(len(in_c), 1)
-    dc, dy = in_c[upper], in_y[upper]
-    if (np.isinf(dc) & np.isfinite(dy)).any():
-        return None
-    return least_fit((dc[np.isfinite(dy)], dy[np.isfinite(dy)]))
-
-
 def check_chhs(m, w):
     """Measure the four structural conditions plus the simplicial wedge
     and container properties, with per-class constants."""
@@ -686,8 +810,7 @@ def check_chhs(m, w):
     bad_embed = None
     for c in nonmax:
         record = coordinate_graph(w, c)
-        d = _component_delta(record["in_c"])
-        qi = _embedding_constants(record["in_c"], record["in_y"])
+        d, qi = w.class_graphs.delta[c.id], w.class_graphs.qi[c.id]
         if qi is None and bad_embed is None:
             bad_embed = c.id
         per_class[c.id] = {

@@ -11,7 +11,9 @@ collapsed glued complex, square grids and small generated median
 graphs; condition 4's verdict and witness on the fixtures, gamma6 and a
 W cut to make it fail.  The scalar consistency loop is the reference
 for the consistency kernel on the canonical tuples and the points'
-tuples, constant and witness.
+tuples, constant and witness.  The per-class loop, two searches on
+boolean matrices for each class with its own fit and delta, is the
+reference for the class graph table and its stacked searches.
 """
 
 import itertools
@@ -28,6 +30,7 @@ import pytest
 from hhsforge import chhs, cubes, model
 from hhsforge.chhs import (
     APEX,
+    ChhsError,
     blow_up,
     build_w,
     check_chhs,
@@ -42,11 +45,12 @@ from hhsforge.model import (
     ConsistentTuple,
     HHSModel,
     distance_profile,
+    least_fit,
     load_model,
 )
 
 from helpers import augmented_graph, kernel_consistency, tuples_consistency
-from test_measure_kernel import glued, tree_times_path
+from test_measure_kernel import cube_product, glued, tree_times_path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -225,6 +229,103 @@ def oracle_record(w, aug, c):
     }
 
 
+# -- the per-class loop, the reference for the class graph table -----
+
+
+def oracle_distances(adj, keep):
+    """All-pairs distances in the subgraph of adj induced on one keep
+    mask, by a breadth-first search on boolean matrices; inf between
+    vertices it does not join."""
+    adj = adj & keep & keep[:, None]
+    reach = np.diag(keep)
+    dist = np.where(reach, 0.0, math.inf)
+    step = 0
+    while True:
+        step += 1
+        grown = reach | (reach @ adj)
+        fresh = grown & ~reach
+        if not fresh.any():
+            return dist
+        dist[fresh] = step
+        reach = grown
+
+
+def _finite(value):
+    return int(value) if math.isfinite(value) else math.inf
+
+
+def oracle_coordinate_graph(w, c):
+    """One class's record from two searches of its own, or its
+    ChhsError."""
+    t = w.class_tables
+    row = t.row[c.id]
+    keep = ~t.saturation[row]
+    dist = oracle_distances(t.adj, keep)
+    meet = t.sigma & keep
+    split = (meet @ (dist > 1) & meet).any(1)
+    for i in np.flatnonzero(~meet.any(1) | split)[:1]:
+        raise ChhsError("maximal simplex %s, witness %s %s" % (
+            "split" if meet[i].any() else "swallowed", c.id,
+            w.simplex_name(i)))
+    link = np.flatnonzero(t.link[row])
+    in_c = oracle_distances(t.adj, t.link[row])[np.ix_(link, link)]
+    in_y = dist[np.ix_(link, link)]
+    return {"diam": _finite(in_c.max()), "diam_in_y": _finite(in_y.max()),
+            "in_c": in_c, "in_y": in_y}
+
+
+def oracle_embedding_constants(in_c, in_y):
+    """Least (K, C) with the class metric below K * ambient + C; None
+    when C leaves apart two vertices that Y joins."""
+    upper = np.triu_indices(len(in_c), 1)
+    dc, dy = in_c[upper], in_y[upper]
+    if (np.isinf(dc) & np.isfinite(dy)).any():
+        return None
+    return least_fit((dc[np.isfinite(dy)], dy[np.isfinite(dy)]))
+
+
+def check_class_graphs(test, w):
+    """Every non-maximal class of w, read through coordinate_graph and
+    the class graph table, against the per-class loop: the record, or
+    the error, and the class's delta and fit.  Returns the number of
+    classes whose error agreed."""
+    errors = 0
+    for c in simplex_classes(w.blowup):
+        if c.maximal:
+            continue
+        with test.subTest(cls=c.id):
+            try:
+                want = oracle_coordinate_graph(w, c)
+            except ChhsError as err:
+                with test.assertRaises(ChhsError) as got:
+                    coordinate_graph(w, c)
+                test.assertEqual(str(got.exception), str(err))
+                errors += 1
+                continue
+            got = coordinate_graph(w, c)
+            test.assertEqual(sorted(got), sorted(want))
+            for key in ("diam", "diam_in_y"):
+                test.assertEqual(got[key], want[key], key)
+                test.assertIs(type(got[key]), type(want[key]), key)
+            for key in ("in_c", "in_y"):
+                test.assertEqual(got[key].dtype, want[key].dtype, key)
+                np.testing.assert_array_equal(got[key], want[key], key)
+            test.assertEqual(w.class_graphs.delta[c.id],
+                             chhs._component_delta(want["in_c"]))
+            test.assertEqual(w.class_graphs.qi[c.id],
+                             oracle_embedding_constants(want["in_c"],
+                                                        want["in_y"]))
+    return errors
+
+
+def check_table(test, m):
+    """The class graph table of W at lambda 1 and at the default."""
+    x = blow_up(m)
+    for lam in (1, thresholds(m)["default"]):
+        with test.subTest(lam=lam):
+            check_class_graphs(test, build_w(m, x, lam=lam))
+
+
 # -- loop condition 4, the reference ----------------------------------
 
 
@@ -297,7 +398,9 @@ def check_model(test, m, records=True):
         # their distances in C and in Y differ
         for lam in (1, want["default"]):
             with test.subTest(records=lam):
-                check_records(test, build_w(m, x, lam=lam))
+                w = build_w(m, x, lam=lam)
+                check_records(test, w)
+                check_class_graphs(test, w)
 
 
 def check_records(test, w):
@@ -318,9 +421,7 @@ def check_records(test, w):
                              want["C"])
             for key in ("diam", "diam_in_y"):
                 test.assertEqual(got[key], want[key], key)
-            test.assertEqual(
-                chhs._embedding_constants(got["in_c"], got["in_y"]),
-                want["qi"])
+            test.assertEqual(w.class_graphs.qi[c.id], want["qi"])
 
 
 # -- tests -------------------------------------------------------------
@@ -342,6 +443,96 @@ class KernelAgreement(unittest.TestCase):
         for size in (6, 7):
             with self.subTest(size=size):
                 check_model(self, grid(size))
+
+
+def stored(*path):
+    with open(os.path.join(ROOT, *path), encoding="utf-8") as f:
+        return load_model(f.read())
+
+
+def gamma6():
+    return stored("perfbench", "data", "gamma6.model")
+
+
+class ClassGraphAgreement(unittest.TestCase):
+    """The class graph table, its stacked searches in blocks of masks
+    and its fits over every class at once, against the per-class loop:
+    records, errors, deltas and fits.  check_model runs the same check
+    on the fixtures, the collapsed glued models and the generated
+    models."""
+
+    def test_gamma6(self):
+        """gamma6 takes several blocks of classes."""
+        m = gamma6()
+        with mock.patch.object(chhs, "_distances",
+                               side_effect=chhs._distances) as search:
+            check_table(self, m)
+        # two searches per block, at two scales
+        self.assertGreater(search.call_count, 2 * 2)
+
+    def test_grids(self):
+        for size in range(3, 10):
+            with self.subTest(size=size):
+                check_table(self, grid(size))
+
+    def test_cube_product(self):
+        check_table(self, cubes.index_set_from_hyperclosure(
+            cube_product(3, 3, 3)))
+
+    def test_one_mask_per_block(self):
+        """A budget of one class per block, with each search's sources
+        in one block; then of one cell, which also puts each source in a
+        block of its own."""
+        m = gamma6()
+        w = build_w(m, blow_up(m))
+        n, s = len(w.class_tables.names), len(w.simplices)
+        with mock.patch.object(chhs, "_BLOCK_CELLS", n * max(n, s)), \
+             mock.patch.object(chhs, "_distances",
+                               side_effect=chhs._distances) as search:
+            check_class_graphs(self, w)
+        self.assertEqual(search.call_count, 2 * len(w.class_graphs.qi))
+        with mock.patch.object(chhs, "_BLOCK_CELLS", 1):
+            check_table(self, fixture_model("product.model"))
+
+    def test_swallowed_and_split(self):
+        """The doctored class tables of TestMaximalSimplexChecks: each
+        class's own error and witness, and every other class's record."""
+        m = fixture_model("gamma4.model")
+        x = blow_up(m)
+        c = next(c for c in simplex_classes(x) if not c.maximal)
+        w = build_w(m, x)
+        t = w.class_tables
+        # two simplices swallowed: the witness is the first
+        t.saturation[t.row[c.id]] |= t.sigma[0] | t.sigma[1]
+        self.assertGreater(check_class_graphs(self, w), 0)
+        w = build_w(m, x)
+        t = w.class_tables
+        kept = t.sigma & ~t.saturation[t.row[c.id]]
+        i = int(np.flatnonzero(kept.sum(1) >= 2)[0])
+        a, b = np.flatnonzero(kept[i])[:2]
+        t.adj[a, b] = t.adj[b, a] = False
+        self.assertGreater(check_class_graphs(self, w), 0)
+
+    def test_disconnected_class_graph(self):
+        """No input has one, so the link of a class of the grid at
+        lambda 1 is cut down to two vertices 2 apart: C has no edge, Y
+        joins them, so the diameter is inf and there is no fit."""
+        m = fixture_model("grid.cplx")
+        w = build_w(m, blow_up(m), lam=1)
+        c = next(c for c in simplex_classes(w.blowup)
+                 if not c.maximal and coordinate_graph(w, c)["diam"] > 1)
+        w = build_w(m, blow_up(m), lam=1)
+        t = w.class_tables
+        rec = oracle_coordinate_graph(w, c)
+        a, b = np.argwhere(rec["in_y"] == 2)[0]
+        link = np.flatnonzero(t.link[t.row[c.id]])
+        t.link[t.row[c.id]] = False
+        t.link[t.row[c.id], link[[a, b]]] = True
+        check_class_graphs(self, w)
+        self.assertEqual(coordinate_graph(w, c)["diam"], math.inf)
+        self.assertEqual(coordinate_graph(w, c)["diam_in_y"], 2)
+        self.assertIsNone(w.class_graphs.qi[c.id])
+        self.assertEqual(w.class_graphs.delta[c.id], 0.0)
 
 
 class FillInAgreement(unittest.TestCase):
@@ -383,6 +574,97 @@ class FillInAgreement(unittest.TestCase):
 
 def canonical_tuples(m):
     return [chhs.b_sigma(m, s) for s in chhs.maximal_simplices(blow_up(m))]
+
+
+def oracle_b_sigma(m, sigma):
+    """One canonical tuple with a span gather per domain off the
+    support: the builder that canonical_tuples replaced."""
+    bar = {}
+    for u, c in sigma:
+        bar.setdefault(u, set()).add(c)
+    coords = chhs._support_coords(m, bar)
+    ks = m.metrics
+    spots = {}
+    spread = 0
+    for v in m.index.domains:
+        if v in coords:
+            continue
+        ids = [m.rho_up[(u, v)] for u in sorted(bar) if (u, v) in m.rho_up]
+        if not ids:
+            raise ChhsError("no projection target, witness %s" % v)
+        ids = spots[v] = np.array(ids, dtype=np.intp)
+        diam = int(ks[v].span[np.ix_(ids, ids)].max())
+        if diam > 10 * m.E:
+            raise ChhsError("coordinate too spread, witness %s" % v)
+        spread = max(spread, diam)
+        c = m.coords[v]
+        coords[v] = frozenset(c.names[w] for i in ids.tolist()
+                              for w in c.rows[i])
+    t = ConsistentTuple(m.index.domains, coords)
+    t.spots, t.spread = spots, spread
+    return t
+
+
+def first_error(build):
+    try:
+        build()
+    except ChhsError as err:
+        return str(err)
+    return None
+
+
+class CanonicalTupleAgreement(unittest.TestCase):
+    """canonical_tuples, one diameter gather per domain over the
+    distinct supports, against the tuple-by-tuple builder: coordinates,
+    spots and spread of every tuple, and the first error of a list."""
+
+    def check(self, m):
+        sigmas = chhs.maximal_simplices(blow_up(m))
+        got = chhs.canonical_tuples(m, sigmas)
+        self.assertEqual(len(got), len(sigmas))
+        for t, sigma in zip(got, sigmas):
+            want = oracle_b_sigma(m, sigma)
+            self.assertEqual(t, want)
+            self.assertEqual(list(t.coords), list(want.coords))
+            self.assertEqual(list(t.spots), list(want.spots))
+            for v in want.spots:
+                self.assertEqual(t.spots[v].tolist(), want.spots[v].tolist())
+            self.assertEqual(t.spread, want.spread)
+            self.assertIs(type(t.spread), int)
+        return sigmas
+
+    def test_models(self):
+        models = [(name, fixture_model(name)) for name in FIXTURES]
+        models.append(("gamma6", gamma6()))
+        models += [("grid %d" % size, grid(size)) for size in (3, 5, 7)]
+        models += [("glued %d" % depth, glued(depth)[1])
+                   for depth in (2, 3, 5)]
+        models.append(("unprojected vertex", unprojected_vertex_model()))
+        for name, m in models:
+            with self.subTest(model=name):
+                self.check(m)
+
+    def test_first_error(self):
+        """With E at 0 every spread coordinate is too spread; a simplex
+        that is no cone edge fails before any domain.  Either way round,
+        the list's first error is the one tuple-by-tuple building meets
+        first."""
+        m = fixture_model("gamma4.model")
+        sigmas = list(self.check(m))
+        u = sorted(m.index.minimal_domains())[0]
+        broken = frozenset([(u, APEX)])
+        with mock.patch.object(m, "E", 0):
+            for order in (sigmas + [broken], [broken] + sigmas,
+                          sigmas[:3], [broken]):
+                want = first_error(lambda: [oracle_b_sigma(m, s)
+                                            for s in order])
+                self.assertIsNotNone(want)
+                self.assertEqual(
+                    first_error(lambda: chhs.canonical_tuples(m, order)),
+                    want)
+            self.assertIn("too spread",
+                          first_error(lambda: chhs.canonical_tuples(
+                              m, sigmas + [broken])))
 
 
 def point_tuples(m):
@@ -629,6 +911,69 @@ class MemoryGuard(unittest.TestCase):
         finally:
             tracemalloc.stop()
         self.assertLess(kept, 2 ** 19)
+
+
+def test_embedding_fits():
+    """The fits of every segment at once against the fit of each: on
+    random graphs Y on 1 to 9 vertices, disconnected ones included,
+    with C a subgraph of Y with some edges dropped (pairs that neither
+    joins, pairs that only Y joins, segments of one vertex), and on
+    cycles Y with C the path left by dropping one edge (past 11
+    vertices the fit needs C above 0)."""
+    rng = np.random.default_rng(7)
+    pairs = []
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        y = np.triu(rng.random((n, n)) < rng.random(), 1)
+        c = y & (rng.random((n, n)) < 0.8)
+        pairs.append((c | c.T, y | y.T))
+    for n in range(3, 15):
+        y = nx.to_numpy_array(nx.cycle_graph(n), dtype=bool)
+        c = y.copy()
+        c[0, n - 1] = c[n - 1, 0] = False
+        pairs.append((c, y))
+    dc, dy, want = [], [], []
+    for c, y in pairs:
+        keep = np.ones(len(y), dtype=bool)
+        in_c, in_y = oracle_distances(c, keep), oracle_distances(y, keep)
+        want.append(oracle_embedding_constants(in_c, in_y))
+        for flat, d in ((dc, in_c), (dy, in_y)):
+            flat.append(np.where(np.isinf(d), 255, d).astype(np.uint8).ravel())
+    starts = np.cumsum([0] + [len(d) for d in dc[:-1]])
+    got = chhs._embedding_fits(np.concatenate(dc), np.concatenate(dy), starts)
+    assert got == want
+    assert None in want and (1, 0) in want
+    assert any(f and f[1] > 0 for f in want)
+
+
+class ClassGraphGuard(unittest.TestCase):
+    """The class graphs of gamma6 come from stacked searches, blocks of
+    classes whose temporaries stay under 2 ** 16 cells: the per-class
+    loop made two searches for each of the 249 classes, and W's
+    distances one more (499), and one stack of every class at once
+    peaked at about 4 MiB over the rest of check_chhs."""
+
+    def setUp(self):
+        m = self.m = gamma6()
+        self.w = build_w(m, blow_up(m))
+
+    def test_searches(self):
+        with mock.patch.object(chhs, "_distances",
+                               side_effect=chhs._distances) as search:
+            check_chhs(self.m, self.w)
+        n, s = len(self.w.class_tables.names), len(self.w.simplices)
+        self.assertEqual((n, s, len(self.w.class_graphs.qi)), (38, 41, 249))
+        block = 2 ** 16 // (38 * 41)
+        self.assertEqual(search.call_count, 2 * math.ceil(249 / block) + 1)
+
+    def test_memory(self):
+        tracemalloc.start()
+        try:
+            check_chhs(self.m, self.w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        self.assertLess(peak, 2 * 2 ** 20)
 
 
 class CheckSimplexGuard(unittest.TestCase):

@@ -646,16 +646,35 @@ class ClassDeltas(unittest.TestCase):
         self.check(GAMMA6)
 
     def test_no_pair_scan_on_gamma4(self):
-        """Every class graph of gamma4 has diameter at most 1, so each
-        delta returns before the pair scan."""
+        """Every class graph of gamma4 has diameter at most 1, so no
+        class delta is measured: each is 0 without a search for
+        thin quadruples."""
         m, w = stored_model(GAMMA4)
-        with mock.patch.object(chhs, "_four_point",
-                               side_effect=cubes._four_point) as kernel, \
+        with mock.patch.object(chhs, "_component_delta",
+                               side_effect=chhs._component_delta) as delta, \
              mock.patch.object(cubes, "_pair_scan",
                                side_effect=cubes._pair_scan) as scan:
-            chhs.check_chhs(m, w)
-        self.assertGreater(kernel.call_count, 0)
+            report = chhs.check_chhs(m, w)
+        self.assertEqual(delta.call_count, 0)
         self.assertEqual(scan.call_count, 0)
+        self.assertEqual(report.delta, 0)
+
+    def test_deltas_only_above_diameter_one(self):
+        """The grid's class graphs at lambda 1: the twelve of diameter
+        2 are measured, once each, and the rest are not."""
+        with open(os.path.join(ROOT, "fixtures", "grid.cplx"),
+                  encoding="utf-8") as f:
+            m = cubes.index_set_from_hyperclosure(cubes.load_complex(f.read()))
+        w = chhs.build_w(m, chhs.blow_up(m), lam=1)
+        with mock.patch.object(chhs, "_component_delta",
+                               side_effect=chhs._component_delta) as delta, \
+             mock.patch.object(cubes, "_pair_scan",
+                               side_effect=cubes._pair_scan) as scan:
+            report = chhs.check_chhs(m, w)
+        diams = [row["diam"] for row in report.per_class.values()]
+        self.assertEqual(delta.call_count, 12)
+        self.assertEqual(delta.call_count, sum(d > 1 for d in diams))
+        self.assertGreater(scan.call_count, 0)
 
     def test_disconnected_class_graph(self):
         # two components: a path, then a 4-cycle (delta 1)

@@ -124,6 +124,37 @@ class Distances(unittest.TestCase):
                     separated += int(np.isinf(got).any())
         self.assertGreater(separated, 0)
 
+    def test_stacked_masks(self):
+        """chhs._distances on one stack of masks over a 300-vertex path:
+        the whole path (diameter 299, past what uint8 holds), no
+        vertex, the path cut in two, and every third vertex.  Each mask
+        gives the distances of its induced subgraph, in sorted order,
+        with the sentinel between parts and on every vertex off the
+        mask; the sources go in several row blocks."""
+        n = 300
+        path = nx.path_graph(n)
+        adj = nx.to_numpy_array(path, dtype=bool)
+        keep = np.ones((4, n), dtype=bool)
+        keep[1] = False
+        keep[2, 150] = False
+        keep[3] = np.arange(n) % 3 == 0
+        self.assertGreater(len(keep) * n * n, chhs._BLOCK_CELLS)
+        got = chhs._distances(adj, keep)
+        self.assertEqual(got.dtype, np.uint16)
+        self.assertEqual(got.shape, (4, n, n))
+        far = np.iinfo(np.uint16).max
+        self.assertEqual(int(got[0].max()), n - 1)
+        for mask, dist in zip(keep, got):
+            on = np.flatnonzero(mask)
+            want = oracle_apsp(path.subgraph(on.tolist()), on.tolist())
+            part = dist[np.ix_(on, on)].astype(np.int32)
+            np.testing.assert_array_equal(np.where(part == far, -1, part),
+                                          want)
+            self.assertTrue((dist[~mask] == far).all())
+            self.assertTrue((dist[:, ~mask] == far).all())
+        self.assertTrue((got[1] == far).all())
+        self.assertEqual(int(got[2, 0, n - 1]), far)
+
     def test_unreachable_pairs_get_the_sentinel(self):
         g, _ = both([(0, 1), (1, 2)], nodes=[3])
         np.testing.assert_array_equal(apsp(g, [3, 2, 1, 0]),
