@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .cubes import _four_point, graph_dot, sorted_dot
-from .graph import Graph, chain_lengths, enumerate_all_cliques, is_connected
+from .graph import Graph, apsp, chain_lengths, enumerate_all_cliques
 from .indexset import (
     CONTAINS,
     EQUAL,
@@ -43,6 +43,7 @@ from .model import (
     _consistency,
     _Coord,
     _padded,
+    fit_table,
 )
 
 APEX = "*"
@@ -320,7 +321,9 @@ def canonical_tuples(m, sigmas):
                       for bar in bars]) for v in m.index.domains)
     diams = dict((v, ks[v].union_diam(_padded(i or [0] for i in ids))
                   .tolist()) for v, ids in spots.items())
-    off = [_off_support(m, bar, j, spots, diams) for bar, j in bars.items()]
+    shared = {}
+    off = [_off_support(m, bar, j, spots, diams, shared)
+           for bar, j in bars.items()]
     out = []
     for sigma in sigmas:
         bar = {}
@@ -337,9 +340,11 @@ def canonical_tuples(m, sigmas):
     return out
 
 
-def _off_support(m, bar, j, spots, diams):
+def _off_support(m, bar, j, spots, diams, shared):
     """(first error, coordinates, spots, spread) off the support bar,
-    the j-th, with its spot ids and union diameters per domain."""
+    the j-th, with its spot ids and union diameters per domain.  Tuples
+    share the id array and the coordinate of each (domain, spot ids),
+    kept in `shared`."""
     coords, mine, spread = {}, {}, 0
     for v in m.index.domains:
         if v in bar:
@@ -349,10 +354,12 @@ def _off_support(m, bar, j, spots, diams):
         if diams[v][j] > 10 * m.E:
             return "coordinate too spread, witness %s" % v, None, None, None
         spread = max(spread, diams[v][j])
-        mine[v] = np.array(spots[v][j], dtype=np.intp)
-        c = m.coords[v]
-        coords[v] = frozenset(c.names[w] for i in spots[v][j]
-                              for w in c.rows[i])
+        ids = tuple(spots[v][j])
+        if (v, ids) not in shared:
+            c = m.coords[v]
+            shared[(v, ids)] = (np.array(ids, dtype=np.intp), frozenset(
+                c.names[w] for i in ids for w in c.rows[i]))
+        mine[v], coords[v] = shared[(v, ids)]
     return None, coords, mine, spread
 
 
@@ -686,8 +693,16 @@ class _ClassGraphs(object):
         starts = np.cumsum(sizes ** 2) - sizes ** 2
         diam = np.maximum.reduceat(in_c, starts).tolist()
         diam_y = np.maximum.reduceat(in_y, starts).tolist()
-        self.qi = dict(zip([c.id for c in classes],
-                           _embedding_fits(in_c, in_y, starts)))
+        # the least (C, K) with C's metric below K * Y's + C over the
+        # pairs Y joins; no fit where C leaves apart a pair Y joins
+        joined = in_y != far
+        torn = np.logical_or.reduceat((in_c == far) & joined, starts)
+        consts = fit_table(np.where(joined, in_c, 0),
+                           np.where(joined, in_y, 0), starts)
+        k = consts.argmin(0)
+        fits = zip((k + 1).tolist(), consts[k, range(len(k))].tolist())
+        self.qi = dict((c.id, None if cut else fit)
+                       for c, cut, fit in zip(classes, torn.tolist(), fits))
         in_c = np.split(_with_inf(in_c), starts[1:])
         in_y = np.split(_with_inf(in_y), starts[1:])
         self.records, self.delta = {}, {}
@@ -700,31 +715,6 @@ class _ClassGraphs(object):
             self.delta[c.id] = 0.0
             if diam[i] > 1 and c.id not in self.errors:
                 self.delta[c.id] = _component_delta(rec["in_c"])
-
-
-def _embedding_fits(dc, dy, starts):
-    """The least (K, C) with dc below K * dy + C on each segment of two
-    flat unsigned distance arrays, a segment starting at each of
-    `starts`, over the pairs that dy joins; None for a segment where dc
-    leaves apart a pair that dy joins.  The fits go one slope at a time
-    over every segment, in the least signed type that holds MAX_SLOPE
-    times a distance."""
-    far = np.iinfo(dy.dtype).max
-    dtype = np.min_scalar_type(-MAX_SLOPE * int(far))
-    joined = dy != far
-    torn = np.logical_or.reduceat((dc == far) & joined, starts)
-    ys = np.where(joined, dc, 0).astype(dtype)
-    xs = np.where(joined, dy, 0).astype(dtype)
-    const = np.full(len(starts), np.iinfo(dtype).max, dtype=dtype)
-    slope = np.zeros(len(starts), dtype=np.intp)
-    for k in range(1, MAX_SLOPE + 1):
-        # every segment holds a vertex's distance 0 to itself, so the
-        # least constant is at least 0
-        c = np.maximum.reduceat(ys - k * xs, starts)
-        better = c < const
-        const[better], slope[better] = c[better], k
-    return [None if t else fit for t, fit in zip(
-        torn.tolist(), zip(slope.tolist(), const.tolist()))]
 
 
 def coordinate_graph(w, c):
@@ -928,24 +918,13 @@ def realisation_qi(m, w):
     surj = int(space[:, pos].min(1).max())
     upper = np.triu_indices(len(pos), 1)
     dw, dz = w.distances[upper], dz[upper]
-    broken = bool(np.isinf(dw).any())
-
-    def fit(ys, xs):
-        # cheapest slope-plus-constant budget, ties to the flatter slope
-        best = None
-        for k in range(1, MAX_SLOPE + 1):
-            c = int((ys - k * xs).max(initial=0))
-            if best is None or (c + k, k) < (best[1] + best[0], best[0]):
-                best = (k, c)
-        return best
-
-    lower = None
-    upper = None
-    if not broken and len(dw):
-        lower = fit(dw, dz)
-        upper = fit(dz, dw)
-    elif not broken:
-        lower = upper = (1, 0)
+    lower = upper = None
+    if not np.isinf(dw).any():
+        # one column per direction; once joined, W's distances are whole
+        dw = dw.astype(dz.dtype)
+        consts = np.hstack([fit_table(dw, dz, [0]), fit_table(dz, dw, [0])])
+        k = (consts + np.arange(1, MAX_SLOPE + 1)[:, None]).argmin(0)
+        lower, upper = zip((k + 1).tolist(), consts[k, [0, 1]].tolist())
     return {
         "lipschitz": lip,
         "surjectivity_defect": surj,
@@ -1123,11 +1102,9 @@ def _is_join(x, vs):
     if len(vs) < 2:
         return False
     vs = sorted(vs)
-    comp = Graph()
-    comp.add_nodes_from(vs)
-    comp.add_edges_from((a, b) for a, b in itertools.combinations(vs, 2)
-                        if b not in x.adj[a])
-    return not is_connected(comp)
+    comp = dict((a, [b for b in vs if b != a and b not in x.adj[a]])
+                for a in vs)
+    return bool((apsp(comp, vs) < 0).any())
 
 
 def check_containment_reversal(x):

@@ -1,4 +1,4 @@
-"""The one graph type and the graph searches every pipeline runs on it.
+"""The one graph type and the searches the pipelines run on it.
 
 `Graph` is an undirected graph whose adjacency is a dict of dicts in
 insertion order, with one data dict per edge shared by both ends.  It
@@ -9,8 +9,11 @@ order stays as it was when that library built the graphs.  Public
 functions take any graph with `nodes()` and `edges()` and convert it
 once with `as_graph`.
 
-`apsp` is the one distance kernel: a breadth-first search from every
-vertex at once over a padded neighbour table.
+`apsp` is the breadth-first search of complexes, coordinate graphs,
+point graphs and join tests: from every vertex at once, gathering over
+a padded neighbour table.  The package's other search, `chhs._distances`,
+serves W and the class graphs with stacked float32 products.  Every
+connectivity test reads the distances of one of the two.
 """
 
 import collections
@@ -108,7 +111,7 @@ def as_graph(g):
     return out
 
 
-# -- distances and connectivity ----------------------------------------
+# -- distances and reachability ----------------------------------------
 
 
 def apsp(g, order):
@@ -150,29 +153,6 @@ def _cells(n):
     """Cell budget of one kernel temporary on n vertices: O(n^2), with a
     floor that lets small inputs go in one block."""
     return max(n * n, 1 << 20)
-
-
-def components(g):
-    """Vertex sets of the connected components, in order of their first
-    vertex."""
-    seen = set()
-    for v in g:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            for w in g[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        yield comp
-
-
-def is_connected(g):
-    """True when g has exactly one component."""
-    return len(list(itertools.islice(components(g), 2))) == 1
 
 
 def reachability(nodes, edges):

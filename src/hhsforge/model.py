@@ -701,15 +701,23 @@ def measure_model(m):
 # -- distance formula -------------------------------------------------
 
 
-def least_fit(*pairs):
-    """The least (C, K), over K in 1 .. MAX_SLOPE, with ys <= K * xs + C
-    for every pair (ys, xs) of arrays; returned as (K, C)."""
-    best = None
-    for k in range(1, MAX_SLOPE + 1):
-        c = max(int((ys - k * xs).max(initial=0)) for ys, xs in pairs)
-        if best is None or (c, k) < best:
-            best = (c, k)
-    return best[1], best[0]
+def fit_table(ys, xs, starts):
+    """The least C >= 0 with ys <= K * xs + C on each segment of two
+    flat arrays of non-negative ints, a segment starting at each of
+    `starts`, in row K - 1 for K = 1 .. MAX_SLOPE; 0 for empty arrays.
+    The slopes go one at a time over every segment, in the least signed
+    type that holds max(ys) + MAX_SLOPE * max(xs).
+
+    Each caller picks a slope by one argmin over the table, ties going
+    to the flatter slope: the distance formula and the class graphs
+    take the least (C, K), the realisation map the least (C + K, K)."""
+    if not len(ys):
+        return np.zeros((MAX_SLOPE, len(starts)), dtype=np.intp)
+    far = int(ys.max()) + MAX_SLOPE * int(xs.max())
+    dtype = np.min_scalar_type(-far - 1)
+    ys, xs = ys.astype(dtype, copy=False), xs.astype(dtype, copy=False)
+    return np.maximum([np.maximum.reduceat(ys - k * xs, starts)
+                       for k in range(1, MAX_SLOPE + 1)], 0)
 
 
 def distance_profile(m, threshold):
@@ -718,8 +726,9 @@ def distance_profile(m, threshold):
     upper = np.triu_indices(len(m.points), 1)
     est = sum(np.where(g > threshold, g, 0) for g in gaps)[upper]
     dz = m.point_dist[upper]
-    k, c = least_fit((est, dz), (dz, est))
-    return {"threshold": threshold, "K": k, "C": c}
+    consts = np.maximum(fit_table(est, dz, [0]), fit_table(dz, est, [0]))[:, 0]
+    k = int(consts.argmin())
+    return {"threshold": threshold, "K": k + 1, "C": int(consts[k])}
 
 
 # -- metric properties ------------------------------------------------

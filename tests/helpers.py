@@ -83,6 +83,33 @@ def distance_estimate(m, x, y, threshold):
     return total
 
 
+# -- the scalar slope loops, the references for model.fit_table ---------
+
+
+def least_fit(*pairs):
+    """The least (C, K), over K in 1 .. MAX_SLOPE, with ys <= K * xs + C
+    for every pair (ys, xs) of arrays; returned as (K, C).  The rule of
+    the distance profile and of the class graphs."""
+    best = None
+    for k in range(1, model.MAX_SLOPE + 1):
+        c = max(int((ys - k * xs).max(initial=0)) for ys, xs in pairs)
+        if best is None or (c, k) < best:
+            best = (c, k)
+    return best[1], best[0]
+
+
+def cheapest_fit(ys, xs):
+    """The least (C + K, K), over K in 1 .. MAX_SLOPE, with
+    ys <= K * xs + C; returned as (K, C).  The rule of the realisation
+    map."""
+    best = None
+    for k in range(1, model.MAX_SLOPE + 1):
+        c = int((ys - k * xs).max(initial=0))
+        if best is None or (c + k, k) < (best[1] + best[0], best[0]):
+            best = (k, c)
+    return best
+
+
 # -- the scalar consistency loop, the reference for model._consistency --
 
 

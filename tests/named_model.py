@@ -13,11 +13,14 @@ import functools
 import itertools
 import types
 
+import networkx as nx
 import numpy as np
 
-from hhsforge.graph import Graph, apsp, as_graph, is_connected
+from hhsforge.graph import Graph, apsp, as_graph
 from hhsforge.indexset import NESTED_IN, TRANSVERSE, relation
 from hhsforge.model import ModelError, _as_set
+
+from helpers import as_nx
 
 
 class NamedModel:
@@ -52,7 +55,7 @@ class NamedModel:
                    named.rho_down, m.E)
 
     def _validate(self):
-        if not is_connected(self.space):
+        if not nx.is_connected(as_nx(self.space)):
             raise ModelError("point graph is disconnected")
         for u in self.index.domains:
             if u not in self.coord_graphs:
@@ -60,7 +63,7 @@ class NamedModel:
             g = self.coord_graphs[u]
             if g.number_of_nodes() == 0:
                 raise ModelError("empty coordinate graph for %s" % u)
-            if not is_connected(g):
+            if not nx.is_connected(as_nx(g)):
                 raise ModelError("coordinate graph for %s is disconnected" % u)
         for u in self.index.domains:
             nodes = set(self.coord_graphs[u].nodes())

@@ -20,6 +20,7 @@ import itertools
 import math
 import os
 import tracemalloc
+import types
 import unittest
 from unittest import mock
 
@@ -45,11 +46,15 @@ from hhsforge.model import (
     ConsistentTuple,
     HHSModel,
     distance_profile,
-    least_fit,
     load_model,
 )
 
-from helpers import augmented_graph, kernel_consistency, tuples_consistency
+from helpers import (
+    augmented_graph,
+    kernel_consistency,
+    least_fit,
+    tuples_consistency,
+)
 from test_measure_kernel import cube_product, glued, tree_times_path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -913,34 +918,53 @@ class MemoryGuard(unittest.TestCase):
         self.assertLess(kept, 2 ** 19)
 
 
+def stub_class_graphs(adj, keep, link):
+    """The class graph table of a stand-in for W: class i keeps the
+    vertices of keep[i] in Y and has the link link[i], over one boolean
+    adjacency; one empty maximal simplex swallows every class, so no
+    class measures a delta."""
+    classes = [types.SimpleNamespace(id="q%d" % i, maximal=False)
+               for i in range(len(keep))]
+    tables = types.SimpleNamespace(
+        row=dict((c.id, i) for i, c in enumerate(classes)), adj=adj,
+        saturation=~keep, link=link,
+        sigma=np.zeros((1, len(adj)), dtype=bool))
+    w = types.SimpleNamespace(blowup=types.SimpleNamespace(classes=classes),
+                              class_tables=tables, simplex_name=str)
+    return chhs._ClassGraphs(w)
+
+
 def test_embedding_fits():
-    """The fits of every segment at once against the fit of each: on
-    random graphs Y on 1 to 9 vertices, disconnected ones included,
-    with C a subgraph of Y with some edges dropped (pairs that neither
-    joins, pairs that only Y joins, segments of one vertex), and on
-    cycles Y with C the path left by dropping one edge (past 11
-    vertices the fit needs C above 0)."""
+    """The fits of every class at once against the fit of each: on
+    random graphs on 1 to 9 vertices, disconnected ones included, with
+    eight random classes each (pairs that neither Y nor C joins, pairs
+    that only Y joins, links of one vertex), and on cycles whose link
+    leaves out one vertex, so that C is a path (past 21 vertices the
+    fit needs C above 0)."""
     rng = np.random.default_rng(7)
-    pairs = []
-    for _ in range(300):
+    cases = []
+    for _ in range(60):
         n = int(rng.integers(1, 10))
         y = np.triu(rng.random((n, n)) < rng.random(), 1)
-        c = y & (rng.random((n, n)) < 0.8)
-        pairs.append((c | c.T, y | y.T))
-    for n in range(3, 15):
-        y = nx.to_numpy_array(nx.cycle_graph(n), dtype=bool)
-        c = y.copy()
-        c[0, n - 1] = c[n - 1, 0] = False
-        pairs.append((c, y))
-    dc, dy, want = [], [], []
-    for c, y in pairs:
-        keep = np.ones(len(y), dtype=bool)
-        in_c, in_y = oracle_distances(c, keep), oracle_distances(y, keep)
-        want.append(oracle_embedding_constants(in_c, in_y))
-        for flat, d in ((dc, in_c), (dy, in_y)):
-            flat.append(np.where(np.isinf(d), 255, d).astype(np.uint8).ravel())
-    starts = np.cumsum([0] + [len(d) for d in dc[:-1]])
-    got = chhs._embedding_fits(np.concatenate(dc), np.concatenate(dy), starts)
+        keep = rng.random((8, n)) < 0.8
+        link = keep & (rng.random((8, n)) < 0.7)
+        # every link keeps a vertex
+        spot = rng.integers(0, n, 8)
+        keep[range(8), spot] = link[range(8), spot] = True
+        cases.append((y | y.T, keep, link))
+    for n in range(3, 31):
+        y = nx.to_numpy_array(nx.cycle_graph(n + 1), dtype=bool)
+        link = np.ones((1, n + 1), dtype=bool)
+        link[0, 0] = False
+        cases.append((y, np.ones((1, n + 1), dtype=bool), link))
+    want, got = [], []
+    for adj, keep, link in cases:
+        qi = stub_class_graphs(adj, keep, link).qi
+        for i, (k, lk) in enumerate(zip(keep, link)):
+            on = np.ix_(np.flatnonzero(lk), np.flatnonzero(lk))
+            want.append(oracle_embedding_constants(
+                oracle_distances(adj, lk)[on], oracle_distances(adj, k)[on]))
+            got.append(qi["q%d" % i])
     assert got == want
     assert None in want and (1, 0) in want
     assert any(f and f[1] > 0 for f in want)

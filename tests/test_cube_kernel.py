@@ -29,7 +29,7 @@ import pytest
 
 from hhsforge import chhs, cubes
 from hhsforge.cubes import CubeError, _ctx
-from hhsforge.graph import Graph, as_graph, components
+from hhsforge.graph import as_graph
 from hhsforge.indexset import NESTED_IN, TRANSVERSE, IndexSet, relation
 from hhsforge.model import HHSModel, load_model
 
@@ -135,10 +135,10 @@ def oracle_component_delta(g):
 def oracle_halfspaces(g, edges):
     """The components of g once a class's edges are cut, sorted: the
     halfspace builder that the distance columns replaced."""
-    cut = Graph()
-    cut.add_nodes_from(g.nodes())
-    cut.add_edges_from(e for e in g.edges() if frozenset(e) not in edges)
-    return tuple(frozenset(c) for c in sorted(components(cut), key=sorted))
+    cut = as_nx(g)
+    cut.remove_edges_from([e for e in g.edges() if frozenset(e) in edges])
+    return tuple(frozenset(c) for c in
+                 sorted(nx.connected_components(cut), key=sorted))
 
 
 def oracle_extraction(g, hc):

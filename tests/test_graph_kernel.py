@@ -1,14 +1,16 @@
 """The graph kernel against networkx, which stays the oracle.
 
-`apsp`, the clique enumeration, the reachability closure and the
-components must give what networkx gives, in the same order where the
-order reaches the output.  A subprocess pins that the pipelines run
-without importing networkx at all.
+`apsp`, the clique enumeration and the reachability closure must give
+what networkx gives, in the same order where the order reaches the
+output, and the join test that reads `apsp` must find the graphs whose
+complement networkx finds disconnected.  A subprocess pins that the
+pipelines run without importing networkx at all.
 """
 
 import os
 import subprocess
 import sys
+import types
 import unittest
 
 import networkx as nx
@@ -21,7 +23,6 @@ from hhsforge.graph import (
     apsp,
     as_graph,
     chain_lengths,
-    components,
     enumerate_all_cliques,
     reachability,
 )
@@ -197,14 +198,19 @@ def test_reachability_matches_transitive_closure():
     check()
 
 
-def test_components_match():
-    @given(graphs())
-    def check(spec):
-        g, h = both(*spec)
-        assert sorted(sorted(c) for c in components(g)) == \
-            sorted(sorted(c) for c in nx.connected_components(h))
-
-    check()
+def test_is_join_on_the_atlas():
+    """On every graph of at most 6 vertices in the atlas, a vertex set
+    of 2 or more spans a join exactly when its complement is
+    disconnected."""
+    joins = 0
+    for h in nx.graph_atlas_g():
+        if len(h) > 6:
+            break
+        x = types.SimpleNamespace(adj=dict((v, set(h[v])) for v in h))
+        want = len(h) >= 2 and not nx.is_connected(nx.complement(h))
+        assert chhs._is_join(x, set(h)) == want, sorted(h.edges())
+        joins += want
+    assert joins > 0
 
 
 def test_chain_lengths_match_longest_paths():

@@ -18,7 +18,6 @@ from hhsforge.model import (
     check_metric_property,
     distance_profile,
     dump_model,
-    least_fit,
     load_model,
     measure_model,
 )
@@ -26,6 +25,7 @@ from hhsforge.model import (
 from helpers import (
     distance_estimate,
     kernel_consistency,
+    least_fit,
     make_behrstock_model,
     make_chain_model,
     make_product_model,

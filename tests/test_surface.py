@@ -14,6 +14,9 @@ writers count as reached.
 A public top-level function or constant that no reached code reads is
 surface no subcommand reaches: delete it, or move it into the tests as
 the reference for the code that replaced it.
+
+A private top-level function or class that no other package code reads
+is a leftover of the code that used it, and gets the same treatment.
 """
 
 import ast
@@ -74,6 +77,14 @@ def public_names(node):
     return [name for name in names if not name.startswith("_")]
 
 
+def private_name(node):
+    """The name of a private top-level function or class, or None."""
+    if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")):
+        return node.name
+    return None
+
+
 class SurfaceGuard(unittest.TestCase):
 
     @classmethod
@@ -125,6 +136,26 @@ class SurfaceGuard(unittest.TestCase):
         self.assertEqual(unread, [])
         for name in ROUND_TRIP_WRITERS:
             self.assertIn(name, public)
+
+    def test_every_private_definition_is_read(self):
+        # (file, statement, names it reads) of every top-level statement
+        nodes = []
+        for path, tree in self.package.items():
+            modules = package_modules(tree)
+            nodes.extend((path, node, reads([node], modules))
+                         for node in tree.body)
+        private, unread = [], []
+        for path, node, _ in nodes:
+            name = private_name(node)
+            if name is None:
+                continue
+            private.append(name)
+            if not any(name in names for _, other, names in nodes
+                       if other is not node):
+                unread.append("%s:%d %s" % (os.path.basename(path),
+                                            node.lineno, name))
+        self.assertIn("_distances", private)
+        self.assertEqual(unread, [])
 
     def test_every_public_constant_is_read(self):
         public, unread = self.unread((ast.Assign, ast.AnnAssign))
