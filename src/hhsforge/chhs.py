@@ -916,7 +916,7 @@ def realisation_qi(m, w):
     dz = space[np.ix_(pos, pos)]
     lip = int(dz[w.adj].max(initial=0))
     surj = int(space[:, pos].min(1).max())
-    upper = np.triu_indices(len(pos), 1)
+    upper = np.triu(np.ones((len(pos),) * 2, dtype=bool), 1)
     dw, dz = w.distances[upper], dz[upper]
     lower = upper = None
     if not np.isinf(dw).any():

@@ -1,10 +1,11 @@
 """Finite cube complexes through their median 1-skeleta.
 
-Everything here works on a plain graph: squares are recovered from
-4-cycles, hyperplanes from the square-opposite relation on edges, and
-convexity, gates, parallelism and complements from shortest paths.
-The main export turns a complex into a finite hierarchical model whose
-domains are parallelism classes of the hyperclosure.
+Everything here works on a plain graph and its distance matrix:
+hyperplanes are the cuts {v : d(v,a) < d(v,b)} of edges ab, parallelism
+classes are read off the table of halfspaces, and convexity, gates and
+complements come from shortest paths.  The main export turns a complex
+into a finite hierarchical model whose domains are parallelism classes
+of the hyperclosure.
 """
 
 import itertools
@@ -21,26 +22,13 @@ class CubeError(ValueError):
     pass
 
 
-class ParallelClass(object):
-
-    def __init__(self, crossing, representative, members):
-        self.crossing = frozenset(crossing)
-        self.representative = frozenset(representative)
-        self.members = tuple(members)
-
-    def __repr__(self):
-        return "ParallelClass(%d hyperplanes, %d members)" % (
-            len(self.crossing), len(self.members))
-
-
 class Hyperplane(object):
 
-    def __init__(self, hid, edges, halfspaces, sides, partner):
+    def __init__(self, hid, edges, halfspaces, sides):
         self.hid = hid
         self.edges = edges
         self.halfspaces = halfspaces
         self.sides = sides
-        self.partner = partner
 
     def __repr__(self):
         return "Hyperplane(%s, %d edges)" % (self.hid, len(self.edges))
@@ -320,13 +308,16 @@ def hyperplanes(g):
     g must be a median graph (see validate_median_graph), and nothing
     here checks that again.  There every Theta-class cuts g into two
     convex halfspaces with isomorphic sides (Mulder, "The interval
-    function of a graph", 1980), and the halfspace of an edge ab is
-    {v : d(v,a) < d(v,b)} (Djokovic, JCTB 14, 1973), read here off two
-    columns of the distance matrix at the class's least edge.
+    function of a graph", 1980), and the class of an edge ab is the set
+    of edges with one end on each side of the cut {v : d(v,a) < d(v,b)}
+    (Djokovic, JCTB 14, 1973).  So the class of the least edge not yet
+    assigned is one comparison of two columns of the distance matrix,
+    and its halfspaces are the two sides of that cut.  Loops are
+    ignored, as distances ignore them.
 
     When every edge carries a label, hyperplanes take the common label
-    of their class as id, and two classes may not share one; otherwise ids are h0, h1, ... in order of the
-    least edge.
+    of their class as id, and two classes may not share one; otherwise
+    ids are h0, h1, ... in order of the least edge.
     """
     return _hyperplanes(_ctx(g))
 
@@ -334,43 +325,28 @@ def hyperplanes(g):
 def _hyperplanes(ctx):
     if "hyperplanes" in ctx:
         return ctx["hyperplanes"]
-    g = ctx["graph"]
-    all_edges = g.edges()
-    parent = {}
-
-    def find(e):
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for e in all_edges:
-        parent[frozenset(e)] = frozenset(e)
-    for a, b in all_edges:
-        for c in g.neighbors(a):
-            if c == b:
-                continue
-            for d in g.neighbors(b):
-                if d == a or d == c:
-                    continue
-                if g.has_edge(c, d):
-                    union(frozenset((a, b)), frozenset((c, d)))
-    groups = {}
-    for e in parent:
-        groups.setdefault(find(e), set()).add(e)
-    labelled = all("label" in g[a][b] for a, b in all_edges)
+    g, dist, vertices = ctx["graph"], ctx["D"], ctx["vertices"]
+    # each edge as its two vertex numbers, the lesser first, least first;
+    # vertex numbers follow the sorted order of the names
+    pairs = sorted(tuple(sorted((ctx["index"][a], ctx["index"][b])))
+                   for a, b in g.edges() if a != b)
+    lo, hi = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    labelled = all("label" in g[a][b] for a, b in g.edges())
+    free = np.ones(len(pairs), dtype=bool)
     out, rows = [], []
     ids = set()
-    dist, index = ctx["D"], ctx["index"]
-    # each class by its least edge; least edges of two classes differ
-    for (a, b), edges in sorted((min(tuple(sorted(e)) for e in group),
-                                 frozenset(group))
-                                for group in groups.values()):
+    while free.any():
+        e = free.argmax()
+        row = dist[:, lo[e]] < dist[:, hi[e]]
+        if not row[0]:
+            # the half that holds the least vertex comes first
+            row = ~row
+        cut = np.flatnonzero(row[lo] != row[hi])
+        free[cut] = False
+        edges = [(vertices[i], vertices[j])
+                 for i, j in zip(lo[cut].tolist(), hi[cut].tolist())]
         if labelled:
-            labels = set(g[a][b]["label"] for a, b in map(tuple, edges))
+            labels = set(g[a][b]["label"] for a, b in edges)
             if len(labels) != 1:
                 raise CubeError("mixed labels in one hyperplane, witness %s"
                                 % " ".join(sorted(labels)))
@@ -381,25 +357,20 @@ def _hyperplanes(ctx):
             ids.add(hid)
         else:
             hid = "h%d" % len(out)
-        near_a = dist[:, index[a]] < dist[:, index[b]]
-        # the vertices are in sorted order, and so is each side's list
-        sides = sorted((near_a, ~near_a), key=lambda side: list(
-            itertools.compress(ctx["vertices"], side)))
-        rows.append(sides[0])
-        halves = tuple(frozenset(itertools.compress(ctx["vertices"], side))
-                       for side in sides)
-        ends = [frozenset(v for e in edges for v in e if v in half)
-                for half in halves]
-        partner = {}
-        for e in edges:
-            u, v = tuple(e)
-            partner[u], partner[v] = v, u
-        out.append(Hyperplane(hid, edges, halves,
-                              tuple(frozenset(e) for e in ends), partner))
+        rows.append(row)
+        halves = (row, ~row)
+        ends = np.zeros(len(vertices), dtype=bool)
+        ends[lo[cut]] = ends[hi[cut]] = True
+        out.append(Hyperplane(
+            hid, frozenset(map(frozenset, edges)),
+            tuple(frozenset(itertools.compress(vertices, half))
+                  for half in halves),
+            tuple(frozenset(itertools.compress(vertices, half & ends))
+                  for half in halves)))
     ctx["hyperplanes"] = out
     # row h: the vertices of halfspaces[0] of hyperplane h
     ctx["halfspace"] = np.array(rows, dtype=bool).reshape(
-        len(out), len(ctx["vertices"]))
+        len(out), len(vertices))
     ctx["edge_hyperplane"] = dict((e, h) for h in out for e in h.edges)
     return out
 
@@ -425,30 +396,31 @@ def gate(g, x, y):
     return _gate_vertex(ctx, y, x)
 
 
-def _parallel_class(ctx, f):
-    """All convex sets crossed by exactly the same hyperplanes as f.
+def _members(ctx, key):
+    """Every convex set crossed by exactly the hyperplanes of key, by
+    least vertex.
 
-    Copies are found by translating across hyperplanes that run along
-    the whole of f; the enumeration is complete because the copies of a
-    convex set form a connected product region.  f is convex: a
-    hyperplane side or a gate image of one.
+    A convex set of a median graph is the intersection of the
+    halfspaces that hold it, so these sets are the groups of vertices
+    that agree on every hyperplane outside key, kept when every
+    hyperplane in key crosses the group.
     """
-    hs = _hyperplanes(ctx)
-    key = _crossing(ctx, f)
-    seen = {f}
-    queue = [f]
-    while queue:
-        cur = queue.pop()
-        for h in hs:
-            if h.hid in key:
-                continue
-            if all(v in h.partner for v in cur):
-                moved = frozenset(h.partner[v] for v in cur)
-                if moved not in seen:
-                    seen.add(moved)
-                    queue.append(moved)
-    members = sorted(seen, key=sorted)
-    return ParallelClass(key, members[0], members)
+    table = ctx["halfspace"]
+    inside = np.array([h.hid in key for h in _hyperplanes(ctx)])
+    # a row of zeros keeps all vertices one group when key is every
+    # hyperplane
+    _, first, group = _distinct_rows(np.vstack(
+        [table[~inside], np.zeros(table.shape[1], dtype=bool)]).T)
+    order = np.argsort(group, kind="stable")
+    size = np.bincount(group)
+    starts = np.cumsum(size) - size
+    cut = table[inside][:, order]
+    crossed = (np.logical_or.reduceat(cut, starts, axis=1)
+               & ~np.logical_and.reduceat(cut, starts, axis=1)).all(0)
+    return tuple(frozenset(ctx["vertices"][v] for v in
+                           order[starts[i]:starts[i] + size[i]].tolist())
+                 for i in sorted(np.flatnonzero(crossed).tolist(),
+                                 key=first.__getitem__))
 
 
 def _orthogonal_complement_at(ctx, f, base):
@@ -490,16 +462,13 @@ def hyperclosure(g):
     the hyperplanes crossing both, and a parallel copy of a convex set
     is crossed by the same hyperplanes as the set (Bandelt and Chepoi,
     "Metric graph theory and geometry: a survey", Contemp. Math. 453,
-    2008).  So each round intersects the keys found so far and keeps a
-    genuine gate image as representative, and a class's members share
-    its key.  Singletons (empty keys) are dropped throughout.
-
-    The loop ends without a cap.  Every key is an intersection of
-    starting keys, and with H hyperplanes any such intersection is one
-    of at most H starting keys, one missing each hyperplane it lacks.
-    After round r every nonempty intersection of up to 2^r starting keys
-    is present, so a round adds nothing within ceil(log2(H + 1)) + 1
-    rounds.
+    2008).  So a class is its key, the set of hyperplanes crossing it:
+    the keys are those of Z and of every side of more than one vertex,
+    closed under nonempty intersection, and the members of a key are
+    read off the halfspace table (`_members`).  Every such key has a
+    member, a gate image; off median graphs one may have none, which is
+    an error.  A class's representative is its least member.
+    Singletons (empty keys) are dropped throughout.
     """
     rim = frozenset(g.graph.get("rim", ()))
     ctx = _ctx(g)
@@ -507,32 +476,17 @@ def hyperclosure(g):
     if g.number_of_edges() == 0:
         raise CubeError("complex needs at least one edge")
     hs = _hyperplanes(ctx)
-    reps = {}
-
-    def offer(key, rep):
-        if key and key not in reps:
-            reps[key] = rep
-            return True
-        return False
-
-    offer(frozenset(h.hid for h in hs), frozenset(g.nodes()))
-    for h in hs:
-        for side in h.sides:
-            if len(side) > 1:
-                offer(_crossing(ctx, side), side)
-    while True:
-        added = []
-        keys = sorted(reps, key=sorted)
-        for k1, k2 in itertools.combinations(keys, 2):
-            key = k1 & k2
-            if key and key not in reps:
-                added.append((key, _gate_image(ctx, reps[k1], reps[k2])))
-        if not added:
-            break
-        for key, rep in added:
-            offer(key, rep)
+    keys = set(_crossing(ctx, side) for h in hs for side in h.sides
+               if len(side) > 1)
+    keys.add(frozenset(h.hid for h in hs))
+    keys.discard(frozenset())
+    new = keys
+    while new:
+        # an intersection of two older keys was found a round before
+        new = set(a & b for a in new for b in keys) - keys - {frozenset()}
+        keys |= new
     records = []
-    ordered = sorted(reps, key=lambda k: (len(k), sorted(k)))
+    ordered = sorted(keys, key=lambda k: (len(k), sorted(k)))
     counter = 0
     for key in ordered:
         if len(key) == 1:
@@ -540,11 +494,14 @@ def hyperclosure(g):
         else:
             cid = "[c%d]" % counter
             counter += 1
-        pc = _parallel_class(ctx, reps[key])
-        minimal = not any(other < key for other in reps)
-        boundary = bool(rim) and all(mem & rim for mem in pc.members)
-        records.append(ClassRecord(cid, key, pc.representative, pc.members,
-                                   minimal, boundary))
+        members = _members(ctx, key)
+        if not members:
+            raise CubeError("no convex set crosses exactly %s"
+                            % " ".join(sorted(key)))
+        minimal = not any(other < key for other in keys)
+        boundary = bool(rim) and all(mem & rim for mem in members)
+        records.append(ClassRecord(cid, key, members[0], members, minimal,
+                                   boundary))
     steps = chain_lengths(ordered, lambda k: (o for o in ordered if o < k))
     return Hyperclosure(g, hs, records, 1 + max(steps.values()))
 
@@ -588,7 +545,7 @@ def _distinct_rows(mask):
     """The distinct rows of a boolean mask: each one's bytes, packed,
     in byte order, the first row that has it, and the row's place among
     them for every row."""
-    packed = np.packbits(mask, axis=1)
+    packed = np.ascontiguousarray(np.packbits(mask, axis=1))
     keys, first, inv = np.unique(
         packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
         return_index=True, return_inverse=True)

@@ -96,10 +96,10 @@ class HHSModel:
 
     @classmethod
     def numbered(cls, index, space, coords, pi, rho_up, rho_down,
-                 point_dist=None):
+                 point_dist):
         """A model on tables that are numbered already, in the form the
-        model keeps them; point_dist, when given, is the distance matrix
-        of the space on its sorted vertices.  E is measured."""
+        model keeps them; point_dist is the distance matrix of the space
+        on its sorted vertices.  E is measured."""
         m = cls.__new__(cls)
         m._setup(index, space, coords, pi, rho_up, rho_down, None,
                  point_dist=point_dist)
@@ -723,7 +723,7 @@ def fit_table(ys, xs, starts):
 def distance_profile(m, threshold):
     """Best (K, C) comparing the estimate with the point-graph metric."""
     gaps = (k.point_gap() for k in m.metrics.values())
-    upper = np.triu_indices(len(m.points), 1)
+    upper = np.triu(np.ones((len(m.points),) * 2, dtype=bool), 1)
     est = sum(np.where(g > threshold, g, 0) for g in gaps)[upper]
     dz = m.point_dist[upper]
     consts = np.maximum(fit_table(est, dz, [0]), fit_table(dz, est, [0]))[:, 0]

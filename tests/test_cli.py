@@ -466,7 +466,9 @@ def test_conflicting_repeat_exits_2(fixture, argv, word, count, value):
 
 # (name, edges, the witness line of cubes) of small graphs that are not
 # median: two vertices with three common neighbours, a hexagon, a square
-# with a diagonal and the 3-cube less one vertex
+# with a diagonal, the 3-cube less one vertex, and two triangles on one
+# edge with a pendant edge, where no convex set crosses exactly one of
+# the edge cuts
 NON_MEDIAN = (
     ("K2,3", [(a, b) for a in ("a1", "a2") for b in ("b1", "b2", "b3")],
      "b1 b2 b3"),
@@ -477,6 +479,9 @@ NON_MEDIAN = (
     ("Q3-v", [("000", "001"), ("000", "010"), ("000", "100"), ("001", "011"),
               ("001", "101"), ("010", "011"), ("010", "110"), ("100", "101"),
               ("100", "110")], "011 101 110"),
+    ("two-triangles", [("v0", "v1"), ("v1", "v2"), ("v1", "v3"),
+                       ("v1", "v4"), ("v2", "v3"), ("v2", "v4")],
+     "v0 v2 v3"),
 )
 
 # every subcommand that reads a .cplx file, COMPLEX standing for it

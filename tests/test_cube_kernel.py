@@ -11,6 +11,10 @@ O(n^2).
 The cube pipeline checks the median property once and then relies on
 the theorems about median graphs; the cut-graph halfspace builder and
 the checks it no longer runs are kept here as oracles of those theorems.
+So are the searches that the halfspace table replaced: the union-find
+over square-opposite edges for the hyperplanes, and the closure that
+kept a gate image of every key and found its parallel copies by
+translation across hyperplanes.
 
 Model extraction reads gates as arrays on vertex numbers; the loop it
 replaced, one frozenset gate image per representative and member, is
@@ -141,6 +145,134 @@ def oracle_halfspaces(g, edges):
                  sorted(nx.connected_components(cut), key=sorted))
 
 
+def oracle_hyperplanes(g):
+    """(id, edges, halfspaces, sides) of every Theta-class: the classes
+    of the union-find over square-opposite edges, by least edge, each
+    halfspace read off the distance matrix at that edge."""
+    ctx = _ctx(g)
+    g = ctx["graph"]
+    all_edges = g.edges()
+    parent = {}
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    for e in all_edges:
+        parent[frozenset(e)] = frozenset(e)
+    for a, b in all_edges:
+        for c in g.neighbors(a):
+            if c == b:
+                continue
+            for d in g.neighbors(b):
+                if d == a or d == c:
+                    continue
+                if g.has_edge(c, d):
+                    union(frozenset((a, b)), frozenset((c, d)))
+    groups = {}
+    for e in parent:
+        groups.setdefault(find(e), set()).add(e)
+    labelled = all("label" in g[a][b] for a, b in all_edges)
+    out = []
+    dist, index = ctx["D"], ctx["index"]
+    for (a, b), edges in sorted((min(tuple(sorted(e)) for e in group),
+                                 frozenset(group))
+                                for group in groups.values()):
+        if labelled:
+            hid = g[a][b]["label"]
+        else:
+            hid = "h%d" % len(out)
+        near_a = dist[:, index[a]] < dist[:, index[b]]
+        halves = tuple(sorted(
+            (frozenset(itertools.compress(ctx["vertices"], side))
+             for side in (near_a, ~near_a)), key=sorted))
+        sides = tuple(frozenset(v for e in edges for v in e if v in half)
+                      for half in halves)
+        out.append((hid, edges, halves, sides))
+    return out
+
+
+def oracle_hyperclosure(g):
+    """(records, chain length, top) of the hyperclosure, a record being
+    (id, key, rep, members, minimal, boundary): keys closed in rounds of
+    pairwise intersection, each new key with the gate image of one
+    representative into another as its own, and members found from the
+    representative by translation across the hyperplanes that do not
+    cross it."""
+    rim = frozenset(g.graph.get("rim", ()))
+    ctx = _ctx(g)
+    planes = oracle_hyperplanes(g)
+    # partner[v]: the other end of v's edge in the hyperplane
+    partners = [(hid, dict(p for e in edges for p in (tuple(e),
+                                                      tuple(e)[::-1])))
+                for hid, edges, _, _ in planes]
+
+    def crossing(s):
+        return frozenset(hid for hid, _, halves, _ in planes
+                         if s & halves[0] and s - halves[0])
+
+    def translates(f):
+        key = crossing(f)
+        seen = {f}
+        queue = [f]
+        while queue:
+            cur = queue.pop()
+            for hid, partner in partners:
+                if hid not in key and all(v in partner for v in cur):
+                    moved = frozenset(partner[v] for v in cur)
+                    if moved not in seen:
+                        seen.add(moved)
+                        queue.append(moved)
+        return tuple(sorted(seen, key=sorted))
+
+    reps = {frozenset(hid for hid, _, _, _ in planes):
+            frozenset(ctx["vertices"])}
+    for _, _, _, sides in planes:
+        for side in sides:
+            if len(side) > 1:
+                reps.setdefault(crossing(side), side)
+    reps.pop(frozenset(), None)
+    while True:
+        added = []
+        for k1, k2 in itertools.combinations(sorted(reps, key=sorted), 2):
+            if k1 & k2 and k1 & k2 not in reps:
+                added.append((k1 & k2,
+                              cubes._gate_image(ctx, reps[k1], reps[k2])))
+        if not added:
+            break
+        for key, rep in added:
+            reps.setdefault(key, rep)
+    records = []
+    depth = {}
+    for key in sorted(reps, key=lambda k: (len(k), sorted(k))):
+        if len(key) == 1:
+            cid = "[%s]" % min(key)
+        else:
+            cid = "[c%d]" % sum(len(k) > 1 for k in depth)
+        depth[key] = 1 + max((depth[k] for k in depth if k < key), default=0)
+        members = translates(reps[key])
+        records.append((cid, key, members[0], members,
+                        not any(k < key for k in reps),
+                        bool(rim) and all(m & rim for m in members)))
+    top = max(records, key=lambda r: len(r[1]))[0]
+    return records, max(depth.values()), top
+
+
+def check_closure(g):
+    """hyperplanes and every hyperclosure record against the oracles."""
+    assert [(h.hid, h.edges, h.halfspaces, h.sides)
+            for h in cubes.hyperplanes(g)] == oracle_hyperplanes(g)
+    hc = cubes.hyperclosure(g)
+    records = [(r.id, r.key, r.rep, r.members, r.minimal, r.boundary)
+               for r in map(hc.classes.__getitem__, hc.order)]
+    assert (records, hc.chain_length, hc.top) == oracle_hyperclosure(g)
+
+
 def oracle_extraction(g, hc):
     """The tables of index_set_from_hyperclosure by the loop it
     replaced: a frozenset gate image of every class member into every
@@ -245,21 +377,21 @@ def check_extraction(g):
 def check_theorems(g):
     """What the pipeline no longer checks on a median graph g: every
     Theta-class cuts g into the two halfspaces read off the distance
-    matrix, both convex, with sides that the partner map makes
-    isomorphic (Mulder 1980, Djokovic 1973); every member of a class,
-    its representative and the gate image it grew from among them, is
-    convex and crossed by exactly the class's key (Bandelt and Chepoi
-    2008)."""
+    matrix, both convex, with sides that the partner map of its edges
+    makes isomorphic (Mulder 1980, Djokovic 1973); every member of a
+    class, its representative among them, is convex and crossed by
+    exactly the class's key (Bandelt and Chepoi 2008)."""
     ctx = _ctx(g)
     graph = ctx["graph"]
     for h in cubes.hyperplanes(g):
         assert h.halfspaces == oracle_halfspaces(graph, h.edges), h.hid
         for half in h.halfspaces:
             assert cubes._is_convex(ctx, half) is None, h.hid
-        assert frozenset(h.partner[v] for v in h.sides[0]) == h.sides[1]
+        partner = dict(p for e in h.edges for p in (tuple(e), tuple(e)[::-1]))
+        assert frozenset(partner[v] for v in h.sides[0]) == h.sides[1]
         for x, y in itertools.combinations(sorted(h.sides[0]), 2):
             assert graph.has_edge(x, y) == \
-                graph.has_edge(h.partner[x], h.partner[y]), h.hid
+                graph.has_edge(partner[x], partner[y]), h.hid
     hc = cubes.hyperclosure(g)
     for cid in hc.order:
         rec = hc.classes[cid]
@@ -466,6 +598,47 @@ class TheoremOracles(unittest.TestCase):
             if outcome(cubes.validate_median_graph, g) == "graph":
                 with self.subTest(graph=name):
                     check_theorems(g)
+
+
+class ClosureOracles(unittest.TestCase):
+    """hyperplanes and hyperclosure against the union-find and the
+    translation search, record by record."""
+
+    def test_fixtures(self):
+        for name, g in (("square.cplx", fixture_complex("square.cplx")),
+                        ("grid.cplx", fixture_complex("grid.cplx")),
+                        ("3-cube", cubes.b3_cube())):
+            with self.subTest(graph=name):
+                check_closure(g)
+
+    def test_glued(self):
+        for depth in range(1, 9):
+            with self.subTest(depth=depth):
+                check_closure(cubes.build_counterexample(depth))
+
+    def test_grids(self):
+        for rows, cols in ((2, 2), (2, 9), (3, 3), (5, 8), (9, 9),
+                           (10, 12)):
+            with self.subTest(rows=rows, cols=cols):
+                check_closure(cubes.grid_complex(rows, cols))
+
+    def test_products(self):
+        for sizes in ((3, 3, 3), (2, 2, 2, 2), (3, 3, 3, 3),
+                      (2, 2, 2, 2, 2)):
+            with self.subTest(sizes=sizes):
+                check_closure(cube_product(*sizes))
+
+    def test_median_atlas_graphs(self):
+        """Every connected median graph with 2 to 7 vertices."""
+        seen = 0
+        for g in map(named, nx.graph_atlas_g()):
+            if len(g) < 2 or not nx.is_connected(g) or \
+                    outcome(cubes.validate_median_graph, g) != "graph":
+                continue
+            seen += 1
+            with self.subTest(edges=sorted(g.edges())):
+                check_closure(g)
+        self.assertEqual(seen, 43)
 
 
 class ExtractionAgreement(unittest.TestCase):
@@ -831,6 +1004,7 @@ def test_tree_times_path_products():
         assert cubes.validate_median_graph(g) is g
         assert len(cubes.hyperplanes(g)) == len(parents) + length
         check_theorems(g)
+        check_closure(g)
         ctx = _ctx(g)
         d, verts = ctx["D"], ctx["vertices"]
         x, y = pick % len(verts), (pick // len(verts)) % len(verts)

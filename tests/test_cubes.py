@@ -138,26 +138,32 @@ class TestGates(unittest.TestCase):
                              on_ctx(cubes._crossing, g, fb))
 
 
+def parallel_class(g, f):
+    """The key of the convex set f and the sets crossed by exactly it."""
+    key = on_ctx(cubes._crossing, g, f)
+    return key, cubes._members(cubes._ctx(g), key)
+
+
 class TestParallelism(unittest.TestCase):
 
     def test_grid_columns_form_one_class(self):
         g = cubes.grid_complex(7, 7)
         column = frozenset("0_%d" % j for j in range(7))
-        pc = on_ctx(cubes._parallel_class, g, column)
-        self.assertEqual(len(pc.members), 7)
-        self.assertEqual(pc.representative, column)
+        _, members = parallel_class(g, column)
+        self.assertEqual(len(members), 7)
+        self.assertEqual(members[0], column)
 
     def test_members_are_isometric(self):
         g = cubes.build_counterexample(2)
         line = frozenset(["o", "r1", "r2", "r3", "b1", "b2"])
-        pc = on_ctx(cubes._parallel_class, g, line)
-        self.assertEqual(len(pc.members), 3)
+        key, members = parallel_class(g, line)
+        self.assertEqual(len(members), 3)
         shape = sorted(d for _, d in as_nx(g).subgraph(line).degree())
-        for member in pc.members:
+        for member in members:
             self.assertEqual(sorted(d for _, d in
                                     as_nx(g).subgraph(member).degree()),
                              shape)
-            self.assertEqual(on_ctx(cubes._crossing, g, member), pc.crossing)
+            self.assertEqual(on_ctx(cubes._crossing, g, member), key)
 
 
 class TestComplement(unittest.TestCase):
@@ -193,6 +199,21 @@ class TestComplement(unittest.TestCase):
 
 
 class TestHyperclosure(unittest.TestCase):
+
+    def test_key_without_member_is_an_error(self):
+        """Off median graphs the closure may reach a key that no convex
+        set crosses exactly: two triangles on the edge v1 v2, with a
+        pendant edge at v1, where the cut of v1 v2 runs through both
+        triangles."""
+        g = nx.Graph([("v0", "v1"), ("v1", "v2"), ("v1", "v3"),
+                      ("v1", "v4"), ("v2", "v3"), ("v2", "v4")])
+        with self.assertRaises(CubeError) as err:
+            cubes.validate_median_graph(g)
+        self.assertEqual(str(err.exception), "not median, witness v0 v2 v3")
+        with self.assertRaises(CubeError) as err:
+            cubes.hyperclosure(g)
+        self.assertEqual(str(err.exception),
+                         "no convex set crosses exactly h1")
 
     def test_single_edge_only_top(self):
         hc = cubes.hyperclosure(single_edge())

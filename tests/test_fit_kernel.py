@@ -8,16 +8,19 @@ Random arrays go through the kernel, and through `distance_profile` and
 class graphs' rule is checked in tests/test_chhs_kernel.py.  Fixed
 cases pin the empty input, all zeros, ties between slopes under each
 rule, segments of one entry and the values at which the kernel's
-integer type must grow past 8 and 16 bits.
+integer type must grow past 8 and 16 bits.  A memory guard keeps both
+callers from holding index arrays of the pairs they fit.
 """
 
 import math
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
-from hhsforge.chhs import realisation_qi
+from hhsforge import cubes
+from hhsforge.chhs import blow_up, build_w, realisation_qi
 from hhsforge.model import MAX_SLOPE, distance_profile, fit_table
 
 from helpers import cheapest_fit, least_fit
@@ -191,3 +194,26 @@ def test_ties_go_to_the_flatter_slope():
         {"threshold": 0, "K": 1, "C": 0}
     qi = realisation(zero, zero.astype(float))
     assert (qi["lower"], qi["upper"]) == ((1, 0), (1, 0))
+
+
+def test_pair_selection_memory():
+    """On the 20 x 20 grid, with W built, realisation_qi peaked at 2.75
+    MiB and distance_profile at 3.20 MiB while each picked the pairs by
+    two index arrays of the upper triangle; a boolean mask of it holds
+    the peaks near 1.7 and 2.1 MiB, with the same constants."""
+    m = cubes.index_set_from_hyperclosure(cubes.grid_complex(20, 20))
+    w = build_w(m, blow_up(m))
+    w.distances
+    values, peaks = [], []
+    for measure in (lambda: realisation_qi(m, w),
+                    lambda: distance_profile(m, m.kappa)):
+        tracemalloc.start()
+        try:
+            values.append(measure())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (values[0]["lower"], values[0]["upper"]) == ((1, 0), (1, 37))
+    assert (values[1]["K"], values[1]["C"]) == (1, 38)
+    assert peaks[0] < 2.2 * 2 ** 20
+    assert peaks[1] < 2.6 * 2 ** 20

@@ -11,9 +11,9 @@ anything else (`c.saturation`), a name in an import list and a name read
 only inside unreached code do not count.  The bodies of the round-trip
 writers count as reached.
 
-A public top-level function or constant that no reached code reads is
-surface no subcommand reaches: delete it, or move it into the tests as
-the reference for the code that replaced it.
+A public top-level function, class or constant that no reached code
+reads is surface no subcommand reaches: delete it, or move it into the
+tests as the reference for the code that replaced it.
 
 A private top-level function or class that no other package code reads
 is a leftover of the code that used it, and gets the same treatment.
@@ -64,9 +64,9 @@ def reads(nodes, modules):
 
 
 def public_names(node):
-    """The public names a top-level statement defines: a function's
-    name, or the plain names an assignment binds."""
-    if isinstance(node, ast.FunctionDef):
+    """The public names a top-level statement defines: a function's or
+    a class's name, or the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         names = [node.name]
     elif isinstance(node, ast.Assign):
         names = [t.id for t in node.targets if isinstance(t, ast.Name)]
@@ -136,6 +136,11 @@ class SurfaceGuard(unittest.TestCase):
         self.assertEqual(unread, [])
         for name in ROUND_TRIP_WRITERS:
             self.assertIn(name, public)
+
+    def test_every_public_class_is_reached(self):
+        public, unread = self.unread(ast.ClassDef)
+        self.assertIn("Hyperclosure", public)
+        self.assertEqual(unread, [])
 
     def test_every_private_definition_is_read(self):
         # (file, statement, names it reads) of every top-level statement
