@@ -3,7 +3,8 @@
 A model couples an index set with a finite graph of points and one
 coordinate graph per domain.  Projections land points in coordinate
 graphs, relative projections tie the coordinate graphs to each other,
-and every axiom constant is measured from the data instead of assumed.
+and E, the one constant of the axioms, is measured from the data
+instead of assumed.
 """
 
 import functools
@@ -126,7 +127,7 @@ class HHSModel:
             for i in range(len(coords[u].names)):
                 coords[u].intern((i,))
         if E is None:
-            E = measure_model(self)["E"]
+            E = measure_model(self)
         if E < 1:
             raise ModelError("E must be a positive integer")
         self.E = int(E)
@@ -195,6 +196,11 @@ class HHSModel:
     def metrics(self):
         """u -> the _Metric of C(u), which every measurement reads."""
         return dict((u, _Metric(c, self.pi[u])) for u, c in self.coords.items())
+
+    @functools.cached_property
+    def diameters(self):
+        """u -> the diameter of C(u): no distance in C(u) exceeds it."""
+        return dict((u, int(c.dist.max())) for u, c in self.coords.items())
 
     @functools.cached_property
     def bullet_rows(self):
@@ -481,57 +487,88 @@ def _padded(rows):
                     dtype=np.intp)
 
 
-def _scan_diameters(m):
-    ks = m.metrics
-    best = max(int(k.diam(k.point).max()) for k in ks.values())
+# Each scan takes a floor, the largest constant found so far, and
+# returns the larger of it and its own constant.  A scan's terms are
+# distances inside coordinate graphs, so a term in C(u) is at most the
+# diameter of C(u), and a min of terms in C(u) and C(v) at most the
+# smaller diameter; what these bounds keep at or under the running
+# value is never gathered.
+
+
+def _scan_diameters(m, floor=0):
+    ks, diam = m.metrics, m.diameters
+    best = floor
+    for u, k in ks.items():
+        if diam[u] > best:
+            best = max(best, int(k.diam(k.point).max()))
     for (u, v), spot in m.rho_up.items():
-        best = max(best, int(ks[v].span[spot, spot]))
+        if diam[v] > best:
+            best = max(best, int(ks[v].span[spot, spot]))
     for (v, u), cells in m.rho_down.items():
         # a vertex close to the upward spot may map to a large set;
         # only far vertices need small images
-        gap = ks[u].near[m.rho_up[(v, u)]]
-        spread = ks[v].diam(cells)
-        best = max(best, int(np.minimum(gap, spread).max()))
+        if min(diam[u], diam[v]) > best:
+            gap = ks[u].near[m.rho_up[(v, u)]]
+            spread = ks[v].diam(cells)
+            best = max(best, int(np.minimum(gap, spread).max()))
     return best
 
 
-def _scan_lipschitz(m):
+def _scan_lipschitz(m, floor=0):
+    # (E, E)-coarse Lipschitz over an edge needs d <= 2E, and d is at
+    # most the diameter of its graph
+    ks = [k for u, k in m.metrics.items()
+          if (m.diameters[u] + 1) // 2 > floor]
     pos = m.point_index
     a, b = np.array([(pos[x], pos[y]) for x, y in m.space.edges()],
                     dtype=np.intp).reshape(-1, 2).T
-    if not a.size:
-        return 0
-    d = max(int(k.gap[k.point[a], k.point[b]].max())
-            for k in m.metrics.values())
-    # (E, E)-coarse Lipschitz over an edge needs d <= 2E
-    return (d + 1) // 2
+    if not a.size or not ks:
+        return floor
+    d = max(int(k.gap[k.point[a], k.point[b]].max()) for k in ks)
+    return max(floor, (d + 1) // 2)
 
 
-def _consistency(m, ks, sets, vertices):
-    """The largest consistency gap of a family of tuples, and the first
-    (tuple, u, v) to reach it in tuple order and then domain pair order;
-    None for a gap of 0.
+def _related(m, domains):
+    """The pairs u < v of the domains that consistency constrains, with
+    their relation, in pair order."""
+    pairs = ((u, v, relation(m.index, u, v))
+             for u, v in itertools.combinations(domains, 2))
+    return [p for p in pairs if p[2] in (TRANSVERSE, NESTED_IN, CONTAINS)]
+
+
+def _consistency(m, ks, sets, vertices, related=None):
+    """The largest consistency gap of a family of tuples over the
+    related pairs, by default every pair that it constrains, and the first
+    (tuple, u, v) to reach it in tuple order and then pair order; None
+    for a gap of 0.
 
     Row i of sets[u] holds ks[u] set ids whose union is tuple i's
     coordinate in C(u), and row i of vertices[u] that coordinate's
-    vertex numbers, each padded by repeats to one width.
+    vertex numbers, each padded by repeats to one width; the pairs'
+    domains need them.
     """
-    # the distance from each tuple's coordinate in C(u) to rho_up(v, u)
-    # is column col[(v, u)] of reach, gathered once per u
-    found = dict((u, []) for u in m.index.domains)
-    for (v, u), spot in m.rho_up.items():
-        found[u].append((v, spot))
+    if related is None:
+        related = _related(m, m.index.domains)
+    if not related:
+        return 0, None
+    # the distance from each tuple's coordinate in C(w) to rho_up(s, w)
+    # is column col[(s, w)] of reach, gathered once per w for the pairs
+    # that read it
+    found = {}
+    for u, v, rel in related:
+        if rel != CONTAINS:
+            found.setdefault(v, []).append(u)
+        if rel != NESTED_IN:
+            found.setdefault(u, []).append(v)
     col, reach = {}, []
-    for u, spots in found.items():
-        col.update([((v, u), len(col) + j) for j, (v, _) in enumerate(spots)])
-        reach.append(ks[u].gap[:, [spot for _, spot in spots]][sets[u]]
-                     .min(1))
+    for w, sources in found.items():
+        col.update([((s, w), len(col) + j) for j, s in enumerate(sources)])
+        reach.append(ks[w].gap[:, [m.rho_up[(s, w)] for s in sources]]
+                     [sets[w]].min(1))
     reach = np.hstack(reach)
     # the gap of every related pair, in pair order: the transverse pairs
     # in one gather, the nested ones with the downward image of the big
     # coordinate one by one
-    related = [(u, v, rel) for u, v, rel in m.index.relations()
-               if u < v and rel in (TRANSVERSE, NESTED_IN, CONTAINS)]
     value = np.empty((len(reach), len(related)), dtype=reach.dtype)
     across = []
     for j, (u, v, rel) in enumerate(related):
@@ -555,36 +592,42 @@ def _consistency(m, ks, sets, vertices):
     return best, (int(first.min()), u, v)
 
 
-def _scan_consistency(m):
+def _scan_consistency(m, floor=0):
+    # a pair's gap is a min of a term in C(u) and one in C(v)
     ks = m.metrics
-    return _consistency(m, ks,
-                        dict((u, k.point[:, None]) for u, k in ks.items()),
-                        dict((u, k.point_vertices) for u, k in ks.items()))[0]
+    wide = [u for u in m.index.domains if m.diameters[u] > floor]
+    gap, _ = _consistency(m, ks, dict((u, ks[u].point[:, None]) for u in wide),
+                          dict((u, ks[u].point_vertices) for u in wide),
+                          _related(m, wide))
+    return max(floor, gap)
 
 
-def _scan_rho_consistency(m):
+def _scan_rho_consistency(m, floor=0):
     """The largest gap in C(w) between rho_up(u, w) and rho_up(v, w),
-    over u properly nested in v: one gap lookup per w."""
-    ks = m.metrics
-    domains = m.index.domains
-    nested = np.array([[v != u and v in m.index.up[u] for v in domains]
-                       for u in domains])
-    best = 0
-    for w in domains:
-        k = ks[w]
-        ids = np.array([m.rho_up.get((u, w), -1) for u in domains],
-                       dtype=np.intp)
-        a, b = np.nonzero(nested & (ids[:, None] >= 0) & (ids >= 0))
-        if len(a):
-            best = max(best, int(k.gap[ids[a], ids[b]].max()))
+    over u properly nested in v: one gap lookup per w whose diameter
+    beats the running value."""
+    ks, up = m.metrics, m.index.up
+    best = floor
+    for w in m.index.domains:
+        if m.diameters[w] <= best:
+            continue
+        spot = dict((u, m.rho_up[(u, w)]) for u in m.index.domains
+                    if (u, w) in m.rho_up)
+        pairs = [(spot[u], spot[v]) for u in spot for v in up[u]
+                 if v != u and v in spot]
+        if pairs:
+            a, b = np.array(pairs, dtype=np.intp).T
+            best = max(best, int(ks[w].gap[a, b].max()))
     return best
 
 
-def _scan_bgi(m):
+def _scan_bgi(m, floor=0):
     """Least e with the edgewise bounded geodesic image condition."""
-    ks = m.metrics
-    worst = 0
+    ks, diam = m.metrics, m.diameters
+    worst = floor
     for (u, v), cells in m.rho_down.items():
+        if min(diam[u], diam[v]) <= worst:
+            continue
         a, b = m.coords[v].edges
         anchor = ks[v].near[m.rho_up[(u, v)]]
         gap = np.minimum(anchor[a], anchor[b])
@@ -614,7 +657,7 @@ def _reach_row(rows, i, span, anchor):
     return np.where(rows[i] + rows == span[:, None], anchor, _FAR).min(1)
 
 
-def _scan_large_links(m):
+def _scan_large_links(m, floor=0):
     """Least e for the interval form of the large links condition.
 
     For u nested in v, two points count up to the smaller of their gap
@@ -629,11 +672,13 @@ def _scan_large_links(m):
     every row left is at most that bound, so only the rows that can
     raise worst are reduced.
     """
-    ks = m.metrics
-    worst = 0
+    ks, diam = m.metrics, m.diameters
+    worst = floor
     for v in m.index.domains:
+        if diam[v] <= worst:
+            continue
         below = [u for u in m.index.domains
-                 if u != v and v in m.index.up[u]]
+                 if u != v and v in m.index.up[u] and diam[u] > worst]
         if not below:
             continue
         big = ks[v]
@@ -658,18 +703,28 @@ def _scan_large_links(m):
     return worst
 
 
-def _scan_partial_realisation(m):
+def _scan_partial_realisation(m, floor=0):
     ks = m.metrics
+    domains = m.index.domains
     # the nested and transverse bullets depend only on the family member
     # and the candidate point, never on the chosen image vertex
     base = m.bullet_rows
     coord = {}
-    for v in m.index.domains:
+    for v in domains:
         k = ks[v]
         # coord[v][z, j]: distance from z's projection to image vertex j
         coord[v] = k.near[np.ix_(k.point, m.images(v))]
-    worst = 0
-    for family in m.index.cliques(m.index.domains):
+    # every choice for a family is at most the family's bound: the least
+    # over z of its members' largest bullet and farthest image vertex
+    cap = np.array([np.maximum(base[v].max(0), coord[v].max(1))
+                    for v in domains])
+    at = dict((v, i) for i, v in enumerate(domains))
+    families = m.index.cliques(domains)
+    bounds = cap[_padded([at[v] for v in family] for family in families)]
+    worst = floor
+    for family, bound in zip(families, bounds.max(1).min(1).tolist()):
+        if bound <= worst:
+            continue
         fam_base = np.max([base[v] for v in family], axis=(0, 1))
         head, last = family[:-1], family[-1]
         # every choice for the last member at once, the others in turn
@@ -683,19 +738,21 @@ def _scan_partial_realisation(m):
     return worst
 
 
+# the order in which measure_model runs the scans: the diameters first,
+# since their value bounds away most domain pairs of the later ones
+_SCANS = (_scan_diameters, _scan_bgi, _scan_large_links, _scan_consistency,
+          _scan_rho_consistency, _scan_lipschitz, _scan_partial_realisation)
+
+
 def measure_model(m):
-    """Measure every axiom constant from the tables and report E."""
-    scans = {
-        "diameters": _scan_diameters(m),
-        "lipschitz": _scan_lipschitz(m),
-        "consistency": _scan_consistency(m),
-        "rho_consistency": _scan_rho_consistency(m),
-        "bgi": _scan_bgi(m),
-        "large_links": _scan_large_links(m),
-        "partial_realisation": _scan_partial_realisation(m),
-    }
-    scans["E"] = max(1, max(scans.values()))
-    return scans
+    """E, the largest of 1 and the seven axiom constants, measured
+    through one running bound: each scan starts from the largest
+    constant that the scans before it found and gathers only the terms
+    that the coordinate diameters let beat it."""
+    E = 1
+    for scan in _SCANS:
+        E = scan(m, E)
+    return E
 
 
 # -- distance formula -------------------------------------------------

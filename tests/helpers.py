@@ -110,6 +110,21 @@ def cheapest_fit(ys, xs):
     return best
 
 
+# -- the exact scans ----------------------------------------------------
+
+
+SCANS = ("diameters", "lipschitz", "consistency", "rho_consistency", "bgi",
+         "large_links", "partial_realisation")
+
+
+def scan_table(m):
+    """Every constant that measure_model bounds, each scan run from floor
+    0 so exact, and E, the largest of them and 1."""
+    table = dict((key, getattr(model, "_scan_" + key)(m)) for key in SCANS)
+    table["E"] = max(1, max(table.values()))
+    return table
+
+
 # -- the scalar consistency loop, the reference for model._consistency --
 
 

@@ -682,7 +682,7 @@ class TupleConsistencyAgreement(unittest.TestCase):
     """The consistency kernel against the scalar loop, constant and
     first (tuple, u, v) witness, whatever the verdict: on the canonical
     tuples as the identity suite gives them, and on the points' tuples
-    as measure_model gives them."""
+    as the consistency scan gives them from floor 0."""
 
     def check(self, m):
         tuples = canonical_tuples(m)

@@ -4,10 +4,11 @@ loops they replaced.
 The loop scans below are the reference implementations: each walks the
 model's tables and asks HHSModel.dist and the test-side diam for one
 pair at a time.
-Every array scan must give the same value as its loop scan, and
-measure_model the same dict, on the fixtures, the glued complex, square
-grids, the 3-cube and small generated median graphs.  The loop dpr
-constant is the reference for the one that reads each domain's
+Every array scan must give the same value as its loop scan, from floor
+0, and the larger of the floor and that value from every floor up to
+E + 1; measure_model must give E, on the fixtures, the glued complex,
+square grids, the 3-cube and small generated median graphs.  The loop
+dpr constant is the reference for the one that reads each domain's
 least-distance rows, witness included.
 """
 
@@ -34,7 +35,7 @@ from hhsforge.model import (
 
 import helpers
 from golden.regenerate import CASES, run_case
-from helpers import as_nx, consistency_value, diam
+from helpers import as_nx, consistency_value, diam, scan_table
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -246,6 +247,12 @@ def oracle_measure(m):
     return scans
 
 
+def from_floors(m, key, top):
+    """A scan's value from each floor 0 .. top."""
+    scan = getattr(model, "_scan_" + key)
+    return [scan(m, floor) for floor in range(top + 1)]
+
+
 # -- models ------------------------------------------------------------
 
 
@@ -330,14 +337,20 @@ class ScanAgreement(unittest.TestCase):
 
     def check(self, m):
         expected = oracle_measure(m)
+        top = expected["E"] + 1
         for key in ORACLES:
             with self.subTest(scan=key):
                 scan = getattr(model, "_scan_" + key)
                 self.assertEqual(scan(m), expected[key])
+            with self.subTest(scan=key, floors=top):
+                self.assertEqual(from_floors(m, key, top),
+                                 [max(f, expected[key])
+                                  for f in range(top + 1)])
         with self.subTest(scan="large_links, full reach"):
             self.assertEqual(array_scan_large_links(m),
                              expected["large_links"])
-        self.assertEqual(measure_model(m), expected)
+        self.assertEqual(scan_table(m), expected)
+        self.assertEqual(measure_model(m), expected["E"])
         return expected
 
     def test_chain_fixture(self):
@@ -397,6 +410,28 @@ class DistanceCallGuard(unittest.TestCase):
 
     def test_glued_raw_depth_5(self):
         self.assertEqual(self.calls(unmeasured(glued(5)[0])), 0)
+
+
+class MeasureCounterGuard(unittest.TestCase):
+    """measure_model reduces only the interval rows and measures only
+    the union diameters that the running bound lets through, counted
+    as calls of model._reach_row and _Metric.union_diam; the scans from
+    floor 0 make many more."""
+
+    def counts(self, measure, m):
+        with mock.patch.object(model, "_reach_row",
+                               side_effect=model._reach_row) as row, \
+             mock.patch.object(model._Metric, "union_diam", autospec=True,
+                               side_effect=model._Metric.union_diam) as union:
+            measure(m)
+        return row.call_count, union.call_count
+
+    def test_glued_depth_6(self):
+        raw, collapsed = glued(6)
+        for m, exact in ((raw, (268, 198)), (collapsed, (134, 63))):
+            with self.subTest(E=m.E, domains=len(m.index.domains)):
+                self.assertEqual(self.counts(scan_table, m), exact)
+                self.assertEqual(self.counts(measure_model, m), (19, 17))
 
 
 class LargeLinksRowGuard(unittest.TestCase):
@@ -598,7 +633,12 @@ def test_small_median_graphs():
         m = cubes.index_set_from_hyperclosure(tree_times_path(parents,
                                                                length))
         expected = oracle_measure(m)
-        assert measure_model(m) == expected
+        assert scan_table(m) == expected
+        assert measure_model(m) == expected["E"]
         assert array_scan_large_links(m) == expected["large_links"]
+        top = expected["E"] + 1
+        for key in ORACLES:
+            assert from_floors(m, key, top) == [max(f, expected[key])
+                                                for f in range(top + 1)]
 
     check()

@@ -30,6 +30,7 @@ from helpers import (
     make_chain_model,
     make_product_model,
     make_transverse_model,
+    scan_table,
     tuples_consistency,
 )
 from test_measure_kernel import tree_times_path
@@ -43,10 +44,11 @@ class TestChainModel(unittest.TestCase):
         self.m = make_chain_model()
 
     def test_measured_constants(self):
-        self.assertEqual(measure_model(self.m),
-                         {"diameters": 0, "lipschitz": 1, "consistency": 0,
-                          "rho_consistency": 0, "bgi": 0, "large_links": 0,
-                          "partial_realisation": 0, "E": 1})
+        expected = {"diameters": 0, "lipschitz": 1, "consistency": 0,
+                    "rho_consistency": 0, "bgi": 0, "large_links": 0,
+                    "partial_realisation": 0, "E": 1}
+        self.assertEqual(scan_table(self.m), expected)
+        self.assertEqual(measure_model(self.m), expected["E"])
         self.assertEqual(self.m.E, 1)
         self.assertEqual(self.m.kappa, 20)
 
@@ -141,10 +143,11 @@ class TestProductModel(unittest.TestCase):
         self.m = make_product_model()
 
     def test_measured_constants(self):
-        self.assertEqual(measure_model(self.m),
-                         {"diameters": 0, "lipschitz": 1, "consistency": 0,
-                          "rho_consistency": 0, "bgi": 0, "large_links": 0,
-                          "partial_realisation": 0, "E": 1})
+        expected = {"diameters": 0, "lipschitz": 1, "consistency": 0,
+                    "rho_consistency": 0, "bgi": 0, "large_links": 0,
+                    "partial_realisation": 0, "E": 1}
+        self.assertEqual(scan_table(self.m), expected)
+        self.assertEqual(measure_model(self.m), expected["E"])
 
     def test_orthogonal_pairs_are_unconstrained(self):
         t = ConsistentTuple(["A", "B", "S"],
@@ -172,10 +175,11 @@ class TestTransverseModel(unittest.TestCase):
         self.m = make_transverse_model()
 
     def test_measured_constants(self):
-        self.assertEqual(measure_model(self.m),
-                         {"diameters": 0, "lipschitz": 1, "consistency": 0,
-                          "rho_consistency": 0, "bgi": 0, "large_links": 0,
-                          "partial_realisation": 1, "E": 1})
+        expected = {"diameters": 0, "lipschitz": 1, "consistency": 0,
+                    "rho_consistency": 0, "bgi": 0, "large_links": 0,
+                    "partial_realisation": 1, "E": 1}
+        self.assertEqual(scan_table(self.m), expected)
+        self.assertEqual(measure_model(self.m), expected["E"])
 
     def test_inconsistent_tuple_detected(self):
         t = ConsistentTuple(["S", "U", "V"],
@@ -205,10 +209,11 @@ class TestBehrstockModel(unittest.TestCase):
         self.m = make_behrstock_model()
 
     def test_measured_constants(self):
-        self.assertEqual(measure_model(self.m),
-                         {"diameters": 0, "lipschitz": 1, "consistency": 2,
-                          "rho_consistency": 2, "bgi": 0, "large_links": 0,
-                          "partial_realisation": 2, "E": 2})
+        expected = {"diameters": 0, "lipschitz": 1, "consistency": 2,
+                    "rho_consistency": 2, "bgi": 0, "large_links": 0,
+                    "partial_realisation": 2, "E": 2}
+        self.assertEqual(scan_table(self.m), expected)
+        self.assertEqual(measure_model(self.m), expected["E"])
         self.assertEqual(self.m.kappa, 40)
 
     def test_dpr_constant(self):

@@ -25,6 +25,7 @@ from hhsforge import chhs, cli, cubes, graph, model
 from hhsforge.graph import Graph
 from hhsforge.model import HHSModel, ModelError, load_model, measure_model
 
+from helpers import scan_table
 from named_model import NamedModel, named_collapse
 from test_cube_kernel import oracle_extraction
 from test_measure_kernel import cube_product, oracle_measure, tree_times_path
@@ -103,7 +104,8 @@ class Agreement(unittest.TestCase):
         if scans:
             with self.subTest(part="scans"):
                 expected = oracle_measure(want)
-                self.assertEqual(measure_model(m), expected)
+                self.assertEqual(scan_table(m), expected)
+                self.assertEqual(measure_model(m), expected["E"])
                 self.assertEqual(m.E, expected["E"])
 
     def test_fixtures(self):
