@@ -559,12 +559,23 @@ def colevel_of_complement(m, parts):
     return depth_stats(m.index, comp)["co_level"]
 
 
+# Most maximal simplices that `build_w` accepts: its tables over pairs
+# of simplices take about 42 bytes a pair, about 1 GiB at the cap.
+MAX_SIMPLICES = 5000
+
+
 def build_w(m, x, lam=None):
     consts = thresholds(m)
     if lam is None:
         lam = consts["default"]
     if lam <= 0:
         raise ChhsError("lambda must be positive")
+    # one simplex per family and choice of a coordinate per member
+    count = sum(math.prod(len(m.coord_graphs[u]) for u in bar)
+                for bar in m.index.families(m.index.top))
+    if count > MAX_SIMPLICES:
+        raise ChhsError("cap exceeded: %d maximal simplices > %d"
+                        % (count, MAX_SIMPLICES))
     sigmas = maximal_simplices(x)
     tuples = tuple(canonical_tuples(m, sigmas))
     supports = [support(x, s) for s in sigmas]

@@ -2,10 +2,10 @@
 
 Everything here works on a plain graph and its distance matrix:
 hyperplanes are the cuts {v : d(v,a) < d(v,b)} of edges ab, parallelism
-classes are read off the table of halfspaces, and convexity, gates and
-complements come from shortest paths.  The main export turns a complex
-into a finite hierarchical model whose domains are parallelism classes
-of the hyperclosure.
+classes and orthogonal complements are read off the table of
+halfspaces, and convexity and gates come from shortest paths.  The main
+export turns a complex into a finite hierarchical model whose domains
+are parallelism classes of the hyperclosure.
 """
 
 import itertools
@@ -156,17 +156,6 @@ def _gate_vertex(ctx, y, x):
     if gate < 0:
         raise CubeError("gate not unique, witness %s" % x)
     return ctx["vertices"][gate]
-
-
-def _gate_image(ctx, y, f):
-    """Pointwise gate of the set f into the convex set y; a vertex with
-    two closest vertices in y is named in f's iteration order."""
-    xs = tuple(f)
-    gates = _gate_table(ctx, y)[[ctx["index"][x] for x in xs]]
-    bad = gates < 0
-    if bad.any():
-        raise CubeError("gate not unique, witness %s" % xs[bad.argmax()])
-    return frozenset(map(ctx["vertices"].__getitem__, gates.tolist()))
 
 
 def _gate_masks(ctx, y, sets):
@@ -333,7 +322,7 @@ def _hyperplanes(ctx):
     lo, hi = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     labelled = all("label" in g[a][b] for a, b in g.edges())
     free = np.ones(len(pairs), dtype=bool)
-    out, rows = [], []
+    out, rows, sides = [], [], []
     ids = set()
     while free.any():
         e = free.argmax()
@@ -361,27 +350,53 @@ def _hyperplanes(ctx):
         halves = (row, ~row)
         ends = np.zeros(len(vertices), dtype=bool)
         ends[lo[cut]] = ends[hi[cut]] = True
+        pair = [np.flatnonzero(half & ends) for half in halves]
+        sides.extend(pair)
         out.append(Hyperplane(
             hid, frozenset(map(frozenset, edges)),
             tuple(frozenset(itertools.compress(vertices, half))
                   for half in halves),
-            tuple(frozenset(itertools.compress(vertices, half & ends))
-                  for half in halves)))
+            tuple(frozenset(map(vertices.__getitem__, side.tolist()))
+                  for side in pair)))
     ctx["hyperplanes"] = out
     # row h: the vertices of halfspaces[0] of hyperplane h
     ctx["halfspace"] = np.array(rows, dtype=bool).reshape(
         len(out), len(vertices))
-    ctx["edge_hyperplane"] = dict((e, h) for h in out for e in h.edges)
+    # entry 2 h + b: the vertex numbers of sides[b] of hyperplane h
+    ctx["sides"] = sides
     return out
 
 
-def _crossing(ctx, s):
-    """Hyperplane ids separating some pair inside s (its internal edges
-    suffice for convex s)."""
+def _split(table, runs):
+    """For each nonempty run of column numbers, the rows of a boolean
+    table that are neither all true nor all false on its columns, as
+    one column per run; on the halfspace table, the hyperplanes crossing
+    each set.  One pass over the columns of all runs."""
+    sizes = np.array([len(run) for run in runs])
+    cols = table[:, np.concatenate(runs)]
+    starts = np.cumsum(sizes) - sizes
+    return (np.logical_or.reduceat(cols, starts, axis=1)
+            & ~np.logical_and.reduceat(cols, starts, axis=1))
+
+
+def _side_rows(ctx):
+    """Row 2 h + b: the hyperplanes crossing side b of hyperplane h.  On
+    a median graph both sides give the same row, the hyperplanes that
+    cross h, and the table is symmetric.  Built on each call and not
+    kept."""
+    _hyperplanes(ctx)
+    return _split(ctx["halfspace"], ctx["sides"]).T
+
+
+def _row(ctx, key):
+    """A key as a boolean row over the hyperplanes."""
+    return np.array([h.hid in key for h in _hyperplanes(ctx)], dtype=bool)
+
+
+def _key(ctx, row):
+    """The key of the hyperplanes a boolean row marks."""
     hs = _hyperplanes(ctx)
-    cols = ctx["halfspace"][:, [ctx["index"][v] for v in s]]
-    return frozenset(hs[i].hid
-                     for i in np.flatnonzero(cols.any(1) & ~cols.all(1)))
+    return frozenset(hs[i].hid for i in np.flatnonzero(row).tolist())
 
 
 def gate(g, x, y):
@@ -406,49 +421,17 @@ def _members(ctx, key):
     hyperplane in key crosses the group.
     """
     table = ctx["halfspace"]
-    inside = np.array([h.hid in key for h in _hyperplanes(ctx)])
+    inside = _row(ctx, key)
     # a row of zeros keeps all vertices one group when key is every
     # hyperplane
     _, first, group = _distinct_rows(np.vstack(
         [table[~inside], np.zeros(table.shape[1], dtype=bool)]).T)
     order = np.argsort(group, kind="stable")
-    size = np.bincount(group)
-    starts = np.cumsum(size) - size
-    cut = table[inside][:, order]
-    crossed = (np.logical_or.reduceat(cut, starts, axis=1)
-               & ~np.logical_and.reduceat(cut, starts, axis=1)).all(0)
-    return tuple(frozenset(ctx["vertices"][v] for v in
-                           order[starts[i]:starts[i] + size[i]].tolist())
+    runs = np.split(order, np.cumsum(np.bincount(group))[:-1])
+    crossed = _split(table[inside], runs).all(0)
+    return tuple(frozenset(ctx["vertices"][v] for v in runs[i].tolist())
                  for i in sorted(np.flatnonzero(crossed).tolist(),
                                  key=first.__getitem__))
-
-
-def _orthogonal_complement_at(ctx, f, base):
-    """Largest convex set at base spanning a product with f.
-
-    Built as an intersection of gate images of combinatorial
-    hyperplanes: first intersect the sides at base of the hyperplanes
-    leaving base along f, then gate every side of every hyperplane
-    crossing f into that intersection and intersect the images.
-    """
-    if base not in f:
-        raise CubeError("base vertex outside the set, witness %s" % base)
-    g = ctx["graph"]
-    hs = _hyperplanes(ctx)
-    touching = set(ctx["edge_hyperplane"][frozenset((base, v))]
-                   for v in f if g.has_edge(base, v))
-    y = set(g.nodes())
-    for h in sorted(touching, key=lambda h: h.hid):
-        side = h.sides[0] if base in h.sides[0] else h.sides[1]
-        y &= side
-    y = frozenset(y)
-    out = y
-    crossing = _crossing(ctx, f)
-    for h in sorted((h for h in hs if h.hid in crossing),
-                    key=lambda h: h.hid):
-        for side in h.sides:
-            out &= _gate_image(ctx, y, side)
-    return frozenset(out)
 
 
 # -- hyperclosure -------------------------------------------------------
@@ -464,11 +447,12 @@ def hyperclosure(g):
     "Metric graph theory and geometry: a survey", Contemp. Math. 453,
     2008).  So a class is its key, the set of hyperplanes crossing it:
     the keys are those of Z and of every side of more than one vertex,
-    closed under nonempty intersection, and the members of a key are
-    read off the halfspace table (`_members`).  Every such key has a
-    member, a gate image; off median graphs one may have none, which is
-    an error.  A class's representative is its least member.
-    Singletons (empty keys) are dropped throughout.
+    which are rows of `_side_rows`, closed under nonempty intersection,
+    and the members of a key are read off the halfspace table
+    (`_members`).  Every such key has a member, a gate image; off median
+    graphs one may have none, which is an error.  A class's
+    representative is its least member.  Singletons (empty keys) are
+    dropped throughout.
     """
     rim = frozenset(g.graph.get("rim", ()))
     ctx = _ctx(g)
@@ -476,8 +460,8 @@ def hyperclosure(g):
     if g.number_of_edges() == 0:
         raise CubeError("complex needs at least one edge")
     hs = _hyperplanes(ctx)
-    keys = set(_crossing(ctx, side) for h in hs for side in h.sides
-               if len(side) > 1)
+    big = np.array([len(side) > 1 for side in ctx["sides"]])
+    keys = set(_key(ctx, row) for row in _side_rows(ctx)[big])
     keys.add(frozenset(h.hid for h in hs))
     keys.discard(frozenset())
     new = keys
@@ -527,17 +511,24 @@ def check_complement_involution(g, hc=None):
 
 
 def _complement_keys(ctx, hc):
-    """Crossing set of the complement of every class at the least vertex
-    of its representative; the top class's complement is that vertex
-    alone, which crosses nothing."""
+    """The key of the orthogonal complement of every class.
+
+    In a median graph the parallel copies of a convex set F span a
+    product F x F-perp (Behrstock, Hagen and Sisto, "Hierarchically
+    hyperbolic spaces I", Geom. Topol. 2017; Bandelt and Chepoi 2008).
+    So the key of F-perp is the set of hyperplanes that cross every
+    hyperplane in key(F), and a hyperplane crosses h exactly when it
+    crosses h's first side: one lookup in the side rows.  No hyperplane
+    crosses its own sides, so the key lies outside key(F), and the top
+    class's, which holds every hyperplane, is empty.  Off median graphs
+    the rows may be asymmetric, and so may orthogonality, which
+    extraction checks.
+    """
+    cross = _side_rows(ctx)[0::2]
     out = {}
     for cid in hc.order:
-        rec = hc.classes[cid]
-        if cid == hc.top:
-            out[cid] = frozenset()
-            continue
-        comp = _orthogonal_complement_at(ctx, rec.rep, min(rec.rep))
-        out[cid] = _crossing(ctx, comp)
+        inside = _row(ctx, hc.classes[cid].key)
+        out[cid] = _key(ctx, cross[:, inside].all(1))
     return out
 
 

@@ -43,6 +43,59 @@ def on_ctx(kernel, g, s, *args):
     return kernel(cubes._ctx(g), frozenset(s), *args)
 
 
+def crossing(ctx, s):
+    """Hyperplane ids separating some pair inside s (its internal edges
+    suffice for convex s): the halfspace rows split on s's columns."""
+    hs = cubes._hyperplanes(ctx)
+    cols = ctx["halfspace"][:, [ctx["index"][v] for v in s]]
+    return frozenset(hs[i].hid
+                     for i in np.flatnonzero(cols.any(1) & ~cols.all(1)))
+
+
+def mask_gate_image(ctx, y, f):
+    """The gate image of the set f into y by `cubes._gate_masks`, the
+    one gate-image kernel of the package, as a frozenset of names; a
+    vertex with two closest vertices in y is named, the least of f."""
+    mask = np.concatenate(list(cubes._gate_masks(
+        ctx, y, [cubes._numbers(ctx, f)])))
+    return frozenset(itertools.compress(ctx["vertices"], mask[0]))
+
+
+def convex_expansion(picks):
+    """A median graph grown from one vertex by peripheral convex
+    expansions, one per pick (Mulder, "The structure of median graphs",
+    Discrete Math. 24, 1978): an expansion along a convex set C adds a
+    copy of C, joins each vertex of C to its copy and copies C's edges.
+
+    A pick (a, b, c) expands along the interval I(u, v) of the vertices
+    numbered a and b modulo the vertex count, cut down to the halfspace
+    of the c-th hyperplane that holds u, modulo one more than the
+    hyperplane count, the last meaning none.  Both are convex, so their
+    intersection is.  Each vertex keeps its side of every hyperplane as
+    one bit of a label, and the distance is the Hamming distance of
+    labels.  Vertices are named v0, v1, ... in the order they are made.
+    """
+    import networkx as nx
+    labels = [0]
+    edges = []
+    for k, (a, b, c) in enumerate(picks):
+        u, v = labels[a % len(labels)], labels[b % len(labels)]
+        cut = c % (k + 1)
+        # w lies in I(u, v) iff it agrees with u wherever u and v agree
+        agree = ((1 << k) - 1) & ~(u ^ v)
+        if cut < k:
+            agree |= 1 << cut
+        keep = [i for i, w in enumerate(labels) if not (w ^ u) & agree]
+        copy = dict((i, len(labels) + j) for j, i in enumerate(keep))
+        labels.extend(labels[i] | 1 << k for i in keep)
+        edges += [(copy[i], copy[j]) for i, j in edges
+                  if i in copy and j in copy] + list(copy.items())
+    g = nx.Graph()
+    g.add_nodes_from("v%d" % i for i in range(len(labels)))
+    g.add_edges_from(("v%d" % i, "v%d" % j) for i, j in edges)
+    return g
+
+
 def wedge(s, u, v, weak=False):
     """Largest common nested domain of u and v, or None when they share none.
 

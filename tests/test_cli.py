@@ -689,6 +689,30 @@ class TestVertexCap(unittest.TestCase):
                     self.assertEqual(searches, 0)
 
 
+class TestSimplexCap(unittest.TestCase):
+    """A model with more than chhs.MAX_SIMPLICES maximal simplices
+    exits 2 once they are counted, before W's tuples or any table over
+    pairs of simplices are built; grid.cplx has 49."""
+
+    def test_at_the_cap(self):
+        for cap, code in ((49, 0), (48, 2)):
+            with self.subTest(cap=cap), \
+                 mock.patch.object(chhs, "MAX_SIMPLICES", cap), \
+                 mock.patch.object(chhs, "maximal_simplices",
+                                   side_effect=chhs.maximal_simplices) \
+                    as listed:
+                got, out, err = run_cli("verify-chhs", fix("grid.cplx"))
+                self.assertEqual(got, code)
+                if code:
+                    self.assertEqual(
+                        (out, err),
+                        ("", "error: cap exceeded: 49 maximal simplices"
+                             " > 48\n"))
+                    self.assertEqual(listed.call_count, 0)
+                else:
+                    self.assertEqual(err, "")
+
+
 class TestMedianCheckedOnce(unittest.TestCase):
     """A .cplx input is checked to be median once, and the pipeline
     then relies on the theorems: it scans no set of its own for

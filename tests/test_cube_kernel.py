@@ -12,15 +12,17 @@ The cube pipeline checks the median property once and then relies on
 the theorems about median graphs; the cut-graph halfspace builder and
 the checks it no longer runs are kept here as oracles of those theorems.
 So are the searches that the halfspace table replaced: the union-find
-over square-opposite edges for the hyperplanes, and the closure that
-kept a gate image of every key and found its parallel copies by
-translation across hyperplanes.
+over square-opposite edges for the hyperplanes, the closure that kept a
+gate image of every key and found its parallel copies by translation
+across hyperplanes, and the orthogonal complement built as an
+intersection of gate images, which the side rows replaced.
 
 Model extraction reads gates as arrays on vertex numbers; the loop it
 replaced, one frozenset gate image per representative and member, is
 the oracle for every table it builds.
 """
 
+import contextlib
 import itertools
 import os
 import tracemalloc
@@ -37,7 +39,7 @@ from hhsforge.graph import as_graph
 from hhsforge.indexset import NESTED_IN, TRANSVERSE, IndexSet, relation
 from hhsforge.model import HHSModel, load_model
 
-from helpers import as_nx
+from helpers import as_nx, convex_expansion, crossing, mask_gate_image
 from test_chhs_kernel import _augmented_graph
 from test_measure_kernel import cube_product, tree_times_path
 
@@ -110,9 +112,9 @@ def oracle_gate_vertex(ctx, y, x):
 
 def gate_images(image, ctx, g):
     """The gate image of every vertex into each subset, or the message
-    of the CubeError raised; the first witness follows the iteration
-    order of the vertex set."""
-    everything = frozenset(ctx["vertices"])
+    of the CubeError raised; the vertices go in sorted order, so the
+    witness is the least vertex with two closest ones."""
+    everything = ctx["vertices"]
     out = []
     for y in subsets(g):
         try:
@@ -124,6 +126,32 @@ def gate_images(image, ctx, g):
 
 def oracle_gate_image(ctx, y, f):
     return frozenset(oracle_gate_vertex(ctx, y, x) for x in f)
+
+
+def oracle_complement_at(ctx, f, base):
+    """Largest convex set at base spanning a product with f.
+
+    Built as an intersection of gate images of combinatorial
+    hyperplanes: first intersect the sides at base of the hyperplanes
+    leaving base along f, then gate every side of every hyperplane
+    crossing f into that intersection and intersect the images.
+    """
+    if base not in f:
+        raise CubeError("base vertex outside the set, witness %s" % base)
+    g = ctx["graph"]
+    hs = cubes._hyperplanes(ctx)
+    steps = set(frozenset((base, v)) for v in f if g.has_edge(base, v))
+    y = set(g.nodes())
+    for h in sorted((h for h in hs if h.edges & steps),
+                    key=lambda h: h.hid):
+        y &= h.sides[0] if base in h.sides[0] else h.sides[1]
+    y = frozenset(y)
+    out = y
+    key = crossing(ctx, f)
+    for h in sorted((h for h in hs if h.hid in key), key=lambda h: h.hid):
+        for side in h.sides:
+            out &= oracle_gate_image(ctx, y, side)
+    return out
 
 
 def oracle_component_delta(g):
@@ -242,7 +270,7 @@ def oracle_hyperclosure(g):
         for k1, k2 in itertools.combinations(sorted(reps, key=sorted), 2):
             if k1 & k2 and k1 & k2 not in reps:
                 added.append((k1 & k2,
-                              cubes._gate_image(ctx, reps[k1], reps[k2])))
+                              oracle_gate_image(ctx, reps[k1], reps[k2])))
         if not added:
             break
         for key, rep in added:
@@ -307,7 +335,7 @@ def oracle_extraction(g, hc):
         images = set()
         for other in ids:
             for member in hc.classes[other].members:
-                img = cubes._gate_image(ctx, rep, member)
+                img = oracle_gate_image(ctx, rep, member)
                 if 1 < len(img) < len(rep):
                     images.add(img)
         table = {}
@@ -340,12 +368,12 @@ def oracle_extraction(g, hc):
         if rel not in (NESTED_IN, TRANSVERSE):
             continue
         ra, rb = hc.classes[a].rep, hc.classes[b].rep
-        rho_up[(a, b)] = land(b, cubes._gate_image(ctx, rb, ra))
+        rho_up[(a, b)] = land(b, oracle_gate_image(ctx, rb, ra))
         if rel == NESTED_IN:
             table = {}
             for w in coord_graphs[b].nodes():
                 if w in source_of[b]:
-                    table[w] = land(a, cubes._gate_image(ctx, ra,
+                    table[w] = land(a, oracle_gate_image(ctx, ra,
                                                          source_of[b][w]))
                 else:
                     table[w] = frozenset([cubes._gate_vertex(ctx, ra, w)])
@@ -378,11 +406,22 @@ def check_theorems(g):
     """What the pipeline no longer checks on a median graph g: every
     Theta-class cuts g into the two halfspaces read off the distance
     matrix, both convex, with sides that the partner map of its edges
-    makes isomorphic (Mulder 1980, Djokovic 1973); every member of a
-    class, its representative among them, is convex and crossed by
-    exactly the class's key (Bandelt and Chepoi 2008)."""
+    makes isomorphic (Mulder 1980, Djokovic 1973); both sides of a
+    hyperplane give the same side row, and a row marks exactly the
+    hyperplanes whose halfspaces meet those of h in all four quadrants,
+    so the table of first sides is symmetric; every member of a class,
+    its representative among them, is convex and crossed by exactly the
+    class's key (Bandelt and Chepoi 2008)."""
     ctx = _ctx(g)
     graph = ctx["graph"]
+    rows = cubes._side_rows(ctx)
+    first = rows[0::2]
+    np.testing.assert_array_equal(first, rows[1::2])
+    np.testing.assert_array_equal(first, first.T)
+    halves = ctx["halfspace"].astype(np.int64)
+    halves = (halves, 1 - halves)
+    quadrants = [a @ b.T for a in halves for b in halves]
+    np.testing.assert_array_equal(first, np.minimum.reduce(quadrants) > 0)
     for h in cubes.hyperplanes(g):
         assert h.halfspaces == oracle_halfspaces(graph, h.edges), h.hid
         for half in h.halfspaces:
@@ -397,7 +436,7 @@ def check_theorems(g):
         rec = hc.classes[cid]
         assert rec.rep in rec.members, cid
         for member in rec.members:
-            assert cubes._crossing(ctx, member) == rec.key, cid
+            assert crossing(ctx, member) == rec.key, cid
             assert cubes._is_convex(ctx, member) is None, cid
 
 
@@ -438,6 +477,13 @@ def small_graphs():
     return out
 
 
+def median_atlas_graphs():
+    """Every connected median graph with 2 to 7 vertices."""
+    return [g for g in map(named, nx.graph_atlas_g())
+            if len(g) >= 2 and nx.is_connected(g)
+            and outcome(cubes.validate_median_graph, g) == "graph"]
+
+
 def subsets(g):
     """Every halfspace (convex when g is median), and some sets that are
     not convex: balls, pairs at distance two, and the set minus a
@@ -474,7 +520,7 @@ class CubeKernelAgreement(unittest.TestCase):
                 self.assertEqual(cubes._is_convex(ctx, s),
                                  oracle_is_convex(ctx, s))
         with self.subTest(graph=name, kernel="gates"):
-            self.assertEqual(gate_images(cubes._gate_image, ctx, g),
+            self.assertEqual(gate_images(mask_gate_image, ctx, g),
                              gate_images(oracle_gate_image, ctx, g))
 
     def test_small_graphs(self):
@@ -503,7 +549,7 @@ class CubeKernelAgreement(unittest.TestCase):
         # some subsets have vertices with two closest members, so the
         # comparison in check() covers the first witness too
         square = fixture_complex("square.cplx")
-        got = gate_images(cubes._gate_image, _ctx(square), square)
+        got = gate_images(mask_gate_image, _ctx(square), square)
         self.assertIn("error: gate not unique, witness", "".join(
             r for r in got if isinstance(r, str)))
 
@@ -590,14 +636,17 @@ class CubeKernelAgreement(unittest.TestCase):
 
 
 class TheoremOracles(unittest.TestCase):
-    """The median graphs among the small graphs: fixtures, glued depths
-    1-6, square grids 3-9 and C4."""
+    """The median graphs among the small graphs (fixtures, glued depths
+    1-6, square grids 3-9 and C4) and convex expansions."""
 
     def test_small_median_graphs(self):
         for name, g in small_graphs():
             if outcome(cubes.validate_median_graph, g) == "graph":
                 with self.subTest(graph=name):
                     check_theorems(g)
+
+    def test_convex_expansions(self):
+        check_expansions(check_theorems)
 
 
 class ClosureOracles(unittest.TestCase):
@@ -629,16 +678,80 @@ class ClosureOracles(unittest.TestCase):
                 check_closure(cube_product(*sizes))
 
     def test_median_atlas_graphs(self):
-        """Every connected median graph with 2 to 7 vertices."""
-        seen = 0
-        for g in map(named, nx.graph_atlas_g()):
-            if len(g) < 2 or not nx.is_connected(g) or \
-                    outcome(cubes.validate_median_graph, g) != "graph":
-                continue
-            seen += 1
+        graphs = median_atlas_graphs()
+        self.assertEqual(len(graphs), 43)
+        for g in graphs:
             with self.subTest(edges=sorted(g.edges())):
                 check_closure(g)
-        self.assertEqual(seen, 43)
+
+    def test_convex_expansions(self):
+        check_expansions(check_closure)
+
+
+def check_expansions(check):
+    """check on generated median graphs: peripheral convex expansions
+    from one vertex, up to six of them."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pick = st.tuples(*[st.integers(0, 10 ** 3)] * 3)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(st.lists(pick, min_size=1, max_size=6))
+    def run(picks):
+        g = convex_expansion(picks)
+        assert cubes.validate_median_graph(g) is g
+        check(g)
+
+    run()
+
+
+def check_complements(g):
+    """Every class's complement key against the crossing set of the
+    gate-image complement at the least vertex of its representative."""
+    hc = cubes.hyperclosure(g)
+    ctx = _ctx(g)
+    comp = cubes._complement_keys(ctx, hc)
+    for cid in hc.order:
+        rep = hc.classes[cid].rep
+        assert comp[cid] == crossing(
+            ctx, oracle_complement_at(ctx, rep, min(rep))), cid
+
+
+class ComplementOracles(unittest.TestCase):
+    """The complement keys read off the side rows against the loop of
+    gate images they replaced, class by class."""
+
+    def test_fixtures(self):
+        for name, g in (("square.cplx", fixture_complex("square.cplx")),
+                        ("grid.cplx", fixture_complex("grid.cplx")),
+                        ("3-cube", cubes.b3_cube())):
+            with self.subTest(graph=name):
+                check_complements(g)
+
+    def test_glued(self):
+        for depth in range(1, 9):
+            with self.subTest(depth=depth):
+                check_complements(cubes.build_counterexample(depth))
+
+    def test_grids(self):
+        for size in range(2, 13):
+            with self.subTest(size=size):
+                check_complements(cubes.grid_complex(size, size))
+
+    def test_products(self):
+        for sizes in ((3, 3, 3), (2, 2, 2, 2), (3, 3, 3, 3),
+                      (2, 2, 2, 2, 2)):
+            with self.subTest(sizes=sizes):
+                check_complements(cube_product(*sizes))
+
+    def test_median_atlas_graphs(self):
+        for g in median_atlas_graphs():
+            with self.subTest(edges=sorted(g.edges())):
+                check_complements(g)
+
+    def test_convex_expansions(self):
+        check_expansions(check_complements)
 
 
 class ExtractionAgreement(unittest.TestCase):
@@ -758,24 +871,32 @@ def test_extraction_on_tree_times_path():
 
 class ExtractionGuards(unittest.TestCase):
 
-    def gate_calls(self, func, *args):
-        with mock.patch.object(cubes, "_gate_image",
-                               side_effect=cubes._gate_image) as image, \
-             mock.patch.object(cubes, "_gate_vertex",
-                               side_effect=cubes._gate_vertex) as vertex:
-            func(*args)
-        return image.call_count, vertex.call_count
+    GATE_KERNELS = ("_gate_table", "_gate_vertex", "_gate_masks")
 
-    def test_gates_only_in_complements(self):
-        """On glued depth 6 the loop made 20,850 gate images and 87,625
-        gates; extraction now makes only those of the complements, and
-        reads every other gate from the arrays."""
-        g = cubes.build_counterexample(6)
-        hc = cubes.hyperclosure(g)
-        want = self.gate_calls(cubes._complement_keys, _ctx(g), hc)
-        self.assertGreater(want[0], 0)
-        self.assertEqual(
-            self.gate_calls(cubes.index_set_from_hyperclosure, g, hc), want)
+    def gate_calls(self, func, *args):
+        """The calls func makes to each gate kernel."""
+        with contextlib.ExitStack() as stack:
+            mocks = [stack.enter_context(mock.patch.object(
+                cubes, name, side_effect=getattr(cubes, name)))
+                for name in self.GATE_KERNELS]
+            func(*args)
+        return [m.call_count for m in mocks]
+
+    def test_one_gate_table_per_class(self):
+        """The loop made 20,850 gate images and 87,625 gates on glued
+        depth 6, and the complements of the classes 304 gate images and
+        one more gate table.  The complements now read the side rows
+        alone, and extraction builds the gate table of each
+        representative once: 45 at depth 6 and 53 at depth 8."""
+        for depth, classes in ((6, 45), (8, 53)):
+            with self.subTest(depth=depth):
+                g = cubes.build_counterexample(depth)
+                hc = cubes.hyperclosure(g)
+                self.assertEqual(
+                    self.gate_calls(cubes._complement_keys, _ctx(g), hc),
+                    [0, 0, 0])
+                cubes.index_set_from_hyperclosure(g, hc)
+                self.assertEqual(len(_ctx(g)["gates"]), classes)
 
 
 def stored_model(path):
@@ -979,7 +1100,7 @@ def test_generated_graphs():
         ctx = _ctx(g)
         for s in subsets(g):
             assert cubes._is_convex(ctx, s) == oracle_is_convex(ctx, s)
-        assert gate_images(cubes._gate_image, ctx, g) == \
+        assert gate_images(mask_gate_image, ctx, g) == \
             gate_images(oracle_gate_image, ctx, g)
 
     check()
@@ -987,9 +1108,10 @@ def test_generated_graphs():
 
 def test_tree_times_path_products():
     """Products of a tree and a path are median, have one hyperplane
-    per factor edge and gate every vertex to its unique nearest vertex
-    of an interval, and stop being median after one chord between two
-    vertices at distance two."""
+    per factor edge, meet the theorem, closure and complement oracles,
+    gate every vertex to its unique nearest vertex of an interval, and
+    stop being median after one chord between two vertices at distance
+    two."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     parents = st.integers(0, 7).flatmap(lambda n: st.tuples(
@@ -1005,6 +1127,7 @@ def test_tree_times_path_products():
         assert len(cubes.hyperplanes(g)) == len(parents) + length
         check_theorems(g)
         check_closure(g)
+        check_complements(g)
         ctx = _ctx(g)
         d, verts = ctx["D"], ctx["vertices"]
         x, y = pick % len(verts), (pick // len(verts)) % len(verts)

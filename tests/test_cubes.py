@@ -11,7 +11,8 @@ from hhsforge.graph import Graph
 from hhsforge.indexset import PropertyReport, check_property, split_info
 from hhsforge.model import check_metric_property
 
-from helpers import as_nx, make_b3, on_ctx
+from helpers import as_nx, crossing, make_b3, mask_gate_image, on_ctx
+from test_cube_kernel import oracle_complement_at
 
 
 def square():
@@ -132,15 +133,15 @@ class TestGates(unittest.TestCase):
         hc = cubes.hyperclosure(g)
         reps = [hc.classes[c].rep for c in hc.order]
         for fa, fb in itertools.permutations(reps, 2):
-            image = on_ctx(cubes._gate_image, g, fa, fb)
-            self.assertEqual(on_ctx(cubes._crossing, g, image),
-                             on_ctx(cubes._crossing, g, fa) &
-                             on_ctx(cubes._crossing, g, fb))
+            image = on_ctx(mask_gate_image, g, fa, fb)
+            self.assertEqual(on_ctx(crossing, g, image),
+                             on_ctx(crossing, g, fa) &
+                             on_ctx(crossing, g, fb))
 
 
 def parallel_class(g, f):
     """The key of the convex set f and the sets crossed by exactly it."""
-    key = on_ctx(cubes._crossing, g, f)
+    key = on_ctx(crossing, g, f)
     return key, cubes._members(cubes._ctx(g), key)
 
 
@@ -163,39 +164,38 @@ class TestParallelism(unittest.TestCase):
             self.assertEqual(sorted(d for _, d in
                                     as_nx(g).subgraph(member).degree()),
                              shape)
-            self.assertEqual(on_ctx(cubes._crossing, g, member), key)
+            self.assertEqual(on_ctx(crossing, g, member), key)
 
 
 class TestComplement(unittest.TestCase):
+    """The complement key of the class of a convex set f against the key
+    of the complement set that spans a product with f."""
+
+    def check(self, g, f, comp):
+        hc = cubes.hyperclosure(g)
+        keys = cubes._complement_keys(cubes._ctx(g), hc)
+        self.assertEqual(keys[hc.by_key[on_ctx(crossing, g, f)]],
+                         on_ctx(crossing, g, comp))
 
     def test_whole_complex_gives_base(self):
         g = square()
-        nodes = frozenset(g.nodes())
-        self.assertEqual(
-            on_ctx(cubes._orthogonal_complement_at, g, nodes, "a"),
-            frozenset(["a"]))
+        self.check(g, g.nodes(), ["a"])
 
     def test_square_edge_complement(self):
-        g = square()
-        comp = on_ctx(cubes._orthogonal_complement_at, g, ["a", "b"], "a")
-        self.assertEqual(comp, frozenset(["a", "d"]))
+        self.check(square(), ["a", "b"], ["a", "d"])
 
     def test_grid_column_complement_is_row(self):
-        g = cubes.grid_complex(7, 7)
-        column = frozenset("0_%d" % j for j in range(7))
-        comp = on_ctx(cubes._orthogonal_complement_at, g, column, "0_4")
-        self.assertEqual(comp, frozenset("%d_4" % i for i in range(7)))
+        self.check(cubes.grid_complex(7, 7),
+                   ("0_%d" % j for j in range(7)),
+                   ("%d_4" % i for i in range(7)))
 
     def test_red_ray_complement_is_tripod(self):
-        g = cubes.build_counterexample(2)
-        ray = frozenset(["o", "r1", "r2", "r3"])
-        comp = on_ctx(cubes._orthogonal_complement_at, g, ray, "o")
-        self.assertEqual(comp, frozenset(["o", "sv_o", "dv_o", "gv1_o"]))
+        self.check(cubes.build_counterexample(2), ["o", "r1", "r2", "r3"],
+                   ["o", "sv_o", "dv_o", "gv1_o"])
 
     def test_base_outside_rejected(self):
         with self.assertRaises(CubeError):
-            on_ctx(cubes._orthogonal_complement_at, square(), ["a", "b"],
-                   "c")
+            on_ctx(oracle_complement_at, square(), ["a", "b"], "c")
 
 
 class TestHyperclosure(unittest.TestCase):
@@ -233,7 +233,7 @@ class TestHyperclosure(unittest.TestCase):
         forced = set()
         for h in cubes.hyperplanes(square()):
             for side in h.sides:
-                forced.add(on_ctx(cubes._crossing, square(), side))
+                forced.add(on_ctx(crossing, square(), side))
         self.assertTrue(all(hc.classes[c].key in forced or c == hc.top
                             for c in hc.order))
 
@@ -287,13 +287,11 @@ class TestCounterexample(unittest.TestCase):
         g = cubes.build_counterexample(3)
         for h in cubes.hyperplanes(g):
             if h.hid == "Gamma1":
-                numeric = set(k for k in on_ctx(cubes._crossing, g,
-                                                h.sides[0])
+                numeric = set(k for k in on_ctx(crossing, g, h.sides[0])
                               if k.lstrip("-").isdigit())
                 self.assertEqual(numeric, set(["1", "3", "5", "7"]))
             if h.hid == "Gamma2":
-                numeric = set(k for k in on_ctx(cubes._crossing, g,
-                                                h.sides[0])
+                numeric = set(k for k in on_ctx(crossing, g, h.sides[0])
                               if k.lstrip("-").isdigit())
                 self.assertEqual(numeric, set(["2", "4", "6"]))
 
@@ -325,17 +323,20 @@ class TestComplementInvolution(unittest.TestCase):
             self.assertTrue(report.verdict)
 
     def test_matches_recomputed_complements(self):
-        # the check reads one table of complements; the reference below
-        # computes each class's complement and its complement's again,
-        # also when the complement of the first class or of its partner
-        # is bent to the whole complex or to the base vertex
-        real = cubes._orthogonal_complement_at
+        # the check reads one table of complement keys; the reference
+        # below computes each class's complement and its complement's
+        # again by gate images, also when the key of the first class's
+        # complement or of its partner's is bent to that of the whole
+        # complex or of the base vertex
+        real = cubes._complement_keys
 
-        def recomputed(g, hc):
+        def recomputed(g, hc, bend):
             ctx = cubes._ctx(g)
 
             def comp(rec):
-                return cubes._crossing(ctx, cubes._orthogonal_complement_at(
+                if rec.id in bend:
+                    return bend[rec.id]
+                return crossing(ctx, oracle_complement_at(
                     ctx, rec.rep, min(rec.rep)))
 
             for cid in hc.order:
@@ -355,27 +356,22 @@ class TestComplementInvolution(unittest.TestCase):
                   cubes.build_counterexample(2)):
             hc = cubes.hyperclosure(g)
             first = hc.order[0]
-            partner = hc.by_key[cubes._complement_keys(cubes._ctx(g),
-                                                       hc)[first]]
-            whole = frozenset(g.nodes())
-            for name, bent, image in (
-                    ("none", None, None),
-                    ("first to whole", first, lambda base: whole),
-                    ("first to base", first, lambda base: frozenset([base])),
-                    ("partner to base", partner,
-                     lambda base: frozenset([base]))):
-                def complement(ctx, f, base):
-                    if bent is not None and f == hc.classes[bent].rep:
-                        return image(base)
-                    return real(ctx, f, base)
+            partner = hc.by_key[real(cubes._ctx(g), hc)[first]]
+            whole = hc.classes[hc.top].key
+            for name, bend in (("none", {}),
+                               ("first to whole", {first: whole}),
+                               ("first to base", {first: frozenset()}),
+                               ("partner to base", {partner: frozenset()})):
+                def complement_keys(ctx, hc):
+                    return dict(real(ctx, hc), **bend)
 
                 with self.subTest(bend=name), mock.patch.object(
-                        cubes, "_orthogonal_complement_at",
-                        side_effect=complement):
-                    want = recomputed(g, hc)
+                        cubes, "_complement_keys",
+                        side_effect=complement_keys):
+                    want = recomputed(g, hc, bend)
                     self.assertEqual(cubes.check_complement_involution(g, hc),
                                      want)
-                    self.assertEqual(want.verdict, bent is None)
+                    self.assertEqual(want.verdict, not bend)
 
     def test_counterexample_pairing_table(self):
         g = cubes.build_counterexample(2)
@@ -394,15 +390,10 @@ class TestComplementInvolution(unittest.TestCase):
             (frozenset(["3"]),
              frozenset(["Sigma", "Delta", "Gamma1", "phi3"])),
         ]
+        comp = cubes._complement_keys(cubes._ctx(g), hc)
         for key, expected in table:
-            rec = hc.classes[hc.by_key[key]]
-            comp = on_ctx(cubes._orthogonal_complement_at, g, rec.rep,
-                          min(rec.rep))
-            self.assertEqual(on_ctx(cubes._crossing, g, comp), expected)
-            back = hc.classes[hc.by_key[expected]]
-            comp2 = on_ctx(cubes._orthogonal_complement_at, g, back.rep,
-                           min(back.rep))
-            self.assertEqual(on_ctx(cubes._crossing, g, comp2), key)
+            self.assertEqual(comp[hc.by_key[key]], expected)
+            self.assertEqual(comp[hc.by_key[expected]], key)
 
 
 class TestModelExtraction(unittest.TestCase):
@@ -431,7 +422,7 @@ class TestModelExtraction(unittest.TestCase):
         g = cubes.grid_complex(7, 7)
         m = cubes.index_set_from_hyperclosure(g)
         hc = m.hyperclosure
-        col = hc.by_key[on_ctx(cubes._crossing, g,
+        col = hc.by_key[on_ctx(crossing, g,
                                ("0_%d" % j for j in range(7)))]
         self.assertEqual(m.named.pi[(col, "3_4")],
                          frozenset([cubes.gate(g, "3_4",
