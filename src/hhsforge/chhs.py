@@ -119,7 +119,7 @@ class BlowupGraph(object):
         for s in self.simplices:
             groups.setdefault(self.links[s], []).append(s)
         return tuple(SimplexClass("q%d" % i, members[0], tuple(members), lk,
-                                  not lk, link_of_set(self, lk))
+                                  not lk)
                      for i, (lk, members) in enumerate(groups.items()))
 
     @functools.cached_property
@@ -195,17 +195,15 @@ def simplices(x):
 
 
 class SimplexClass(object):
-    """All simplices sharing one link, with their saturation and the
-    link of their link (the double link)."""
+    """All simplices sharing one link, with their saturation."""
 
-    def __init__(self, cid, rep, members, lk, maximal, double):
+    def __init__(self, cid, rep, members, lk, maximal):
         self.id = cid
         self.rep = rep
         self.members = members
         self.link = lk
         self.maximal = maximal
         self.saturation = frozenset(v for s in members for v in s)
-        self.double = double
 
     def __repr__(self):
         return "SimplexClass(%s, rep=%s)" % (self.id, _set_name(self.rep))
@@ -273,7 +271,7 @@ def class_relation(x, a, b):
         return NESTED_IN
     if b.link <= a.link:
         return CONTAINS
-    if b.link <= a.double:
+    if b.link <= link_of_set(x, a.link):
         return ORTHOGONAL
     return TRANSVERSE
 
@@ -880,7 +878,7 @@ def check_chhs(m, w):
 
     containers = PropertyReport("simplicial_containers", True, None)
     for c in classes:
-        if c.double not in links:
+        if link_of_set(x, c.link) not in links:
             containers = PropertyReport("simplicial_containers", False,
                                         (c.id,))
             break

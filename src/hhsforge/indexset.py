@@ -6,10 +6,11 @@ inherited downward (V nested in U and U orthogonal to W makes V orthogonal
 to W) and never holds between comparable domains.  Two domains that are
 neither comparable nor orthogonal are transverse.
 
-The checkers here are exhaustive, not sampled: every quantifier in a property
+The constructor establishes irreflexive, downward-inherited orthogonality
+and a top above every domain, and no property re-checks them.  The property
+checkers are exhaustive, not sampled: every other quantifier in a property
 definition is evaluated over all tuples of domains.  Fixtures are expected to
-stay small (a few hundred domains at most), so the cubic and quartic scans
-are fine.
+stay small (a few hundred domains at most), so the cubic scans are fine.
 """
 
 import itertools
@@ -101,9 +102,6 @@ class IndexSet(object):
             raise IndexSetError(
                 "unique maximal domain violated, witness %s" % " ".join(maximal))
         self.top = maximal[0]
-        if any(self.top not in self.up[u] for u in self.domains):
-            # unreachable once maximal is unique on a finite poset, kept as a guard
-            raise IndexSetError("unique maximal domain violated, witness %s" % self.top)
 
         for a, b in orthogonality:
             if a == b:
@@ -506,29 +504,17 @@ def _check_orth_determines_nesting(s):
 
 
 def _check_orthogonal_set(s):
-    # anti-reflexivity and the unique maximal element are construction
-    # invariants; re-assert them cheaply anyway
-    for u in s.domains:
-        if u in s.orth[u]:
-            return (u,)
-    for u, v, w in itertools.permutations(s.domains, 3):
-        if v in s.up[u] and w in s.orth[v] and w not in s.orth[u]:
-            return (u, v, w)
+    # irreflexive, downward-inherited orthogonality holds by construction;
+    # a domain with orthogonal ones needs a complement whose orthogonal
+    # set is exactly its own down-set
     bad = _check_wedges(s)
     if bad is not None:
         return bad
     for u in s.domains:
-        if not s.orth[u]:
-            continue
-        found = None
-        for c in s.domains:
-            if not (s.orth[u] <= s.down[c]):
-                continue
-            if all((w in s.orth[c]) == (w in s.down[u]) for w in s.domains):
-                found = c
-                break
-        if found is None:
-            return (u,)
+        if s.orth[u]:
+            c = s.complement(u)
+            if c is None or s.orth[c] != s.down[u]:
+                return (u,)
     return _check_orth_determines_nesting(s)
 
 

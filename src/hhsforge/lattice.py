@@ -126,14 +126,12 @@ def to_ortholattice(s):
     down = {BOTTOM: {BOTTOM}}
     for u in s.domains:
         down[u] = set(s.down[u]) | {BOTTOM}
+    # orthogonal_set gives every domain below the top a complement
     comp = {BOTTOM: s.top, s.top: BOTTOM}
     for u in s.domains:
         if u == s.top:
             continue
         comp[u] = s.complement(u)
-        if comp[u] is None:
-            # unreachable under the precondition, kept as a guard
-            raise LatticeError("no complement for %s" % u)
     return OrthoLattice(down, comp, s.top, BOTTOM)
 
 

@@ -1,17 +1,24 @@
 """Shared fixtures for the test modules, and the reference forms of
 package internals that the tests compare against."""
 
+import contextlib
+import io
 import itertools
+import os
+import random
+import tempfile
 
 import numpy as np
 
-from hhsforge import cubes, model
+from hhsforge import cli, cubes, model
 from hhsforge.indexset import (
     CONTAINS,
     NESTED_IN,
     TRANSVERSE,
     IndexSet,
     IndexSetError,
+    _check_orth_determines_nesting,
+    _check_wedges,
     check_property,
     relation,
 )
@@ -96,6 +103,60 @@ def convex_expansion(picks):
     return g
 
 
+def run_cli(*argv):
+    """(exit code, stdout, stderr) of cli.main run in process."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    except SystemExit as stop:
+        code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# the subcommands that take a median graph and nothing else
+MEDIAN_COMMANDS = ("cubes", "blowup", "build-w", "verify-chhs", "qi-report")
+
+
+def median_runs(seed, graphs, max_expansions=7):
+    """Each of MEDIAN_COMMANDS run through cli.main on generated median
+    graphs, as (picks, subcommand, exit code, stdout, stderr).  With
+    random.Random(seed), each graph is the convex_expansion of
+    rng.randint(2, max_expansions) picks of three rng.randrange(100),
+    written by cubes.dump_complex."""
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        for k in range(graphs):
+            picks = [tuple(rng.randrange(100) for _ in range(3))
+                     for _ in range(rng.randint(2, max_expansions))]
+            path = os.path.join(tmp, "g%d.cplx" % k)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(cubes.dump_complex(convex_expansion(picks)))
+            for command in MEDIAN_COMMANDS:
+                yield (picks, command) + run_cli(command, path)
+
+
+def false_properties(out):
+    """The properties a run's output reports false with a witness."""
+    return [line.split()[0][len("property="):] for line in out.splitlines()
+            if line.startswith("property=")
+            and " verdict=false witness=" in line]
+
+
+def keeps_exit_contract(code, out, err):
+    """Whether a run on a usable input keeps the exit-code contract:
+    nothing on stderr, and exit 0 with no false verdict or exit 1 with
+    a false verdict and its witness."""
+    false = bool(false_properties(out))
+    return not err and (code, false) in ((0, False), (1, True))
+
+
+# a median graph with 12 vertices and 16 edges on which check_chhs fails
+# common_nesting_extension, simplicial_wedges and simplicial_containers
+FAILING_PICKS = [(92, 64, 87), (74, 3, 79), (39, 57, 87), (16, 19, 9),
+                 (74, 18, 86), (27, 61, 98)]
+
+
 def wedge(s, u, v, weak=False):
     """Largest common nested domain of u and v, or None when they share none.
 
@@ -123,6 +184,55 @@ def wedge(s, u, v, weak=False):
         raise IndexSetError("weak wedge undefined, witness %s"
                             % " ".join(least))
     return least[0]
+
+
+def oracle_orthogonal_set(s):
+    """The orthogonal-set check that re-asserts the construction
+    invariants and searches every domain for each complement: the
+    reference for indexset's checker, which reads IndexSet.complement."""
+    # anti-reflexivity and the unique maximal element are construction
+    # invariants; re-assert them cheaply anyway
+    for u in s.domains:
+        if u in s.orth[u]:
+            return (u,)
+    for u, v, w in itertools.permutations(s.domains, 3):
+        if v in s.up[u] and w in s.orth[v] and w not in s.orth[u]:
+            return (u, v, w)
+    bad = _check_wedges(s)
+    if bad is not None:
+        return bad
+    for u in s.domains:
+        if not s.orth[u]:
+            continue
+        found = None
+        for c in s.domains:
+            if not (s.orth[u] <= s.down[c]):
+                continue
+            if all((w in s.orth[c]) == (w in s.down[u]) for w in s.domains):
+                found = c
+                break
+        if found is None:
+            return (u,)
+    return _check_orth_determines_nesting(s)
+
+
+def random_index_sets(rng, draws):
+    """The valid index sets among draws random ones: 2 to 7 domains
+    d0, d1, ..., the last above all others, and below it each pair
+    d_i, d_j with i < j nested (d_i in d_j) with probability 0.3 and
+    orthogonal with probability 0.4.  Draws the constructor rejects are
+    skipped."""
+    for _ in range(draws):
+        n = rng.randint(2, 7)
+        ids = ["d%d" % i for i in range(n)]
+        pairs = list(itertools.combinations(ids[:-1], 2))
+        nest = [p for p in pairs if rng.random() < 0.3]
+        orth = [p for p in pairs if rng.random() < 0.4]
+        try:
+            yield IndexSet(ids, nest + [(u, ids[-1]) for u in ids[:-1]],
+                           orth)
+        except IndexSetError:
+            continue
 
 
 def distance_estimate(m, x, y, threshold):

@@ -47,13 +47,14 @@ from hhsforge.indexset import (
     EQUAL,
     NESTED_IN,
     ORTHOGONAL,
+    TRANSVERSE,
     IndexSet,
     check_property,
 )
 from hhsforge.model import HHSModel, load_model
 
-from helpers import (as_nx, augmented_graph, make_rect_model,
-                     make_star_model)
+from helpers import (FAILING_PICKS, as_nx, augmented_graph, convex_expansion,
+                     make_rect_model, make_star_model)
 from test_measure_kernel import glued, tree_times_path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -336,6 +337,23 @@ class TestSimplexClasses(unittest.TestCase):
         self.assertEqual((a0.id, a1.id), ("q13", "q11"))
         self.assertEqual(class_relation(x, a0, a1), ORTHOGONAL)
         self.assertEqual(class_relation(x, a1, a0), ORTHOGONAL)
+
+    def test_relation_by_definition(self):
+        """Orthogonal classes have one link inside the vertices adjacent
+        to all of the other's link; transverse ones are met too."""
+        _, x, _ = pipeline("grid")
+        nonmax = [c for c in simplex_classes(x) if not c.maximal]
+        seen = set()
+        for a, b in itertools.product(nonmax, repeat=2):
+            double = frozenset(v for v in x.adj if a.link <= x.adj[v])
+            want = (EQUAL if a.link == b.link
+                    else NESTED_IN if a.link <= b.link
+                    else CONTAINS if b.link <= a.link
+                    else ORTHOGONAL if b.link <= double else TRANSVERSE)
+            self.assertEqual(class_relation(x, a, b), want, (a.id, b.id))
+            seen.add(want)
+        self.assertIn(TRANSVERSE, seen)
+        self.assertIn(ORTHOGONAL, seen)
 
     def test_relation_on_maximal_raises(self):
         _, x, _ = pipeline("grid")
@@ -654,6 +672,73 @@ class TestCheckChhs(unittest.TestCase):
                           for p in ("wedges", "clean_containers",
                                     "strong_orth"))]
         self.assertTrue(checked)
+
+
+class TestFailingWitnesses(unittest.TestCase):
+    """On the median graph of FAILING_PICKS, check_chhs fails
+    common_nesting_extension, simplicial_wedges and simplicial_containers.
+    Each condition is restated here with frozenset operations: a link is
+    the set of vertices adjacent to all of a set, a coface of sigma is a
+    simplex tau with sigma <= tau.  Every failure is listed in
+    check_chhs's scan order, so the reported witness is the first."""
+
+    @classmethod
+    def setUpClass(cls):
+        m = cubes.index_set_from_hyperclosure(
+            cubes.validate_median_graph(convex_expansion(FAILING_PICKS)))
+        cls.m = m
+        cls.x = blow_up(m)
+        cls.rep = check_chhs(m, build_w(m, cls.x))
+
+    def link(self, s):
+        adj = self.x.adj
+        return frozenset(v for v in adj if s <= adj[v])
+
+    def coface_links(self, sigma):
+        """The links of the simplices that contain sigma."""
+        return set(self.link(tau) for tau in self.x.simplices if sigma <= tau)
+
+    def test_sizes(self):
+        self.assertEqual((self.m.E, len(self.m.index.domains)), (2, 11))
+        self.assertEqual((len(self.x.simplices), len(self.x.classes)),
+                         (151, 47))
+        for c in self.x.classes:
+            for s in c.members:
+                self.assertEqual(self.link(s), c.link)
+
+    def test_common_nesting_extension(self):
+        per = self.rep.per_class
+        nonmax = [c for c in self.x.classes if c.link]
+        by_link = dict((c.link, c) for c in self.x.classes)
+        failures = []
+        for d in nonmax:
+            gammas = [g for g in nonmax if g.link <= d.link
+                      and per[g.id]["diam"] >= self.rep.delta]
+            for sigma in self.x.simplices:
+                lk = self.link(sigma)
+                found = [g for g in gammas if lk and g.link <= lk]
+                if found and not any(
+                        p <= d.link and all(g.link <= p for g in found)
+                        for p in self.coface_links(sigma)):
+                    failures.append((d.id, by_link[lk].id, found[0].id))
+        self.assertEqual(failures[0], ("q1", "q7", "q36"))
+        self.assertEqual(self.rep.conditions[3].witness, failures[0])
+
+    def test_simplicial_wedges(self):
+        failures = [(_set_name(sigma), d.id)
+                    for sigma in self.x.simplices
+                    for d in self.x.classes
+                    if self.link(sigma) & d.link
+                    not in self.coface_links(sigma)]
+        self.assertEqual(failures[0], ("[h0]|*", "q7"))
+        self.assertEqual(self.rep.simplicial_wedges.witness, failures[0])
+
+    def test_simplicial_containers(self):
+        links = set(self.link(s) for s in self.x.simplices)
+        failures = [(c.id,) for c in self.x.classes
+                    if self.link(c.link) not in links]
+        self.assertEqual(failures[0], ("q11",))
+        self.assertEqual(self.rep.simplicial_containers.witness, failures[0])
 
 
 class TestRealisationQi(unittest.TestCase):

@@ -5,8 +5,6 @@ through a real subprocess to pin down argparse exit codes and
 byte-level determinism.
 """
 
-import contextlib
-import io
 import os
 import subprocess
 import sys
@@ -18,21 +16,14 @@ import pytest
 
 from hhsforge import chhs, cli, cubes, model
 
+from helpers import (FAILING_PICKS, convex_expansion, keeps_exit_contract,
+                     median_runs, run_cli)
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def fix(name):
     return os.path.join(ROOT, "fixtures", name)
-
-
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(list(argv))
-    except SystemExit as stop:
-        code = stop.code
-    return code, out.getvalue(), err.getvalue()
 
 
 def run_proc(args):
@@ -240,6 +231,33 @@ class TestVerifyCommand(unittest.TestCase):
         greens = [l for l in lines
                   if l.startswith("property=") and l.endswith("verdict=true")]
         self.assertEqual(len(greens), 4)
+
+
+class TestGeneratedMedianGraphs(unittest.TestCase):
+
+    def test_exit_contract(self):
+        """On 40 generated median graphs every subcommand exits 0, or 1
+        with a false verdict and its witness, and writes no stderr."""
+        codes = set()
+        for picks, command, code, out, err in median_runs(1, 40):
+            codes.add(code)
+            self.assertTrue(keeps_exit_contract(code, out, err),
+                            (picks, command, code, err))
+        self.assertEqual(codes, {0, 1})
+
+    def test_three_failing_conditions(self):
+        """verify-chhs names the three failing conditions of the graph
+        that TestFailingWitnesses checks by definition."""
+        code, out, err = run_on_complex(
+            cubes.dump_complex(convex_expansion(FAILING_PICKS)),
+            ("verify-chhs", COMPLEX))
+        self.assertEqual((code, err), (1, ""))
+        self.assertEqual(
+            [line for line in out.splitlines() if "verdict=false" in line],
+            ["property=common_nesting_extension verdict=false"
+             " witness=q1,q7,q36",
+             "property=simplicial_wedges verdict=false witness=[h0]|*,q7",
+             "property=simplicial_containers verdict=false witness=q11"])
 
 
 class TestQiReportCommand(unittest.TestCase):

@@ -7,9 +7,11 @@ is compared against arithmetic it does not share.
 """
 
 import itertools
+import os
+import random
 import unittest
 
-from hhsforge import indexset
+from hhsforge import cubes, indexset
 from hhsforge.indexset import (
     CONTAINS, EQUAL, NESTED_IN, ORTHOGONAL, TRANSVERSE,
     IndexSet, IndexSetError, PropertyReport,
@@ -18,7 +20,9 @@ from hhsforge.indexset import (
     split_info,
 )
 
-from helpers import wedge
+from helpers import oracle_orthogonal_set, random_index_sets, wedge
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 B3_IDS = ["1", "2", "3", "12", "13", "23", "123"]
 
@@ -352,6 +356,39 @@ class TestOrthogonalsForNonSplit(unittest.TestCase):
         self.assertTrue(check_property(s, "weak_orth").verdict)
         self.assertTrue(check_property(s, "orthogonals_for_non_split").verdict)
         self.assertTrue(check_property(s, "orthogonal_set").verdict)
+
+
+class TestOrthogonalSetOracle(unittest.TestCase):
+    """The orthogonal-set check, which reads IndexSet.complement, gives
+    the verdict and witness of the oracle that re-checks the construction
+    invariants and searches every domain for each complement."""
+
+    def agree(self, s):
+        witness = oracle_orthogonal_set(s)
+        rep = check_property(s, "orthogonal_set")
+        self.assertEqual((rep.verdict, rep.witness), (witness is None, witness))
+        return witness
+
+    def test_generated(self):
+        outcomes = set()
+        for s in random_index_sets(random.Random(1), 20000):
+            witness = self.agree(s)
+            outcomes.add("true" if witness is None
+                         else "complement" if len(witness) == 1 else "pair")
+        # every outcome is met: true, failing at the complement step, and
+        # failing at a pair (wedges or orth_determines_nesting)
+        self.assertEqual(outcomes, {"true", "complement", "pair"})
+
+    def test_shipped(self):
+        for path in ("fixtures/b3.idx", "fixtures/o6.idx",
+                     "perfbench/data/gamma6.idx"):
+            with self.subTest(path=path):
+                with open(os.path.join(ROOT, path)) as handle:
+                    self.agree(load_index_set(handle.read()))
+        for depth in range(1, 9):
+            with self.subTest(depth=depth):
+                self.agree(cubes.index_set_from_hyperclosure(
+                    cubes.build_counterexample(depth)).index)
 
 
 class TestFileFormat(unittest.TestCase):
