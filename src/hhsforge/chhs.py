@@ -17,10 +17,8 @@ import functools
 import itertools
 import math
 
-import numpy as np
-
 from .cubes import _four_point, graph_dot, sorted_dot
-from .graph import Graph, apsp, chain_lengths, enumerate_all_cliques
+from .graph import Graph, apsp, chain_lengths, enumerate_all_cliques, np
 from .indexset import (
     CONTAINS,
     EQUAL,

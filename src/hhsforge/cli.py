@@ -13,9 +13,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import chhs, cubes, lattice, model
+from .graph import np
 from .indexset import IndexSetError, check_all_properties, load_index_set
 from .lattice import LatticeError
 from .model import ModelError

@@ -10,9 +10,7 @@ are parallelism classes of the hyperclosure.
 
 import itertools
 
-import numpy as np
-
-from .graph import Graph, _cells, apsp, as_graph, chain_lengths
+from .graph import Graph, _cells, apsp, as_graph, chain_lengths, np
 from .indexset import (IndexSet, PropertyReport, content_lines,
                        NESTED_IN, TRANSVERSE)
 from .model import HHSModel, _Coord

@@ -17,9 +17,34 @@ connectivity test reads the distances of one of the two.
 """
 
 import collections
+import importlib.util
 import itertools
+import sys
 
-import numpy as np
+
+def _lazy(name):
+    """The module called name, imported at its first attribute read.
+
+    This is the `importlib.util.LazyLoader` recipe: the module object
+    goes into `sys.modules` at once, and its code runs when something
+    first reads an attribute of it.  A module already imported is
+    returned as it is.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError("No module named %r" % name, name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# numpy loads at the first `np.` read, so the index-set and lattice
+# commands, which never read it, start without it
+np = _lazy("numpy")
 
 
 class Graph(object):

@@ -11,9 +11,7 @@ import functools
 import itertools
 import types
 
-import numpy as np
-
-from .graph import Graph, _cells, apsp, as_graph
+from .graph import Graph, _cells, apsp, as_graph, np
 from .indexset import (
     CONTAINS,
     NESTED_IN,
@@ -643,7 +641,7 @@ def _scan_bgi(m, floor=0):
     return worst
 
 
-_FAR = np.iinfo(np.int32).max
+_FAR = 2 ** 31 - 1  # np.iinfo(np.int32).max
 
 
 def _reach_row(rows, i, span, anchor):

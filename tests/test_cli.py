@@ -592,6 +592,57 @@ class TestDeterminism(unittest.TestCase):
         self.assertEqual(first.stdout, second.stdout)
 
 
+# Imports the package as perfbench/job.py does, runs the command line,
+# then writes the exit code and the count of loaded numpy submodules as
+# the last line of stderr.  `numpy.` catches numpy 1.x and 2.x alike;
+# the bare name `numpy` is the lazy module, bound before it loads.
+FRESH = """import sys
+from hhsforge import chhs, cli, cubes, indexset, lattice, model
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+loaded = [m for m in sys.modules if m.startswith("numpy.")]
+print("exit=%d numpy=%d" % (code, len(loaded)), file=sys.stderr)
+"""
+
+
+class TestNumpyLoadsOnFirstUse(unittest.TestCase):
+    """In a fresh interpreter the index-set and lattice commands and the
+    input errors never load numpy, and a command that loads it midway
+    still prints its golden bytes.  The in-process goldens run after the
+    test modules imported numpy, so only a fresh process sees this."""
+
+    def fresh(self, args):
+        """(exit code, numpy submodules loaded, stdout bytes)."""
+        result = subprocess.run([sys.executable, "-c", FRESH] + args,
+                                capture_output=True, cwd=ROOT)
+        self.assertEqual(result.returncode, 0, result.stderr)
+        last = result.stderr.decode().splitlines()[-1]
+        code, numpy = (int(word.split("=")[1]) for word in last.split())
+        return code, numpy, result.stdout
+
+    def golden(self, name):
+        with open(os.path.join(ROOT, "tests", "golden", name + ".out"),
+                  "rb") as handle:
+            return handle.read()
+
+    def test_index_set_and_lattice_never_load_numpy(self):
+        for args, name, code in (
+                (["check-indexset", fix("b3.idx")], "check-indexset_b3", 0),
+                (["lattice", fix("o6.idx")], "lattice_o6", 1)):
+            with self.subTest(name=name):
+                self.assertEqual(self.fresh(args),
+                                 (code, 0, self.golden(name)))
+
+    def test_input_error_never_loads_numpy(self):
+        self.assertEqual(self.fresh(["verify-chhs", fix("missing.model")]),
+                         (2, 0, b""))
+
+    def test_verify_chhs_loads_numpy_and_matches_the_golden(self):
+        code, numpy, out = self.fresh(["verify-chhs", fix("gamma4.model")])
+        self.assertEqual((code, out), (1, self.golden("verify-chhs_gamma4")))
+        self.assertGreater(numpy, 0)
+
+
 class TestClosedStdout(unittest.TestCase):
     """A reader that closes stdout before the report is written leaves
     the verdict's exit code and nothing on stderr."""
