@@ -14,11 +14,18 @@ point graphs and join tests: from every vertex at once, gathering over
 a padded neighbour table.  The package's other search, `chhs._distances`,
 serves W and the class graphs with stacked float32 products.  Every
 connectivity test reads the distances of one of the two.
+
+Those float32 products run on one BLAS thread: while numpy is not yet
+loaded, `OPENBLAS_NUM_THREADS` defaults to 1 here, so OpenBLAS starts
+no worker pool.  A value the caller set is kept.  Each product is of
+0/1 matrices read as `> 0`, and a sum of non-negative terms is positive
+exactly when one term is, so the thread count cannot change a result.
 """
 
 import collections
 import importlib.util
 import itertools
+import os
 import sys
 
 
@@ -43,7 +50,10 @@ def _lazy(name):
 
 
 # numpy loads at the first `np.` read, so the index-set and lattice
-# commands, which never read it, start without it
+# commands, which never read it, start without it; OpenBLAS reads its
+# thread count when numpy loads, so a numpy already loaded keeps its own
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 np = _lazy("numpy")
 
 

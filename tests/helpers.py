@@ -143,6 +143,26 @@ def false_properties(out):
             and " verdict=false witness=" in line]
 
 
+def keeps_lemma_2(out):
+    """Whether a verify-chhs report keeps Lemma 2: when
+    common_nesting_extension is false, simplicial_wedges is false too.
+
+    Proof.  Simplex classes group simplices by link, so a simplex σ has
+    the link lk σ of its class.  Condition 3 fails at a non-maximal
+    class d and a simplex σ when the classes γ it finds, those with
+    lk γ inside both lk d and lk σ, are not all inside the link of one
+    class p above σ (the class of a simplex containing σ) with lk p
+    inside lk d.  The wedge holds at (σ, d) when some class p above σ
+    has lk p = lk σ ∩ lk d.  That p has lk p inside lk d, and every
+    found γ has lk γ inside lk σ ∩ lk d = lk p, so condition 3 holds at
+    (d, σ).  Hence where condition 3 fails the wedge fails at (σ, d),
+    and the wedge check, which tries every simplex against every class,
+    reports false."""
+    false = false_properties(out)
+    return ("common_nesting_extension" not in false
+            or "simplicial_wedges" in false)
+
+
 def keeps_exit_contract(code, out, err):
     """Whether a run on a usable input keeps the exit-code contract:
     nothing on stderr, and exit 0 with no false verdict or exit 1 with

@@ -16,8 +16,9 @@ import pytest
 
 from hhsforge import chhs, cli, cubes, model
 
-from helpers import (FAILING_PICKS, convex_expansion, keeps_exit_contract,
-                     median_runs, run_cli)
+from helpers import (FAILING_PICKS, convex_expansion, false_properties,
+                     keeps_exit_contract, keeps_lemma_2, median_runs,
+                     run_cli)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -237,13 +238,20 @@ class TestGeneratedMedianGraphs(unittest.TestCase):
 
     def test_exit_contract(self):
         """On 40 generated median graphs every subcommand exits 0, or 1
-        with a false verdict and its witness, and writes no stderr."""
+        with a false verdict and its witness, and writes no stderr; and
+        every verify-chhs report keeps Lemma 2."""
         codes = set()
+        cond3_false = 0
         for picks, command, code, out, err in median_runs(1, 40):
             codes.add(code)
             self.assertTrue(keeps_exit_contract(code, out, err),
                             (picks, command, code, err))
+            if command == "verify-chhs":
+                self.assertTrue(keeps_lemma_2(out), picks)
+                cond3_false += ("common_nesting_extension"
+                                in false_properties(out))
         self.assertEqual(codes, {0, 1})
+        self.assertGreater(cond3_false, 0)
 
     def test_three_failing_conditions(self):
         """verify-chhs names the three failing conditions of the graph
@@ -593,32 +601,47 @@ class TestDeterminism(unittest.TestCase):
 
 
 # Imports the package as perfbench/job.py does, runs the command line,
-# then writes the exit code and the count of loaded numpy submodules as
-# the last line of stderr.  `numpy.` catches numpy 1.x and 2.x alike;
-# the bare name `numpy` is the lazy module, bound before it loads.
-FRESH = """import sys
+# then writes as the last line of stderr the exit code, the count of
+# loaded numpy submodules, OPENBLAS_NUM_THREADS and the count of OS
+# threads (-1 where /proc/self/task does not exist).  `numpy.` catches
+# numpy 1.x and 2.x alike; the bare name `numpy` is the lazy module,
+# bound before it loads.
+FRESH = """import os, sys
 from hhsforge import chhs, cli, cubes, indexset, lattice, model
 code = cli.main(sys.argv[1:])
 sys.stdout.flush()
 loaded = [m for m in sys.modules if m.startswith("numpy.")]
-print("exit=%d numpy=%d" % (code, len(loaded)), file=sys.stderr)
+threads = (len(os.listdir("/proc/self/task"))
+           if os.path.isdir("/proc/self/task") else -1)
+print("exit=%d numpy=%d blas=%s threads=%d"
+      % (code, len(loaded), os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+         threads), file=sys.stderr)
 """
 
 
 class TestNumpyLoadsOnFirstUse(unittest.TestCase):
     """In a fresh interpreter the index-set and lattice commands and the
     input errors never load numpy, and a command that loads it midway
-    still prints its golden bytes.  The in-process goldens run after the
-    test modules imported numpy, so only a fresh process sees this."""
+    still prints its golden bytes, with one BLAS thread unless the
+    caller chose otherwise.  The in-process goldens run after the test
+    modules imported numpy, so only a fresh process sees this."""
 
-    def fresh(self, args):
-        """(exit code, numpy submodules loaded, stdout bytes)."""
-        result = subprocess.run([sys.executable, "-c", FRESH] + args,
-                                capture_output=True, cwd=ROOT)
+    def fresh(self, args, blas=None, first=""):
+        """(exit code, numpy submodules loaded, stdout bytes) of FRESH
+        run after the statements first, with OPENBLAS_NUM_THREADS set
+        to blas or unset; the BLAS setting and the OS thread count the
+        run reported go to self.blas and self.threads."""
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        result = subprocess.run([sys.executable, "-c", first + FRESH] + args,
+                                capture_output=True, cwd=ROOT, env=env)
         self.assertEqual(result.returncode, 0, result.stderr)
         last = result.stderr.decode().splitlines()[-1]
-        code, numpy = (int(word.split("=")[1]) for word in last.split())
-        return code, numpy, result.stdout
+        fields = dict(word.split("=") for word in last.split())
+        self.blas, self.threads = fields["blas"], int(fields["threads"])
+        return int(fields["exit"]), int(fields["numpy"]), result.stdout
 
     def golden(self, name):
         with open(os.path.join(ROOT, "tests", "golden", name + ".out"),
@@ -641,6 +664,33 @@ class TestNumpyLoadsOnFirstUse(unittest.TestCase):
         code, numpy, out = self.fresh(["verify-chhs", fix("gamma4.model")])
         self.assertEqual((code, out), (1, self.golden("verify-chhs_gamma4")))
         self.assertGreater(numpy, 0)
+        self.assertEqual(self.blas, "1")
+        if self.threads < 0:
+            self.skipTest("no /proc/self/task to count threads")
+        self.assertEqual(self.threads, 1)
+
+    def test_a_preset_blas_thread_count_is_kept(self):
+        code, _, out = self.fresh(["verify-chhs", fix("gamma4.model")],
+                                  blas="3")
+        self.assertEqual((code, out), (1, self.golden("verify-chhs_gamma4")))
+        self.assertEqual(self.blas, "3")
+
+    def test_numpy_loaded_first_keeps_the_environment(self):
+        code, _, out = self.fresh(["verify-chhs", fix("gamma4.model")],
+                                  first="import numpy\n")
+        self.assertEqual((code, out), (1, self.golden("verify-chhs_gamma4")))
+        self.assertEqual(self.blas, "unset")
+
+    def test_verdicts_do_not_depend_on_blas_threads(self):
+        """Every BLAS product in the package is of 0/1 matrices read as
+        `> 0`, so two threads print the same bytes as one."""
+        for name, code in (("gamma4.model", 1), ("grid.cplx", 0)):
+            with self.subTest(name=name):
+                got, _, out = self.fresh(["verify-chhs", fix(name)],
+                                         blas="2")
+                self.assertEqual((got, out), (code, self.golden(
+                    "verify-chhs_" + name.split(".")[0])))
+                self.assertEqual(self.blas, "2")
 
 
 class TestClosedStdout(unittest.TestCase):

@@ -9,6 +9,7 @@ import os
 import pytest
 
 from golden.regenerate import CASES, EXIT_CODES, HERE, run_case
+from helpers import keeps_lemma_2
 
 
 def _stored_codes():
@@ -27,3 +28,12 @@ def test_golden_transcript(name, argv):
     code, stdout = run_case(argv)
     assert code == STORED[name]
     assert stdout == expected
+
+
+VERIFY = [name for name, argv in CASES if argv[0] == "verify-chhs"]
+
+
+@pytest.mark.parametrize("name", VERIFY)
+def test_verify_chhs_golden_keeps_lemma_2(name):
+    with open(os.path.join(HERE, name + ".out"), encoding="utf-8") as handle:
+        assert keeps_lemma_2(handle.read())
