@@ -823,60 +823,52 @@ def check_chhs(m, w):
                            None if bad_embed is None else (bad_embed,))
     cond2.constant = delta
 
-    classes_above = {}
-    for s in simplices(x):
-        c = x.class_map[s]
-        for r in range(len(s) + 1):
-            for sub in itertools.combinations(sorted(s), r):
-                classes_above.setdefault(frozenset(sub), set()).add(c.id)
-    by_id = dict((c.id, c) for c in classes)
+    # Lemma 1: a coface of a simplex s adds a clique r of lk s and has
+    # link lk s & N(r), so the classes over s, those of the simplices
+    # that contain it, depend on lk s alone.  above[i] numbers them for
+    # class i: i and those over its cofaces one vertex up, whose links
+    # are smaller.
+    index = dict((c.link, i) for i, c in enumerate(classes))
+    above = [None] * len(classes)
+    for c in by_size:
+        above[index[c.link]] = {index[c.link]}.union(
+            *(above[index[c.link & x.adj[v]]] for v in c.link))
+    # The wedge at (s, d) holds when a class over s has link lk s & lk d,
+    # read here on links packed into ints.  No failing pair has a maximal
+    # side: the maximal class, of empty link, lies over every class.
+    # Classes are numbered by their first simplex, so the first failing
+    # simplex represents its class.
+    bit = dict((v, 1 << k) for k, v in enumerate(x.adj))
+    packed = [sum(bit[v] for v in c.link) for c in classes]
+    by_packed = dict((b, i) for i, b in enumerate(packed))
+    torn = [(j, i) for i, a in enumerate(packed) for j, b in enumerate(packed)
+            if by_packed.get(a & b) not in above[i]]
+    wedges = PropertyReport("simplicial_wedges", True, None)
+    if torn:
+        j, i = torn[0]
+        wedges = PropertyReport("simplicial_wedges", False,
+                                (_set_name(classes[i].rep), classes[j].id))
+
+    # Lemma 2: where the wedge holds at (s, d), its class p over s has
+    # lk g <= lk s & lk d = lk p <= lk d for every g found, so condition
+    # 3 holds there.  It is decided on the failing pairs, in (d, s) order.
     cond3 = PropertyReport("common_nesting_extension", True, None)
-    for dcls in nonmax:
-        gammas = [g for g in nonmax
-                  if g.link <= dcls.link and per_class[g.id]["diam"] >= delta]
-        if not gammas:
-            continue
-        for sigma in simplices(x):
-            scls = x.class_map[sigma]
-            if scls.maximal:
-                continue
-            found = [g for g in gammas if g.link <= scls.link]
-            if not found:
-                continue
-            ok = False
-            for pid in sorted(classes_above.get(sigma, ())):
-                pl = by_id[pid].link
-                if pl <= dcls.link and all(g.link <= pl for g in found):
-                    ok = True
-                    break
-            if not ok:
-                cond3 = PropertyReport(
-                    "common_nesting_extension", False,
-                    (dcls.id, scls.id, found[0].id))
-                break
-        if not cond3.verdict:
+    gammas = [g for g in nonmax if per_class[g.id]["diam"] >= delta]
+    for j, i in sorted(torn):
+        c, d = classes[i], classes[j]
+        found = [g for g in gammas if g.link <= c.link and g.link <= d.link]
+        need = frozenset().union(*(g.link for g in found))
+        if found and not any(need <= classes[p].link <= d.link
+                             for p in above[i]):
+            cond3 = PropertyReport("common_nesting_extension", False,
+                                   (d.id, c.id, found[0].id))
             break
 
     cond4 = _link_edges_fill_in(w)
 
-    links = dict((c.link, c.id) for c in classes)
-    wedges = PropertyReport("simplicial_wedges", True, None)
-    for sigma in simplices(x):
-        lk_sigma = x.links[sigma]
-        for dcls in classes:
-            want = lk_sigma & dcls.link
-            pid = links.get(want)
-            if pid is not None and pid in classes_above.get(sigma, ()):
-                continue
-            wedges = PropertyReport("simplicial_wedges", False,
-                                    (_set_name(sigma), dcls.id))
-            break
-        if not wedges.verdict:
-            break
-
     containers = PropertyReport("simplicial_containers", True, None)
     for c in classes:
-        if link_of_set(x, c.link) not in links:
+        if link_of_set(x, c.link) not in index:
             containers = PropertyReport("simplicial_containers", False,
                                         (c.id,))
             break

@@ -118,17 +118,24 @@ def run_cli(*argv):
 MEDIAN_COMMANDS = ("cubes", "blowup", "build-w", "verify-chhs", "qi-report")
 
 
+def median_picks(seed, graphs, max_expansions=7):
+    """The picks of each generated median graph: with
+    random.Random(seed), rng.randint(2, max_expansions) picks of three
+    rng.randrange(100) per graph."""
+    rng = random.Random(seed)
+    for _ in range(graphs):
+        yield [tuple(rng.randrange(100) for _ in range(3))
+               for _ in range(rng.randint(2, max_expansions))]
+
+
 def median_runs(seed, graphs, max_expansions=7):
     """Each of MEDIAN_COMMANDS run through cli.main on generated median
-    graphs, as (picks, subcommand, exit code, stdout, stderr).  With
-    random.Random(seed), each graph is the convex_expansion of
-    rng.randint(2, max_expansions) picks of three rng.randrange(100),
-    written by cubes.dump_complex."""
-    rng = random.Random(seed)
+    graphs, as (picks, subcommand, exit code, stdout, stderr).  Each
+    graph is the convex_expansion of one of median_picks(seed, graphs,
+    max_expansions), written by cubes.dump_complex."""
     with tempfile.TemporaryDirectory() as tmp:
-        for k in range(graphs):
-            picks = [tuple(rng.randrange(100) for _ in range(3))
-                     for _ in range(rng.randint(2, max_expansions))]
+        for k, picks in enumerate(median_picks(seed, graphs,
+                                               max_expansions)):
             path = os.path.join(tmp, "g%d.cplx" % k)
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(cubes.dump_complex(convex_expansion(picks)))

@@ -13,7 +13,10 @@ W cut to make it fail.  The scalar consistency loop is the reference
 for the consistency kernel on the canonical tuples and the points'
 tuples, constant and witness.  The per-class loop, two searches on
 boolean matrices for each class with its own fit and delta, is the
-reference for the class graph table and its stacked searches.
+reference for the class graph table and its stacked searches.  The
+face loops, which gather the classes over every face of every simplex
+and try each simplex against each class, are the reference for
+condition 3 and the simplicial wedges decided on class pairs.
 """
 
 import itertools
@@ -41,7 +44,7 @@ from hhsforge.chhs import (
     support,
     thresholds,
 )
-from hhsforge.indexset import NESTED_IN, TRANSVERSE, relation
+from hhsforge.indexset import NESTED_IN, TRANSVERSE, PropertyReport, relation
 from hhsforge.model import (
     ConsistentTuple,
     HHSModel,
@@ -50,9 +53,12 @@ from hhsforge.model import (
 )
 
 from helpers import (
+    FAILING_PICKS,
     augmented_graph,
+    convex_expansion,
     kernel_consistency,
     least_fit,
+    median_picks,
     tuples_consistency,
 )
 from test_measure_kernel import cube_product, glued, tree_times_path
@@ -358,6 +364,69 @@ def oracle_fill_in(w):
                 return False, (chhs._set_name(delta_s), chhs.vertex_name(v),
                                chhs.vertex_name(u))
     return True, None
+
+
+# -- loop condition 3 and wedges, the reference ------------------------
+
+
+def oracle_nesting_and_wedges(w, per_class, delta):
+    """Condition 3 and the simplicial wedges over every face of every
+    simplex, as check_chhs decided them before it read class pairs:
+    the two reports and the set of (class of sigma, d) where the wedge
+    fails.  The wedge loop runs on past its first failure to gather
+    that set; its witness is the first failure."""
+    x = w.blowup
+    classes = chhs.simplex_classes(x)
+    nonmax = [c for c in classes if not c.maximal]
+    classes_above = {}
+    for s in chhs.simplices(x):
+        c = x.class_map[s]
+        for r in range(len(s) + 1):
+            for sub in itertools.combinations(sorted(s), r):
+                classes_above.setdefault(frozenset(sub), set()).add(c.id)
+    by_id = dict((c.id, c) for c in classes)
+    cond3 = PropertyReport("common_nesting_extension", True, None)
+    for dcls in nonmax:
+        gammas = [g for g in nonmax
+                  if g.link <= dcls.link and per_class[g.id]["diam"] >= delta]
+        if not gammas:
+            continue
+        for sigma in chhs.simplices(x):
+            scls = x.class_map[sigma]
+            if scls.maximal:
+                continue
+            found = [g for g in gammas if g.link <= scls.link]
+            if not found:
+                continue
+            ok = False
+            for pid in sorted(classes_above.get(sigma, ())):
+                pl = by_id[pid].link
+                if pl <= dcls.link and all(g.link <= pl for g in found):
+                    ok = True
+                    break
+            if not ok:
+                cond3 = PropertyReport(
+                    "common_nesting_extension", False,
+                    (dcls.id, scls.id, found[0].id))
+                break
+        if not cond3.verdict:
+            break
+
+    links = dict((c.link, c.id) for c in classes)
+    wedges = PropertyReport("simplicial_wedges", True, None)
+    torn = set()
+    for sigma in chhs.simplices(x):
+        lk_sigma = x.links[sigma]
+        for dcls in classes:
+            want = lk_sigma & dcls.link
+            pid = links.get(want)
+            if pid is not None and pid in classes_above.get(sigma, ()):
+                continue
+            if wedges.verdict:
+                wedges = PropertyReport("simplicial_wedges", False,
+                                        (chhs._set_name(sigma), dcls.id))
+            torn.add((x.class_map[sigma].id, dcls.id))
+    return cond3, wedges, torn
 
 
 # -- models ------------------------------------------------------------
@@ -1015,6 +1084,121 @@ class CheckSimplexGuard(unittest.TestCase):
         self.assertEqual(check.call_count, 0)
 
 
+def check_nesting_and_wedges(test, m):
+    """Condition 3's and the wedges' verdicts and witnesses from
+    check_chhs against the loop oracle; returns the number of class
+    pairs where the wedge fails."""
+    w = build_w(m, blow_up(m))
+    report = check_chhs(m, w)
+    cond3, wedges, torn = oracle_nesting_and_wedges(
+        w, report.per_class, report.delta)
+    for got, want in ((report.conditions[3], cond3),
+                      (report.simplicial_wedges, wedges)):
+        test.assertEqual((got.verdict, got.witness),
+                         (want.verdict, want.witness), want.name)
+    return len(torn)
+
+
+class NestingWedgeAgreement(unittest.TestCase):
+    """check_chhs decides condition 3 and the wedges on class pairs;
+    the oracle walks every face of every simplex.  gamma4 and gamma6
+    fail both, at 372 and 612 class pairs where the wedge fails, the
+    only pairs on which check_chhs now runs condition 3."""
+
+    def test_fixtures(self):
+        torn = {"gamma4.model": 372, "gamma6": 612}
+        for name in FIXTURES + ("gamma6",):
+            m = gamma6() if name == "gamma6" else fixture_model(name)
+            with self.subTest(fixture=name):
+                got = check_nesting_and_wedges(self, m)
+                if name in torn:
+                    self.assertEqual(got, torn[name])
+
+    def test_glued_collapsed(self):
+        for depth in range(2, 9):
+            with self.subTest(depth=depth):
+                check_nesting_and_wedges(self, glued(depth)[1])
+
+    def test_cubes(self):
+        for sizes in ((2, 2, 2, 2), (3, 3, 3), (4, 4, 4)):
+            with self.subTest(sizes=sizes):
+                torn = check_nesting_and_wedges(
+                    self, cubes.index_set_from_hyperclosure(
+                        cube_product(*sizes)))
+                self.assertEqual(torn, 0)
+
+    def test_generated_median_graphs(self):
+        """FAILING_PICKS and the 40 graphs of test_cli's exit-code
+        sweep; the wedges fail on FAILING_PICKS and on some of the 40."""
+        torn = []
+        for picks in [FAILING_PICKS] + list(median_picks(1, 40)):
+            with self.subTest(picks=picks):
+                torn.append(check_nesting_and_wedges(
+                    self, cubes.index_set_from_hyperclosure(
+                        convex_expansion(picks))))
+        self.assertTrue(torn[0])
+        self.assertTrue(any(torn[1:]))
+
+    def test_five_cube(self):
+        """The 5-cube through check_chhs alone: the oracle takes about
+        100 s on it."""
+        m = cubes.index_set_from_hyperclosure(cube_product(2, 2, 2, 2, 2))
+        report = check_chhs(m, build_w(m, blow_up(m)))
+        self.assertEqual([r.verdict for r in report.verdicts()], [True] * 6)
+
+
+class ClassPairGuard(unittest.TestCase):
+    """check_chhs enumerates the simplices once, for condition 4.  The
+    face loops enumerated them once for the classes over each face,
+    once for each class d of condition 3 with candidates and once for
+    the wedges."""
+
+    def check(self, m):
+        w = build_w(m, blow_up(m))
+        with mock.patch.object(chhs, "simplices",
+                               side_effect=chhs.simplices) as walk:
+            check_chhs(m, w)
+        self.assertEqual(walk.call_count, 1)
+        with mock.patch.object(chhs, "simplices",
+                               side_effect=chhs.simplices) as walk, \
+             mock.patch.object(chhs, "_link_edges_fill_in"):
+            check_chhs(m, w)
+        self.assertEqual(walk.call_count, 0)
+
+    def test_gamma4_fixture(self):
+        self.check(fixture_model("gamma4.model"))
+
+    def test_four_cube(self):
+        self.check(cubes.index_set_from_hyperclosure(
+            cube_product(2, 2, 2, 2)))
+
+
+def test_lemma_1():
+    """Lemma 1 on random graphs: a coface of a clique s adds a clique r
+    of lk s and has link lk s & N(r), so the links of s's cofaces
+    depend on lk s alone; every clique has those of the first clique
+    with its link."""
+    shared = 0
+    for seed in range(12):
+        g = nx.gnp_random_graph(8 + seed % 4, 0.3 + 0.05 * (seed % 5),
+                                seed=seed)
+        adj = dict((v, frozenset(g[v])) for v in g)
+        cliques = [frozenset()] + [frozenset(c)
+                                   for c in nx.enumerate_all_cliques(g)]
+
+        def link(s):
+            return frozenset(v for v in g if v not in s and s <= adj[v])
+
+        first = {}
+        for s in cliques:
+            above = set(link(t) for t in cliques if s <= t)
+            shared += link(s) in first
+            assert first.setdefault(link(s), above) == above
+    # not vacuous: over a third of the cliques share their link with an
+    # earlier one
+    assert shared > 100
+
+
 def test_small_median_graphs():
     """Products of a random tree with up to six vertices and a path with
     one to three edges."""
@@ -1028,8 +1212,10 @@ def test_small_median_graphs():
                          database=None)
     @hypothesis.given(parents, st.integers(1, 3))
     def check(parents, length):
-        check_model(case, cubes.index_set_from_hyperclosure(
-            tree_times_path(parents, length)))
+        m = cubes.index_set_from_hyperclosure(
+            tree_times_path(parents, length))
+        check_model(case, m)
+        check_nesting_and_wedges(case, m)
 
     check()
 
